@@ -235,20 +235,11 @@ class PdrIndex:
     def __init__(self, sets: Iterable[PdrSet]):
         self.presence: dict[PhoneId, dict[int, list[tuple[_SetView, int]]]] = {}
         self.phones: set[PhoneId] = set()
-        self.n_sets = 0
         for pdr_set in sets:
-            self.n_sets += 1
             view = _SetView(pdr_set)
             for pos, p in enumerate(view.phones):
                 self.phones.add(p)
                 self.presence.setdefault(p, {}).setdefault(view.minute, []).append((view, pos))
-
-    def minutes_of(self, phone: PhoneId) -> list[int]:
-        return sorted(self.presence.get(phone, ()))
-
-
-def _ensure_index(sets: Iterable[PdrSet] | PdrIndex) -> PdrIndex:
-    return sets if isinstance(sets, PdrIndex) else PdrIndex(sets)
 
 
 # -- suspicion finding ----------------------------------------------------------------
@@ -256,11 +247,11 @@ def _ensure_index(sets: Iterable[PdrSet] | PdrIndex) -> PdrIndex:
 
 def find_suspicions(
     capability: Capability,
-    sets: Iterable[PdrSet] | PdrIndex,
+    index: PdrIndex,
     poi: PhoneOfInterest,
     params: AnalysisParams,
 ) -> list[ContactSuspicion]:
-    """Scan the record stream for phones that stayed close to the phone of interest.
+    """Scan the presence index for phones that stayed close to the phone of interest.
 
     Only minutes at or after the phone's earliest-infection estimate are
     considered. Per minute, the pair distance comes from the most precise
@@ -270,7 +261,6 @@ def find_suspicions(
     window reaches the duration threshold.
     """
     capability.require_read()
-    index = _ensure_index(sets)
     lower = max(0, poi.t_inf_min - params.search_margin)
     samples: dict[PhoneId, list[tuple[int, float, PrecisionClass, str, int]]] = {}
     by_minute = index.presence.get(poi.phone, {})
@@ -400,7 +390,7 @@ def median_contact_minute(suspicion: ContactSuspicion, dur_min: int) -> int:
 
 def complete_findings(
     capability: Capability,
-    sets: Iterable[PdrSet] | PdrIndex,
+    index: PdrIndex,
     scores: Sequence[ContactScore],
     suspicions_by_pair: dict[PairKey, ContactSuspicion],
     scanned: set[PhoneId],
@@ -416,7 +406,6 @@ def complete_findings(
     invocation a no-op.
     """
     capability.require_read()
-    index = _ensure_index(sets)
     known_pairs = set(suspicions_by_pair)
     new_suspicions: list[ContactSuspicion] = []
     new_scores: list[ContactScore] = []

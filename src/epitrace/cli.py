@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -79,15 +78,8 @@ def verify_ledger_cmd(ledger_path: str) -> None:
 @click.option("--run-dir", "run_dir", required=True, type=click.Path(exists=True), help="Directory of a completed run.")
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Output DOT file (default: stdout).")
 def export_dag(run_dir: str, out_path: str | None) -> None:
-    """Re-export a run's contamination DAG as DOT graph text."""
-    dag = json.loads((Path(run_dir) / "dag.json").read_text())
-    lines = ["digraph contamination {"]
-    for node in dag["nodes"]:
-        lines.append(f'  "{node}";')
-    for edge in dag["edges"]:
-        lines.append(f'  "{edge["src"]}" -> "{edge["dst"]}" [label="{edge["weight"]:.2f}"];')
-    lines.append("}")
-    text = "\n".join(lines) + "\n"
+    """Export a run's contamination DAG (its dag.dot) as DOT graph text."""
+    text = (Path(run_dir) / "dag.dot").read_text()
     if out_path:
         Path(out_path).write_text(text)
         click.echo(f"wrote {out_path}")

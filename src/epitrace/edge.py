@@ -21,25 +21,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, slots=True)
 class EncryptedPdrSet:
-    """Sealed record set plus the cleartext metadata needed for pruning."""
+    """Sealed record set plus the cleartext metadata needed for pruning.
+
+    In the store the ciphertext is a bytearray, so pruning can zero it in
+    place; fetches hand out `bytes` copies.
+    """
 
     ciphertext: bytes
     minute: int
     bs_code_hint: BsCode
-
-
-@dataclass
-class _Stored:
-    ciphertext: bytes
-    minute: int
-    bs_code_hint: BsCode
-
-
-@dataclass
-class EdgeMetrics:
-    pushed: int = 0
-    push_failures: int = 0
-    pruned: int = 0
 
 
 class EdgeCloud:
@@ -50,27 +40,24 @@ class EdgeCloud:
         self.key_id = key_id
         self.pdr_ttl = pdr_ttl
         self.locked_for_vpn = True
-        self.metrics = EdgeMetrics()
         self._federation = federation
         self._rng = rng
-        self._store: list[_Stored] = []
+        self._store: list[EncryptedPdrSet] = []
 
     # -- provider side ----------------------------------------------------------
 
     def push(self, pdr_set: PdrSet) -> bool:
         """Encrypt and append one record set; the plaintext is not retained.
 
-        Returns False (and counts the drop) if sealing fails; the provider has
-        no way to observe anything else about the store.
+        Returns False (the set is dropped) if sealing fails; the provider has no
+        way to observe anything else about the store.
         """
         public_key = self._federation.key_registry[self.key_id]
         try:
             ciphertext = crypto.seal(public_key, encode_pdr_set(pdr_set), self._rng)
         except EncryptionError:
-            self.metrics.push_failures += 1
             return False
-        self._store.append(_Stored(ciphertext=ciphertext, minute=pdr_set.minute, bs_code_hint=pdr_set.bs))
-        self.metrics.pushed += 1
+        self._store.append(EncryptedPdrSet(ciphertext=bytearray(ciphertext), minute=pdr_set.minute, bs_code_hint=pdr_set.bs))
         return True
 
     def provider_port(self) -> "ProviderPort":
@@ -81,19 +68,18 @@ class EdgeCloud:
     def prune(self, now: int) -> int:
         """Secure-delete every entry older than the TTL; returns the count removed.
 
-        Each expired ciphertext is overwritten with zeros before the entry is
-        dropped, and the sweep is recorded in the audit ledger.
+        Each expired ciphertext buffer is overwritten with zeros in place before
+        the entry is dropped, and the sweep is recorded in the audit ledger.
         """
-        kept: list[_Stored] = []
+        kept: list[EncryptedPdrSet] = []
         deleted = 0
         for entry in self._store:
             if now - entry.minute > self.pdr_ttl:
-                entry.ciphertext = b"\x00" * len(entry.ciphertext)
+                entry.ciphertext[:] = bytes(len(entry.ciphertext))
                 deleted += 1
             else:
                 kept.append(entry)
         self._store = kept
-        self.metrics.pruned += deleted
         self._federation.ledger.record("prune", now, provider=self.provider_id, deleted=deleted, shredded=True)
         return deleted
 
@@ -113,7 +99,7 @@ class EdgeCloud:
         self._federation.check_certificate(cert, cert.operation_class)
         start, end = minute_range
         return [
-            EncryptedPdrSet(ciphertext=e.ciphertext, minute=e.minute, bs_code_hint=e.bs_code_hint)
+            EncryptedPdrSet(ciphertext=bytes(e.ciphertext), minute=e.minute, bs_code_hint=e.bs_code_hint)
             for e in self._store
             if start <= e.minute <= end
         ]
@@ -134,7 +120,7 @@ class EdgeCloud:
     def stored_count(self) -> int:
         return len(self._store)
 
-    def stored_ciphertexts(self) -> list[bytes]:
+    def stored_ciphertexts(self) -> list[bytearray]:
         return [e.ciphertext for e in self._store]
 
     def oldest_age(self, now: int) -> int | None:

@@ -35,16 +35,8 @@ def encode(payload: bytes, k: int, n: int) -> list[Fragment]:
     framed = framed.ljust(k * stripe_len, b"\x00")
     stripes = [framed[i * stripe_len : (i + 1) * stripe_len] for i in range(k)]
     fragments = [Fragment(i, stripes[i]) for i in range(k)]
-    if n > k:
-        basis = [_lagrange_weights(list(range(k)), x) for x in range(k, n)]
-        for x, weights in zip(range(k, n), basis):
-            out = bytearray(stripe_len)
-            for stripe, w in zip(stripes, weights):
-                if w == 0:
-                    continue
-                for col, byte in enumerate(stripe):
-                    out[col] ^= gf256.mul(w, byte)
-            fragments.append(Fragment(x, bytes(out)))
+    for x in range(k, n):
+        fragments.append(Fragment(x, gf256.combine(stripes, gf256.lagrange_weights(range(k), x))))
     return fragments
 
 
@@ -70,29 +62,10 @@ def decode(fragments: list[Fragment], k: int) -> bytes:
         if target in chosen_map:
             stripes.append(chosen_map[target].data)
             continue
-        weights = _lagrange_weights(xs, target)
-        out = bytearray(stripe_len)
-        for frag, w in zip(chosen, weights):
-            if w == 0:
-                continue
-            for col, byte in enumerate(frag.data):
-                out[col] ^= gf256.mul(w, byte)
-        stripes.append(bytes(out))
+        stripes.append(gf256.combine([f.data for f in chosen], gf256.lagrange_weights(xs, target)))
     framed = b"".join(stripes)
     (length,) = _LEN_HDR.unpack_from(framed, 0)
     if length > len(framed) - _LEN_HDR.size:
         raise UnavailableError("declared payload length exceeds decoded data")
     return framed[_LEN_HDR.size : _LEN_HDR.size + length]
 
-
-def _lagrange_weights(xs: list[int], at: int) -> list[int]:
-    weights = []
-    for i, xi in enumerate(xs):
-        num, den = 1, 1
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = gf256.mul(num, at ^ xj)
-            den = gf256.mul(den, xi ^ xj)
-        weights.append(gf256.div(num, den))
-    return weights

@@ -13,14 +13,6 @@ class DuplicateRecordError(EpitraceError):
     """Two proximity records share the same (station, phone, minute) triple."""
 
 
-class InsufficientReadingsError(EpitraceError):
-    """Fewer than three station readings were supplied for position fixing."""
-
-
-class DegenerateGeometryError(EpitraceError):
-    """Station centroids are collinear; the position fix is underdetermined."""
-
-
 class ConfigurationError(EpitraceError):
     """Scenario configuration is inconsistent or infeasible."""
 

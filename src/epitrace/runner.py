@@ -141,8 +141,6 @@ def federation_params(config: ScenarioConfig) -> FederationParams:
 
 def vet(federation: Federation, operation_class: OperationClass, payload: dict, rng: Random) -> QuorumCertificate:
     """Run the honest-path quorum ceremony and return the certificate."""
-    from .federation import make_request
-
     requester = federation.authorities[0]
     request = make_request(requester, operation_class, payload, rng)
     federation.submit_request(request)
@@ -213,12 +211,32 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
     return context
 
 
-def _provider_of(registry: ProviderRegistry) -> dict[str, str]:
-    mapping = {}
-    for provider_id, codes in registry.providers.items():
-        for bs in codes:
-            mapping[bs.code] = provider_id
-    return mapping
+def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
+    """Feed minutes [start, stop) into the edge clouds; return the ingest counts.
+
+    Each minute advances the federation clock, observes every station, groups
+    the records into per-station sets and pushes each through its provider's
+    port; every `prune_every_min`-th minute then ends with a prune of all edges.
+    """
+    config = context.config
+    noise = NoiseModel.from_config(config)
+    positions = trace_positions(context.traces, stop)
+    provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
+    ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
+    counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
+    for minute in range(start, stop):
+        context.federation.tick(minute)
+        records = observe(context.registry, context.traces, minute, noise, positions=positions[minute])
+        counts["pdrs_emitted"] += len(records)
+        for pdr_set in group_into_sets(records):
+            if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
+                counts["sets_pushed"] += 1
+            else:
+                counts["push_failures"] += 1
+        if minute > 0 and minute % config.prune_every_min == 0:
+            for edge in context.edges.values():
+                counts["sets_pruned"] += edge.prune(minute)
+    return counts
 
 
 def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str | dict[int, FaultMode] | None = None) -> RunReport:
@@ -228,53 +246,21 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     config = context.config
     federation = context.federation
     rng_cer = Random(f"{config.seed}/ceremonies")
-    noise = NoiseModel.from_config(config)
-    positions = trace_positions(context.traces, config.duration_min)
-    provider_by_code = _provider_of(context.registry)
-    ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
 
-    counts = {
-        "pdrs_emitted": 0,
-        "sets_pushed": 0,
-        "push_failures": 0,
-        "sets_pruned": 0,
-        "sets_fetched": 0,
-        "suspicion_pairs": 0,
-        "flagged_pairs": 0,
-        "completion_pairs": 0,
-        "pccont_records": 0,
-        "dag_nodes": 0,
-        "dag_edges": 0,
-        "hotspot_cells": 0,
-        "vault_objects_written": 0,
-        "ledger_entries": 0,
-    }
-    prune_ticks = 0
-
-    alerted = False
-    for minute in range(config.duration_min + 1):
-        federation.tick(minute)
-        if not alerted and minute >= config.alert_minute:
-            cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng_cer)
-            federation.change_state(cert, SystemState.ALERT)
-            alerted = True
-        if minute == config.duration_min:
-            break
-        records = observe(context.registry, context.traces, minute, noise, positions=positions[minute])
-        counts["pdrs_emitted"] += len(records)
-        for pdr_set in group_into_sets(records):
-            if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
-                counts["sets_pushed"] += 1
-            else:
-                counts["push_failures"] += 1
-        if minute > 0 and minute % config.prune_every_min == 0:
-            prune_ticks += 1
-            for edge in context.edges.values():
-                counts["sets_pruned"] += edge.prune(minute)
-    # End-of-scenario prune tick keeps the retention bound before shutdown.
-    prune_ticks += 1
+    counts = ingest(context, 0, config.alert_minute)
+    # The alert minute's clock tick comes first, then the ceremony, then its
+    # records; ticking a minute twice changes nothing.
+    federation.tick(config.alert_minute)
+    cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng_cer)
+    federation.change_state(cert, SystemState.ALERT)
+    for name, value in ingest(context, config.alert_minute, config.duration_min).items():
+        counts[name] += value
+    # Analysis runs at the last minute, after an end-of-scenario prune that
+    # keeps the retention bound before shutdown.
+    federation.tick(config.duration_min)
     for edge in context.edges.values():
         counts["sets_pruned"] += edge.prune(config.duration_min)
+    prune_ticks = (config.duration_min - 1) // config.prune_every_min + 1
 
     # -- analysis under quorum-vetted capabilities ---------------------------------
     cert_read = vet(federation, OperationClass.BLIND_PROCESSING, {"purpose": "contact analysis"}, rng_cer)
@@ -332,6 +318,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
 
     artifacts = _artifact_payloads(context)
     vault_roundtrip_ok = True
+    counts["vault_objects_written"] = 0
     for name, payload in artifacts.items():
         object_id = context.vault.write(cap_read, payload)
         counts["vault_objects_written"] += 1
@@ -506,18 +493,12 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
     context = build_context(config)
     federation = context.federation
     rng = Random(f"{config.seed}/attack")
-    noise = NoiseModel.from_config(config)
 
     # Feed a little data while passive.
-    ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
-    provider_by_code = _provider_of(context.registry)
-    for minute in range(0, 30):
-        federation.tick(minute)
-        for pdr_set in group_into_sets(observe(context.registry, context.traces, minute, noise)):
-            ports[provider_by_code[pdr_set.bs.code]].push(pdr_set)
+    ingest(context, 0, 30)
 
     # 1. Provider tries to read its own edge cloud: the port has no read surface.
-    port = next(iter(ports.values()))
+    port = next(iter(context.edges.values())).provider_port()
     readable = [a for a in dir(port) if not a.startswith("_") and a != "push"]
     results.append(AttackResult("provider_read", safe=not readable, detail=f"provider surface: {['push'] + readable}"))
 

@@ -31,8 +31,17 @@ def split_secret(secret: bytes, threshold: int, n: int, rng: Random | None = Non
     if not (1 <= threshold <= n <= 255):
         raise ParameterError(f"need 1 <= threshold <= n <= 255, got threshold={threshold} n={n}")
     rand_byte = rng.randrange if rng is not None else (lambda _n: _secrets.randbelow(256))
-    polys = [[b] + [rand_byte(256) for _ in range(threshold - 1)] for b in secret]
-    return [Share(x=x, data=bytes(gf256.poly_eval(p, x) for p in polys)) for x in range(1, n + 1)]
+    # Each secret byte draws its threshold-1 higher coefficients in turn; row j
+    # gathers every byte's x**j coefficient, row 0 being the secret itself.
+    coeffs = bytes(rand_byte(256) for _ in range(len(secret) * (threshold - 1)))
+    rows = [secret, *(coeffs[j :: threshold - 1] for j in range(threshold - 1))]
+    shares = []
+    for x in range(1, n + 1):
+        powers = [1]
+        for _ in range(threshold - 1):
+            powers.append(gf256.mul(powers[-1], x))
+        shares.append(Share(x=x, data=gf256.combine(rows, powers)))
+    return shares
 
 
 def reconstruct_secret(shares: list[Share]) -> bytes:
@@ -50,18 +59,4 @@ def reconstruct_secret(shares: list[Share]) -> bytes:
     length = len(shares[0].data)
     if any(len(s.data) != length for s in shares):
         raise ReconstructionError("shares have mismatched lengths")
-    # Lagrange basis at x=0 depends only on the x-coordinates.
-    weights = []
-    for i, xi in enumerate(xs):
-        num, den = 1, 1
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = gf256.mul(num, xj)
-            den = gf256.mul(den, xi ^ xj)
-        weights.append(gf256.div(num, den))
-    out = bytearray(length)
-    for share, w in zip(shares, weights):
-        for k, byte in enumerate(share.data):
-            out[k] ^= gf256.mul(w, byte)
-    return bytes(out)
+    return gf256.combine([s.data for s in shares], gf256.lagrange_weights(xs, 0))

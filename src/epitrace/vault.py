@@ -39,17 +39,21 @@ def _corrupt(data: bytes) -> bytes:
 
 @dataclass
 class CloudNode:
-    """One storage cloud; Byzantine nodes return corrupted bytes, crashed ones nothing."""
+    """One storage cloud; Byzantine nodes return corrupted bytes, crashed ones nothing.
+
+    Fragments and key shares are held as bytearrays so that shredding can
+    overwrite them in place.
+    """
 
     id: int
     fault_mode: FaultMode = FaultMode.HONEST
-    _fragments: dict[bytes, tuple[int, bytes, bytes]] = field(default_factory=dict)
+    _fragments: dict[bytes, tuple[int, bytearray, bytearray]] = field(default_factory=dict)
 
     def store(self, message: bytes) -> bool:
         if self.fault_mode is FaultMode.CRASHED:
             return False
         object_id, index, fragment, key_share = framing.decode_fragment_message(message)
-        self._fragments[object_id] = (index, fragment, key_share)
+        self._fragments[object_id] = (index, bytearray(fragment), bytearray(key_share))
         return True
 
     def retrieve(self, object_id: bytes) -> tuple[int, bytes, bytes] | None:
@@ -67,10 +71,10 @@ class CloudNode:
         entry = self._fragments.pop(object_id, None)
         if entry is None:
             return False
-        # Overwrite before dropping; mirrors secure delete.
-        index, fragment, key_share = entry
-        self._fragments[object_id] = (index, b"\x00" * len(fragment), b"\x00" * len(key_share))
-        del self._fragments[object_id]
+        # Secure delete: zero the stored buffers in place, then drop them.
+        _index, fragment, key_share = entry
+        fragment[:] = bytes(len(fragment))
+        key_share[:] = bytes(len(key_share))
         return True
 
     def held_object_ids(self) -> list[bytes]:

@@ -99,8 +99,22 @@ class ScenarioConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.prune_every_min < 1:
+            raise ConfigurationError(f"prune_every_min must be >= 1, got {self.prune_every_min}")
+        non_negative = {
+            "n_macro": self.n_macro,
+            "n_pico": self.n_pico,
+            "n_femto": self.n_femto,
+            "gap_tolerance_min": self.gap_tolerance_min,
+            "search_margin_min": self.search_margin_min,
+        }
+        for name, value in non_negative.items():
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.prox_max_m <= 0:
             raise ConfigurationError("prox_max_m must be > 0")
+        if self.hotspot_cell_m <= 0:
+            raise ConfigurationError("hotspot_cell_m must be > 0")
         if self.dur_min < 1:
             raise ConfigurationError("dur_min must be >= 1")
         if self.transmission_distance_m > self.world_size_m:
@@ -435,7 +449,7 @@ def observe(
 
     A record is issued per (station, phone) pair with the phone inside the
     station's useful range; overlapping stations therefore yield several
-    records for the same phone, which is what later triangulation feeds on.
+    records for the same phone.
     Noise draws are keyed by (seed, minute, station), so sweeps are
     independent, adding a station never perturbs another station's readings,
     and the whole measurement process stays a pure function of the scenario.

@@ -17,13 +17,13 @@ from epitrace import cep, crypto, erasure
 from epitrace.errors import DecryptionError, ReconstructionError, UnavailableError
 from epitrace.federation import Federation, FederationParams, OperationClass, SystemState, make_request
 from epitrace.ledger import load_jsonl, verify_ledger
-from epitrace.records import PrecisionClass, group_into_sets
-from epitrace.runner import attack_suite, build_context, run, vet
+from epitrace.records import PrecisionClass
+from epitrace.runner import attack_suite, build_context, ingest, run, vet
 from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode, VaultCoordinator
-from epitrace.world import NoiseModel, ScenarioConfig, generate_world, infection_estimates, observe, trace_positions
+from epitrace.world import ScenarioConfig, generate_world, infection_estimates, trace_positions
 from cep_oracle import brute_force_pairs
-from util import capability, small_federation
+from util import capability, plaintext_sets, small_federation
 
 SMALL_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
 
@@ -42,12 +42,8 @@ def pipeline_flagged_pairs(cfg: ScenarioConfig):
     """Run generation + measurement + the scan stack; return flagged pairs and world."""
     registry, traces, gt = generate_world(cfg)
     positions = trace_positions(traces, cfg.duration_min)
-    noise = NoiseModel.from_config(cfg)
-    sets = []
-    for minute in range(cfg.duration_min):
-        sets.extend(group_into_sets(observe(registry, traces, minute, noise, positions=positions[minute])))
     cap, _ = capability(OperationClass.BLIND_PROCESSING, seed=cfg.seed)
-    index = cep.PdrIndex(sets)
+    index = cep.PdrIndex(plaintext_sets(cfg, registry, traces))
     params = cep.AnalysisParams(prox_max=cfg.prox_max_m, dur_min=cfg.dur_min, gap_tolerance=cfg.gap_tolerance_min)
     estimates = infection_estimates(cfg, gt)
     flagged = set()
@@ -73,11 +69,7 @@ def test_criterion_1_oracle_equivalence():
         for n_phones, seed in ORACLE_SCENARIOS:
             cfg = ScenarioConfig(seed=seed, n_phones=n_phones, duration_min=1440, alert_minute=960, noise_enabled=True)
             registry, traces, _ = generate_world(cfg)
-            positions = trace_positions(traces, cfg.duration_min)
-            noise = NoiseModel.from_config(cfg)
-            sets = []
-            for minute in range(cfg.duration_min):
-                sets.extend(group_into_sets(observe(registry, traces, minute, noise, positions=positions[minute])))
+            sets = plaintext_sets(cfg, registry, traces)
             index = cep.PdrIndex(sets)
             engine = {}
             for phone in sorted(index.phones):
@@ -253,25 +245,19 @@ def test_criterion_5_pruning_bound():
         )
         assert cfg.pdr_ttl == 720
         context = build_context(cfg)
-        ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
-        provider_by_code = {}
-        for pid, codes in context.registry.providers.items():
-            for bs in codes:
-                provider_by_code[bs.code] = pid
-        positions = trace_positions(context.traces, cfg.duration_min)
         deletions = 0
         prune_checks = 0
-        for minute in range(cfg.duration_min + 1):
-            context.federation.tick(minute)
-            if minute < cfg.duration_min:
-                for pdr_set in group_into_sets(observe(context.registry, context.traces, minute, None, positions=positions[minute])):
-                    ports[provider_by_code[pdr_set.bs.code]].push(pdr_set)
-            if minute > 0 and minute % cfg.prune_every_min == 0:
-                prune_checks += 1
-                for edge in context.edges.values():
-                    deletions += edge.prune(minute)
-                    age = edge.oldest_age(minute)
-                    assert age is None or age <= cfg.pdr_ttl, f"entry aged {age} > ttl {cfg.pdr_ttl} at minute {minute}"
+        start = 0
+        # One prune period per ingest call, each ending on the minute it prunes.
+        for minute in range(cfg.prune_every_min, cfg.duration_min + 1, cfg.prune_every_min):
+            deletions += ingest(context, start, minute + 1)["sets_pruned"]
+            start = minute + 1
+            pruned = [e for e in context.federation.ledger.entries if e.content["kind"] == "prune" and e.content["minute"] == minute]
+            assert len(pruned) == len(context.edges), f"no prune of every edge at minute {minute}"
+            prune_checks += 1
+            for edge in context.edges.values():
+                age = edge.oldest_age(minute)
+                assert age is None or age <= cfg.pdr_ttl, f"entry aged {age} > ttl {cfg.pdr_ttl} at minute {minute}"
         assert prune_checks == 2
         assert deletions > 0, "bound held vacuously: nothing was ever pruned"
 

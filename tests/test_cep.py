@@ -83,7 +83,7 @@ class TestFindSuspicions:
         # Identical vectors under one femto station for exactly dur_min minutes:
         # Prox = 0 <= max and Dur = dur_min, both bounds inclusive.
         sets = co_located_sets(range(100, 100 + PARAMS.dur_min), prox_a=1.5, prox_b=1.5, az_a=0.7, az_b=0.7)
-        found = find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         assert found[0].pc_susp
         window = found[0].windows[0]
@@ -92,31 +92,31 @@ class TestFindSuspicions:
 
     def test_one_minute_short_is_not_flagged(self, cap_read):
         sets = co_located_sets(range(100, 100 + PARAMS.dur_min - 1))
-        found = find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         assert not found[0].pc_susp
 
     def test_distance_beyond_threshold_excluded(self, cap_read):
         # 3 m apart on opposite azimuths: never qualifies.
         sets = co_located_sets(range(50), prox_a=1.5, prox_b=1.5, az_a=0.0, az_b=math.pi)
-        assert find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 0), PARAMS) == []
+        assert find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS) == []
 
     def test_presence_before_t_inf_min_excluded(self, cap_read):
         sets = co_located_sets(range(100, 160))
-        found = find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 200), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 200), PARAMS)
         assert found == []
 
     def test_search_margin_extends_below_estimate(self, cap_read):
         sets = co_located_sets(range(100, 160))
         params = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2, search_margin=60)
-        found = find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 160), params)
+        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 160), params)
         assert len(found) == 1
         assert found[0].windows[0].start == 100
 
     def test_gap_tolerance_merges_and_splits(self, cap_read):
         minutes = list(range(10, 20)) + list(range(22, 30)) + list(range(40, 50))
         sets = co_located_sets(minutes)
-        found = find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
         windows = found[0].windows
         # gap of 2 (minutes 20, 21) merges; gap of 10 splits
         assert len(windows) == 2
@@ -133,7 +133,7 @@ class TestFindSuspicions:
                 pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 104.0, 0.0, minute))))
             sets.append(PdrSet(minute=minute, bs=femto, records=(
                 pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 1.5, 0.0, minute))))
-        found = find_suspicions(cap_read, sets, PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         window = found[0].windows[0]
         assert set(window.classes) == {PrecisionClass.FEMTO}
@@ -143,14 +143,14 @@ class TestFindSuspicions:
         cap_push, _ = capability(OperationClass.STRICT_PUSH, seed=321)
         sets = co_located_sets(range(5))
         with pytest.raises(AuthorizationError):
-            find_suspicions(cap_push, sets, PhoneOfInterest(phone(1), 0), PARAMS)
+            find_suspicions(cap_push, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
 
     def test_passive_state_blocks(self):
         cap, federation = capability(OperationClass.BLIND_ANALYSIS, seed=55)
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(56))
         federation.change_state(cert, SystemState.PASSIVE)
         with pytest.raises(StateError):
-            find_suspicions(cap, co_located_sets(range(5)), PhoneOfInterest(phone(1), 0), PARAMS)
+            find_suspicions(cap, PdrIndex(co_located_sets(range(5))), PhoneOfInterest(phone(1), 0), PARAMS)
 
 
 class TestOracleEquivalence:
@@ -384,7 +384,7 @@ class TestPccont:
             PdrSet(minute=m, bs=bs, records=(pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m)))
             for m in minutes
         ]
-        suspicions = find_suspicions(cap, sets, PhoneOfInterest(phone(a), 0), PARAMS)
+        suspicions = find_suspicions(cap, PdrIndex(sets), PhoneOfInterest(phone(a), 0), PARAMS)
         scores = score_suspicions(cap, suspicions, PARAMS, ScoringConfig())
         return {s.pair: s for s in suspicions}, scores
 

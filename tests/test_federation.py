@@ -321,22 +321,19 @@ class TestCrossBorderTokens:
         # B's quorum redeems it and identifies the right phone, matching the
         # planted ground truth.
         from epitrace import cep
-        from epitrace.records import group_into_sets
-        from epitrace.world import ScenarioConfig, generate_world, infection_estimates, observe
-        from util import capability
+        from epitrace.world import ScenarioConfig, generate_world, infection_estimates
+        from util import capability, plaintext_sets
 
         cfg = ScenarioConfig(seed=13, n_phones=16, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True)
         registry, traces, gt = generate_world(cfg)
         transmission = next((p, r) for p, r in gt.infections.items() if r.infected_by is not None)
         contact_phone, record = transmission
 
-        sets = []
-        for minute in range(cfg.duration_min):
-            sets.extend(group_into_sets(observe(registry, traces, minute, None)))
+        index = cep.PdrIndex(plaintext_sets(cfg, registry, traces))
         cap, _ = capability(OperationClass.BLIND_PROCESSING, seed=777)
         estimates = infection_estimates(cfg, gt)
         poi = cep.PhoneOfInterest(record.infected_by, estimates[record.infected_by])
-        suspicions = cep.find_suspicions(cap, sets, poi, cep.AnalysisParams())
+        suspicions = cep.find_suspicions(cap, index, poi, cep.AnalysisParams())
         flagged = {s.pair for s in suspicions if s.pc_susp}
         assert cep.pair_key(record.infected_by, contact_phone) in flagged
 

@@ -172,6 +172,13 @@ class TestCli:
         assert result.exit_code == 2
         assert "aborted" in result.output
 
+    def test_zero_prune_interval_aborts(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CFG, "prune_every_min": 0}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "prune_every_min" in result.output
+
     def test_verify_ledger_command(self, tmp_path):
         config = self._write_config(tmp_path)
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from random import Random
 
@@ -87,3 +88,17 @@ class TestReconstruct:
         shares = split_secret(secret, threshold, n, Random(seed))
         picked = Random(seed + 1).sample(shares, threshold)
         assert reconstruct_secret(picked) == secret
+
+
+class TestKnownAnswers:
+    def test_shares_match_recorded_digests(self):
+        # SHA-256 of each share as produced by per-byte Horner evaluation; pins
+        # the field, the coefficient draw order and the x-coordinates.
+        shares = split_secret(Random(8).randbytes(32), 3, 4, Random(9))
+        assert [s.x for s in shares] == [1, 2, 3, 4]
+        assert [hashlib.sha256(s.data).hexdigest() for s in shares] == [
+            "b9ce5fdb34b914a69c0cfdacd88f10b79ff2ee3bb140ef0dc1abd85e7396138d",
+            "6d3a49a70b75c36df339f8c6678a099c53333c70c54413324d8be3f3238320cd",
+            "4ff8c91f2bcebee7364757dda70af5b3d0719c7bda07040517b7cf9596c9f8af",
+            "fad06078df2696673dfb30cd1471b4c9935666c32f8da59f99703f04bac9e3e0",
+        ]

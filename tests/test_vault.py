@@ -203,6 +203,17 @@ class TestDelete:
         ]
         assert len(batch_entries) == 1
 
+    def test_delete_all_zeroes_held_fragments_in_place(self):
+        federation, vault = make_vault()
+        cap_write, _ = caps(federation)
+        object_id = vault.write(cap_write, b"secret results " * 8)
+        held = [cloud.retrieve(object_id) for cloud in vault.clouds]
+        assert all(any(fragment) and any(share) for _index, fragment, share in held)
+        assert vault.delete_all(reason="test") == 1
+        for _index, fragment, share in held:
+            assert fragment == bytes(len(fragment))
+            assert share == bytes(len(share))
+
     def test_per_object_delete_is_ledgered(self):
         federation, vault = make_vault()
         cap_write, cap_full = caps(federation)

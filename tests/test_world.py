@@ -38,6 +38,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(dur_min=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("prune_every_min", 0),
+            ("n_macro", -1),
+            ("n_pico", -1),
+            ("n_femto", -1),
+            ("gap_tolerance_min", -5),
+            ("search_margin_min", -3),
+            ("hotspot_cell_m", 0.0),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioConfig(**{field: value})
+
     def test_incubation_order(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(t_incub_min=100, t_incub_max=50)

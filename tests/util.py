@@ -5,8 +5,9 @@ from __future__ import annotations
 from random import Random
 
 from epitrace.federation import Federation, FederationParams, OperationClass, SystemState
-from epitrace.records import BsCode, PhoneId, PrecisionClass, ProxVector, make_pdr
+from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProxVector, group_into_sets, make_pdr
 from epitrace.runner import vet
+from epitrace.world import MobilityTrace, NoiseModel, ProviderRegistry, ScenarioConfig, observe, trace_positions
 
 
 def small_federation(seed: int = 99, n: int = 3, f: int = 1, q: int = 2, key_threshold: int = 2) -> Federation:
@@ -44,3 +45,13 @@ def station(i: int = 0, precision: PrecisionClass = PrecisionClass.FEMTO) -> BsC
 
 def pdr(bs: BsCode, who: PhoneId, radius: float, azimuth: float, minute: int):
     return make_pdr(bs, who, ProxVector(radius=radius, azimuth=azimuth), minute)
+
+
+def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list[MobilityTrace]) -> list[PdrSet]:
+    """Every record set of the scenario, grouped in the clear as providers would push them."""
+    positions = trace_positions(traces, cfg.duration_min)
+    noise = NoiseModel.from_config(cfg)
+    sets = []
+    for minute in range(cfg.duration_min):
+        sets.extend(group_into_sets(observe(registry, traces, minute, noise, positions=positions[minute])))
+    return sets
