@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from statistics import median_low
 from typing import Iterable, Sequence
@@ -217,7 +218,7 @@ class ScoringConfig:
 class _SetView:
     """Flat projection of one set, laid out for the hot scan loop."""
 
-    __slots__ = ("minute", "code", "rank", "size", "phones", "radii", "azimuths")
+    __slots__ = ("minute", "code", "rank", "size", "phones", "radii", "azimuths", "radius_order", "sorted_radii")
 
     def __init__(self, pdr_set: PdrSet):
         self.minute = pdr_set.minute
@@ -227,6 +228,27 @@ class _SetView:
         self.phones = [r.phone for r in pdr_set.records]
         self.radii = [r.prox.radius for r in pdr_set.records]
         self.azimuths = [r.prox.azimuth for r in pdr_set.records]
+        self.radius_order = sorted(range(self.size), key=self.radii.__getitem__)
+        self.sorted_radii = [self.radii[i] for i in self.radius_order]
+
+    def distance(self, pos: int, i: int) -> float:
+        """`records.pair_distance` of the phones at `pos` and `i`: the identical float."""
+        rv, r = self.radii[pos], self.radii[i]
+        d2 = rv * rv + r * r - (2.0 * rv) * r * math.cos(abs(self.azimuths[pos] - self.azimuths[i]))
+        return math.sqrt(d2) if d2 > 0.0 else 0.0
+
+    def within(self, pos: int, reach: float) -> list[int]:
+        """Positions other than `pos` at a distance of at most `reach` from it.
+
+        Two phones at radii rv and r are at least |rv - r| apart, so only the
+        band of radii around rv is evaluated. The slack covers the rounding of
+        the law of cosines, which is below 1e-7 * (rv + r) in distance.
+        """
+        rv = self.radii[pos]
+        band = reach + 1e-6 * (rv + self.sorted_radii[-1])
+        lo = bisect_left(self.sorted_radii, rv - band)
+        hi = bisect_right(self.sorted_radii, rv + band)
+        return [i for i in self.radius_order[lo:hi] if i != pos and self.distance(pos, i) <= reach]
 
 
 class PdrIndex:
@@ -262,33 +284,28 @@ def find_suspicions(
     """
     capability.require_read()
     lower = max(0, poi.t_inf_min - params.search_margin)
+    prox_max = params.prox_max
     samples: dict[PhoneId, list[tuple[int, float, PrecisionClass, str, int]]] = {}
     by_minute = index.presence.get(poi.phone, {})
-    sqrt, cos = math.sqrt, math.cos  # the identical expression pair_distance uses
     class_by_rank = {c.rank: c for c in PrecisionClass}
     for minute in sorted(by_minute):
         if minute < lower:
             continue
+        entries = by_minute[minute]
+        # A partner's best distance can only qualify if some station puts it in range.
+        in_range = {view.phones[i] for view, pos in entries for i in view.within(pos, prox_max)}
+        if not in_range:
+            continue
         best: dict[PhoneId, tuple[int, float, str, int]] = {}  # u -> (-rank, dist, code, size)
-        for view, pos in by_minute[minute]:
-            neg_rank = -view.rank
-            code = view.code
-            size = view.size
-            phones, radii, azimuths = view.phones, view.radii, view.azimuths
-            rv, av = radii[pos], azimuths[pos]
-            for i in range(size):
-                if i == pos:
-                    continue
-                r, a = radii[i], azimuths[i]
-                d2 = rv * rv + r * r - (2.0 * rv) * r * cos(abs(av - a))
-                dist = sqrt(d2) if d2 > 0.0 else 0.0
-                candidate = (neg_rank, dist, code, size)
-                u = phones[i]
-                prev = best.get(u)
-                if prev is None or candidate < prev:
-                    best[u] = candidate
+        for view, pos in entries:
+            for i, u in enumerate(view.phones):
+                if u in in_range and i != pos:
+                    candidate = (-view.rank, view.distance(pos, i), view.code, view.size)
+                    prev = best.get(u)
+                    if prev is None or candidate < prev:
+                        best[u] = candidate
         for u, (neg_rank, dist, code, size) in best.items():
-            if dist <= params.prox_max:
+            if dist <= prox_max:
                 samples.setdefault(u, []).append((minute, dist, class_by_rank[-neg_rank], code, size))
 
     suspicions = []

@@ -20,11 +20,12 @@ from epitrace.cep import (
     hotspot_csv,
     hotspot_map,
     median_contact_minute,
+    pair_key,
     score_suspicions,
 )
 from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError, ResolutionError, StateError, ValidationError
 from epitrace.federation import OperationClass, SystemState
-from epitrace.records import PdrSet, PrecisionClass, group_into_sets
+from epitrace.records import PdrSet, PrecisionClass, group_into_sets, pair_distance
 from epitrace.runner import vet
 from epitrace.world import NoiseModel, ProviderRegistry, ScenarioConfig, StationInfo, generate_world, observe
 from cep_oracle import brute_force_pairs
@@ -138,6 +139,24 @@ class TestFindSuspicions:
         window = found[0].windows[0]
         assert set(window.classes) == {PrecisionClass.FEMTO}
         assert all(p == 0.5 for p in window.prox)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        base=st.floats(0.0, 30_000.0),
+        offsets=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=12),
+        azimuths=st.lists(st.sampled_from([0.0, 1e-9, 0.3, 3.0]), min_size=12, max_size=12),
+    )
+    def test_every_partner_in_range_is_found(self, cap_read, base, offsets, azimuths):
+        # Radii within a few meters of the phone of interest, many on its bearing
+        # where the distance is the difference of radii: the edge of the radius
+        # band the scan evaluates. Flagged distances must equal pair_distance.
+        bs = station(3, PrecisionClass.PICO)
+        records = [pdr(bs, phone(1), base, 0.0, 0)]
+        records += [pdr(bs, phone(i + 2), max(0.0, base + off), azimuths[i], 0) for i, off in enumerate(offsets)]
+        index = PdrIndex([PdrSet(minute=0, bs=bs, records=tuple(records))])
+        found = {s.pair: s.windows[0].prox for s in find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)}
+        distances = {r.phone: pair_distance(records[0].prox, r.prox) for r in records[1:]}
+        assert found == {pair_key(phone(1), u): (d,) for u, d in distances.items() if d <= PARAMS.prox_max}
 
     def test_capability_gating(self):
         cap_push, _ = capability(OperationClass.STRICT_PUSH, seed=321)
