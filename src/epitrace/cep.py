@@ -216,7 +216,7 @@ class ScoringConfig:
 
 
 class _SetView:
-    """Flat projection of one set, laid out for the hot scan loop."""
+    """One set's columns, by reference, plus a radius order for the hot scan loop."""
 
     __slots__ = ("minute", "code", "rank", "size", "phones", "radii", "azimuths", "radius_order", "sorted_radii")
 
@@ -224,10 +224,10 @@ class _SetView:
         self.minute = pdr_set.minute
         self.code = pdr_set.bs.code
         self.rank = pdr_set.bs.precision_class.rank
-        self.size = len(pdr_set.records)
-        self.phones = [r.phone for r in pdr_set.records]
-        self.radii = [r.prox.radius for r in pdr_set.records]
-        self.azimuths = [r.prox.azimuth for r in pdr_set.records]
+        self.phones = pdr_set.phones
+        self.radii = pdr_set.radii
+        self.azimuths = pdr_set.azimuths
+        self.size = len(self.phones)
         self.radius_order = sorted(range(self.size), key=self.radii.__getitem__)
         self.sorted_radii = [self.radii[i] for i in self.radius_order]
 

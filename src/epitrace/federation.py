@@ -342,6 +342,11 @@ class Federation:
         self.ledger.record("key_release", self.now, key_id=key_id, request_id=capability.cert.request_id.hex())
         return secret
 
+    @property
+    def engine_keys_held(self) -> int:
+        """Number of provider keys the sealed analysis engine holds right now."""
+        return len(self._engine_keys)
+
     def engine_key(self, key_id: str) -> bytes:
         """Key material held by the sealed analysis engine; ALERT only."""
         if self.state.state is not SystemState.ALERT:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -65,6 +65,14 @@ class BsCode:
             raise ValidationError(f"station code must be {STATION_CODE_LEN} lowercase hex chars, got {self.code!r}")
 
 
+def _check_prox(radius: float, azimuth: float) -> None:
+    """The range rule of a polar offset, for a `ProxVector` and for every decoded record."""
+    if radius < 0.0 or not math.isfinite(radius):
+        raise ValidationError(f"radius must be finite and >= 0, got {radius}")
+    if not (0.0 <= azimuth < TWO_PI):
+        raise ValidationError(f"azimuth must be in [0, 2*pi), got {azimuth}")
+
+
 @dataclass(frozen=True, slots=True)
 class ProxVector:
     """Polar offset (meters, radians) from a station centroid. Never absolute."""
@@ -73,10 +81,7 @@ class ProxVector:
     azimuth: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0.0 or not math.isfinite(self.radius):
-            raise ValidationError(f"radius must be finite and >= 0, got {self.radius}")
-        if not (0.0 <= self.azimuth < TWO_PI):
-            raise ValidationError(f"azimuth must be in [0, 2*pi), got {self.azimuth}")
+        _check_prox(self.radius, self.azimuth)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,26 +100,22 @@ class ProximityDetailRecord:
 
 @dataclass(frozen=True, slots=True)
 class PdrSet:
-    """All records of one station for one minute, sorted by phone, one per phone."""
+    """All records of one station for one minute, as columns in strictly ascending phone order."""
 
     minute: int
     bs: BsCode
-    records: tuple[ProximityDetailRecord, ...] = field(default_factory=tuple)
+    phones: tuple[PhoneId, ...]
+    radii: tuple[float, ...]
+    azimuths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        seen: set[PhoneId] = set()
-        for rec in self.records:
-            if rec.t_pdr != self.minute or rec.bs != self.bs:
-                raise ValidationError("every record in a set must share the set's minute and station")
-            if rec.phone in seen:
-                raise DuplicateRecordError(f"phone {rec.phone.nr} appears twice in set")
-            seen.add(rec.phone)
-        ordered = tuple(sorted(self.records, key=lambda r: r.phone))
-        object.__setattr__(self, "records", ordered)
-
-    @property
-    def phones(self) -> tuple[PhoneId, ...]:
-        return tuple(r.phone for r in self.records)
+        if not (len(self.phones) == len(self.radii) == len(self.azimuths)):
+            raise ValidationError("set columns must have equal length")
+        for prev, phone in zip(self.phones, self.phones[1:]):
+            if not prev < phone:
+                if phone == prev:
+                    raise DuplicateRecordError(f"phone {phone.nr} appears twice in set")
+                raise ValidationError("set phones must be in ascending order")
 
 
 def make_pdr(bs: BsCode, phone: PhoneId, relative_position: ProxVector, minute: int) -> ProximityDetailRecord:
@@ -130,16 +131,20 @@ def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
     duplicate signals a simulation bug upstream.
     """
     buckets: dict[tuple[int, str], list[ProximityDetailRecord]] = {}
-    keys_seen: set[tuple[str, str, str, int]] = set()
     for rec in records:
-        triple = (rec.bs.code, rec.phone.nr, rec.phone.imei, rec.t_pdr)
-        if triple in keys_seen:
-            raise DuplicateRecordError(f"duplicate record for phone {rec.phone.nr} at station {rec.bs.code} minute {rec.t_pdr}")
-        keys_seen.add(triple)
         buckets.setdefault((rec.t_pdr, rec.bs.code), []).append(rec)
     out = []
     for (minute, _code), recs in sorted(buckets.items()):
-        out.append(PdrSet(minute=minute, bs=recs[0].bs, records=tuple(recs)))
+        recs.sort(key=lambda r: r.phone)
+        out.append(
+            PdrSet(
+                minute=minute,
+                bs=recs[0].bs,
+                phones=tuple(r.phone for r in recs),
+                radii=tuple(r.prox.radius for r in recs),
+                azimuths=tuple(r.prox.azimuth for r in recs),
+            )
+        )
     return out
 
 
@@ -167,62 +172,58 @@ def pair_distance(a: ProxVector, b: ProxVector) -> float:
 #
 # A set serializes as: u32 record count, then the records in phone order.
 
+_U32 = struct.Struct(">I")
 _TAIL = struct.Struct(">ddQ")
 
 
-def encode_pdr(rec: ProximityDetailRecord) -> bytes:
-    nr_bytes = rec.phone.nr.encode("utf-8")
-    return b"".join(
-        (
-            rec.bs.code.encode("ascii"),
-            struct.pack(">I", len(nr_bytes)),
-            nr_bytes,
-            rec.phone.imei.encode("ascii"),
-            _TAIL.pack(rec.prox.radius, rec.prox.azimuth, rec.t_pdr),
-        )
-    )
-
-
-def decode_pdr(data: bytes, precision_class: PrecisionClass) -> tuple[ProximityDetailRecord, bytes]:
-    """Decode one record from the head of `data`; returns (record, remaining bytes).
-
-    The precision class is not part of the wire layout (it is registry
-    metadata), so the caller supplies it.
-    """
-    code = data[:STATION_CODE_LEN].decode("ascii")
-    off = STATION_CODE_LEN
-    (nr_len,) = struct.unpack_from(">I", data, off)
-    off += 4
-    nr = data[off : off + nr_len].decode("utf-8")
-    off += nr_len
-    imei = data[off : off + IMEI_LEN].decode("ascii")
-    off += IMEI_LEN
-    radius, azimuth, t_pdr = _TAIL.unpack_from(data, off)
-    off += _TAIL.size
-    rec = ProximityDetailRecord(
-        bs=BsCode(code=code, precision_class=precision_class),
-        phone=PhoneId(nr=nr, imei=imei),
-        prox=ProxVector(radius=radius, azimuth=azimuth),
-        t_pdr=t_pdr,
-    )
-    return rec, data[off:]
-
-
 def encode_pdr_set(pdr_set: PdrSet) -> bytes:
-    parts = [struct.pack(">I", len(pdr_set.records))]
-    parts.extend(encode_pdr(r) for r in pdr_set.records)
+    code = pdr_set.bs.code.encode("ascii")
+    parts = [_U32.pack(len(pdr_set.phones))]
+    for phone, radius, azimuth in zip(pdr_set.phones, pdr_set.radii, pdr_set.azimuths):
+        nr = phone.nr.encode("utf-8")
+        parts += (code, _U32.pack(len(nr)), nr, phone.imei.encode("ascii"), _TAIL.pack(radius, azimuth, pdr_set.minute))
     return b"".join(parts)
 
 
 def decode_pdr_set(data: bytes, precision_class: PrecisionClass) -> PdrSet:
-    (count,) = struct.unpack_from(">I", data, 0)
-    rest = data[4:]
-    records = []
-    for _ in range(count):
-        rec, rest = decode_pdr(rest, precision_class)
-        records.append(rec)
-    if rest:
-        raise ValidationError("trailing bytes after set payload")
-    if not records:
+    """Decode one set; every record must carry the first record's station and minute.
+
+    The precision class is not part of the wire layout (it is registry
+    metadata), so the caller supplies it.
+    """
+    (count,) = _U32.unpack_from(data, 0)
+    if not count:
         raise ValidationError("cannot decode an empty set without station metadata")
-    return PdrSet(minute=records[0].t_pdr, bs=records[0].bs, records=tuple(records))
+    code = data[4 : 4 + STATION_CODE_LEN]
+    minute = None
+    phones, radii, azimuths = [], [], []
+    off = 4
+    for _ in range(count):
+        if data[off : off + STATION_CODE_LEN] != code:
+            raise ValidationError("every record in a set must share the set's station")
+        off += STATION_CODE_LEN
+        (nr_len,) = _U32.unpack_from(data, off)
+        off += 4
+        nr = data[off : off + nr_len].decode("utf-8")
+        off += nr_len
+        imei = data[off : off + IMEI_LEN].decode("ascii")
+        off += IMEI_LEN
+        radius, azimuth, t_pdr = _TAIL.unpack_from(data, off)
+        off += _TAIL.size
+        if minute is None:
+            minute = t_pdr
+        elif t_pdr != minute:
+            raise ValidationError("every record in a set must share the set's minute")
+        _check_prox(radius, azimuth)
+        phones.append(PhoneId(nr=nr, imei=imei))
+        radii.append(radius)
+        azimuths.append(azimuth)
+    if off != len(data):
+        raise ValidationError("trailing bytes after set payload")
+    return PdrSet(
+        minute=minute,
+        bs=BsCode(code=code.decode("ascii"), precision_class=precision_class),
+        phones=tuple(phones),
+        radii=tuple(radii),
+        azimuths=tuple(azimuths),
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -114,7 +115,6 @@ class SimContext:
     edges: dict[str, EdgeCloud]
     vault: VaultCoordinator
     suspicions_by_pair: dict = field(default_factory=dict)
-    suspicions: list = field(default_factory=list)
     scores: list = field(default_factory=list)
     pccont: list = field(default_factory=list)
     dag: cep.InfectionDag | None = None
@@ -278,35 +278,33 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
 
     estimates = infection_estimates(config, context.ground_truth)
     pois = sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))
+    by_pair = context.suspicions_by_pair
     for phone, t_inf_min in pois:
         poi = cep.PhoneOfInterest(phone=phone, t_inf_min=t_inf_min)
         for suspicion in cep.find_suspicions(cap_read, index, poi, params):
-            if suspicion.pair not in context.suspicions_by_pair:
-                context.suspicions_by_pair[suspicion.pair] = suspicion
-                context.suspicions.append(suspicion)
-    context.scores = cep.score_suspicions(cap_read, [s for s in context.suspicions if s.pc_susp], params, scoring)
+            by_pair.setdefault(suspicion.pair, suspicion)
+    context.scores = cep.score_suspicions(cap_read, [s for s in by_pair.values() if s.pc_susp], params, scoring)
     scanned = {phone for phone, _ in pois}
     extra_susp, extra_scores = cep.complete_findings(
         cap_read,
         index,
         context.scores,
-        context.suspicions_by_pair,
+        by_pair,
         scanned,
         params,
         scoring,
         class_threshold=config.completion_class_threshold,
     )
-    context.suspicions.extend(extra_susp)
     context.scores.extend(extra_scores)
     counts["completion_pairs"] = len(extra_susp)
-    counts["suspicion_pairs"] = len(context.suspicions)
-    flagged = {s.pair for s in context.suspicions if s.pc_susp}
+    counts["suspicion_pairs"] = len(by_pair)
+    flagged = {pair for pair, s in by_pair.items() if s.pc_susp}
     counts["flagged_pairs"] = len(flagged)
 
     cert_full = vet(federation, OperationClass.FULL_PROCESSING, {"purpose": "chain reconstruction"}, rng_cer)
     cap_full = federation.authorize_mode(cert_full, OperationClass.FULL_PROCESSING)
     context.pccont = cep.build_pccont(
-        cap_full, context.scores, context.suspicions_by_pair, estimates, context.registry, config.dur_min
+        cap_full, context.scores, by_pair, estimates, context.registry, config.dur_min
     )
     context.dag = cep.build_dag(context.pccont, config.t_incub_min, config.t_incub_max)
     context.dag.topological_order()  # invariant: must be acyclic
@@ -339,7 +337,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
         "plaintext_pii_hits": _plaintext_pii_hits(context),
         "vault_objects_final": context.vault.object_count,
         "edges_locked": all(edge.locked_for_vpn for edge in context.edges.values()),
-        "engine_keys_final": len(federation._engine_keys),
+        "engine_keys_final": federation.engine_keys_held,
     }
     counts["ledger_entries"] = len(federation.ledger.entries)
     report = RunReport(
@@ -388,13 +386,12 @@ def _recall_precision(context: SimContext, flagged: set) -> tuple[float, float]:
 
 
 def _plaintext_pii_hits(context: SimContext) -> int:
-    """Scan resting stores for any phone number leaking in the clear."""
-    probes = [t.phone.nr.encode("ascii") for t in context.traces[:20]]
-    hits = 0
-    for edge in context.edges.values():
-        for ciphertext in edge.stored_ciphertexts()[:50]:
-            hits += sum(1 for p in probes if p in ciphertext)
-    return hits
+    """Count every phone number and IMEI found in the clear in a stored edge ciphertext or the ledger export."""
+    probes = [p for t in context.traces for p in (t.phone.nr, t.phone.imei)]
+    pattern = re.compile("|".join(map(re.escape, probes)).encode("ascii"))
+    buffers = [c for edge in context.edges.values() for c in edge.stored_ciphertexts()]
+    buffers.append(context.federation.ledger.export_jsonl().encode("utf-8"))
+    return sum(1 for buffer in buffers for _match in pattern.finditer(buffer))
 
 
 def _artifact_payloads(context: SimContext) -> dict[str, bytes]:
@@ -454,7 +451,7 @@ def _artifact_payloads(context: SimContext) -> dict[str, bytes]:
         return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
     return {
-        "suspicions.json": dumps(sorted((suspicion_obj(s) for s in context.suspicions), key=lambda o: o["pair"])),
+        "suspicions.json": dumps(sorted((suspicion_obj(s) for s in context.suspicions_by_pair.values()), key=lambda o: o["pair"])),
         "scores.json": dumps(sorted((score_obj(s) for s in context.scores), key=lambda o: o["pair"])),
         "pccont.json": dumps(sorted((pccont_obj(r) for r in context.pccont), key=lambda o: (o["v"], o["u"]))),
         "dag.json": dumps(dag_obj),

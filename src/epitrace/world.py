@@ -130,13 +130,6 @@ class ScenarioConfig:
     def pdr_ttl(self) -> int:
         return self.pdr_ttl_factor * self.t_incub_max
 
-    def sigma(self, precision_class: PrecisionClass) -> float:
-        return {
-            PrecisionClass.MACRO: self.sigma_macro_m,
-            PrecisionClass.PICO: self.sigma_pico_m,
-            PrecisionClass.FEMTO: self.sigma_femto_m,
-        }[precision_class]
-
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 

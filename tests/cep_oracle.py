@@ -35,15 +35,12 @@ def brute_force_pairs(
         neg_rank = -pdr_set.bs.precision_class.rank
         code = pdr_set.bs.code
         minute = pdr_set.minute
-        recs = pdr_set.records
-        size = len(recs)
-        phones = [r.phone for r in recs]
-        radii = [r.prox.radius for r in recs]
-        azimuths = [r.prox.azimuth for r in recs]
+        phones, radii, azimuths = pdr_set.phones, pdr_set.radii, pdr_set.azimuths
+        size = len(phones)
         for i in range(size):
             pi, ri, ai = phones[i], radii[i], azimuths[i]
             for j in range(i + 1, size):
-                key = (pi, phones[j])  # records are phone-sorted, so pi < phones[j]
+                key = (pi, phones[j])  # sets are phone-sorted, so pi < phones[j]
                 if lower_bounds is not None:
                     bound = min(lower_bounds.get(key[0], 0), lower_bounds.get(key[1], 0))
                     if minute < bound:

@@ -25,7 +25,7 @@ from epitrace.cep import (
 )
 from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError, ResolutionError, StateError, ValidationError
 from epitrace.federation import OperationClass, SystemState
-from epitrace.records import PdrSet, PrecisionClass, group_into_sets, pair_distance
+from epitrace.records import PrecisionClass, group_into_sets, pair_distance
 from epitrace.runner import vet
 from epitrace.world import NoiseModel, ProviderRegistry, ScenarioConfig, StationInfo, generate_world, observe
 from cep_oracle import brute_force_pairs
@@ -49,15 +49,14 @@ def cap_full():
 def co_located_sets(minutes, bs=None, prox_a=0.0, prox_b=0.0, az_a=0.0, az_b=0.0, extra_phones=0):
     """Sets where phone 1 and phone 2 share a station over the given minutes."""
     bs = bs or station(1)
-    sets = []
+    records = []
     for minute in minutes:
-        records = [
+        records += [
             pdr(bs, phone(1), prox_a, az_a, minute),
             pdr(bs, phone(2), prox_b, az_b, minute),
         ]
         records += [pdr(bs, phone(10 + i), 5.0 + i, 1.0, minute) for i in range(extra_phones)]
-        sets.append(PdrSet(minute=minute, bs=bs, records=tuple(records)))
-    return sets
+    return group_into_sets(records)
 
 
 def as_tuples(suspicion: ContactSuspicion):
@@ -128,12 +127,11 @@ class TestFindSuspicions:
     def test_most_precise_station_wins(self, cap_read):
         macro = station(8, PrecisionClass.MACRO)
         femto = station(9, PrecisionClass.FEMTO)
-        sets = []
+        records = []
         for minute in range(30):
-            sets.append(PdrSet(minute=minute, bs=macro, records=(
-                pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 104.0, 0.0, minute))))
-            sets.append(PdrSet(minute=minute, bs=femto, records=(
-                pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 1.5, 0.0, minute))))
+            records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 104.0, 0.0, minute))
+            records += (pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 1.5, 0.0, minute))
+        sets = group_into_sets(records)
         found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         window = found[0].windows[0]
@@ -153,7 +151,7 @@ class TestFindSuspicions:
         bs = station(3, PrecisionClass.PICO)
         records = [pdr(bs, phone(1), base, 0.0, 0)]
         records += [pdr(bs, phone(i + 2), max(0.0, base + off), azimuths[i], 0) for i, off in enumerate(offsets)]
-        index = PdrIndex([PdrSet(minute=0, bs=bs, records=tuple(records))])
+        index = PdrIndex(group_into_sets(records))
         found = {s.pair: s.windows[0].prox for s in find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)}
         distances = {r.phone: pair_distance(records[0].prox, r.prox) for r in records[1:]}
         assert found == {pair_key(phone(1), u): (d,) for u, d in distances.items() if d <= PARAMS.prox_max}
@@ -340,14 +338,12 @@ class TestMedian:
 class TestCompletion:
     def _chained_sets(self):
         s1, s2 = station(1), station(2)
-        sets = []
+        records = []
         for minute in range(100, 131):
-            sets.append(PdrSet(minute=minute, bs=s1, records=(
-                pdr(s1, phone(1), 0.1, 0.0, minute), pdr(s1, phone(2), 0.2, 0.0, minute))))
+            records += (pdr(s1, phone(1), 0.1, 0.0, minute), pdr(s1, phone(2), 0.2, 0.0, minute))
         for minute in range(200, 231):
-            sets.append(PdrSet(minute=minute, bs=s2, records=(
-                pdr(s2, phone(2), 0.1, 0.0, minute), pdr(s2, phone(3), 0.2, 0.0, minute))))
-        return sets
+            records += (pdr(s2, phone(2), 0.1, 0.0, minute), pdr(s2, phone(3), 0.2, 0.0, minute))
+        return group_into_sets(records)
 
     def test_chain_discovered_only_via_completion(self, cap_read):
         sets = self._chained_sets()
@@ -399,10 +395,9 @@ def registry_with(code_to_info):
 class TestPccont:
     def _scored_pair(self, cap, a=1, b=2, minutes=range(100, 120), bs=None):
         bs = bs or station(1)
-        sets = [
-            PdrSet(minute=m, bs=bs, records=(pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m)))
-            for m in minutes
-        ]
+        sets = group_into_sets(
+            r for m in minutes for r in (pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m))
+        )
         suspicions = find_suspicions(cap, PdrIndex(sets), PhoneOfInterest(phone(a), 0), PARAMS)
         scores = score_suspicions(cap, suspicions, PARAMS, ScoringConfig())
         return {s.pair: s for s in suspicions}, scores

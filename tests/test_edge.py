@@ -8,13 +8,17 @@ from epitrace.errors import AuthorizationError, LockedError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
 from epitrace.records import PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
 from epitrace.runner import vet
-from util import pdr, phone, small_federation, station
+from util import phone, small_federation, station
 
 
 def make_set(minute: int, n_phones: int = 3, bs=None) -> PdrSet:
-    bs = bs or station(1)
-    records = tuple(pdr(bs, phone(i), 1.0 + i, 0.1 * i, minute) for i in range(n_phones))
-    return PdrSet(minute=minute, bs=bs, records=records)
+    return PdrSet(
+        minute=minute,
+        bs=bs or station(1),
+        phones=tuple(phone(i) for i in range(n_phones)),
+        radii=tuple(1.0 + i for i in range(n_phones)),
+        azimuths=tuple(0.1 * i for i in range(n_phones)),
+    )
 
 
 @pytest.fixture

@@ -12,13 +12,34 @@ from epitrace.records import (
     PrecisionClass,
     ProxVector,
     decode_pdr_set,
-    encode_pdr,
     encode_pdr_set,
     group_into_sets,
     make_pdr,
     pair_distance,
 )
 from util import pdr, phone, station
+
+
+def wire(code: str, who, radius: float, azimuth: float, minute: int) -> bytes:
+    """One record in the canonical layout, written out field by field."""
+    return (
+        code.encode("ascii")
+        + struct.pack(">I", len(who.nr))
+        + who.nr.encode("ascii")
+        + who.imei.encode("ascii")
+        + struct.pack(">d", radius)
+        + struct.pack(">d", azimuth)
+        + struct.pack(">Q", minute)
+    )
+
+
+CODE = f"{1:016x}"
+FIRST = wire(CODE, phone(1), 1.0, 0.5, 5)
+
+
+def two_records(second: bytes) -> bytes:
+    """A two-record set payload: a valid first record at station CODE, minute 5, then `second`."""
+    return struct.pack(">I", 2) + FIRST + second
 
 
 class TestMakePdr:
@@ -52,6 +73,10 @@ class TestMakePdr:
             ProxVector(radius=-1.0, azimuth=0.0)
         with pytest.raises(ValidationError):
             ProxVector(radius=1.0, azimuth=7.0)  # >= 2*pi
+        # The same rule holds for every record a set decodes.
+        for radius, azimuth in ((-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, 2 * math.pi), (1.0, -0.1)):
+            with pytest.raises(ValidationError):
+                decode_pdr_set(two_records(wire(CODE, phone(2), radius, azimuth, 5)), PrecisionClass.FEMTO)
 
     def test_bad_station_code_rejected(self):
         with pytest.raises(ValidationError):
@@ -63,14 +88,14 @@ class TestGrouping:
         records = [pdr(station(1), phone(i), 1.0, 0.1, 7) for i in range(3)]
         sets = group_into_sets(records)
         assert len(sets) == 1
-        assert len(sets[0].records) == 3
+        assert len(sets[0].phones) == 3
         assert sets[0].minute == 7
 
     def test_three_minutes_three_sets(self):
         records = [pdr(station(1), phone(0), 1.0, 0.1, m) for m in (1, 2, 3)]
         sets = group_into_sets(records)
         assert [s.minute for s in sets] == [1, 2, 3]
-        assert all(len(s.records) == 1 for s in sets)
+        assert all(len(s.phones) == 1 for s in sets)
 
     def test_empty_input(self):
         assert group_into_sets([]) == []
@@ -81,9 +106,11 @@ class TestGrouping:
             group_into_sets([rec, rec])
 
     def test_records_sorted_by_phone(self):
-        records = [pdr(station(1), phone(i), 1.0, 0.1, 7) for i in (3, 1, 2)]
-        sets = group_into_sets(records)
-        assert [r.phone for r in sets[0].records] == [phone(1), phone(2), phone(3)]
+        records = [pdr(station(1), phone(i), float(i), 0.1 * i, 7) for i in (3, 1, 2)]
+        (pdr_set,) = group_into_sets(records)
+        assert pdr_set.phones == (phone(1), phone(2), phone(3))
+        assert pdr_set.radii == (1.0, 2.0, 3.0)
+        assert pdr_set.azimuths == (0.1, 0.2, 0.1 * 3)
 
     def test_day_boundary_lands_in_later_set(self):
         records = [pdr(station(1), phone(0), 1.0, 0.1, 1439), pdr(station(1), phone(0), 1.0, 0.1, 1440)]
@@ -100,9 +127,12 @@ class TestGrouping:
     def test_group_then_flatten_is_permutation(self, triples):
         records = [pdr(station(b), phone(p), 1.0 + p, 0.5, m) for b, p, m in triples]
         sets = group_into_sets(records)
-        flattened = [r for s in sets for r in s.records]
-        assert sorted(flattened, key=lambda r: (r.bs.code, r.phone, r.t_pdr)) == sorted(
-            records, key=lambda r: (r.bs.code, r.phone, r.t_pdr)
+        flattened = [
+            (s.bs, p, s.minute, r, a) for s in sets for p, r, a in zip(s.phones, s.radii, s.azimuths)
+        ]
+        assert sorted(flattened, key=lambda t: (t[0].code, t[1], t[2])) == sorted(
+            ((r.bs, r.phone, r.t_pdr, r.prox.radius, r.prox.azimuth) for r in records),
+            key=lambda t: (t[0].code, t[1], t[2]),
         )
 
 
@@ -125,23 +155,24 @@ class TestPairDistance:
 class TestSerialization:
     def test_canonical_layout_is_bit_exact(self):
         bs = BsCode(code="00deadbeef00cafe", precision_class=PrecisionClass.PICO)
-        rec = make_pdr(bs, PhoneId(nr="600000001", imei="350000000000001"), ProxVector(12.5, 1.25), 99)
-        blob = encode_pdr(rec)
+        records = [pdr(bs, phone(2), 3.0, 0.75, 99), pdr(bs, PhoneId(nr="600000001", imei="350000000000001"), 12.5, 1.25, 99)]
+        blob = encode_pdr_set(group_into_sets(records)[0])
         expected = (
-            b"00deadbeef00cafe"
+            struct.pack(">I", 2)
+            + b"00deadbeef00cafe"
             + struct.pack(">I", 9)
             + b"600000001"
             + b"350000000000001"
             + struct.pack(">d", 12.5)
             + struct.pack(">d", 1.25)
             + struct.pack(">Q", 99)
+            + wire("00deadbeef00cafe", phone(2), 3.0, 0.75, 99)
         )
         assert blob == expected
 
     def test_set_round_trip(self):
         bs = station(4, PrecisionClass.MACRO)
-        records = tuple(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in range(4))
-        original = PdrSet(minute=11, bs=bs, records=records)
+        (original,) = group_into_sets(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in (3, 0, 2, 1))
         decoded = decode_pdr_set(encode_pdr_set(original), PrecisionClass.MACRO)
         assert decoded == original
 
@@ -149,20 +180,34 @@ class TestSerialization:
         # The registry places this station at a known point; its serialized
         # records must not contain those coordinates in any obvious encoding.
         centroid = (123.456, 789.012)
-        rec = pdr(station(5), phone(1), 3.0, 0.5, 2)
-        blob = encode_pdr(rec)
+        blob = encode_pdr_set(group_into_sets([pdr(station(5), phone(1), 3.0, 0.5, 2)])[0])
         for value in centroid:
             assert struct.pack(">d", value) not in blob
             assert struct.pack("<d", value) not in blob
             assert str(value).encode() not in blob
 
     def test_set_rejects_foreign_records(self):
-        with pytest.raises(ValidationError):
-            PdrSet(minute=5, bs=station(1), records=(pdr(station(2), phone(1), 1.0, 0.0, 5),))
-        with pytest.raises(ValidationError):
-            PdrSet(minute=5, bs=station(1), records=(pdr(station(1), phone(1), 1.0, 0.0, 6),))
+        for foreign in (wire(f"{2:016x}", phone(2), 1.0, 0.5, 5), wire(CODE, phone(2), 1.0, 0.5, 6)):
+            with pytest.raises(ValidationError):
+                decode_pdr_set(two_records(foreign), PrecisionClass.FEMTO)
 
     def test_set_rejects_duplicate_phone(self):
-        recs = (pdr(station(1), phone(1), 1.0, 0.0, 5), pdr(station(1), phone(1), 2.0, 0.1, 5))
         with pytest.raises(DuplicateRecordError):
-            PdrSet(minute=5, bs=station(1), records=recs)
+            decode_pdr_set(two_records(wire(CODE, phone(1), 2.0, 0.1, 5)), PrecisionClass.FEMTO)
+        with pytest.raises(DuplicateRecordError):
+            PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(1)), radii=(1.0, 2.0), azimuths=(0.0, 0.1))
+
+    def test_set_rejects_phones_out_of_order(self):
+        with pytest.raises(ValidationError):
+            decode_pdr_set(two_records(wire(CODE, phone(0), 1.0, 0.5, 5)), PrecisionClass.FEMTO)
+        with pytest.raises(ValidationError):
+            PdrSet(minute=5, bs=station(1), phones=(phone(2), phone(1)), radii=(1.0, 2.0), azimuths=(0.0, 0.1))
+
+    def test_set_rejects_unequal_columns(self):
+        with pytest.raises(ValidationError):
+            PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(2)), radii=(1.0,), azimuths=(0.0, 0.1))
+
+    def test_decode_rejects_empty_set_and_trailing_bytes(self):
+        for payload in (struct.pack(">I", 0), struct.pack(">I", 1) + FIRST + b"\x00"):
+            with pytest.raises(ValidationError):
+                decode_pdr_set(payload, PrecisionClass.FEMTO)

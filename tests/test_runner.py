@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from epitrace.cli import main
 from epitrace.errors import ConfigurationError
 from epitrace.ledger import load_jsonl, verify_ledger
-from epitrace.runner import attack_suite, build_context, parse_faults, run
+from epitrace.runner import _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run
 from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig
 
@@ -28,6 +28,15 @@ class TestRun:
         assert report.ledger_ok
         assert report.privacy["vault_objects_final"] == 0
         assert report.privacy["plaintext_pii_hits"] == 0
+
+    def test_privacy_scan_checks_every_stored_ciphertext(self):
+        context = build_context(ScenarioConfig(**CFG))
+        ingest(context, 0, 60)
+        assert _plaintext_pii_hits(context) == 0
+        stored = next(iter(context.edges.values())).stored_ciphertexts()
+        imei = context.traces[-1].phone.imei.encode("ascii")
+        stored[59][10 : 10 + len(imei)] = imei  # the store hands out its own buffers
+        assert _plaintext_pii_hits(context) > 0
 
     def test_artifacts_written(self, completed_run):
         _, out = completed_run
