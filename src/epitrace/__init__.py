@@ -9,9 +9,7 @@ from .records import (
     PhoneId,
     PrecisionClass,
     ProximityDetailRecord,
-    ProxVector,
     group_into_sets,
-    make_pdr,
 )
 from .runner import RunReport, attack_suite, run
 from .world import GroundTruth, MobilityTrace, ProviderRegistry, ScenarioConfig, generate_world, observe
@@ -25,13 +23,11 @@ __all__ = [
     "PrecisionClass",
     "ProviderRegistry",
     "ProximityDetailRecord",
-    "ProxVector",
     "RunReport",
     "ScenarioConfig",
     "attack_suite",
     "generate_world",
     "group_into_sets",
-    "make_pdr",
     "observe",
     "run",
 ]

@@ -234,15 +234,16 @@ class _SetView:
     def distance(self, pos: int, i: int) -> float:
         """`records.pair_distance` of the phones at `pos` and `i`: the identical float."""
         rv, r = self.radii[pos], self.radii[i]
-        d2 = rv * rv + r * r - (2.0 * rv) * r * math.cos(abs(self.azimuths[pos] - self.azimuths[i]))
-        return math.sqrt(d2) if d2 > 0.0 else 0.0
+        dr = rv - r
+        half = math.sin(0.5 * abs(self.azimuths[pos] - self.azimuths[i]))
+        return math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
 
     def within(self, pos: int, reach: float) -> list[int]:
         """Positions other than `pos` at a distance of at most `reach` from it.
 
         Two phones at radii rv and r are at least |rv - r| apart, so only the
         band of radii around rv is evaluated. The slack covers the rounding of
-        the law of cosines, which is below 1e-7 * (rv + r) in distance.
+        the distance, which is below 1e-7 * (rv + r).
         """
         rv = self.radii[pos]
         band = reach + 1e-6 * (rv + self.sorted_radii[-1])

@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DuplicateRecordError, ValidationError
 
@@ -65,42 +65,29 @@ class BsCode:
             raise ValidationError(f"station code must be {STATION_CODE_LEN} lowercase hex chars, got {self.code!r}")
 
 
-def _check_prox(radius: float, azimuth: float) -> None:
-    """The range rule of a polar offset, for a `ProxVector` and for every decoded record."""
-    if radius < 0.0 or not math.isfinite(radius):
-        raise ValidationError(f"radius must be finite and >= 0, got {radius}")
-    if not (0.0 <= azimuth < TWO_PI):
-        raise ValidationError(f"azimuth must be in [0, 2*pi), got {azimuth}")
+class ProximityDetailRecord(NamedTuple):
+    """One phone's polar offset (meters, radians) from one station's centroid in one clock minute.
 
-
-@dataclass(frozen=True, slots=True)
-class ProxVector:
-    """Polar offset (meters, radians) from a station centroid. Never absolute."""
-
-    radius: float
-    azimuth: float
-
-    def __post_init__(self) -> None:
-        _check_prox(self.radius, self.azimuth)
-
-
-@dataclass(frozen=True, slots=True)
-class ProximityDetailRecord:
-    """One phone's relative position near one station in one clock minute."""
+    Never absolute. The record is a plain value; its range rule is checked
+    in the set it is grouped into (`PdrSet`).
+    """
 
     bs: BsCode
     phone: PhoneId
-    prox: ProxVector
+    radius: float
+    azimuth: float
     t_pdr: int
-
-    def __post_init__(self) -> None:
-        if self.t_pdr < 0:
-            raise ValidationError(f"t_pdr must be >= 0, got {self.t_pdr}")
 
 
 @dataclass(frozen=True, slots=True)
 class PdrSet:
-    """All records of one station for one minute, as columns in strictly ascending phone order."""
+    """All records of one station for one minute, as columns in strictly ascending phone order.
+
+    This is the only check of a set, whether `group_into_sets` or
+    `decode_pdr_set` built it: equal column lengths, then the range rule
+    (radius finite and >= 0, azimuth in [0, 2*pi), minute >= 0), then phone
+    order.
+    """
 
     minute: int
     bs: BsCode
@@ -111,16 +98,18 @@ class PdrSet:
     def __post_init__(self) -> None:
         if not (len(self.phones) == len(self.radii) == len(self.azimuths)):
             raise ValidationError("set columns must have equal length")
+        for radius, azimuth in zip(self.radii, self.azimuths):
+            if not 0.0 <= radius < math.inf:
+                raise ValidationError(f"radius must be finite and >= 0, got {radius}")
+            if not 0.0 <= azimuth < TWO_PI:
+                raise ValidationError(f"azimuth must be in [0, 2*pi), got {azimuth}")
+        if self.minute < 0:
+            raise ValidationError(f"minute must be >= 0, got {self.minute}")
         for prev, phone in zip(self.phones, self.phones[1:]):
             if not prev < phone:
                 if phone == prev:
                     raise DuplicateRecordError(f"phone {phone.nr} appears twice in set")
                 raise ValidationError("set phones must be in ascending order")
-
-
-def make_pdr(bs: BsCode, phone: PhoneId, relative_position: ProxVector, minute: int) -> ProximityDetailRecord:
-    """Issue one record, as a base station would every minute for each phone in range."""
-    return ProximityDetailRecord(bs=bs, phone=phone, prox=relative_position, t_pdr=minute)
 
 
 def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
@@ -136,28 +125,24 @@ def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
     out = []
     for (minute, _code), recs in sorted(buckets.items()):
         recs.sort(key=lambda r: r.phone)
-        out.append(
-            PdrSet(
-                minute=minute,
-                bs=recs[0].bs,
-                phones=tuple(r.phone for r in recs),
-                radii=tuple(r.prox.radius for r in recs),
-                azimuths=tuple(r.prox.azimuth for r in recs),
-            )
-        )
+        _, phones, radii, azimuths, _ = zip(*recs)
+        out.append(PdrSet(minute=minute, bs=recs[0].bs, phones=phones, radii=radii, azimuths=azimuths))
     return out
 
 
-def pair_distance(a: ProxVector, b: ProxVector) -> float:
-    """Distance in meters between two phones seen from the same station centroid.
+def pair_distance(a: ProximityDetailRecord, b: ProximityDetailRecord) -> float:
+    """Distance in meters between the phones of two records of the same station.
 
-    Law of cosines on the two polar offsets; equals the Euclidean distance
-    between the two relative positions. Written to be bitwise-commutative so
-    callers get the identical float regardless of argument order.
+    Law of cosines on the two polar offsets, in the haversine form
+    d^2 = (ra - rb)^2 + 4 ra rb sin^2(dθ/2): it equals the Euclidean distance
+    between the two relative positions and, unlike ra^2 + rb^2 - 2 ra rb cos dθ,
+    loses no precision when the phones are close. Written to be
+    bitwise-commutative so callers get the identical float regardless of
+    argument order.
     """
-    return math.sqrt(
-        max(0.0, a.radius * a.radius + b.radius * b.radius - (2.0 * a.radius) * b.radius * math.cos(abs(a.azimuth - b.azimuth)))
-    )
+    dr = a.radius - b.radius
+    half = math.sin(0.5 * abs(a.azimuth - b.azimuth))
+    return math.sqrt(dr * dr + 4.0 * (a.radius * b.radius) * (half * half))
 
 
 # -- canonical serialization -------------------------------------------------
@@ -188,41 +173,46 @@ def encode_pdr_set(pdr_set: PdrSet) -> bytes:
 def decode_pdr_set(data: bytes, precision_class: PrecisionClass) -> PdrSet:
     """Decode one set; every record must carry the first record's station and minute.
 
-    The precision class is not part of the wire layout (it is registry
-    metadata), so the caller supplies it.
+    A payload that is cut short, runs on past its records or holds text that
+    does not decode raises ValidationError; the set itself is checked by
+    `PdrSet`. The precision class is not part of the wire layout (it is
+    registry metadata), so the caller supplies it.
     """
-    (count,) = _U32.unpack_from(data, 0)
-    if not count:
-        raise ValidationError("cannot decode an empty set without station metadata")
-    code = data[4 : 4 + STATION_CODE_LEN]
-    minute = None
-    phones, radii, azimuths = [], [], []
-    off = 4
-    for _ in range(count):
-        if data[off : off + STATION_CODE_LEN] != code:
-            raise ValidationError("every record in a set must share the set's station")
-        off += STATION_CODE_LEN
-        (nr_len,) = _U32.unpack_from(data, off)
-        off += 4
-        nr = data[off : off + nr_len].decode("utf-8")
-        off += nr_len
-        imei = data[off : off + IMEI_LEN].decode("ascii")
-        off += IMEI_LEN
-        radius, azimuth, t_pdr = _TAIL.unpack_from(data, off)
-        off += _TAIL.size
-        if minute is None:
-            minute = t_pdr
-        elif t_pdr != minute:
-            raise ValidationError("every record in a set must share the set's minute")
-        _check_prox(radius, azimuth)
-        phones.append(PhoneId(nr=nr, imei=imei))
-        radii.append(radius)
-        azimuths.append(azimuth)
+    try:
+        (count,) = _U32.unpack_from(data, 0)
+        if not count:
+            raise ValidationError("cannot decode an empty set without station metadata")
+        code = data[4 : 4 + STATION_CODE_LEN]
+        minute = None
+        phones, radii, azimuths = [], [], []
+        off = 4
+        for _ in range(count):
+            if data[off : off + STATION_CODE_LEN] != code:
+                raise ValidationError("every record in a set must share the set's station")
+            off += STATION_CODE_LEN
+            (nr_len,) = _U32.unpack_from(data, off)
+            off += 4
+            nr = data[off : off + nr_len].decode("utf-8")
+            off += nr_len
+            imei = data[off : off + IMEI_LEN].decode("ascii")
+            off += IMEI_LEN
+            radius, azimuth, t_pdr = _TAIL.unpack_from(data, off)
+            off += _TAIL.size
+            if minute is None:
+                minute = t_pdr
+            elif t_pdr != minute:
+                raise ValidationError("every record in a set must share the set's minute")
+            phones.append(PhoneId(nr=nr, imei=imei))
+            radii.append(radius)
+            azimuths.append(azimuth)
+        station = code.decode("ascii")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"malformed set payload: {exc}") from exc
     if off != len(data):
         raise ValidationError("trailing bytes after set payload")
     return PdrSet(
         minute=minute,
-        bs=BsCode(code=code.decode("ascii"), precision_class=precision_class),
+        bs=BsCode(code=station, precision_class=precision_class),
         phones=tuple(phones),
         radii=tuple(radii),
         azimuths=tuple(azimuths),

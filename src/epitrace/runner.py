@@ -219,14 +219,14 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     port; every `prune_every_min`-th minute then ends with a prune of all edges.
     """
     config = context.config
-    noise = NoiseModel.from_config(config)
+    noise = NoiseModel.from_config(config) if config.noise_enabled else None
     positions = trace_positions(context.traces, stop)
     provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
     for minute in range(start, stop):
         context.federation.tick(minute)
-        records = observe(context.registry, context.traces, minute, noise, positions=positions[minute])
+        records = observe(context.registry, context.traces, minute, positions[minute], noise)
         counts["pdrs_emitted"] += len(records)
         for pdr_set in group_into_sets(records):
             if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .records import BsCode, PhoneId, PrecisionClass, ProximityDetailRecord, ProxVector, make_pdr
+from .records import BsCode, PhoneId, PrecisionClass, ProximityDetailRecord
 
 Point = tuple[float, float]
 
@@ -107,10 +107,32 @@ class ScenarioConfig:
             "n_femto": self.n_femto,
             "gap_tolerance_min": self.gap_tolerance_min,
             "search_margin_min": self.search_margin_min,
+            "f": self.f,
+            "range_macro_m": self.range_macro_m,
+            "range_pico_m": self.range_pico_m,
+            "range_femto_m": self.range_femto_m,
+            "sigma_macro_m": self.sigma_macro_m,
+            "sigma_pico_m": self.sigma_pico_m,
+            "sigma_femto_m": self.sigma_femto_m,
         }
         for name, value in non_negative.items():
-            if value < 0:
+            if not value >= 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        # The federation and vault ranges, checked here so that a bad config
+        # fails before the world is generated.
+        if not (2 * self.f + 1 <= self.n_authorities <= 255):
+            raise ConfigurationError(f"n_authorities must be in [2f+1, 255], got {self.n_authorities} with f={self.f}")
+        for name, value in (("q_read", self.q_read), ("q_critical", self.q_critical)):
+            if not (self.f + 1 <= value <= self.n_authorities):
+                raise ConfigurationError(f"{name} must be in [f+1, n_authorities], got {value}")
+        if not (1 <= self.fed_key_threshold <= self.n_authorities):
+            raise ConfigurationError(f"fed_key_threshold must be in [1, n_authorities], got {self.fed_key_threshold}")
+        if self.n_clouds > 255:
+            raise ConfigurationError(f"n_clouds must be <= 255, got {self.n_clouds}")
+        if self.erasure_k > self.n_clouds:
+            raise ConfigurationError(f"erasure_k must be <= n_clouds, got {self.erasure_k} > {self.n_clouds}")
+        if not (1 <= self.vault_key_threshold <= self.n_clouds):
+            raise ConfigurationError(f"vault_key_threshold must be in [1, n_clouds], got {self.vault_key_threshold}")
         if self.prox_max_m <= 0:
             raise ConfigurationError("prox_max_m must be > 0")
         if self.hotspot_cell_m <= 0:
@@ -187,6 +209,7 @@ class MobilityTrace:
             raise ValidationError("waypoints must be strictly increasing in minute")
 
     def position_at(self, minute: float) -> Point:
+        """Position at any minute, by piecewise-linear interpolation: the reference for `trace_positions`."""
         pts = self.waypoints
         if minute <= pts[0][0]:
             return pts[0][1]
@@ -416,7 +439,6 @@ class NoiseModel:
 
     seed: int
     sigma_by_class: dict[PrecisionClass, float]
-    enabled: bool = True
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "NoiseModel":
@@ -427,7 +449,6 @@ class NoiseModel:
                 PrecisionClass.PICO: config.sigma_pico_m,
                 PrecisionClass.FEMTO: config.sigma_femto_m,
             },
-            enabled=config.noise_enabled,
         )
 
 
@@ -435,11 +456,13 @@ def observe(
     registry: ProviderRegistry,
     traces: list[MobilityTrace],
     minute: int,
+    positions: np.ndarray,
     noise: NoiseModel | None = None,
-    positions: np.ndarray | None = None,
 ) -> list[ProximityDetailRecord]:
     """One sweep of every station over every phone at one minute.
 
+    `positions` holds every phone's position at `minute`, shape (n, 2), as
+    `trace_positions` gives them; `noise=None` measures without noise.
     A record is issued per (station, phone) pair with the phone inside the
     station's useful range; overlapping stations therefore yield several
     records for the same phone.
@@ -447,25 +470,17 @@ def observe(
     independent, adding a station never perturbs another station's readings,
     and the whole measurement process stays a pure function of the scenario.
     """
-    if positions is None:
-        positions = np.array([t.position_at(minute) for t in traces], dtype=float)
-    noisy = noise is not None and noise.enabled
     records: list[ProximityDetailRecord] = []
     for bs, info in registry.sorted_stations():
-        cx, cy = info.centroid
-        rel = positions - np.array([cx, cy])
-        dist = np.hypot(rel[:, 0], rel[:, 1])
-        in_range = np.nonzero(dist <= info.useful_range)[0]
-        rng = Random(f"{noise.seed}/observe/{minute}/{bs.code}") if noisy else None
-        sigma = noise.sigma_by_class[info.precision_class] if noisy else 0.0
-        for j in in_range:
-            dx, dy = float(rel[j, 0]), float(rel[j, 1])
-            if rng is not None and sigma > 0.0:
+        rel = positions - np.array(info.centroid)
+        in_range = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= info.useful_range)[0]
+        sigma = 0.0 if noise is None else noise.sigma_by_class[info.precision_class]
+        rng = Random(f"{noise.seed}/observe/{minute}/{bs.code}") if sigma > 0.0 else None
+        for j, (dx, dy) in zip(in_range.tolist(), rel[in_range].tolist()):
+            if rng is not None:
                 dx += rng.gauss(0.0, sigma)
                 dy += rng.gauss(0.0, sigma)
-            radius = math.hypot(dx, dy)
-            azimuth = math.atan2(dy, dx) % TWO_PI
-            records.append(make_pdr(bs, traces[j].phone, ProxVector(radius=radius, azimuth=azimuth), minute))
+            records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
     return records
 
 

@@ -1,13 +1,14 @@
 """Independent brute-force reference scanner for contact suspicions.
 
 Walks every set and every pair inside it, O(phones^2 x minutes), sharing
-nothing with the streaming engine except the law-of-cosines expression (which
-is itself tested against plain Euclidean geometry elsewhere).
+nothing with the streaming engine except the distance expression, the law of
+cosines in haversine form (which is itself tested against plain Euclidean
+geometry elsewhere).
 """
 
 from __future__ import annotations
 
-from math import cos, sqrt
+from math import sin, sqrt
 
 from epitrace.records import PdrSet, PhoneId
 
@@ -46,8 +47,9 @@ def brute_force_pairs(
                     if minute < bound:
                         continue
                 rj = radii[j]
-                d2 = ri * ri + rj * rj - (2.0 * ri) * rj * cos(abs(ai - azimuths[j]))
-                cand = (neg_rank, sqrt(d2) if d2 > 0.0 else 0.0, code, size)
+                dr = ri - rj
+                half = sin(0.5 * abs(ai - azimuths[j]))
+                cand = (neg_rank, sqrt(dr * dr + 4.0 * (ri * rj) * (half * half)), code, size)
                 per_minute = best.setdefault(key, {})
                 if minute not in per_minute or cand < per_minute[minute]:
                     per_minute[minute] = cand

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -26,6 +27,21 @@ from cep_oracle import brute_force_pairs
 from util import capability, plaintext_sets, small_federation
 
 SMALL_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
+
+# sha256 of every file `run` writes for small.json. A change to any of them is
+# a change in behaviour and must be deliberate: update the digest with it.
+SMALL_DIGESTS = {
+    "dag.dot": "a4ab6976996d7b3a66c4471c7db5b1d91d0eb03ab97f31d14c9672bc54a8c959",
+    "dag.json": "f8c3e7ea92c5e655db5b6b91c72a3a6b84b7d2333af2fb03cd0259835b1bc7da",
+    "hotspots.csv": "93474823a3d104e991e57283a600c3cd0d2b6ea291909c9ce4253b41f05c318f",
+    "ledger.jsonl": "d53b38dd6359afa2c64f72670f3a1e229f4ba0c8b7f1311313ac619142ad897e",
+    "pccont.json": "adf3321ddb80d28503b8222502df799d01b07b110f9a89a97446a9f4b00e6e91",
+    "report.json": "18777d1195f15cd96e7bec9bc84e421a3f323e367d538ec5f8e3ad69f9bea0a2",
+    "report.txt": "aeac7fc18f34f21e933e1a26f39407048d201de37d8dc4b65194e67cba5722dc",
+    "scores.json": "20f64adfbe5ff15bd160b6aa15a1980ec7f91245f5175062290b5533ff0dca94",
+    "suspicions.json": "75674ca411cd7757d69695112c581eab100d0e89f5feca586776793f78616ab1",
+    "traces.csv": "fcafee2467602905de1a7550d63adc722e31312df5ca50cf8f42a33a147f221a",
+}
 
 
 @contextmanager
@@ -344,10 +360,10 @@ def test_criterion_7_ledger_integrity():
         assert detected == 100, f"only {detected}/100 tampers detected"
 
 
-def test_criterion_8_determinism_and_speed():
+def test_criterion_8_determinism_and_speed(tmp_path):
     with criterion(8, "determinism: byte-identical reports, small scenario under 10s"):
         cfg = ScenarioConfig.from_json(SMALL_JSON.read_text())
-        out1, out2 = Path("/tmp/acceptance_det_1"), Path("/tmp/acceptance_det_2")
+        out1, out2 = tmp_path / "det_1", tmp_path / "det_2"
         started = time.perf_counter()
         report1 = run(cfg, out_dir=out1)
         elapsed = time.perf_counter() - started
@@ -355,5 +371,7 @@ def test_criterion_8_determinism_and_speed():
         assert report1.to_json_bytes() == report2.to_json_bytes()
         for artifact in sorted(out1.iterdir()):
             assert (out2 / artifact.name).read_bytes() == artifact.read_bytes(), f"{artifact.name} differs"
+        digests = {artifact.name: hashlib.sha256(artifact.read_bytes()).hexdigest() for artifact in out1.iterdir()}
+        assert digests == SMALL_DIGESTS
         assert report1.ok
         assert elapsed < 10.0, f"small scenario took {elapsed:.2f}s"

@@ -27,9 +27,9 @@ from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError,
 from epitrace.federation import OperationClass, SystemState
 from epitrace.records import PrecisionClass, group_into_sets, pair_distance
 from epitrace.runner import vet
-from epitrace.world import NoiseModel, ProviderRegistry, ScenarioConfig, StationInfo, generate_world, observe
+from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world
 from cep_oracle import brute_force_pairs
-from util import capability, pdr, phone, station
+from util import capability, pdr, phone, plaintext_sets, station
 
 PARAMS = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2)
 
@@ -153,7 +153,7 @@ class TestFindSuspicions:
         records += [pdr(bs, phone(i + 2), max(0.0, base + off), azimuths[i], 0) for i, off in enumerate(offsets)]
         index = PdrIndex(group_into_sets(records))
         found = {s.pair: s.windows[0].prox for s in find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)}
-        distances = {r.phone: pair_distance(records[0].prox, r.prox) for r in records[1:]}
+        distances = {r.phone: pair_distance(records[0], r) for r in records[1:]}
         assert found == {pair_key(phone(1), u): (d,) for u, d in distances.items() if d <= PARAMS.prox_max}
 
     def test_capability_gating(self):
@@ -175,11 +175,7 @@ class TestOracleEquivalence:
     def test_engine_matches_brute_force_on_seeded_world(self, cap_read, seed):
         cfg = ScenarioConfig(seed=seed, n_phones=14, duration_min=240, alert_minute=200, noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
-        noise = NoiseModel.from_config(cfg)
-        records = []
-        for minute in range(cfg.duration_min):
-            records.extend(observe(registry, traces, minute, noise))
-        sets = group_into_sets(records)
+        sets = plaintext_sets(cfg, registry, traces)
         engine = {
             (k[0].nr, k[1].nr): as_tuples(s) for k, s in engine_all_pairs(cap_read, sets, PARAMS).items()
         }
@@ -192,10 +188,7 @@ class TestOracleEquivalence:
     def test_poi_lower_bound_respected_like_oracle(self, cap_read):
         cfg = ScenarioConfig(seed=41, n_phones=10, duration_min=180, alert_minute=100, noise_enabled=False)
         registry, traces, _ = generate_world(cfg)
-        records = []
-        for minute in range(cfg.duration_min):
-            records.extend(observe(registry, traces, minute, None))
-        sets = group_into_sets(records)
+        sets = plaintext_sets(cfg, registry, traces)
         index = PdrIndex(sets)
         subject = sorted(index.phones)[0]
         t_inf = 60

@@ -10,27 +10,30 @@ from epitrace.records import (
     PdrSet,
     PhoneId,
     PrecisionClass,
-    ProxVector,
     decode_pdr_set,
     encode_pdr_set,
     group_into_sets,
-    make_pdr,
     pair_distance,
 )
 from util import pdr, phone, station
 
 
-def wire(code: str, who, radius: float, azimuth: float, minute: int) -> bytes:
-    """One record in the canonical layout, written out field by field."""
+def raw(code: bytes, nr: bytes, imei: bytes, radius: float = 1.0, azimuth: float = 0.5, minute: int = 5) -> bytes:
+    """One record in the canonical layout, written out field by field from raw bytes."""
     return (
-        code.encode("ascii")
-        + struct.pack(">I", len(who.nr))
-        + who.nr.encode("ascii")
-        + who.imei.encode("ascii")
+        code
+        + struct.pack(">I", len(nr))
+        + nr
+        + imei
         + struct.pack(">d", radius)
         + struct.pack(">d", azimuth)
         + struct.pack(">Q", minute)
     )
+
+
+def wire(code: str, who, radius: float, azimuth: float, minute: int) -> bytes:
+    """One record of phone `who` in the canonical layout."""
+    return raw(code.encode("ascii"), who.nr.encode("ascii"), who.imei.encode("ascii"), radius, azimuth, minute)
 
 
 CODE = f"{1:016x}"
@@ -43,22 +46,13 @@ def two_records(second: bytes) -> bytes:
 
 
 class TestMakePdr:
-    def test_identity_construction(self):
-        bs = station(1)
-        rec = make_pdr(bs, phone(1), ProxVector(radius=10.0, azimuth=0.0), 5)
-        assert rec.bs == bs
-        assert rec.phone == phone(1)
-        assert rec.prox.radius == 10.0
-        assert rec.prox.azimuth == 0.0
-        assert rec.t_pdr == 5
-
     def test_zero_radius_is_valid(self):
-        rec = make_pdr(station(), phone(2), ProxVector(radius=0.0, azimuth=0.0), 0)
-        assert rec.prox.radius == 0.0
+        (pdr_set,) = group_into_sets([pdr(station(), phone(2), 0.0, 0.0, 0)])
+        assert pdr_set.radii == (0.0,)
 
     def test_minute_past_first_day_is_valid(self):
-        rec = make_pdr(station(), phone(3), ProxVector(1.0, 1.0), 1440)
-        assert rec.t_pdr == 1440
+        (pdr_set,) = group_into_sets([pdr(station(), phone(3), 1.0, 1.0, 1440)])
+        assert pdr_set.minute == 1440
 
     def test_invalid_phone_rejected(self):
         with pytest.raises(ValidationError):
@@ -69,14 +63,19 @@ class TestMakePdr:
             PhoneId(nr="60x", imei="3" * 15)
 
     def test_invalid_prox_rejected(self):
-        with pytest.raises(ValidationError):
-            ProxVector(radius=-1.0, azimuth=0.0)
-        with pytest.raises(ValidationError):
-            ProxVector(radius=1.0, azimuth=7.0)  # >= 2*pi
-        # The same rule holds for every record a set decodes.
-        for radius, azimuth in ((-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, 2 * math.pi), (1.0, -0.1)):
+        # A set checks the range rule however it was built, and before the
+        # phone order: a repeated phone out of range is a range error.
+        for radius, azimuth in ((-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, 2 * math.pi), (1.0, 7.0), (1.0, -0.1)):
             with pytest.raises(ValidationError):
-                decode_pdr_set(two_records(wire(CODE, phone(2), radius, azimuth, 5)), PrecisionClass.FEMTO)
+                PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(2)), radii=(1.0, radius), azimuths=(0.0, azimuth))
+            with pytest.raises(ValidationError):
+                group_into_sets([pdr(station(1), phone(1), 1.0, 0.5, 5), pdr(station(1), phone(2), radius, azimuth, 5)])
+            for who in (phone(2), phone(1)):
+                with pytest.raises(ValidationError) as err:
+                    decode_pdr_set(two_records(wire(CODE, who, radius, azimuth, 5)), PrecisionClass.FEMTO)
+                assert not isinstance(err.value, DuplicateRecordError)
+        with pytest.raises(ValidationError):
+            PdrSet(minute=-1, bs=station(1), phones=(phone(1),), radii=(1.0,), azimuths=(0.0,))
 
     def test_bad_station_code_rejected(self):
         with pytest.raises(ValidationError):
@@ -131,7 +130,7 @@ class TestGrouping:
             (s.bs, p, s.minute, r, a) for s in sets for p, r, a in zip(s.phones, s.radii, s.azimuths)
         ]
         assert sorted(flattened, key=lambda t: (t[0].code, t[1], t[2])) == sorted(
-            ((r.bs, r.phone, r.t_pdr, r.prox.radius, r.prox.azimuth) for r in records),
+            ((r.bs, r.phone, r.t_pdr, r.radius, r.azimuth) for r in records),
             key=lambda t: (t[0].code, t[1], t[2]),
         )
 
@@ -141,14 +140,19 @@ class TestPairDistance:
         st.floats(0, 100), st.floats(0, 6.28), st.floats(0, 100), st.floats(0, 6.28)
     )
     def test_matches_euclidean(self, r1, a1, r2, a2):
-        v1, v2 = ProxVector(r1, a1), ProxVector(r2, a2)
+        v1, v2 = pdr(station(), phone(1), r1, a1, 0), pdr(station(), phone(2), r2, a2, 0)
         p1 = (r1 * math.cos(a1), r1 * math.sin(a1))
         p2 = (r2 * math.cos(a2), r2 * math.sin(a2))
         assert pair_distance(v1, v2) == pytest.approx(math.dist(p1, p2), abs=1e-9)
 
+    def test_close_phones_keep_precision(self):
+        # 2 * 19 * sin(5e-7); the cosine form of the law lost 1e-4 of it to cancellation.
+        v1, v2 = pdr(station(), phone(1), 19.0, 0.0, 0), pdr(station(), phone(2), 19.0, 1e-6, 0)
+        assert pair_distance(v1, v2) == pytest.approx(1.9e-5, rel=1e-12)
+
     @given(st.floats(0, 100), st.floats(0, 6.28), st.floats(0, 100), st.floats(0, 6.28))
     def test_bitwise_commutative(self, r1, a1, r2, a2):
-        v1, v2 = ProxVector(r1, a1), ProxVector(r2, a2)
+        v1, v2 = pdr(station(), phone(1), r1, a1, 0), pdr(station(), phone(2), r2, a2, 0)
         assert pair_distance(v1, v2) == pair_distance(v2, v1)
 
 
@@ -208,6 +212,17 @@ class TestSerialization:
             PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(2)), radii=(1.0,), azimuths=(0.0, 0.1))
 
     def test_decode_rejects_empty_set_and_trailing_bytes(self):
-        for payload in (struct.pack(">I", 0), struct.pack(">I", 1) + FIRST + b"\x00"):
+        code, nr, imei = CODE.encode("ascii"), phone(1).nr.encode("ascii"), phone(1).imei.encode("ascii")
+        malformed = (
+            struct.pack(">I", 0),
+            struct.pack(">I", 1) + FIRST + b"\x00",
+            b"\x00\x00",  # shorter than the count
+            struct.pack(">I", 3) + FIRST[:30],  # three records announced, part of one present
+            struct.pack(">I", 1) + code + struct.pack(">I", 1000) + nr,  # nr runs past the end
+            struct.pack(">I", 1) + raw(code, b"\xff\xfe", imei),  # nr is not UTF-8
+            struct.pack(">I", 1) + raw(code, nr, "3500000000000é".encode("utf-8")),  # non-ASCII IMEI
+            struct.pack(">I", 1) + raw("000000000000000é".encode("utf-8")[:16], nr, imei),  # non-ASCII station
+        )
+        for payload in malformed:
             with pytest.raises(ValidationError):
                 decode_pdr_set(payload, PrecisionClass.FEMTO)

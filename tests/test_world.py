@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from epitrace.errors import ConfigurationError
@@ -16,6 +17,10 @@ from epitrace.world import (
     traces_csv,
 )
 from util import station
+
+
+def positions_at(traces, minute):
+    return trace_positions(traces, minute + 1)[minute]
 
 
 def small_config(**overrides):
@@ -48,6 +53,25 @@ class TestConfig:
             ("gap_tolerance_min", -5),
             ("search_margin_min", -3),
             ("hotspot_cell_m", 0.0),
+            ("f", -1),
+            ("n_authorities", 4),  # < 2f+1 with f=2
+            ("n_authorities", 256),
+            ("q_read", 2),  # < f+1
+            ("q_read", 8),  # > n_authorities
+            ("q_critical", 2),
+            ("q_critical", 8),
+            ("fed_key_threshold", 0),
+            ("fed_key_threshold", 8),
+            ("n_clouds", 256),
+            ("erasure_k", 5),  # > n_clouds
+            ("vault_key_threshold", 0),
+            ("vault_key_threshold", 5),
+            ("sigma_macro_m", -1.0),
+            ("sigma_pico_m", -0.5),
+            ("sigma_femto_m", -1.0),
+            ("range_macro_m", -1.0),
+            ("range_pico_m", -1.0),
+            ("range_femto_m", -0.5),
         ],
     )
     def test_out_of_range_field_rejected(self, field, value):
@@ -141,16 +165,16 @@ class TestObserve:
         cfg = small_config(n_phones=1)
         _, traces, _ = generate_world(cfg)
         bs, registry = self._single_station_registry(centroid=traces[0].position_at(0))
-        records = observe(registry, traces[:1], 0, noise=None)
+        records = observe(registry, traces[:1], 0, positions_at(traces[:1], 0), noise=None)
         assert len(records) == 1
-        assert records[0].prox.radius == pytest.approx(0.0, abs=1e-9)
+        assert records[0].radius == pytest.approx(0.0, abs=1e-9)
 
     def test_phone_outside_all_ranges(self):
         cfg = small_config(n_phones=1)
         _, traces, _ = generate_world(cfg)
         x, y = traces[0].position_at(0)
         _, registry = self._single_station_registry(centroid=(x + 100.0, y), useful_range=8.0)
-        assert observe(registry, traces[:1], 0, noise=None) == []
+        assert observe(registry, traces[:1], 0, positions_at(traces[:1], 0), noise=None) == []
 
     def test_overlapping_stations_yield_multiple_records(self):
         cfg = small_config(n_phones=1)
@@ -161,7 +185,7 @@ class TestObserve:
         reg1.stations[bs2] = StationInfo(centroid=(pos[0] + 3, pos[1]), useful_range=40.0, precision_class=PrecisionClass.PICO)
         bs3 = station(3, PrecisionClass.MACRO)
         reg1.stations[bs3] = StationInfo(centroid=(pos[0], pos[1] + 5), useful_range=1500.0, precision_class=PrecisionClass.MACRO)
-        records = observe(reg1, traces[:1], 0, noise=None)
+        records = observe(reg1, traces[:1], 0, positions_at(traces[:1], 0), noise=None)
         assert len(records) == 3
         assert {r.bs for r in records} == {bs1, bs2, bs3}
 
@@ -169,19 +193,19 @@ class TestObserve:
         cfg = small_config(noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
-        base = observe(registry, traces, 10, noise=noise)
+        base = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
         bs = station(9, PrecisionClass.FEMTO)
         registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0, precision_class=PrecisionClass.FEMTO)
-        extended = observe(registry, traces, 10, noise=noise)
+        extended = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
         assert set(base).issubset(set(extended))
 
     def test_adding_femto_only_adds_records(self):
         cfg = small_config()
         registry, traces, _ = generate_world(cfg)
-        base = observe(registry, traces, 10, noise=None)
+        base = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
         bs = station(9, PrecisionClass.FEMTO)
         registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0, precision_class=PrecisionClass.FEMTO)
-        extended = observe(registry, traces, 10, noise=None)
+        extended = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
         assert set(base).issubset(set(extended))
         assert len(extended) > len(base)
 
@@ -189,19 +213,18 @@ class TestObserve:
         cfg = small_config(noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
-        a = observe(registry, traces, 10, noise=noise)
-        b = observe(registry, traces, 10, noise=noise)
+        a = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
+        b = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
         assert a == b  # same minute -> same draws
-        clean = observe(registry, traces, 10, noise=None)
+        clean = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
         assert a != clean
 
     def test_positions_shortcut_matches_interpolation(self):
+        # `position_at` is the reference for the positions every sweep is fed.
         cfg = small_config()
-        registry, traces, _ = generate_world(cfg)
-        positions = trace_positions(traces, cfg.duration_min)
-        a = observe(registry, traces, 33, noise=None)
-        b = observe(registry, traces, 33, noise=None, positions=positions[33])
-        assert a == b
+        _, traces, _ = generate_world(cfg)
+        expected = [[t.position_at(minute) for t in traces] for minute in range(cfg.duration_min)]
+        assert trace_positions(traces, cfg.duration_min) == pytest.approx(np.array(expected), abs=1e-9)
 
 
 class TestEstimates:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from random import Random
 
 from epitrace.federation import Federation, FederationParams, OperationClass, SystemState
-from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProxVector, group_into_sets, make_pdr
+from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
 from epitrace.runner import vet
 from epitrace.world import MobilityTrace, NoiseModel, ProviderRegistry, ScenarioConfig, observe, trace_positions
 
@@ -43,15 +43,14 @@ def station(i: int = 0, precision: PrecisionClass = PrecisionClass.FEMTO) -> BsC
     return BsCode(code=f"{i:016x}", precision_class=precision)
 
 
-def pdr(bs: BsCode, who: PhoneId, radius: float, azimuth: float, minute: int):
-    return make_pdr(bs, who, ProxVector(radius=radius, azimuth=azimuth), minute)
+pdr = ProximityDetailRecord
 
 
 def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list[MobilityTrace]) -> list[PdrSet]:
     """Every record set of the scenario, grouped in the clear as providers would push them."""
     positions = trace_positions(traces, cfg.duration_min)
-    noise = NoiseModel.from_config(cfg)
+    noise = NoiseModel.from_config(cfg) if cfg.noise_enabled else None
     sets = []
     for minute in range(cfg.duration_min):
-        sets.extend(group_into_sets(observe(registry, traces, minute, noise, positions=positions[minute])))
+        sets.extend(group_into_sets(observe(registry, traces, minute, positions[minute], noise)))
     return sets
