@@ -11,7 +11,6 @@ directed acyclic graph of plausible transmission.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ class SpaceTimeRegion:
     start: int
     end: int
     stations: frozenset[str]
-    resolved_box: tuple[float, float, float, float] | None = None  # x0, y0, x1, y1
 
     def __post_init__(self) -> None:
         if self.start > self.end:
@@ -496,7 +494,7 @@ def build_pccont(
             ContaminationRecord(
                 v=v,
                 u=u,
-                region=dataclasses.replace(score.region, resolved_box=box),
+                region=score.region,
                 coord_box=box,
                 median_contact=median_contact_minute(suspicion, dur_min),
                 t_inf_min_v=infected[v],

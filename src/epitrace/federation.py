@@ -18,13 +18,12 @@ from typing import Any
 from . import crypto, framing
 from .errors import (
     AuthorizationError,
-    DecryptionError,
+    FramingError,
     ParameterError,
     StateError,
     ValidationError,
 )
 from .ledger import AuditLedger
-from .records import PhoneId
 from .shamir import Share, reconstruct_secret, split_secret
 
 
@@ -108,27 +107,6 @@ class WorkflowRequest:
     def request_hash(self) -> bytes:
         return crypto.digest(self.signing_bytes())
 
-    def encode(self) -> bytes:
-        # wire layout: signing bytes || lp signature
-        return self.signing_bytes() + framing.lp_bytes(self.signature)
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "WorkflowRequest":
-        r = framing.Reader(blob)
-        request_id = r.raw(16)
-        operation_class = OperationClass(r.u8())
-        requester = r.u8()
-        payload = json.loads(r.lp_bytes().decode("utf-8"))
-        signature = r.lp_bytes()
-        r.done()
-        return cls(
-            request_id=request_id,
-            operation_class=operation_class,
-            payload=payload,
-            requester=requester,
-            signature=signature,
-        )
-
 
 def make_request(
     requester: Authority,
@@ -156,19 +134,6 @@ class Vote:
     authority_id: int
     request_id: bytes
     signature: bytes
-
-    def encode(self) -> bytes:
-        # wire layout: authority (u8) || request id (16 bytes) || lp signature
-        return framing.u8(self.authority_id) + self.request_id + framing.lp_bytes(self.signature)
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "Vote":
-        r = framing.Reader(blob)
-        authority_id = r.u8()
-        request_id = r.raw(16)
-        signature = r.lp_bytes()
-        r.done()
-        return cls(authority_id=authority_id, request_id=request_id, signature=signature)
 
 
 @dataclass(frozen=True)
@@ -199,7 +164,11 @@ class QuorumCertificate:
         r = framing.Reader(blob)
         request_id = r.raw(16)
         request_hash = r.raw(32)
-        op_class = OperationClass(r.u8())
+        class_value = r.u8()
+        try:
+            op_class = OperationClass(class_value)
+        except ValueError:
+            raise FramingError(f"unknown operation class {class_value}") from None
         required_q = r.u8()
         count = r.u8()
         approvals = tuple((r.u8(), r.lp_bytes()) for _ in range(count))
@@ -261,21 +230,11 @@ class StateRecord:
     alert_started: int | None = None
 
 
-@dataclass(frozen=True)
-class CrossBorderToken:
-    """A phone identity sealed to its home federation, with the contact context."""
-
-    ciphertext: bytes
-    home_country: str
-    context: dict[str, Any]
-
-
 class Federation:
     """The entrusted-authority collective plus everything it governs."""
 
-    def __init__(self, params: FederationParams, rng: Random, country: str = "home"):
+    def __init__(self, params: FederationParams, rng: Random):
         self.params = params
-        self.country = country
         self.rng = rng
         self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, params.n_authorities + 1)]
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
@@ -331,15 +290,6 @@ class Federation:
             raise AuthorizationError(f"not enough shares to rebuild key {key_id}")
         secret = reconstruct_secret(shares[: self.params.key_threshold])
         self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.params.key_threshold)
-        return secret
-
-    def release_key(self, capability: Capability, key_id: str) -> bytes:
-        """Hand the reconstructed private key to a FULL_PROCESSING holder."""
-        capability.require_decrypt()
-        if key_id not in self.key_registry:
-            raise ValidationError(f"unknown key id {key_id}")
-        secret = self._reconstruct_key(key_id)
-        self.ledger.record("key_release", self.now, key_id=key_id, request_id=capability.cert.request_id.hex())
         return secret
 
     @property
@@ -455,25 +405,3 @@ class Federation:
         self.check_certificate(cert, operation_class)
         self.ledger.record("capability", self.now, mode=operation_class.name, request_id=cert.request_id.hex())
         return Capability(self, operation_class, cert)
-
-    # -- cross-border tokens ----------------------------------------------------------
-
-    def issue_token(self, phone: PhoneId, home_pubkey: bytes, context: dict[str, Any], home_country: str) -> CrossBorderToken:
-        plain = framing.lp_bytes(phone.nr.encode("utf-8")) + phone.imei.encode("ascii")
-        return CrossBorderToken(ciphertext=crypto.seal(home_pubkey, plain, self.rng), home_country=home_country, context=dict(context))
-
-    @staticmethod
-    def redeem_token(token: CrossBorderToken, shares: list[Share], key_threshold: int) -> PhoneId:
-        """Rebuild the home federation key from >= threshold shares and open the token."""
-        if len(shares) < key_threshold:
-            raise AuthorizationError(f"need {key_threshold} shares to redeem, got {len(shares)}")
-        private = reconstruct_secret(shares[:key_threshold])
-        try:
-            plain = crypto.unseal(private, token.ciphertext)
-        except DecryptionError as exc:
-            raise DecryptionError("token is not addressed to this federation") from exc
-        r = framing.Reader(plain)
-        nr = r.lp_bytes().decode("utf-8")
-        imei = r.raw(15).decode("ascii")
-        r.done()
-        return PhoneId(nr=nr, imei=imei)

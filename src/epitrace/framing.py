@@ -1,9 +1,9 @@
 """Canonical length-prefixed binary framing for all inter-node messages.
 
 Primitives: unsigned big-endian integers (u8/u32/u64) and u32-length-prefixed
-byte strings. Every wire message in the repo (analysis-network fetch, votes,
-requests, certificates, vault fragments) is a fixed concatenation of these,
-so any two encoders produce identical bytes.
+byte strings. Every wire message in the repo (analysis-network fetch,
+certificates, vault fragments) is a fixed concatenation of these, so any two
+encoders produce identical bytes.
 """
 
 from __future__ import annotations
@@ -122,7 +122,10 @@ def decode_fetch_response(data: bytes) -> list[tuple[int, str, int, bytes]]:
     out = []
     for _ in range(count):
         minute = r.u64()
-        code = r.raw(16).decode("ascii")
+        try:
+            code = r.raw(16).decode("ascii")
+        except UnicodeDecodeError:
+            raise FramingError("station code is not ASCII") from None
         class_value = r.u8()
         out.append((minute, code, class_value, r.lp_bytes()))
     r.done()

@@ -10,7 +10,7 @@ import dataclasses
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -32,6 +32,7 @@ from .shamir import Share, reconstruct_secret
 from .vault import FaultMode, VaultCoordinator
 from .world import (
     GroundTruth,
+    MobilityTrace,
     NoiseModel,
     ProviderRegistry,
     ScenarioConfig,
@@ -110,16 +111,11 @@ class SimContext:
 
     config: ScenarioConfig
     registry: ProviderRegistry
+    traces: list[MobilityTrace]
     ground_truth: GroundTruth
     federation: Federation
     edges: dict[str, EdgeCloud]
     vault: VaultCoordinator
-    suspicions_by_pair: dict = field(default_factory=dict)
-    scores: list = field(default_factory=list)
-    pccont: list = field(default_factory=list)
-    dag: cep.InfectionDag | None = None
-    hotspots: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
 
 
 def federation_params(config: ScenarioConfig) -> FederationParams:
@@ -199,16 +195,15 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
             raise ConfigurationError(f"no vault cloud {cloud_id}")
         vault.clouds[cloud_id - 1].fault_mode = mode
     federation.attach_stores(list(edges.values()), vault)
-    context = SimContext(
+    return SimContext(
         config=config,
         registry=registry,
+        traces=traces,
         ground_truth=ground_truth,
         federation=federation,
         edges=edges,
         vault=vault,
     )
-    context.traces = traces
-    return context
 
 
 def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
@@ -278,24 +273,24 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
 
     estimates = infection_estimates(config, context.ground_truth)
     pois = sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))
-    by_pair = context.suspicions_by_pair
+    by_pair: dict[cep.PairKey, cep.ContactSuspicion] = {}
     for phone, t_inf_min in pois:
         poi = cep.PhoneOfInterest(phone=phone, t_inf_min=t_inf_min)
         for suspicion in cep.find_suspicions(cap_read, index, poi, params):
             by_pair.setdefault(suspicion.pair, suspicion)
-    context.scores = cep.score_suspicions(cap_read, [s for s in by_pair.values() if s.pc_susp], params, scoring)
+    scores = cep.score_suspicions(cap_read, [s for s in by_pair.values() if s.pc_susp], params, scoring)
     scanned = {phone for phone, _ in pois}
     extra_susp, extra_scores = cep.complete_findings(
         cap_read,
         index,
-        context.scores,
+        scores,
         by_pair,
         scanned,
         params,
         scoring,
         class_threshold=config.completion_class_threshold,
     )
-    context.scores.extend(extra_scores)
+    scores.extend(extra_scores)
     counts["completion_pairs"] = len(extra_susp)
     counts["suspicion_pairs"] = len(by_pair)
     flagged = {pair for pair, s in by_pair.items() if s.pc_susp}
@@ -303,18 +298,16 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
 
     cert_full = vet(federation, OperationClass.FULL_PROCESSING, {"purpose": "chain reconstruction"}, rng_cer)
     cap_full = federation.authorize_mode(cert_full, OperationClass.FULL_PROCESSING)
-    context.pccont = cep.build_pccont(
-        cap_full, context.scores, by_pair, estimates, context.registry, config.dur_min
-    )
-    context.dag = cep.build_dag(context.pccont, config.t_incub_min, config.t_incub_max)
-    context.dag.topological_order()  # invariant: must be acyclic
-    context.hotspots = cep.hotspot_map(context.pccont, config.hotspot_cell_m)
-    counts["pccont_records"] = len(context.pccont)
-    counts["dag_nodes"] = len(context.dag.nodes)
-    counts["dag_edges"] = len(context.dag.edges)
-    counts["hotspot_cells"] = len(context.hotspots)
+    pccont = cep.build_pccont(cap_full, scores, by_pair, estimates, context.registry, config.dur_min)
+    dag = cep.build_dag(pccont, config.t_incub_min, config.t_incub_max)
+    dag.topological_order()  # invariant: must be acyclic
+    hotspots = cep.hotspot_map(pccont, config.hotspot_cell_m)
+    counts["pccont_records"] = len(pccont)
+    counts["dag_nodes"] = len(dag.nodes)
+    counts["dag_edges"] = len(dag.edges)
+    counts["hotspot_cells"] = len(hotspots)
 
-    artifacts = _artifact_payloads(context)
+    artifacts = _artifact_payloads(by_pair, scores, pccont, dag)
     vault_roundtrip_ok = True
     counts["vault_objects_written"] = 0
     for name, payload in artifacts.items():
@@ -324,7 +317,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
             vault_roundtrip_ok = False
 
     scores_by_class = {str(c): 0 for c in (1, 2, 3, 4)}
-    for score in context.scores:
+    for score in scores:
         scores_by_class[str(score.risk_class)] += 1
 
     recall, precision = _recall_precision(context, flagged)
@@ -357,7 +350,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
         },
     )
     if out_dir is not None:
-        _write_artifacts(Path(out_dir), context, report, artifacts)
+        _write_artifacts(Path(out_dir), context, report, artifacts, dag, hotspots)
     return report
 
 
@@ -394,7 +387,12 @@ def _plaintext_pii_hits(context: SimContext) -> int:
     return sum(1 for buffer in buffers for _match in pattern.finditer(buffer))
 
 
-def _artifact_payloads(context: SimContext) -> dict[str, bytes]:
+def _artifact_payloads(
+    by_pair: dict[cep.PairKey, cep.ContactSuspicion],
+    scores: list[cep.ContactScore],
+    pccont: list[cep.ContaminationRecord],
+    dag: cep.InfectionDag,
+) -> dict[str, bytes]:
     def suspicion_obj(s: cep.ContactSuspicion) -> dict:
         return {
             "pair": [s.pair[0].nr, s.pair[1].nr],
@@ -438,7 +436,6 @@ def _artifact_payloads(context: SimContext) -> dict[str, bytes]:
             "t_inf_min_u": r.t_inf_min_u,
         }
 
-    dag = context.dag
     dag_obj = {
         "nodes": sorted(n.nr for n in dag.nodes),
         "edges": [
@@ -451,22 +448,29 @@ def _artifact_payloads(context: SimContext) -> dict[str, bytes]:
         return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
 
     return {
-        "suspicions.json": dumps(sorted((suspicion_obj(s) for s in context.suspicions_by_pair.values()), key=lambda o: o["pair"])),
-        "scores.json": dumps(sorted((score_obj(s) for s in context.scores), key=lambda o: o["pair"])),
-        "pccont.json": dumps(sorted((pccont_obj(r) for r in context.pccont), key=lambda o: (o["v"], o["u"]))),
+        "suspicions.json": dumps(sorted((suspicion_obj(s) for s in by_pair.values()), key=lambda o: o["pair"])),
+        "scores.json": dumps(sorted((score_obj(s) for s in scores), key=lambda o: o["pair"])),
+        "pccont.json": dumps(sorted((pccont_obj(r) for r in pccont), key=lambda o: (o["v"], o["u"]))),
         "dag.json": dumps(dag_obj),
     }
 
 
-def _write_artifacts(out_dir: Path, context: SimContext, report: RunReport, artifacts: dict[str, bytes]) -> None:
+def _write_artifacts(
+    out_dir: Path,
+    context: SimContext,
+    report: RunReport,
+    artifacts: dict[str, bytes],
+    dag: cep.InfectionDag,
+    hotspots: list[tuple[int, int, int]],
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_bytes(report.to_json_bytes())
     (out_dir / "report.txt").write_text(report.summary_text())
     (out_dir / "ledger.jsonl").write_text(context.federation.ledger.export_jsonl())
     for name, payload in artifacts.items():
         (out_dir / name).write_bytes(payload)
-    (out_dir / "dag.dot").write_text(context.dag.to_dot())
-    (out_dir / "hotspots.csv").write_text(cep.hotspot_csv(context.hotspots))
+    (out_dir / "dag.dot").write_text(dag.to_dot())
+    (out_dir / "hotspots.csv").write_text(cep.hotspot_csv(hotspots))
     (out_dir / "traces.csv").write_text(traces_csv(context.traces))
 
 

@@ -16,7 +16,6 @@ from .errors import (
     LockedError,
     ParameterError,
     UnavailableError,
-    ValidationError,
 )
 from .shamir import Share, reconstruct_secret, split_secret
 
@@ -85,13 +84,10 @@ class CloudNode:
 class VaultObject:
     """Coordinator-held metadata for one stored object."""
 
-    object_id: bytes
     plain_digest: bytes
     cipher_digest: bytes
     k: int
-    n: int
     key_threshold: int
-    created_minute: int
     size: int
 
 
@@ -134,13 +130,10 @@ class VaultCoordinator:
                 cloud.shred(object_id)
             raise UnavailableError(f"only {acks} clouds acknowledged, need {self.k}")
         meta = VaultObject(
-            object_id=object_id,
             plain_digest=crypto.digest(plaintext),
             cipher_digest=crypto.digest(ciphertext),
             k=self.k,
-            n=n,
             key_threshold=self.key_threshold,
-            created_minute=self._federation.now,
             size=len(plaintext),
         )
         self.inventory[object_id] = meta
@@ -209,17 +202,6 @@ class VaultCoordinator:
                 return candidate
         raise IntegrityError("no key-share subset decrypts to the stored digest")
 
-    def delete(self, capability: "Capability", object_id: bytes) -> dict:
-        """Shred one object everywhere; returns the deletion proof."""
-        capability.require_decrypt()  # per-object deletion is a full-processing right
-        if object_id not in self.inventory:
-            raise ValidationError("unknown object id")
-        shredded = [cloud.id for cloud in self.clouds if cloud.shred(object_id)]
-        del self.inventory[object_id]
-        proof = {"object_id": object_id.hex(), "shredded_clouds": shredded}
-        self._federation.ledger.record("vault_delete", self._federation.now, objects=[object_id.hex()], clouds=shredded)
-        return proof
-
     def delete_all(self, reason: str) -> int:
         """Secure-delete every object (state-change driven); one ledger entry per batch."""
         object_ids = sorted(self.inventory)
@@ -238,17 +220,3 @@ class VaultCoordinator:
     @property
     def object_count(self) -> int:
         return len(self.inventory)
-
-    def export_inventory(self) -> list[dict]:
-        return [
-            {
-                "object_id": meta.object_id.hex(),
-                "plain_digest": meta.plain_digest.hex(),
-                "k": meta.k,
-                "n": meta.n,
-                "key_threshold": meta.key_threshold,
-                "created_minute": meta.created_minute,
-                "size": meta.size,
-            }
-            for _, meta in sorted(self.inventory.items())
-        ]

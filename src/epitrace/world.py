@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from random import Random
 from typing import Iterable
 
@@ -26,6 +26,9 @@ Point = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 MINUTES_PER_DAY = 1440
+
+# Accepted value types per annotated config field type; bool only for bool fields.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 # -- configuration -------------------------------------------------------------
@@ -85,6 +88,11 @@ class ScenarioConfig:
     vault_key_threshold: int = 3
 
     def __post_init__(self) -> None:
+        # Checked, never coerced, so that a value and its digest agree.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
         counts = {
             "n_phones": self.n_phones,
             "n_venues": self.n_venues,
@@ -160,6 +168,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -168,7 +178,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
 
 # -- registry and traces ---------------------------------------------------------

@@ -411,7 +411,6 @@ class TestPccont:
         assert record.t_inf_min_v == 0 and record.t_inf_min_u == 90
         # coordinate box recomputed from the registry: centroid +- useful range
         assert record.coord_box == (42.0, 52.0, 58.0, 68.0)
-        assert record.region.resolved_box == record.coord_box  # filled only here
 
     def test_unresolvable_station_raises(self, cap_read, cap_full):
         by_pair, scores = self._scored_pair(cap_read)

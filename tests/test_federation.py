@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from epitrace.errors import AuthorizationError, DecryptionError, ParameterError, StateError, ValidationError
+from epitrace.errors import AuthorizationError, ParameterError, StateError, ValidationError
 from epitrace.federation import (
     Federation,
     FederationParams,
@@ -15,7 +15,6 @@ from epitrace.federation import (
     verify_certificate,
     vote_signing_bytes,
 )
-from epitrace.records import PhoneId
 from epitrace.runner import vet
 from util import alerted_federation, small_federation
 
@@ -155,27 +154,6 @@ class TestQuorumAssembly:
         cert = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "x"}, Random(9))
         assert QuorumCertificate.decode(cert.encode()) == cert
 
-    def test_request_and_vote_wire_round_trip(self):
-        from epitrace.federation import WorkflowRequest
-
-        federation = five_by_three()
-        request = make_request(federation.authorities[2], OperationClass.FULL_PROCESSING, {"poi": "600", "t": 5}, Random(10))
-        decoded = WorkflowRequest.decode(request.encode())
-        assert decoded == request
-        assert decoded.request_hash() == request.request_hash()
-        vote = federation.authorities[1].approve(request)
-        assert Vote.decode(vote.encode()) == vote
-
-    def test_decoded_vote_still_certifies(self):
-        federation = five_by_three()
-        request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(11))
-        federation.submit_request(request)
-        cert = None
-        for authority in federation.authorities[:3]:
-            wire = authority.approve(request).encode()
-            cert = federation.apply_vote(Vote.decode(wire))
-        assert cert is not None
-
 
 class TestStateMachine:
     def test_passive_to_alert_unlocks(self):
@@ -219,21 +197,6 @@ class TestCapabilities:
         capability.require_read()
         with pytest.raises(AuthorizationError):
             capability.require_decrypt()
-        with pytest.raises(AuthorizationError):
-            federation.release_key(capability, "provider:any")
-
-    def test_full_processing_key_release_round_trip(self):
-        federation = alerted_federation()
-        public = federation.escrow_keypair("provider:PX")
-        cert = vet(federation, OperationClass.FULL_PROCESSING, {}, Random(6))
-        capability = federation.authorize_mode(cert, OperationClass.FULL_PROCESSING)
-        private = federation.release_key(capability, "provider:PX")
-        from epitrace import crypto
-
-        blob = crypto.seal(public, b"round trip", Random(7))
-        assert crypto.unseal(private, blob) == b"round trip"
-        kinds = [e.content["kind"] for e in federation.ledger.entries]
-        assert "key_release" in kinds and "key_reconstruction" in kinds
 
     def test_class_mismatch_rejected(self):
         federation = alerted_federation()
@@ -283,72 +246,6 @@ class TestCapabilities:
         with pytest.raises(AuthorizationError):
             federation.change_state(forged, SystemState.ALERT)
         assert federation.state.state is SystemState.PASSIVE
-
-
-class TestCrossBorderTokens:
-    def _two_countries(self):
-        home = small_federation(seed=1)
-        foreign = small_federation(seed=2)
-        home_pub = home.escrow_keypair("federation:home")
-        foreign.escrow_keypair("federation:foreign")
-        return home, foreign, home_pub
-
-    def test_round_trip_with_home_shares(self):
-        home, foreign, home_pub = self._two_countries()
-        traveler = PhoneId(nr="4915200000001", imei="3" * 15)
-        token = foreign.issue_token(traveler, home_pub, {"start": 10, "end": 55}, "home")
-        shares = [a.key_shares["federation:home"] for a in home.authorities]
-        redeemed = Federation.redeem_token(token, shares[: home.params.key_threshold], home.params.key_threshold)
-        assert redeemed == traveler
-
-    def test_too_few_shares_fail(self):
-        home, foreign, home_pub = self._two_countries()
-        token = foreign.issue_token(PhoneId(nr="49152", imei="3" * 15), home_pub, {}, "home")
-        shares = [a.key_shares["federation:home"] for a in home.authorities]
-        with pytest.raises(AuthorizationError):
-            Federation.redeem_token(token, shares[: home.params.key_threshold - 1], home.params.key_threshold)
-
-    def test_foreign_shares_cannot_decrypt(self):
-        home, foreign, home_pub = self._two_countries()
-        token = foreign.issue_token(PhoneId(nr="49152", imei="3" * 15), home_pub, {}, "home")
-        foreign_shares = [a.key_shares["federation:foreign"] for a in foreign.authorities]
-        with pytest.raises(DecryptionError):
-            Federation.redeem_token(token, foreign_shares[: foreign.params.key_threshold], foreign.params.key_threshold)
-
-    def test_two_country_contact_identification(self):
-        # Country A's pipeline finds a contact of a confirmed case; the contact
-        # phone is registered in country B. A can only ship an encrypted token;
-        # B's quorum redeems it and identifies the right phone, matching the
-        # planted ground truth.
-        from epitrace import cep
-        from epitrace.world import ScenarioConfig, generate_world, infection_estimates
-        from util import capability, plaintext_sets
-
-        cfg = ScenarioConfig(seed=13, n_phones=16, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True)
-        registry, traces, gt = generate_world(cfg)
-        transmission = next((p, r) for p, r in gt.infections.items() if r.infected_by is not None)
-        contact_phone, record = transmission
-
-        index = cep.PdrIndex(plaintext_sets(cfg, registry, traces))
-        cap, _ = capability(OperationClass.BLIND_PROCESSING, seed=777)
-        estimates = infection_estimates(cfg, gt)
-        poi = cep.PhoneOfInterest(record.infected_by, estimates[record.infected_by])
-        suspicions = cep.find_suspicions(cap, index, poi, cep.AnalysisParams())
-        flagged = {s.pair for s in suspicions if s.pc_susp}
-        assert cep.pair_key(record.infected_by, contact_phone) in flagged
-
-        country_a = small_federation(seed=21)
-        country_b = small_federation(seed=22)
-        b_pub = country_b.escrow_keypair("federation:B")
-        suspicion = next(s for s in suspicions if s.pair == cep.pair_key(record.infected_by, contact_phone))
-        region = suspicion.region()
-        token = country_a.issue_token(
-            contact_phone, b_pub, {"start": region.start, "end": region.end, "stations": sorted(region.stations)}, "B"
-        )
-        assert contact_phone.nr.encode() not in token.ciphertext  # A ships no identity in the clear
-        shares = [a.key_shares["federation:B"] for a in country_b.authorities]
-        identified = Federation.redeem_token(token, shares[: country_b.params.key_threshold], country_b.params.key_threshold)
-        assert identified == contact_phone
 
 
 class TestSafetyExhaustive:

@@ -2,6 +2,7 @@ import pytest
 
 from epitrace import framing
 from epitrace.errors import FramingError
+from epitrace.federation import QuorumCertificate
 
 
 class TestFragmentMessage:
@@ -45,3 +46,15 @@ class TestFetchMessages:
         blob = framing.encode_fetch_request(b"cert", 1, 2)
         with pytest.raises(FramingError):
             framing.decode_fetch_request(blob[:-3])
+
+    def test_non_ascii_station_code_rejected(self):
+        blob = bytearray(framing.encode_fetch_response([(7, "00" * 8, 2, b"ct")]))
+        blob[12] = 0xFF  # first byte of the station code, after count (4) and minute (8)
+        with pytest.raises(FramingError):
+            framing.decode_fetch_response(bytes(blob))
+
+
+class TestCertificateMessage:
+    def test_unknown_operation_class_rejected(self):
+        with pytest.raises(FramingError):
+            QuorumCertificate.decode(bytes(48) + bytes([9, 3, 0]))

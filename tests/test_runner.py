@@ -9,7 +9,7 @@ from epitrace.errors import ConfigurationError
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.runner import _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run
 from epitrace.vault import FaultMode
-from epitrace.world import ScenarioConfig
+from epitrace.world import ScenarioConfig, generate_world
 
 CFG = dict(seed=31, n_phones=20, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True)
 
@@ -111,6 +111,16 @@ class TestRun:
             assert edge["src"] in nodes and edge["dst"] in nodes
             assert 0.0 <= edge["weight"] <= 1.0
 
+    def test_completion_adds_pairs_in_a_sparse_world(self):
+        # With under 60 % of the phones infected, the cascade from high-risk
+        # contacts scans phones that the infected-phone scan never started from.
+        fields = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "small.json").read_text())
+        fields.update(seed=3, n_phones=24, duration_min=480, alert_minute=400, transmission_probability=0.05)
+        config = ScenarioConfig.from_dict(fields)
+        _registry, _traces, ground_truth = generate_world(config)
+        assert len(ground_truth.infections) < 0.6 * config.n_phones
+        assert run(config).counts["completion_pairs"] > 0
+
 
 class TestFaultSpec:
     def test_parse(self):
@@ -177,6 +187,13 @@ class TestCli:
     def test_bad_config_aborts(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CFG, "transmission_distance_m": 1e9}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "aborted" in result.output
+
+    def test_malformed_json_aborts(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
         result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "aborted" in result.output

@@ -11,7 +11,6 @@ from epitrace.errors import (
     LockedError,
     ReconstructionError,
     UnavailableError,
-    ValidationError,
 )
 from epitrace.federation import OperationClass, SystemState
 from epitrace.runner import vet
@@ -172,22 +171,6 @@ class TestCoalitionConfidentiality:
 
 
 class TestDelete:
-    def test_delete_then_read_unavailable(self):
-        federation, vault = make_vault()
-        cap_write, cap_full = caps(federation)
-        object_id = vault.write(cap_write, b"short lived")
-        proof = vault.delete(cap_full, object_id)
-        assert proof["shredded_clouds"] == [1, 2, 3, 4]
-        with pytest.raises(UnavailableError):
-            vault.read(cap_full, object_id)
-        assert all(cloud.held_object_ids() == [] for cloud in vault.clouds)
-
-    def test_delete_unknown_object(self):
-        federation, vault = make_vault()
-        _, cap_full = caps(federation)
-        with pytest.raises(ValidationError):
-            vault.delete(cap_full, b"\x00" * 16)
-
     def test_passive_transition_deletes_everything(self):
         federation, vault = make_vault()
         cap_write, _ = caps(federation)
@@ -213,25 +196,9 @@ class TestDelete:
         for _index, fragment, share in held:
             assert fragment == bytes(len(fragment))
             assert share == bytes(len(share))
-
-    def test_per_object_delete_is_ledgered(self):
-        federation, vault = make_vault()
-        cap_write, cap_full = caps(federation)
-        object_id = vault.write(cap_write, b"x")
-        before = len([e for e in federation.ledger.entries if e.content["kind"] == "vault_delete"])
-        vault.delete(cap_full, object_id)
-        after = len([e for e in federation.ledger.entries if e.content["kind"] == "vault_delete"])
-        assert after == before + 1
-
-
-class TestInventory:
-    def test_export_inventory(self):
-        federation, vault = make_vault()
-        cap_write, _ = caps(federation)
-        vault.write(cap_write, b"abc")
-        export = vault.export_inventory()
-        assert len(export) == 1
-        assert export[0]["k"] == 2 and export[0]["n"] == 4 and export[0]["size"] == 3
+        assert all(cloud.held_object_ids() == [] for cloud in vault.clouds)
+        with pytest.raises(UnavailableError):
+            vault.read(cap_write, object_id)
 
 
 class _DummyCap:

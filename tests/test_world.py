@@ -72,11 +72,22 @@ class TestConfig:
             ("range_macro_m", -1.0),
             ("range_pico_m", -1.0),
             ("range_femto_m", -0.5),
+            ("n_phones", "50"),  # types are checked, never coerced
+            ("n_phones", 50.5),
+            ("n_phones", True),
+            ("world_size_m", "600"),
+            ("world_size_m", True),
+            ("noise_enabled", 1),
         ],
     )
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("text", ["{", "[1]", "50"])
+    def test_config_text_must_be_a_json_object(self, text):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig.from_json(text)
 
     def test_incubation_order(self):
         with pytest.raises(ConfigurationError):
