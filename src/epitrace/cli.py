@@ -9,7 +9,7 @@ from pathlib import Path
 
 import click
 
-from .errors import EpitraceError
+from .errors import ConfigurationError, EpitraceError
 from .ledger import load_jsonl, verify_ledger
 from .runner import attack_suite as run_attack_suite
 from .runner import run as run_scenario
@@ -17,7 +17,11 @@ from .world import ScenarioConfig
 
 
 def _load_config(path: str, seed: int | None) -> ScenarioConfig:
-    config = ScenarioConfig.from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config is not UTF-8 text: {exc}") from exc
+    config = ScenarioConfig.from_json(text)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     return config

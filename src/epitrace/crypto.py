@@ -1,8 +1,19 @@
 """Cryptographic primitives, fixed repo-wide.
 
-Hybrid sealing: ephemeral X25519 exchange, HKDF-SHA256 key derivation, then
-AES-256-GCM. Signatures: Ed25519 (deterministic). Digests: SHA-256. Keypairs
-can be derived from seed bytes so whole scenarios replay bit-exactly.
+Sealing follows the shape of HPKE base mode (RFC 9180 `SetupBaseS` and
+`ContextS.Seal`). A `SealContext` is one sender context: one ephemeral X25519
+exchange and one HKDF-SHA256 expansion to key(32) || base_nonce(12). Every
+message sealed under it is then one AES-256-GCM call with nonce
+base_nonce XOR seq, where seq counts the context's messages, so no
+(key, nonce) pair repeats. Each blob is eph_pub(32) || nonce(12) || ciphertext,
+self-describing: `unseal` needs only the recipient's private key and the
+caller's dict, which keeps one AEAD per distinct eph_pub. The edge opens one
+context per provider epoch, so a key that leaks from memory exposes that epoch
+only. The `AESGCM` object holds its key inside the OpenSSL binding, where
+Python cannot zero it; dropping the context is the most this code can do.
+
+Signatures: Ed25519 (deterministic). Digests: SHA-256. Keypairs can be derived
+from seed bytes so whole scenarios replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .errors import DecryptionError, EncryptionError
 _NONCE_LEN = 12
 _KEY_LEN = 32
 _HKDF_INFO = b"epitrace.hybrid.v1"
+_MAX_SEQ = 2 ** (8 * _NONCE_LEN) - 1
 
 
 def digest(data: bytes) -> bytes:
@@ -75,29 +87,44 @@ def verify_signature(public_bytes: bytes, message: bytes, signature: bytes) -> b
         return False
 
 
-def seal(public_bytes: bytes, plaintext: bytes, rng: Random | None = None) -> bytes:
-    """Encrypt to a public key: eph_pub(32) || nonce(12) || AES-GCM ciphertext."""
-    try:
-        eph_raw = rand_bytes(_KEY_LEN, rng)
-        eph = X25519PrivateKey.from_private_bytes(eph_raw)
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(public_bytes))
-        key = _derive(shared)
-        nonce = rand_bytes(_NONCE_LEN, rng)
-        ct = AESGCM(key).encrypt(nonce, plaintext, None)
-        eph_pub = eph.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-        return eph_pub + nonce + ct
-    except ValueError as exc:
-        raise EncryptionError(str(exc)) from exc
+class SealContext:
+    """Sender context to one public key: the key agreement is paid here, once."""
+
+    __slots__ = ("recipient", "eph_pub", "_aead", "_base_nonce", "_seq")
+
+    def __init__(self, public_bytes: bytes, rng: Random | None = None):
+        try:
+            eph = X25519PrivateKey.from_private_bytes(rand_bytes(_KEY_LEN, rng))
+            secret = _derive(eph.exchange(X25519PublicKey.from_public_bytes(public_bytes)), _KEY_LEN + _NONCE_LEN)
+        except ValueError as exc:
+            raise EncryptionError(str(exc)) from exc
+        self.recipient = public_bytes
+        self.eph_pub = eph.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+        self._aead = AESGCM(secret[:_KEY_LEN])
+        self._base_nonce = int.from_bytes(secret[_KEY_LEN:], "big")
+        self._seq = 0
 
 
-def unseal(private_bytes: bytes, blob: bytes) -> bytes:
+def seal(context: SealContext, plaintext: bytes) -> bytes:
+    """Encrypt the context's next message: eph_pub(32) || nonce(12) || AES-GCM ciphertext."""
+    if context._seq == _MAX_SEQ:
+        raise EncryptionError("seal context exhausted its nonces")
+    nonce = (context._base_nonce ^ context._seq).to_bytes(_NONCE_LEN, "big")
+    context._seq += 1
+    return context.eph_pub + nonce + context._aead.encrypt(nonce, plaintext, None)
+
+
+def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM]) -> bytes:
+    """Open one sealed blob; `aeads` is the caller's cache of the AEAD derived for each eph_pub."""
     if len(blob) < _KEY_LEN + _NONCE_LEN + 16:
         raise DecryptionError("sealed blob too short")
     eph_pub, nonce, ct = blob[:_KEY_LEN], blob[_KEY_LEN : _KEY_LEN + _NONCE_LEN], blob[_KEY_LEN + _NONCE_LEN :]
     try:
-        priv = X25519PrivateKey.from_private_bytes(private_bytes)
-        shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        return AESGCM(_derive(shared)).decrypt(nonce, ct, None)
+        aead = aeads.get(eph_pub)
+        if aead is None:
+            shared = X25519PrivateKey.from_private_bytes(private_bytes).exchange(X25519PublicKey.from_public_bytes(eph_pub))
+            aead = aeads[eph_pub] = AESGCM(_derive(shared, _KEY_LEN))
+        return aead.decrypt(nonce, ct, None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionError("ciphertext authentication failed") from exc
 
@@ -118,5 +145,7 @@ def symmetric_decrypt(key: bytes, blob: bytes) -> bytes:
         raise DecryptionError("ciphertext authentication failed") from exc
 
 
-def _derive(shared: bytes) -> bytes:
-    return HKDF(algorithm=hashes.SHA256(), length=_KEY_LEN, salt=None, info=_HKDF_INFO).derive(shared)
+def _derive(shared: bytes, length: int) -> bytes:
+    # HKDF output of any length starts with the same bytes, so `unseal`, which
+    # reads the nonce from the blob, derives only the 32-byte key.
+    return HKDF(algorithm=hashes.SHA256(), length=length, salt=None, info=_HKDF_INFO).derive(shared)

@@ -3,6 +3,13 @@
 The provider faces a write-only port; once a record set is pushed it can never
 be read back from the provider side. Analysis-side access goes through the
 fetch path, which demands an unlocked cloud and a quorum certificate.
+
+Pushed sets are sealed under one sender context per provider-hour (see
+`crypto`): one key exchange per epoch, then one AEAD call per set. The epoch is
+fixed, not configured, so a sealing key leaked from memory exposes at most one
+hour of one provider's records whatever the retention settings. The cleartext
+minute already tells the store which sets share an epoch, so a shared eph_pub
+reveals nothing more.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from .records import BsCode, PdrSet, encode_pdr_set
 
 if TYPE_CHECKING:
     from .federation import Federation, QuorumCertificate
+
+SEAL_EPOCH_MIN = 60
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,18 +52,28 @@ class EdgeCloud:
         self._federation = federation
         self._rng = rng
         self._store: list[EncryptedPdrSet] = []
+        self._seal_context: crypto.SealContext | None = None
+        self._seal_epoch = -1
 
     # -- provider side ----------------------------------------------------------
 
     def push(self, pdr_set: PdrSet) -> bool:
         """Encrypt and append one record set; the plaintext is not retained.
 
-        Returns False (the set is dropped) if sealing fails; the provider has no
-        way to observe anything else about the store.
+        The set is sealed under the provider-hour's context, opened on the
+        first push of each hour or when the registry key changes. Returns False
+        (the set is dropped) if sealing fails; the provider has no way to
+        observe anything else about the store.
         """
         public_key = self._federation.key_registry[self.key_id]
+        epoch = pdr_set.minute // SEAL_EPOCH_MIN
         try:
-            ciphertext = crypto.seal(public_key, encode_pdr_set(pdr_set), self._rng)
+            context = self._seal_context
+            if context is None or epoch != self._seal_epoch or context.recipient != public_key:
+                self._seal_context = None  # rotation drops the old key before opening a new one
+                context = self._seal_context = crypto.SealContext(public_key, self._rng)
+                self._seal_epoch = epoch
+            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set))
         except EncryptionError:
             return False
         self._store.append(EncryptedPdrSet(ciphertext=bytearray(ciphertext), minute=pdr_set.minute, bs_code_hint=pdr_set.bs))

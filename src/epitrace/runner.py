@@ -362,8 +362,9 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
         frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
         response = edge.handle_fetch_frame(frame)
         key = context.federation.engine_key(edge.key_id)
+        aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
         for _minute, _code, class_value, ciphertext in framing.decode_fetch_response(response):
-            plaintext = crypto.unseal(key, ciphertext)
+            plaintext = crypto.unseal(key, ciphertext, aeads)
             sets.append(decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value)))
     return sets
 

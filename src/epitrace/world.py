@@ -93,6 +93,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):  # NaN slips through every range check
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         counts = {
             "n_phones": self.n_phones,
             "n_venues": self.n_venues,

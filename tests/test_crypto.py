@@ -1,46 +1,98 @@
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from epitrace import crypto
-from epitrace.errors import DecryptionError
+from epitrace.errors import DecryptionError, EncryptionError
+
+
+def one_shot_blob(public_bytes: bytes, plaintext: bytes, rng: Random) -> bytes:
+    """A blob as sealed one exchange per message, with a random nonce."""
+    eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    shared = eph.exchange(X25519PublicKey.from_public_bytes(public_bytes))
+    key = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=b"epitrace.hybrid.v1").derive(shared)
+    nonce = rng.randbytes(12)
+    eph_pub = eph.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    return eph_pub + nonce + AESGCM(key).encrypt(nonce, plaintext, None)
 
 
 class TestHybridSeal:
     def test_round_trip(self):
         pair = crypto.SealKeyPair.generate(Random(0))
-        blob = crypto.seal(pair.public_bytes, b"proximity sets", Random(1))
-        assert crypto.unseal(pair.private_bytes, blob) == b"proximity sets"
+        context = crypto.SealContext(pair.public_bytes, Random(1))
+        messages = [b"proximity sets", b"", b"more sets" * 100]
+        blobs = [crypto.seal(context, m) for m in messages]
+        assert [crypto.unseal(pair.private_bytes, b, {}) for b in blobs] == messages
+        aeads = {}
+        assert [crypto.unseal(pair.private_bytes, b, aeads) for b in blobs] == messages
+        assert list(aeads) == [context.eph_pub]
+
+    def test_nonce_is_base_nonce_xor_sequence(self):
+        pair = crypto.SealKeyPair.generate(Random(0))
+        context = crypto.SealContext(pair.public_bytes, Random(1))
+        blobs = [crypto.seal(context, b"same") for _ in range(300)]
+        assert {b[:32] for b in blobs} == {context.eph_pub}
+        nonces = [int.from_bytes(b[32:44], "big") for b in blobs]
+        assert [n ^ nonces[0] for n in nonces] == list(range(300))
+        assert len(set(blobs)) == 300
+
+    def test_one_shot_blob_still_opens(self):
+        pair = crypto.SealKeyPair.generate(Random(0))
+        blob = one_shot_blob(pair.public_bytes, b"stored before", Random(5))
+        assert crypto.unseal(pair.private_bytes, blob, {}) == b"stored before"
 
     def test_wrong_key_fails(self):
         pair_a = crypto.SealKeyPair.generate(Random(0))
         pair_b = crypto.SealKeyPair.generate(Random(1))
-        blob = crypto.seal(pair_a.public_bytes, b"secret", Random(2))
+        blob = crypto.seal(crypto.SealContext(pair_a.public_bytes, Random(2)), b"secret")
         with pytest.raises(DecryptionError):
-            crypto.unseal(pair_b.private_bytes, blob)
+            crypto.unseal(pair_b.private_bytes, blob, {})
+
+    def test_bad_public_key_fails_to_open(self):
+        for public in (b"not a key", bytes(32)):  # wrong length; the all-zero low-order point
+            with pytest.raises(EncryptionError):
+                crypto.SealContext(public, Random(2))
 
     def test_tamper_detected(self):
         pair = crypto.SealKeyPair.generate(Random(0))
-        blob = bytearray(crypto.seal(pair.public_bytes, b"secret", Random(2)))
-        blob[-1] ^= 0x01
-        with pytest.raises(DecryptionError):
-            crypto.unseal(pair.private_bytes, bytes(blob))
+        context = crypto.SealContext(pair.public_bytes, Random(2))
+        for index in (0, 32, 44, -1):  # eph_pub, nonce, ciphertext, tag
+            blob = bytearray(crypto.seal(context, b"secret"))
+            blob[index] ^= 0x01
+            with pytest.raises(DecryptionError):
+                crypto.unseal(pair.private_bytes, bytes(blob), {})
 
     def test_truncated_blob_rejected(self):
         pair = crypto.SealKeyPair.generate(Random(0))
-        with pytest.raises(DecryptionError):
-            crypto.unseal(pair.private_bytes, b"short")
+        blob = crypto.seal(crypto.SealContext(pair.public_bytes, Random(2)), b"")
+        for short in (b"short", blob[:-1]):
+            with pytest.raises(DecryptionError):
+                crypto.unseal(pair.private_bytes, short, {})
+
+    def test_exhausted_context_refuses_to_seal(self):
+        pair = crypto.SealKeyPair.generate(Random(0))
+        context = crypto.SealContext(pair.public_bytes, Random(2))
+        context._seq = 2**96 - 2
+        blob = crypto.seal(context, b"last")
+        assert crypto.unseal(pair.private_bytes, blob, {}) == b"last"
+        with pytest.raises(EncryptionError):
+            crypto.seal(context, b"one too many")
 
     def test_seeded_encryption_is_reproducible(self):
         pair = crypto.SealKeyPair.generate(Random(0))
-        blob1 = crypto.seal(pair.public_bytes, b"same", Random(42))
-        blob2 = crypto.seal(pair.public_bytes, b"same", Random(42))
-        assert blob1 == blob2
+        first = crypto.SealContext(pair.public_bytes, Random(42))
+        second = crypto.SealContext(pair.public_bytes, Random(42))
+        assert [crypto.seal(first, b"same") for _ in range(3)] == [crypto.seal(second, b"same") for _ in range(3)]
 
     def test_ciphertext_hides_plaintext(self):
         pair = crypto.SealKeyPair.generate(Random(0))
-        blob = crypto.seal(pair.public_bytes, b"600000001" * 4, Random(3))
-        assert b"600000001" not in blob
+        context = crypto.SealContext(pair.public_bytes, Random(3))
+        for _ in range(3):
+            assert b"600000001" not in crypto.seal(context, b"600000001" * 4)
 
 
 class TestSymmetric:

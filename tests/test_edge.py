@@ -3,8 +3,8 @@ from random import Random
 import pytest
 
 from epitrace import crypto, framing
-from epitrace.edge import EdgeCloud
-from epitrace.errors import AuthorizationError, LockedError
+from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
+from epitrace.errors import AuthorizationError, DecryptionError, LockedError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
 from epitrace.records import PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
 from epitrace.runner import vet
@@ -63,7 +63,7 @@ class TestPush:
         entry = edge.vpn_fetch(read_cert(federation), (0, 100))[0]
         # Reconstruct the provider key from the escrowed shares, as the engine does.
         private = federation.engine_key("provider:P1")
-        plaintext = crypto.unseal(private, entry.ciphertext)
+        plaintext = crypto.unseal(private, entry.ciphertext, {})
         assert plaintext == encode_pdr_set(s)
         assert decode_pdr_set(plaintext, PrecisionClass.FEMTO) == s
 
@@ -97,6 +97,60 @@ class TestPush:
         federation.key_registry["provider:P1"] = b"not a key"
         assert edge.provider_port().push(make_set(1)) is False
         assert edge.stored_count == 0
+
+
+class TestSealEpochs:
+    def test_one_context_per_hour(self, cloud):
+        _, edge = cloud
+        port = edge.provider_port()
+        minutes = range(0, 3 * SEAL_EPOCH_MIN, 7)
+        for minute in minutes:
+            port.push(make_set(minute))
+        eph_by_hour = {}
+        for minute, ciphertext in zip(minutes, edge.stored_ciphertexts()):
+            eph_by_hour.setdefault(minute // SEAL_EPOCH_MIN, set()).add(bytes(ciphertext[:32]))
+        assert [len(eph) for eph in eph_by_hour.values()] == [1, 1, 1]
+        assert len(set().union(*eph_by_hour.values())) == 3
+
+    def test_registry_key_swap_opens_a_new_context(self, cloud):
+        federation, edge = cloud
+        port = edge.provider_port()
+        assert port.push(make_set(0))
+        swapped = crypto.SealKeyPair.generate(Random(5))
+        federation.key_registry["provider:P1"] = swapped.public_bytes
+        assert port.push(make_set(1))
+        federation.key_registry["provider:P1"] = b"not a key"
+        assert port.push(make_set(2)) is False
+        federation.key_registry["provider:P1"] = swapped.public_bytes
+        assert port.push(make_set(3))
+        first, second, third = edge.stored_ciphertexts()
+        assert len({bytes(c[:32]) for c in (first, second, third)}) == 3
+        assert crypto.unseal(swapped.private_bytes, bytes(second), {}) == encode_pdr_set(make_set(1))
+        assert crypto.unseal(swapped.private_bytes, bytes(third), {}) == encode_pdr_set(make_set(3))
+        with pytest.raises(DecryptionError):
+            crypto.unseal(swapped.private_bytes, bytes(first), {})
+
+    def test_corrupt_set_fails_alone_within_its_epoch(self, cloud):
+        federation, edge = cloud
+        port = edge.provider_port()
+        sets = [make_set(minute, n_phones=2 + minute) for minute in range(5)]
+        for s in sets:
+            port.push(s)
+        stored = edge.stored_ciphertexts()
+        assert len({bytes(c[:32]) for c in stored}) == 1
+        stored[0][50] ^= 0x01  # ciphertext of the epoch's first set
+        stored[2][0] ^= 0x01  # eph_pub of the third
+        unlock(federation)
+        private = federation.engine_key("provider:P1")
+        frame = framing.encode_fetch_request(read_cert(federation).encode(), 0, 10)
+        aeads = {}
+        opened = []
+        for _minute, _code, _class, ciphertext in framing.decode_fetch_response(edge.handle_fetch_frame(frame)):
+            try:
+                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads), PrecisionClass.FEMTO))
+            except DecryptionError:
+                opened.append(None)
+        assert opened == [None, sets[1], None, sets[3], sets[4]]
 
 
 class TestPrune:
@@ -228,7 +282,7 @@ class TestVpnFetch:
         assert code == station(1).code
         assert PrecisionClass.from_rank(class_value) is PrecisionClass.FEMTO
         private = federation.engine_key("provider:P1")
-        assert decode_pdr_set(crypto.unseal(private, ciphertext), PrecisionClass.FEMTO) == make_set(3)
+        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}), PrecisionClass.FEMTO) == make_set(3)
 
     def test_write_class_cert_cannot_fetch(self, cloud):
         federation, edge = cloud

@@ -4,12 +4,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from epitrace import crypto
 from epitrace.cli import main
+from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.runner import _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run
 from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig, generate_world
+from util import SMALL_JSON, retention_config
 
 CFG = dict(seed=31, n_phones=20, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True)
 
@@ -114,12 +117,50 @@ class TestRun:
     def test_completion_adds_pairs_in_a_sparse_world(self):
         # With under 60 % of the phones infected, the cascade from high-risk
         # contacts scans phones that the infected-phone scan never started from.
-        fields = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "small.json").read_text())
+        fields = json.loads(SMALL_JSON.read_text())
         fields.update(seed=3, n_phones=24, duration_min=480, alert_minute=400, transmission_probability=0.05)
         config = ScenarioConfig.from_dict(fields)
         _registry, _traces, ground_truth = generate_world(config)
         assert len(ground_truth.infections) < 0.6 * config.n_phones
         assert run(config).counts["completion_pairs"] > 0
+
+
+@pytest.fixture
+def sealed(monkeypatch):
+    """Every blob sealed, and every (provider, hour) that pushed a set, while the fixture is active."""
+    blobs, provider_hours = [], set()
+    seal, push = crypto.seal, EdgeCloud.push
+
+    def recording_seal(context, plaintext):
+        blobs.append(seal(context, plaintext))
+        return blobs[-1]
+
+    def recording_push(cloud, pdr_set):
+        pushed = push(cloud, pdr_set)
+        if pushed:
+            provider_hours.add((cloud.provider_id, pdr_set.minute // SEAL_EPOCH_MIN))
+        return pushed
+
+    monkeypatch.setattr(crypto, "seal", recording_seal)
+    monkeypatch.setattr(EdgeCloud, "push", recording_push)
+    return blobs, provider_hours
+
+
+class TestSealEpochs:
+    def test_one_key_exchange_per_provider_hour(self, sealed):
+        blobs, provider_hours = sealed
+        config = ScenarioConfig.from_json(SMALL_JSON.read_text())
+        counts = ingest(build_context(config), 0, config.duration_min)
+        assert len(blobs) == counts["sets_pushed"] == 6037
+        assert len({blob[:32] for blob in blobs}) == len(provider_hours) == 46
+
+    def test_no_key_nonce_pair_repeats_across_a_retention_run(self, sealed):
+        blobs, provider_hours = sealed
+        report = run(retention_config(), faults="vault:1=byzantine")
+        assert report.ok and report.counts["sets_pruned"] > 0
+        assert len(blobs) == report.counts["sets_pushed"]
+        assert len({blob[:44] for blob in blobs}) == len(blobs)  # eph_pub || nonce
+        assert len({blob[:32] for blob in blobs}) == len(provider_hours)
 
 
 class TestFaultSpec:
@@ -197,6 +238,22 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "aborted" in result.output
+
+    @pytest.mark.parametrize("field, value", [("world_size_m", "NaN"), ("prox_max_m", "NaN"), ("hotspot_cell_m", "Infinity")])
+    def test_non_finite_float_aborts(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CFG, field: float(value)}))
+        assert value in path.read_text()
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "run aborted" in result.output and field in result.output
+
+    def test_non_utf8_config_aborts(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(CFG).encode("utf-16-le"))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "run aborted" in result.output and "UTF-8" in result.output
 
     def test_zero_prune_interval_aborts(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ class TestConfig:
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_rejected(self, literal):
+        float_fields = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+        assert {"world_size_m", "prox_max_m", "hotspot_cell_m"} <= set(float_fields)
+        for name in float_fields:
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                ScenarioConfig.from_json(f'{{"{name}": {literal}}}')
 
     @pytest.mark.parametrize("text", ["{", "[1]", "50"])
     def test_config_text_must_be_a_json_object(self, text):

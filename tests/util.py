@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from random import Random
 
 from epitrace.federation import Federation, FederationParams, OperationClass, SystemState
 from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
 from epitrace.runner import vet
 from epitrace.world import MobilityTrace, NoiseModel, ProviderRegistry, ScenarioConfig, observe, trace_positions
+
+
+SMALL_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
+
+
+def retention_config() -> ScenarioConfig:
+    """small.json cut to 20 phones and 12 hours, with a 6-hour TTL pruned every 2 hours."""
+    fields = json.loads(SMALL_JSON.read_text())
+    fields.update(
+        n_phones=20,
+        duration_min=720,
+        alert_minute=600,
+        n_pico=4,
+        n_femto=8,
+        t_incub_min=30,
+        t_incub_max=180,
+        prune_every_min=120,
+        transmission_probability=0.3,
+    )
+    return ScenarioConfig.from_dict(fields)
 
 
 def small_federation(seed: int = 99, n: int = 3, f: int = 1, q: int = 2, key_threshold: int = 2) -> Federation:
