@@ -255,11 +255,9 @@ class PdrIndex:
 
     def __init__(self, sets: Iterable[PdrSet]):
         self.presence: dict[PhoneId, dict[int, list[tuple[_SetView, int]]]] = {}
-        self.phones: set[PhoneId] = set()
         for pdr_set in sets:
             view = _SetView(pdr_set)
             for pos, p in enumerate(view.phones):
-                self.phones.add(p)
                 self.presence.setdefault(p, {}).setdefault(view.minute, []).append((view, pos))
 
 

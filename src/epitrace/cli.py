@@ -9,7 +9,7 @@ from pathlib import Path
 
 import click
 
-from .errors import ConfigurationError, EpitraceError
+from .errors import ConfigurationError, EpitraceError, ValidationError
 from .ledger import load_jsonl, verify_ledger
 from .runner import attack_suite as run_attack_suite
 from .runner import run as run_scenario
@@ -72,7 +72,11 @@ def attack_suite(config_path: str, seed: int | None) -> None:
 @click.argument("ledger_path", type=click.Path(exists=True))
 def verify_ledger_cmd(ledger_path: str) -> None:
     """Check the hash chain of an exported ledger file."""
-    entries = load_jsonl(Path(ledger_path).read_text())
+    try:
+        entries = load_jsonl(Path(ledger_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, ValidationError) as exc:
+        click.echo(f"ledger unreadable: {exc}", err=True)
+        sys.exit(1)
     ok = verify_ledger(entries)
     click.echo(f"{len(entries)} entries: {'VALID' if ok else 'BROKEN CHAIN'}")
     sys.exit(0 if ok else 1)

@@ -45,8 +45,8 @@ def decode(fragments: list[Fragment], k: int) -> bytes:
 
     Corrupted fragment bytes produce a wrong payload (or a length error when
     the corruption hits the header), never a detected-and-repaired result;
-    callers needing Byzantine tolerance must check an integrity digest and
-    retry with another k-subset.
+    callers needing Byzantine tolerance must hand in only fragments they
+    have verified, e.g. against per-fragment digests taken at encode time.
     """
     frags = {f.index: f for f in fragments}
     if len(frags) < k:

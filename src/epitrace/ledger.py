@@ -13,6 +13,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from .errors import ValidationError
+
 GENESIS_HASH = b"\x00" * 32
 
 
@@ -85,17 +87,22 @@ def verify_ledger(entries: Iterable[LedgerEntry]) -> bool:
 
 
 def load_jsonl(text: str) -> list[LedgerEntry]:
+    """Parse an exported ledger; a line that is not a well-formed entry raises `ValidationError` naming it."""
     entries = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        entries.append(
-            LedgerEntry(
+        try:
+            obj = json.loads(line)
+            entry = LedgerEntry(
                 sequence=obj["sequence"],
                 previous_hash=bytes.fromhex(obj["previous_hash"]),
                 hash=bytes.fromhex(obj["hash"]),
                 content=obj["content"],
             )
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"line {number} is not a ledger entry: {type(exc).__name__}: {exc}") from exc
+        if not isinstance(entry.sequence, int):
+            raise ValidationError(f"line {number} is not a ledger entry: sequence {entry.sequence!r} is not an integer")
+        entries.append(entry)
     return entries

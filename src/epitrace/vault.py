@@ -1,9 +1,9 @@
 """Core data vault: each object encrypted, erasure-coded over n clouds, its key
-threshold-shared, tolerating Byzantine clouds via digest-checked reconstruction."""
+threshold-shared, tolerating Byzantine clouds by checking every fragment and key
+share against a digest taken at write time."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING
 
 from . import crypto, erasure, framing
 from .errors import (
-    DecryptionError,
     IntegrityError,
     LockedError,
     ParameterError,
@@ -82,13 +81,31 @@ class CloudNode:
 
 @dataclass(frozen=True)
 class VaultObject:
-    """Coordinator-held metadata for one stored object."""
+    """Coordinator-held metadata for one stored object.
+
+    `fragment_digests` and `share_digests` map a fragment index to the digest
+    of the fragment and of the key-share blob (x || data) stored with it.
+    """
 
     plain_digest: bytes
     cipher_digest: bytes
-    k: int
-    key_threshold: int
+    fragment_digests: dict[int, bytes]
+    share_digests: dict[int, bytes]
     size: int
+
+
+def _verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: int, what: str) -> dict[int, bytes]:
+    """The (index, bytes) pieces whose bytes match the write-time digest of their index.
+
+    Fewer than `need` pieces is an outage; fewer than `need` that verify means
+    clouds returned corrupted or misplaced data.
+    """
+    if len(pieces) < need:
+        raise UnavailableError(f"only {len(pieces)} clouds responded, need {need}")
+    verified = {index: data for index, data in pieces if digests.get(index) == crypto.digest(data)}
+    if len(verified) < need:
+        raise IntegrityError(f"only {len(verified)} {what} match their write-time digest, need {need}")
+    return verified
 
 
 class VaultCoordinator:
@@ -121,8 +138,12 @@ class VaultCoordinator:
         shares = split_secret(key, self.key_threshold, n, self._rng)
         object_id = crypto.rand_bytes(16, self._rng)
         acks = 0
+        fragment_digests, share_digests = {}, {}
         for cloud, fragment, share in zip(self.clouds, fragments, shares):
-            message = framing.encode_fragment_message(object_id, fragment.index, fragment.data, framing.u8(share.x) + share.data)
+            share_blob = framing.u8(share.x) + share.data
+            fragment_digests[fragment.index] = crypto.digest(fragment.data)
+            share_digests[fragment.index] = crypto.digest(share_blob)
+            message = framing.encode_fragment_message(object_id, fragment.index, fragment.data, share_blob)
             if cloud.store(message):
                 acks += 1
         if acks < self.k:
@@ -132,8 +153,8 @@ class VaultCoordinator:
         meta = VaultObject(
             plain_digest=crypto.digest(plaintext),
             cipher_digest=crypto.digest(ciphertext),
-            k=self.k,
-            key_threshold=self.key_threshold,
+            fragment_digests=fragment_digests,
+            share_digests=share_digests,
             size=len(plaintext),
         )
         self.inventory[object_id] = meta
@@ -143,9 +164,9 @@ class VaultCoordinator:
     def read(self, capability: "Capability", object_id: bytes) -> bytes:
         """Rebuild the object; FULL_PROCESSING gets plaintext, blind modes ciphertext.
 
-        Fragment k-subsets are tried until the ciphertext digest matches, then
-        key-share subsets until decryption reproduces the plaintext digest, so
-        any minority of corrupted clouds is ridden out.
+        Each fragment and key share is checked against its write-time digest
+        on its own, so any k verified fragments and any `key_threshold`
+        verified shares rebuild the object whatever the other clouds return.
         """
         capability.require_read()
         if self.locked:
@@ -153,54 +174,22 @@ class VaultCoordinator:
         meta = self.inventory.get(object_id)
         if meta is None:
             raise UnavailableError("unknown or deleted object")
-        responses: dict[int, tuple[int, bytes, bytes]] = {}
-        for cloud in self.clouds:
-            got = cloud.retrieve(object_id)
-            if got is not None:
-                responses[cloud.id] = got
-        ciphertext = self._rebuild_ciphertext(meta, responses)
+        responses = [got for cloud in self.clouds if (got := cloud.retrieve(object_id)) is not None]
+        fragments = _verified([(index, fragment) for index, fragment, _ in responses], meta.fragment_digests, self.k, "fragments")
+        ciphertext = erasure.decode([erasure.Fragment(index, data) for index, data in fragments.items()], self.k)
+        if crypto.digest(ciphertext) != meta.cipher_digest:
+            raise IntegrityError("ciphertext digest mismatch")
         from .federation import OperationClass
 
         if capability.mode is not OperationClass.FULL_PROCESSING:
             return ciphertext  # blind modes never see plaintext
-        key = self._rebuild_key(meta, responses, ciphertext)
+        blobs = _verified([(index, blob) for index, _, blob in responses], meta.share_digests, self.key_threshold, "key shares")
+        shares = [Share(x=blob[0], data=blob[1:]) for _, blob in sorted(blobs.items())]
+        key = reconstruct_secret(shares[: self.key_threshold])
         plaintext = crypto.symmetric_decrypt(key, ciphertext)
         if crypto.digest(plaintext) != meta.plain_digest:
             raise IntegrityError("plaintext digest mismatch")
         return plaintext
-
-    def _rebuild_ciphertext(self, meta: VaultObject, responses: dict[int, tuple[int, bytes, bytes]]) -> bytes:
-        if len(responses) < meta.k:
-            raise UnavailableError(f"only {len(responses)} clouds responded, need {meta.k}")
-        for subset in itertools.combinations(sorted(responses), meta.k):
-            fragments = [erasure.Fragment(responses[cid][0], responses[cid][1]) for cid in subset]
-            try:
-                candidate = erasure.decode(fragments, meta.k)
-            except UnavailableError:
-                continue
-            if crypto.digest(candidate) == meta.cipher_digest:
-                return candidate
-        raise IntegrityError("no fragment subset reproduces the stored ciphertext digest")
-
-    def _rebuild_key(self, meta: VaultObject, responses: dict[int, tuple[int, bytes, bytes]], ciphertext: bytes) -> bytes:
-        shares = {}
-        for cid, (_idx, _frag, share_blob) in responses.items():
-            if len(share_blob) >= 2:
-                shares[cid] = Share(x=share_blob[0], data=share_blob[1:])
-        if len(shares) < meta.key_threshold:
-            raise UnavailableError(f"only {len(shares)} key shares available, need {meta.key_threshold}")
-        for subset in itertools.combinations(sorted(shares), meta.key_threshold):
-            try:
-                candidate = reconstruct_secret([shares[cid] for cid in subset])
-            except Exception:
-                continue
-            try:
-                plaintext = crypto.symmetric_decrypt(candidate, ciphertext)
-            except DecryptionError:
-                continue
-            if crypto.digest(plaintext) == meta.plain_digest:
-                return candidate
-        raise IntegrityError("no key-share subset decrypts to the stored digest")
 
     def delete_all(self, reason: str) -> int:
         """Secure-delete every object (state-change driven); one ledger entry per batch."""

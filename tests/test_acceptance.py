@@ -88,7 +88,7 @@ def test_criterion_1_oracle_equivalence():
             sets = plaintext_sets(cfg, registry, traces)
             index = cep.PdrIndex(sets)
             engine = {}
-            for phone in sorted(index.phones):
+            for phone in sorted(index.presence):
                 for s in cep.find_suspicions(cap, index, cep.PhoneOfInterest(phone, 0), params):
                     engine.setdefault(s.pair, s)
             engine_view = {

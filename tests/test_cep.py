@@ -72,7 +72,7 @@ def as_tuples(suspicion: ContactSuspicion):
 def engine_all_pairs(cap, sets, params):
     index = PdrIndex(sets)
     by_pair = {}
-    for p in sorted(index.phones):
+    for p in sorted(index.presence):
         for s in find_suspicions(cap, index, PhoneOfInterest(phone=p, t_inf_min=0), params):
             by_pair.setdefault(s.pair, s)
     return by_pair
@@ -190,13 +190,13 @@ class TestOracleEquivalence:
         registry, traces, _ = generate_world(cfg)
         sets = plaintext_sets(cfg, registry, traces)
         index = PdrIndex(sets)
-        subject = sorted(index.phones)[0]
+        subject = sorted(index.presence)[0]
         t_inf = 60
         engine = {
             s.pair: as_tuples(s)
             for s in find_suspicions(cap_read, index, PhoneOfInterest(subject, t_inf), PARAMS)
         }
-        bounds = {p: (t_inf if p == subject else cfg.duration_min) for p in index.phones}
+        bounds = {p: (t_inf if p == subject else cfg.duration_min) for p in index.presence}
         # pairs not involving the subject are bounded out by construction below
         oracle_all = brute_force_pairs(sets, PARAMS.prox_max, PARAMS.dur_min, PARAMS.gap_tolerance, lower_bounds=bounds)
         oracle = {k: v for k, v in oracle_all.items() if subject in k}

@@ -273,6 +273,25 @@ class TestCli:
         bad = CliRunner().invoke(main, ["verify-ledger", str(tampered)])
         assert bad.exit_code == 1 and "BROKEN" in bad.output
 
+    @pytest.mark.parametrize(
+        "mangle, why",
+        [
+            (lambda data: b"\xff\xfe" + data, "not UTF-8"),
+            (lambda data: data.rstrip(b"\n")[:-10], "truncated JSON line"),
+            (lambda data: data.replace(b'"previous_hash":', b'"previous":', 1), "missing previous_hash"),
+            (lambda data: data.replace(b'"hash":"', b'"hash":"zz', 1), "non-hex hash"),
+            (lambda data: data.replace(b'"sequence":1}', b'"sequence":1.0}', 1), "non-integer sequence"),
+        ],
+    )
+    def test_verify_ledger_unreadable_file(self, completed_run, tmp_path, mangle, why):
+        _, out = completed_run
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(mangle((out / "ledger.jsonl").read_bytes()))
+        result = CliRunner().invoke(main, ["verify-ledger", str(path)])
+        assert result.exit_code == 1, why
+        assert result.exception is None or isinstance(result.exception, SystemExit), why
+        assert result.output.startswith("ledger unreadable: ") and result.output.count("\n") == 1, (why, result.output)
+
     def test_attack_suite_command(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dict(seed=8, n_phones=12, duration_min=120, alert_minute=60)))

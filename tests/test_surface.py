@@ -5,13 +5,16 @@ takes; it is either deleted or named here as a test probe.
 """
 
 import ast
-import re
+import io
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "epitrace"
 
 # Read-only views that tests use to look into a run; the pipeline never needs them.
-TEST_PROBES = {"position_at", "stored_count", "oldest_age", "held_object_ids"}
+# `pair_distance` is the tests' reference for the distance the contact scan computes.
+TEST_PROBES = {"position_at", "stored_count", "oldest_age", "held_object_ids", "pair_distance"}
 
 
 def _is_cli_command(node: ast.AST) -> bool:
@@ -22,12 +25,18 @@ def _is_cli_command(node: ast.AST) -> bool:
     return False
 
 
+def _code_names(text: str) -> list[tuple[int, str]]:
+    """(line, name) of every name token; names in comments and strings are not tokens."""
+    return [(tok.start[0], tok.string) for tok in tokenize.generate_tokens(io.StringIO(text).readline) if tok.type == tokenize.NAME]
+
+
 def _unreferenced() -> set[str]:
-    """Public module-level functions and classes, and their methods, named nowhere else in the package."""
+    """Public module-level functions and classes, and their methods, named nowhere else in the package's code."""
     texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    names = {path: _code_names(text) for path, text in texts.items()}
+    totals = Counter(name for tokens in names.values() for _line, name in tokens)
     unreferenced = set()
     for path, text in texts.items():
-        lines = text.splitlines(keepends=True)
         for node in ast.parse(text, filename=str(path)).body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for defn in [node, *members]:
@@ -35,10 +44,8 @@ def _unreferenced() -> set[str]:
                     continue
                 if defn.name.startswith("_") or _is_cli_command(defn):
                     continue
-                pattern = re.compile(rf"\b{defn.name}\b")
-                own = "".join(lines[defn.lineno - 1 : defn.end_lineno])
-                total = sum(len(pattern.findall(t)) for t in texts.values())
-                if total == len(pattern.findall(own)):
+                own = sum(1 for line, name in names[path] if name == defn.name and defn.lineno <= line <= defn.end_lineno)
+                if totals[defn.name] == own:
                     unreferenced.add(defn.name)
     return unreferenced
 

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from epitrace import crypto, erasure
+from epitrace import crypto, erasure, vault as vault_module
 from epitrace.errors import (
     AuthorizationError,
     DecryptionError,
@@ -27,6 +27,19 @@ def make_vault(key_threshold=3, k=2, n_clouds=4, alerted=True, seed=0):
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(seed + 1))
         federation.change_state(cert, SystemState.ALERT)
     return federation, vault
+
+
+def spy(monkeypatch, module, name):
+    """Replace `module.name` with a wrapper that records the arguments of every call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def caps(federation, seed=5):
@@ -125,6 +138,47 @@ class TestByzantineTolerance:
         for cloud in vault.clouds[:3]:
             cloud.fault_mode = FaultMode.CRASHED
         with pytest.raises(UnavailableError):
+            vault.read(cap_full, object_id)
+
+    @pytest.mark.parametrize("byzantine", [(0,), (0, 1)])
+    def test_one_decode_and_one_reconstruction_at_scale(self, monkeypatch, byzantine):
+        federation, vault = make_vault(n_clouds=16, k=8, key_threshold=9)
+        cap_write, cap_full = caps(federation)
+        payload = Random(3).randbytes(700)
+        object_id = vault.write(cap_write, payload)
+        for position in byzantine:
+            vault.clouds[position].fault_mode = FaultMode.BYZANTINE
+        decodes = spy(monkeypatch, erasure, "decode")
+        reconstructions = spy(monkeypatch, vault_module, "reconstruct_secret")
+        assert vault.read(cap_full, object_id) == payload
+        assert len(decodes) == 1 and len(reconstructions) == 1
+
+    def test_genuine_fragment_under_another_index_is_rejected(self, monkeypatch):
+        federation, vault = make_vault()
+        cap_write, _ = caps(federation)
+        payload = b"fragments are bound to their index"
+        object_id = vault.write(cap_write, payload)
+        liar = vault.clouds[1]
+        _index, fragment, share = liar.retrieve(object_id)
+        monkeypatch.setattr(liar, "retrieve", lambda _object_id: (2, fragment, share))
+        decodes = spy(monkeypatch, erasure, "decode")
+        assert crypto.digest(vault.read(cap_write, object_id)) == vault.inventory[object_id].cipher_digest
+        [(fragments, _k)] = decodes
+        assert fragment not in [f.data for f in fragments]
+        # Once the mislabelled fragment would be needed, the read fails instead.
+        for cloud in vault.clouds[2:]:
+            cloud.fault_mode = FaultMode.CRASHED
+        with pytest.raises(IntegrityError):
+            vault.read(cap_write, object_id)
+
+    def test_crashed_plus_byzantine_below_key_threshold_is_integrity_error(self):
+        # n=4, k=2, key threshold 3: three clouds answer, only two key shares verify.
+        federation, vault = make_vault()
+        cap_write, cap_full = caps(federation)
+        object_id = vault.write(cap_write, b"one down, one lying")
+        vault.clouds[0].fault_mode = FaultMode.CRASHED
+        vault.clouds[3].fault_mode = FaultMode.BYZANTINE
+        with pytest.raises(IntegrityError):
             vault.read(cap_full, object_id)
 
     def test_all_clouds_byzantine_is_integrity_error(self):
