@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from statistics import median_low
 from typing import Iterable, Sequence
 
@@ -236,8 +237,8 @@ class _SetView:
         half = math.sin(0.5 * abs(self.azimuths[pos] - self.azimuths[i]))
         return math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
 
-    def within(self, pos: int, reach: float) -> list[int]:
-        """Positions other than `pos` at a distance of at most `reach` from it.
+    def within(self, pos: int, reach: float) -> list[tuple[int, float]]:
+        """(position, distance) of every other phone at most `reach` from the one at `pos`.
 
         Two phones at radii rv and r are at least |rv - r| apart, so only the
         band of radii around rv is evaluated. The slack covers the rounding of
@@ -247,7 +248,11 @@ class _SetView:
         band = reach + 1e-6 * (rv + self.sorted_radii[-1])
         lo = bisect_left(self.sorted_radii, rv - band)
         hi = bisect_right(self.sorted_radii, rv + band)
-        return [i for i in self.radius_order[lo:hi] if i != pos and self.distance(pos, i) <= reach]
+        return [(i, d) for i in self.radius_order[lo:hi] if i != pos and (d := self.distance(pos, i)) <= reach]
+
+    def sees(self, phone: PhoneId) -> bool:
+        i = bisect_left(self.phones, phone)
+        return i < self.size and self.phones[i] == phone
 
 
 class PdrIndex:
@@ -273,11 +278,13 @@ def find_suspicions(
     """Scan the presence index for phones that stayed close to the phone of interest.
 
     Only minutes at or after the phone's earliest-infection estimate are
-    considered. Per minute, the pair distance comes from the most precise
-    station observing both phones; qualifying minutes (distance within the
-    proximity threshold, inclusive) accumulate into windows, tolerating gaps
-    up to the configured number of minutes. A pair is flagged once any single
-    window reaches the duration threshold.
+    considered. Per minute, the most precise station that sees both phones
+    decides their distance (ties go to the smaller distance), so a partner
+    that a more precise station puts out of range is not in range that
+    minute. Qualifying minutes (distance within the proximity threshold,
+    inclusive) accumulate into windows, tolerating gaps up to the configured
+    number of minutes. A pair is flagged once any single window reaches the
+    duration threshold.
     """
     capability.require_read()
     lower = max(0, poi.t_inf_min - params.search_margin)
@@ -289,20 +296,17 @@ def find_suspicions(
         if minute < lower:
             continue
         entries = by_minute[minute]
-        # A partner's best distance can only qualify if some station puts it in range.
-        in_range = {view.phones[i] for view, pos in entries for i in view.within(pos, prox_max)}
-        if not in_range:
-            continue
-        best: dict[PhoneId, tuple[int, float, str, int]] = {}  # u -> (-rank, dist, code, size)
+        best: dict[PhoneId, tuple[int, float, str, int]] = {}  # u -> (-rank, dist, code, size), in range only
         for view, pos in entries:
-            for i, u in enumerate(view.phones):
-                if u in in_range and i != pos:
-                    candidate = (-view.rank, view.distance(pos, i), view.code, view.size)
-                    prev = best.get(u)
-                    if prev is None or candidate < prev:
-                        best[u] = candidate
+            for i, dist in view.within(pos, prox_max):
+                candidate = (-view.rank, dist, view.code, view.size)
+                u = view.phones[i]
+                prev = best.get(u)
+                if prev is None or candidate < prev:
+                    best[u] = candidate
         for u, (neg_rank, dist, code, size) in best.items():
-            if dist <= prox_max:
+            # A more precise station that also sees u decides, and it put u out of range.
+            if not any(view.rank > -neg_rank and view.sees(u) for view, _pos in entries):
                 samples.setdefault(u, []).append((minute, dist, class_by_rank[-neg_rank], code, size))
 
     suspicions = []
@@ -353,41 +357,41 @@ def score_suspicions(
     for suspicion in suspicions:
         if not suspicion.pc_susp:
             raise ValidationError("only flagged suspicions can be scored")
-        if not suspicion.windows:
+        windows = suspicion.windows
+        if not windows:
             raise NoEvidenceError(f"suspicion {suspicion.pair[0].nr}/{suspicion.pair[1].nr} carries no windows")
-        scores.append(_score_one(suspicion, params, scoring))
+        prox_values = [p for w in windows for p in w.prox]
+        class_factors = [_PRECISION_FACTOR[c] for w in windows for c in w.classes]
+        sizes = [s for w in windows for s in w.set_sizes]
+        prox_avg = sum(prox_values) / len(prox_values)
+        dur_tot = sum(w.duration for w in windows)
+        precision_prox = sum(class_factors) / len(class_factors)
+        density = sum(sizes) / len(sizes)
+        region = suspicion.region()
+        severity = scoring.severity(region.stations)
+        raw = (
+            scoring.w_prox * (1.0 - prox_avg / params.prox_max)
+            + scoring.w_dur * min(1.0, dur_tot / (scoring.dur_saturation_factor * params.dur_min))
+            + scoring.w_precision * (precision_prox * scoring.precision_dur_default)
+            + scoring.w_density * min(1.0, density / scoring.density_saturation)
+            + scoring.w_severity * severity
+        )
+        raw = min(1.0, max(0.0, raw))
+        scores.append(
+            ContactScore(
+                pair=suspicion.pair,
+                region=region,
+                raw=raw,
+                risk_class=scoring.classify(raw),
+                prox_avg=prox_avg,
+                dur_tot=dur_tot,
+                precision_prox=precision_prox,
+                precision_dur=scoring.precision_dur_default,
+                density=density,
+                severity=severity,
+            )
+        )
     return scores
-
-
-def _score_one(suspicion: ContactSuspicion, params: AnalysisParams, scoring: ScoringConfig) -> ContactScore:
-    minutes = [m for w in suspicion.windows for m in w.minutes]
-    prox_values = [p for w in suspicion.windows for p in w.prox]
-    class_factors = [_PRECISION_FACTOR[c] for w in suspicion.windows for c in w.classes]
-    sizes = [s for w in suspicion.windows for s in w.set_sizes]
-    prox_avg = sum(prox_values) / len(prox_values)
-    dur_tot = len(minutes)
-    precision_prox = sum(class_factors) / len(class_factors)
-    density = sum(sizes) / len(sizes)
-    raw = (
-        scoring.w_prox * (1.0 - prox_avg / params.prox_max)
-        + scoring.w_dur * min(1.0, dur_tot / (scoring.dur_saturation_factor * params.dur_min))
-        + scoring.w_precision * (precision_prox * scoring.precision_dur_default)
-        + scoring.w_density * min(1.0, density / scoring.density_saturation)
-        + scoring.w_severity * scoring.severity(suspicion.region().stations)
-    )
-    raw = min(1.0, max(0.0, raw))
-    return ContactScore(
-        pair=suspicion.pair,
-        region=suspicion.region(),
-        raw=raw,
-        risk_class=scoring.classify(raw),
-        prox_avg=prox_avg,
-        dur_tot=dur_tot,
-        precision_prox=precision_prox,
-        precision_dur=scoring.precision_dur_default,
-        density=density,
-        severity=scoring.severity(suspicion.region().stations),
-    )
 
 
 def median_contact_minute(suspicion: ContactSuspicion, dur_min: int) -> int:
@@ -405,63 +409,48 @@ def median_contact_minute(suspicion: ContactSuspicion, dur_min: int) -> int:
 def complete_findings(
     capability: Capability,
     index: PdrIndex,
-    scores: Sequence[ContactScore],
-    suspicions_by_pair: dict[PairKey, ContactSuspicion],
-    scanned: set[PhoneId],
+    seeds: Sequence[PhoneOfInterest],
     params: AnalysisParams,
     scoring: ScoringConfig,
-    class_threshold: int = 3,
-) -> tuple[list[ContactSuspicion], list[ContactScore]]:
-    """Cascade the scan onto every phone of a high-scoring pair.
+    class_threshold: int,
+) -> tuple[dict[PairKey, ContactSuspicion], list[ContactScore], int]:
+    """Run the one analysis worklist: the seed phones, then the cascade.
 
-    Each newly scanned phone inherits an earliest-infection estimate equal to
-    the median minute of the window that implicated it. Already-known pairs
-    are deduplicated on the unordered pair key, which makes a second
-    invocation a no-op.
+    The seeds are scanned in the given order. After each scan, the pairs it
+    found first are kept and their flagged suspicions scored. Every phone of
+    a pair scored at or above `class_threshold` that is not a seed joins the
+    cascade, which scans each such phone once, smallest phone first, from
+    the earliest median minute among the windows that implicated it.
+    Returns the first suspicion of every pair, the scores in the order found,
+    and the number of pairs the cascade added.
     """
     capability.require_read()
-    known_pairs = set(suspicions_by_pair)
-    new_suspicions: list[ContactSuspicion] = []
-    new_scores: list[ContactScore] = []
-    onset: dict[PhoneId, int] = {}
-    frontier: list[PhoneId] = []
+    by_pair: dict[PairKey, ContactSuspicion] = {}
+    scores: list[ContactScore] = []
+    # Every phone scanned or queued; a queued phone's entry is its scan start so far.
+    onset = {poi.phone: poi.t_inf_min for poi in seeds}
+    queue: list[PhoneId] = []
 
-    def enqueue(score: ContactScore) -> None:
-        base = suspicions_by_pair.get(score.pair)
-        if base is None:
-            return
-        median = median_contact_minute(base, params.dur_min)
-        for phone in score.pair:
-            if phone in scanned:
+    def scan(poi: PhoneOfInterest) -> None:
+        found = [s for s in find_suspicions(capability, index, poi, params) if s.pair not in by_pair]
+        by_pair.update((s.pair, s) for s in found)
+        for score in score_suspicions(capability, [s for s in found if s.pc_susp], params, scoring):
+            scores.append(score)
+            if score.risk_class < class_threshold:
                 continue
-            if phone not in onset or median < onset[phone]:
-                onset[phone] = median
-            if phone not in frontier:
-                frontier.append(phone)
+            median = median_contact_minute(by_pair[score.pair], params.dur_min)
+            for phone in score.pair:
+                if phone not in onset:
+                    heappush(queue, phone)
+                onset[phone] = min(median, onset.get(phone, median))
 
-    for score in scores:
-        if score.risk_class >= class_threshold:
-            enqueue(score)
-
-    while frontier:
-        frontier.sort()
-        phone = frontier.pop(0)
-        if phone in scanned:
-            continue
-        scanned.add(phone)
-        poi = PhoneOfInterest(phone=phone, t_inf_min=onset.get(phone, 0))
-        for suspicion in find_suspicions(capability, index, poi, params):
-            if suspicion.pair in known_pairs:
-                continue
-            known_pairs.add(suspicion.pair)
-            suspicions_by_pair[suspicion.pair] = suspicion
-            new_suspicions.append(suspicion)
-            if suspicion.pc_susp:
-                score = _score_one(suspicion, params, scoring)
-                new_scores.append(score)
-                if score.risk_class >= class_threshold:
-                    enqueue(score)
-    return new_suspicions, new_scores
+    for poi in seeds:
+        scan(poi)
+    seeded = len(by_pair)
+    while queue:
+        phone = heappop(queue)
+        scan(PhoneOfInterest(phone=phone, t_inf_min=onset[phone]))
+    return by_pair, scores, len(by_pair) - seeded
 
 
 # -- contamination records and the DAG --------------------------------------------------------

@@ -33,8 +33,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True), help="Scenario JSON file.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Directory for run artifacts.")
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Scenario JSON file.")
+@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False), help="Directory for run artifacts.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--faults", default=None, help="Fault spec, e.g. vault:2=byzantine,vault:3=crashed.")
 def run(config_path: str, out_dir: str, seed: int | None, faults: str | None) -> None:
@@ -42,8 +42,9 @@ def run(config_path: str, out_dir: str, seed: int | None, faults: str | None) ->
     started = time.perf_counter()
     try:
         config = _load_config(config_path, seed)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run, not after it
         report = run_scenario(config, out_dir, faults)
-    except EpitraceError as exc:
+    except (EpitraceError, OSError) as exc:
         click.echo(f"run aborted: {exc}", err=True)
         sys.exit(2)
     click.echo(report.summary_text(), nl=False)
@@ -52,7 +53,7 @@ def run(config_path: str, out_dir: str, seed: int | None, faults: str | None) ->
 
 
 @main.command("attack-suite")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=None)
 def attack_suite(config_path: str, seed: int | None) -> None:
     """Run the adversarial drivers; every attack must fail safely."""
@@ -69,7 +70,7 @@ def attack_suite(config_path: str, seed: int | None) -> None:
 
 
 @main.command("verify-ledger")
-@click.argument("ledger_path", type=click.Path(exists=True))
+@click.argument("ledger_path", type=click.Path(exists=True, dir_okay=False))
 def verify_ledger_cmd(ledger_path: str) -> None:
     """Check the hash chain of an exported ledger file."""
     try:
@@ -83,13 +84,18 @@ def verify_ledger_cmd(ledger_path: str) -> None:
 
 
 @main.command("export-dag")
-@click.option("--run-dir", "run_dir", required=True, type=click.Path(exists=True), help="Directory of a completed run.")
-@click.option("--out", "out_path", default=None, type=click.Path(), help="Output DOT file (default: stdout).")
+@click.option("--run-dir", "run_dir", required=True, type=click.Path(exists=True, file_okay=False), help="Directory of a completed run.")
+@click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False), help="Output DOT file (default: stdout).")
 def export_dag(run_dir: str, out_path: str | None) -> None:
     """Export a run's contamination DAG (its dag.dot) as DOT graph text."""
-    text = (Path(run_dir) / "dag.dot").read_text()
+    try:
+        text = (Path(run_dir) / "dag.dot").read_text()
+        if out_path:
+            Path(out_path).write_text(text)
+    except OSError as exc:  # no dag.dot in the run directory, or no directory for --out
+        click.echo(f"export aborted: {exc}", err=True)
+        sys.exit(1)
     if out_path:
-        Path(out_path).write_text(text)
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)

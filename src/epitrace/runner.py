@@ -272,26 +272,11 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     scoring = cep.ScoringConfig()
 
     estimates = infection_estimates(config, context.ground_truth)
-    pois = sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))
-    by_pair: dict[cep.PairKey, cep.ContactSuspicion] = {}
-    for phone, t_inf_min in pois:
-        poi = cep.PhoneOfInterest(phone=phone, t_inf_min=t_inf_min)
-        for suspicion in cep.find_suspicions(cap_read, index, poi, params):
-            by_pair.setdefault(suspicion.pair, suspicion)
-    scores = cep.score_suspicions(cap_read, [s for s in by_pair.values() if s.pc_susp], params, scoring)
-    scanned = {phone for phone, _ in pois}
-    extra_susp, extra_scores = cep.complete_findings(
-        cap_read,
-        index,
-        scores,
-        by_pair,
-        scanned,
-        params,
-        scoring,
-        class_threshold=config.completion_class_threshold,
+    seeds = [cep.PhoneOfInterest(phone=p, t_inf_min=t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
+    by_pair, scores, completion_pairs = cep.complete_findings(
+        cap_read, index, seeds, params, scoring, config.completion_class_threshold
     )
-    scores.extend(extra_scores)
-    counts["completion_pairs"] = len(extra_susp)
+    counts["completion_pairs"] = completion_pairs
     counts["suspicion_pairs"] = len(by_pair)
     flagged = {pair for pair, s in by_pair.items() if s.pc_susp}
     counts["flagged_pairs"] = len(flagged)

@@ -117,6 +117,11 @@ class ScenarioConfig:
             "n_femto": self.n_femto,
             "gap_tolerance_min": self.gap_tolerance_min,
             "search_margin_min": self.search_margin_min,
+            "transmission_distance_m": self.transmission_distance_m,  # squared when used, so -1 would act as 1
+            "t_incub_min": self.t_incub_min,
+            "t_incub_max": self.t_incub_max,
+            "pdr_ttl_factor": self.pdr_ttl_factor,
+            "vote_window_min": self.vote_window_min,
             "f": self.f,
             "range_macro_m": self.range_macro_m,
             "range_pico_m": self.range_pico_m,

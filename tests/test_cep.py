@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epitrace import cep
 from epitrace.cep import (
     AnalysisParams,
     ContactSuspicion,
@@ -137,6 +138,36 @@ class TestFindSuspicions:
         window = found[0].windows[0]
         assert set(window.classes) == {PrecisionClass.FEMTO}
         assert all(p == 0.5 for p in window.prox)
+
+    def test_more_precise_station_out_of_range_decides(self, cap_read):
+        # The macro station puts the phones 0.5 m apart, the femto station 3 m.
+        macro = station(8, PrecisionClass.MACRO)
+        femto = station(9, PrecisionClass.FEMTO)
+        records = []
+        for minute in range(30):
+            records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 100.5, 0.0, minute))
+            records += (pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 4.0, 0.0, minute))
+        index = PdrIndex(group_into_sets(records))
+        for subject in (phone(1), phone(2)):
+            assert find_suspicions(cap_read, index, PhoneOfInterest(subject, 0), PARAMS) == []
+
+    def test_more_precise_station_decides_only_where_it_sees_both(self, cap_read):
+        # Minutes 10-19: the femto station sees both phones, 3 m apart, and
+        # overrides the macro's 0.5 m. Minutes 20-29: it sees only phone 1.
+        macro = station(8, PrecisionClass.MACRO)
+        femto = station(9, PrecisionClass.FEMTO)
+        records = []
+        for minute in range(30):
+            records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 100.5, 0.0, minute))
+            if minute >= 10:
+                records.append(pdr(femto, phone(1), 1.0, 0.0, minute))
+            if 10 <= minute < 20:
+                records.append(pdr(femto, phone(2), 4.0, 0.0, minute))
+        [found] = find_suspicions(cap_read, PdrIndex(group_into_sets(records)), PhoneOfInterest(phone(1), 0), PARAMS)
+        assert not found.pc_susp
+        assert [w.minutes for w in found.windows] == [tuple(range(10)), tuple(range(20, 30))]
+        assert {c for w in found.windows for c in w.classes} == {PrecisionClass.MACRO}
+        assert all(p == 0.5 for w in found.windows for p in w.prox)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -339,41 +370,40 @@ class TestCompletion:
         return group_into_sets(records)
 
     def test_chain_discovered_only_via_completion(self, cap_read):
-        sets = self._chained_sets()
-        index = PdrIndex(sets)
-        initial = find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)
-        by_pair = {s.pair: s for s in initial}
-        assert set(by_pair) == {(phone(1), phone(2))}
-        scores = score_suspicions(cap_read, initial, PARAMS, ScoringConfig())
-        scanned = {phone(1)}
-        extra_susp, extra_scores = complete_findings(
-            cap_read, index, scores, by_pair, scanned, PARAMS, ScoringConfig(), class_threshold=3
+        index = PdrIndex(self._chained_sets())
+        by_pair, scores, completion_pairs = complete_findings(
+            cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, ScoringConfig(), class_threshold=3
         )
-        assert {s.pair for s in extra_susp} == {(phone(2), phone(3))}
-        assert len(extra_scores) == 1
-        # the inherited scan start is the median of the implicating window
-        assert extra_susp[0].windows[0].start == 200
+        assert list(by_pair) == [(phone(1), phone(2)), (phone(2), phone(3))]
+        assert completion_pairs == 1
+        assert [s.pair for s in scores] == list(by_pair)
+        assert by_pair[(phone(2), phone(3))].windows[0].start == 200
 
-    def test_completion_idempotent(self, cap_read):
-        sets = self._chained_sets()
-        index = PdrIndex(sets)
-        initial = find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)
-        by_pair = {s.pair: s for s in initial}
-        scores = score_suspicions(cap_read, initial, PARAMS, ScoringConfig())
-        scanned = {phone(1)}
-        first = complete_findings(cap_read, index, scores, by_pair, scanned, PARAMS, ScoringConfig(), class_threshold=3)
-        all_scores = scores + first[1]
-        second = complete_findings(cap_read, index, all_scores, by_pair, scanned, PARAMS, ScoringConfig(), class_threshold=3)
-        assert second == ([], [])
+    def test_completion_idempotent(self, cap_read, monkeypatch):
+        scans = []
+
+        def recording_scan(capability, index, poi, params):
+            scans.append(poi)
+            return find_suspicions(capability, index, poi, params)
+
+        monkeypatch.setattr(cep, "find_suspicions", recording_scan)
+        index = PdrIndex(self._chained_sets())
+        seeds = [PhoneOfInterest(phone(1), 0)]
+        first = complete_findings(cap_read, index, seeds, PARAMS, ScoringConfig(), class_threshold=3)
+        # each phone once; a cascade phone starts at the median minute of the window that implicated it
+        assert scans == [PhoneOfInterest(phone(1), 0), PhoneOfInterest(phone(2), 115), PhoneOfInterest(phone(3), 215)]
+        second = complete_findings(cap_read, index, seeds, PARAMS, ScoringConfig(), class_threshold=3)
+        assert second == first
+        assert scans[3:] == scans[:3]
 
     def test_no_pair_above_threshold_is_noop(self, cap_read):
-        sets = self._chained_sets()
-        index = PdrIndex(sets)
-        initial = find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)
-        by_pair = {s.pair: s for s in initial}
-        scores = score_suspicions(cap_read, initial, PARAMS, ScoringConfig())
-        extra = complete_findings(cap_read, index, scores, by_pair, {phone(1)}, PARAMS, ScoringConfig(), class_threshold=4)
-        assert extra == ([], [])
+        index = PdrIndex(self._chained_sets())
+        by_pair, scores, completion_pairs = complete_findings(
+            cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, ScoringConfig(), class_threshold=4
+        )
+        assert list(by_pair) == [(phone(1), phone(2))]
+        assert [s.risk_class for s in scores] == [3]
+        assert completion_pairs == 0
 
 
 def registry_with(code_to_info):

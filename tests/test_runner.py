@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,6 +15,18 @@ from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig, generate_world
 from util import SMALL_JSON, retention_config
 
+SPARSE_DIGESTS = {
+    "dag.dot": "275e6c7090ca820ba96fa2440ce615cce7c46fda5555a5169713ab4661cbc32b",
+    "dag.json": "c6edbeaa27d02acbc4db3426989590ac89ad2a6c4421a45d8bfcf798f0171184",
+    "hotspots.csv": "e24eabb18cdc3ae94948b25606bd6773933741196d3c6295b1fc743aaa7c011b",
+    "ledger.jsonl": "d218762885f544472cc2c3545fd76983f680f4bd379a5e84b84fb7415a7dc917",
+    "pccont.json": "d8ca4eaa8acbf9b8c239b7a8e6883fe501949e12ed1e0a2e2f828783b8a656c5",
+    "report.json": "d3095dea78ccd6b8ab8203b7156e4f0787668fec88b8e3590c826cc9acd00bfa",
+    "report.txt": "2e55d43576c3367b7e48c2451b3f13fe090c3b0a93c03dea6e0073c993c27877",
+    "scores.json": "07a7691f8591ddb9ae95b2d8d7fcf22a4d1e4285c53515aa43853ef02cfa0a7b",
+    "suspicions.json": "90e8d409ddb9d08ff598cb73e2227eb81f58b2f655959dda99530e03b734e892",
+    "traces.csv": "1d4c0e531ae300c8ea605dd03f98afc605bede63856d4dfd87852f868697294b",
+}
 CFG = dict(seed=31, n_phones=20, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True)
 
 
@@ -114,15 +127,18 @@ class TestRun:
             assert edge["src"] in nodes and edge["dst"] in nodes
             assert 0.0 <= edge["weight"] <= 1.0
 
-    def test_completion_adds_pairs_in_a_sparse_world(self):
+    def test_completion_adds_pairs_in_a_sparse_world(self, tmp_path):
         # With under 60 % of the phones infected, the cascade from high-risk
         # contacts scans phones that the infected-phone scan never started from.
+        # small.json never reaches the cascade, so its bytes are pinned here.
         fields = json.loads(SMALL_JSON.read_text())
         fields.update(seed=3, n_phones=24, duration_min=480, alert_minute=400, transmission_probability=0.05)
         config = ScenarioConfig.from_dict(fields)
         _registry, _traces, ground_truth = generate_world(config)
         assert len(ground_truth.infections) < 0.6 * config.n_phones
-        assert run(config).counts["completion_pairs"] > 0
+        assert run(config, out_dir=tmp_path).counts["completion_pairs"] == 31
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == SPARSE_DIGESTS
 
 
 @pytest.fixture
@@ -291,6 +307,36 @@ class TestCli:
         assert result.exit_code == 1, why
         assert result.exception is None or isinstance(result.exception, SystemExit), why
         assert result.output.startswith("ledger unreadable: ") and result.output.count("\n") == 1, (why, result.output)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify-ledger", "{dir}"], ["run", "--config", "{dir}", "--out", "{dir}/o"], ["attack-suite", "--config", "{dir}"]],
+    )
+    def test_a_directory_for_a_file_is_refused(self, tmp_path, args):
+        result = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "is a directory" in result.output
+
+    @pytest.mark.parametrize("out, why", [("{config}", "is a file"), ("{config}/sub", "run aborted")])
+    def test_run_out_on_an_existing_file_is_refused_up_front(self, tmp_path, monkeypatch, out, why):
+        config = self._write_config(tmp_path)
+        monkeypatch.setattr("epitrace.cli.run_scenario", lambda *args: pytest.fail("the run started"))
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", out.format(config=config)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert why in result.output
+
+    def test_export_dag_without_a_dag_is_refused(self, tmp_path):
+        result = CliRunner().invoke(main, ["export-dag", "--run-dir", str(tmp_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("export aborted: ") and result.output.count("\n") == 1
+        assert "dag.dot" in result.output
+
+    def test_export_dag_into_a_missing_directory_is_refused(self, tmp_path):
+        (tmp_path / "dag.dot").write_text("digraph contamination {\n}\n")
+        out = tmp_path / "missing" / "x.dot"
+        result = CliRunner().invoke(main, ["export-dag", "--run-dir", str(tmp_path), "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("export aborted: ") and result.output.count("\n") == 1
 
     def test_attack_suite_command(self, tmp_path):
         path = tmp_path / "scenario.json"

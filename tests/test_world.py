@@ -73,6 +73,11 @@ class TestConfig:
             ("range_macro_m", -1.0),
             ("range_pico_m", -1.0),
             ("range_femto_m", -0.5),
+            ("transmission_distance_m", -1.0),
+            ("t_incub_min", -1),
+            ("t_incub_max", -1),
+            ("pdr_ttl_factor", -1),
+            ("vote_window_min", -1),
             ("n_phones", "50"),  # types are checked, never coerced
             ("n_phones", 50.5),
             ("n_phones", True),
