@@ -9,6 +9,7 @@ the provider registry.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -105,11 +106,14 @@ class PdrSet:
                 raise ValidationError(f"azimuth must be in [0, 2*pi), got {azimuth}")
         if self.minute < 0:
             raise ValidationError(f"minute must be >= 0, got {self.minute}")
-        for prev, phone in zip(self.phones, self.phones[1:]):
-            if not prev < phone:
-                if phone == prev:
-                    raise DuplicateRecordError(f"phone {phone.nr} appears twice in set")
-                raise ValidationError("set phones must be in ascending order")
+        # `PhoneId` order is (nr, imei) order; comparing the key tuples keeps the walk in C.
+        keys = [(phone.nr, phone.imei) for phone in self.phones]
+        if not all(map(operator.lt, keys, keys[1:])):
+            for prev, phone in zip(self.phones, self.phones[1:]):
+                if not prev < phone:
+                    if phone == prev:
+                        raise DuplicateRecordError(f"phone {phone.nr} appears twice in set")
+                    raise ValidationError("set phones must be in ascending order")
 
 
 def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
@@ -124,7 +128,7 @@ def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
         buckets.setdefault((rec.t_pdr, rec.bs.code), []).append(rec)
     out = []
     for (minute, _code), recs in sorted(buckets.items()):
-        recs.sort(key=lambda r: r.phone)
+        recs.sort(key=lambda r: (r.phone.nr, r.phone.imei))  # `PhoneId` order, compared in C
         _, phones, radii, azimuths, _ = zip(*recs)
         out.append(PdrSet(minute=minute, bs=recs[0].bs, phones=phones, radii=radii, azimuths=azimuths))
     return out
@@ -170,13 +174,19 @@ def encode_pdr_set(pdr_set: PdrSet) -> bytes:
     return b"".join(parts)
 
 
-def decode_pdr_set(data: bytes, precision_class: PrecisionClass) -> PdrSet:
+def decode_pdr_set(data: bytes, precision_class: PrecisionClass, phones: dict[bytes, PhoneId]) -> PdrSet:
     """Decode one set; every record must carry the first record's station and minute.
 
     A payload that is cut short, runs on past its records or holds text that
     does not decode raises ValidationError; the set itself is checked by
     `PdrSet`. The precision class is not part of the wire layout (it is
     registry metadata), so the caller supplies it.
+
+    `phones` is the caller's cache of decoded phones, keyed by a record's
+    exact phone bytes (u32 length prefix, nr, IMEI): a phone is parsed and
+    checked once, and every set decoded with the same dict shares one
+    `PhoneId` per phone. Only a phone that `PhoneId` accepted is cached, and a
+    phone field cut short fails its record's tail read before any lookup.
     """
     try:
         (count,) = _U32.unpack_from(data, 0)
@@ -184,25 +194,26 @@ def decode_pdr_set(data: bytes, precision_class: PrecisionClass) -> PdrSet:
             raise ValidationError("cannot decode an empty set without station metadata")
         code = data[4 : 4 + STATION_CODE_LEN]
         minute = None
-        phones, radii, azimuths = [], [], []
+        set_phones, radii, azimuths = [], [], []
         off = 4
         for _ in range(count):
             if data[off : off + STATION_CODE_LEN] != code:
                 raise ValidationError("every record in a set must share the set's station")
             off += STATION_CODE_LEN
             (nr_len,) = _U32.unpack_from(data, off)
-            off += 4
-            nr = data[off : off + nr_len].decode("utf-8")
-            off += nr_len
-            imei = data[off : off + IMEI_LEN].decode("ascii")
-            off += IMEI_LEN
-            radius, azimuth, t_pdr = _TAIL.unpack_from(data, off)
-            off += _TAIL.size
+            end = off + 4 + nr_len + IMEI_LEN
+            key = data[off:end]
+            radius, azimuth, t_pdr = _TAIL.unpack_from(data, end)
+            off = end + _TAIL.size
             if minute is None:
                 minute = t_pdr
             elif t_pdr != minute:
                 raise ValidationError("every record in a set must share the set's minute")
-            phones.append(PhoneId(nr=nr, imei=imei))
+            phone = phones.get(key)
+            if phone is None:
+                nr = key[4 : 4 + nr_len].decode("utf-8")
+                phone = phones[key] = PhoneId(nr=nr, imei=key[4 + nr_len :].decode("ascii"))
+            set_phones.append(phone)
             radii.append(radius)
             azimuths.append(azimuth)
         station = code.decode("ascii")
@@ -213,7 +224,7 @@ def decode_pdr_set(data: bytes, precision_class: PrecisionClass) -> PdrSet:
     return PdrSet(
         minute=minute,
         bs=BsCode(code=station, precision_class=precision_class),
-        phones=tuple(phones),
+        phones=tuple(set_phones),
         radii=tuple(radii),
         azimuths=tuple(azimuths),
     )

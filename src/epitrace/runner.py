@@ -342,6 +342,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
 def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[PdrSet]:
     """Pull every provider's sealed sets over the wire framing and open them in-engine."""
     sets: list[PdrSet] = []
+    phones: dict = {}  # one PhoneId per phone across the whole fetch, so index lookups hit on identity
     for provider_id in sorted(context.edges):
         edge = context.edges[provider_id]
         frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
@@ -350,7 +351,7 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
         aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
         for _minute, _code, class_value, ciphertext in framing.decode_fetch_response(response):
             plaintext = crypto.unseal(key, ciphertext, aeads)
-            sets.append(decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value)))
+            sets.append(decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones))
     return sets
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -144,6 +145,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"fed_key_threshold must be in [1, n_authorities], got {self.fed_key_threshold}")
         if self.n_clouds > 255:
             raise ConfigurationError(f"n_clouds must be <= 255, got {self.n_clouds}")
+        if self.index_cases > self.n_phones:
+            raise ConfigurationError(f"index_cases must be <= n_phones, got {self.index_cases} > {self.n_phones}")
         if self.erasure_k > self.n_clouds:
             raise ConfigurationError(f"erasure_k must be <= n_clouds, got {self.erasure_k} > {self.n_clouds}")
         if not (1 <= self.vault_key_threshold <= self.n_clouds):
@@ -394,7 +397,7 @@ def _build_traces(config: ScenarioConfig, attempt: int) -> list[MobilityTrace]:
 
 def _index_phones(config: ScenarioConfig) -> list[PhoneId]:
     rng = Random(f"{config.seed}/index-cases")
-    chosen = rng.sample(range(config.n_phones), min(config.index_cases, config.n_phones))
+    chosen = rng.sample(range(config.n_phones), config.index_cases)
     return [_phone(i) for i in sorted(chosen)]
 
 
@@ -486,22 +489,41 @@ def observe(
     `trace_positions` gives them; `noise=None` measures without noise.
     A record is issued per (station, phone) pair with the phone inside the
     station's useful range; overlapping stations therefore yield several
-    records for the same phone.
+    records for the same phone. The range test runs once per minute for all
+    stations at once; each station then takes its slice of the phones in
+    range, in ascending phone order.
     Noise draws are keyed by (seed, minute, station), so sweeps are
     independent, adding a station never perturbs another station's readings,
     and the whole measurement process stays a pure function of the scenario.
+    A station's stream is seeded only when a phone is in its range, and each
+    record draws one Box-Muller pair from it, written out as the two
+    `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine term
+    offsets x, the sine term y.
     """
+    stations = registry.sorted_stations()
+    if not stations:
+        return []
+    cx, cy = np.array([info.centroid for _, info in stations]).T
+    ranges = np.array([info.useful_range for _, info in stations])
+    rel_x = positions[:, 0] - cx[:, None]  # (stations, phones)
+    rel_y = positions[:, 1] - cy[:, None]
+    inside = np.hypot(rel_x, rel_y) <= ranges[:, None]
+    # Station-major, and ascending phone within a station.
+    readings = zip(np.nonzero(inside)[1].tolist(), rel_x[inside].tolist(), rel_y[inside].tolist())
+    phones = [trace.phone for trace in traces]
     records: list[ProximityDetailRecord] = []
-    for bs, info in registry.sorted_stations():
-        rel = positions - np.array(info.centroid)
-        in_range = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= info.useful_range)[0]
+    for (bs, info), count in zip(stations, np.count_nonzero(inside, axis=1).tolist()):
+        if not count:
+            continue
         sigma = 0.0 if noise is None else noise.sigma_by_class[info.precision_class]
-        rng = Random(f"{noise.seed}/observe/{minute}/{bs.code}") if sigma > 0.0 else None
-        for j, (dx, dy) in zip(in_range.tolist(), rel[in_range].tolist()):
-            if rng is not None:
-                dx += rng.gauss(0.0, sigma)
-                dy += rng.gauss(0.0, sigma)
-            records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
+        uniform = Random(f"{noise.seed}/observe/{minute}/{bs.code}").random if sigma > 0.0 else None
+        for j, dx, dy in itertools.islice(readings, count):
+            if uniform is not None:
+                x2pi = uniform() * TWO_PI
+                g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+                dx += 0.0 + math.cos(x2pi) * g2rad * sigma
+                dy += 0.0 + math.sin(x2pi) * g2rad * sigma
+            records.append(ProximityDetailRecord(bs, phones[j], math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
     return records
 
 

@@ -65,7 +65,7 @@ class TestPush:
         private = federation.engine_key("provider:P1")
         plaintext = crypto.unseal(private, entry.ciphertext, {})
         assert plaintext == encode_pdr_set(s)
-        assert decode_pdr_set(plaintext, PrecisionClass.FEMTO) == s
+        assert decode_pdr_set(plaintext, PrecisionClass.FEMTO, {}) == s
 
     def test_metadata_matches_enclosed_set(self, cloud):
         federation, edge = cloud
@@ -147,7 +147,7 @@ class TestSealEpochs:
         opened = []
         for _minute, _code, _class, ciphertext in framing.decode_fetch_response(edge.handle_fetch_frame(frame)):
             try:
-                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads), PrecisionClass.FEMTO))
+                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads), PrecisionClass.FEMTO, {}))
             except DecryptionError:
                 opened.append(None)
         assert opened == [None, sets[1], None, sets[3], sets[4]]
@@ -282,7 +282,7 @@ class TestVpnFetch:
         assert code == station(1).code
         assert PrecisionClass.from_rank(class_value) is PrecisionClass.FEMTO
         private = federation.engine_key("provider:P1")
-        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}), PrecisionClass.FEMTO) == make_set(3)
+        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}), PrecisionClass.FEMTO, {}) == make_set(3)
 
     def test_write_class_cert_cannot_fetch(self, cloud):
         federation, edge = cloud

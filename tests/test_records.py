@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from epitrace.errors import DuplicateRecordError, ValidationError
 from epitrace.records import (
+    IMEI_LEN,
+    STATION_CODE_LEN,
     BsCode,
     PdrSet,
     PhoneId,
@@ -72,7 +74,7 @@ class TestMakePdr:
                 group_into_sets([pdr(station(1), phone(1), 1.0, 0.5, 5), pdr(station(1), phone(2), radius, azimuth, 5)])
             for who in (phone(2), phone(1)):
                 with pytest.raises(ValidationError) as err:
-                    decode_pdr_set(two_records(wire(CODE, who, radius, azimuth, 5)), PrecisionClass.FEMTO)
+                    decode_pdr_set(two_records(wire(CODE, who, radius, azimuth, 5)), PrecisionClass.FEMTO, {})
                 assert not isinstance(err.value, DuplicateRecordError)
         with pytest.raises(ValidationError):
             PdrSet(minute=-1, bs=station(1), phones=(phone(1),), radii=(1.0,), azimuths=(0.0,))
@@ -177,7 +179,7 @@ class TestSerialization:
     def test_set_round_trip(self):
         bs = station(4, PrecisionClass.MACRO)
         (original,) = group_into_sets(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in (3, 0, 2, 1))
-        decoded = decode_pdr_set(encode_pdr_set(original), PrecisionClass.MACRO)
+        decoded = decode_pdr_set(encode_pdr_set(original), PrecisionClass.MACRO, {})
         assert decoded == original
 
     def test_serialized_bytes_reveal_no_coordinates(self):
@@ -193,17 +195,17 @@ class TestSerialization:
     def test_set_rejects_foreign_records(self):
         for foreign in (wire(f"{2:016x}", phone(2), 1.0, 0.5, 5), wire(CODE, phone(2), 1.0, 0.5, 6)):
             with pytest.raises(ValidationError):
-                decode_pdr_set(two_records(foreign), PrecisionClass.FEMTO)
+                decode_pdr_set(two_records(foreign), PrecisionClass.FEMTO, {})
 
     def test_set_rejects_duplicate_phone(self):
         with pytest.raises(DuplicateRecordError):
-            decode_pdr_set(two_records(wire(CODE, phone(1), 2.0, 0.1, 5)), PrecisionClass.FEMTO)
+            decode_pdr_set(two_records(wire(CODE, phone(1), 2.0, 0.1, 5)), PrecisionClass.FEMTO, {})
         with pytest.raises(DuplicateRecordError):
             PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(1)), radii=(1.0, 2.0), azimuths=(0.0, 0.1))
 
     def test_set_rejects_phones_out_of_order(self):
         with pytest.raises(ValidationError):
-            decode_pdr_set(two_records(wire(CODE, phone(0), 1.0, 0.5, 5)), PrecisionClass.FEMTO)
+            decode_pdr_set(two_records(wire(CODE, phone(0), 1.0, 0.5, 5)), PrecisionClass.FEMTO, {})
         with pytest.raises(ValidationError):
             PdrSet(minute=5, bs=station(1), phones=(phone(2), phone(1)), radii=(1.0, 2.0), azimuths=(0.0, 0.1))
 
@@ -225,4 +227,30 @@ class TestSerialization:
         )
         for payload in malformed:
             with pytest.raises(ValidationError):
-                decode_pdr_set(payload, PrecisionClass.FEMTO)
+                decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+
+
+class TestDecodePhoneCache:
+    def test_sets_decoded_with_one_dict_share_phones(self):
+        phones = {}
+        a = decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones)
+        b = decode_pdr_set(encode_pdr_set(PdrSet(7, station(2), (phone(2), phone(3)), (1.0, 2.0), (0.0, 0.1))), PrecisionClass.FEMTO, phones)
+        assert a.phones == (phone(1), phone(2)) and b.phones == (phone(2), phone(3))
+        assert b.phones[0] is a.phones[1]
+        assert set(phones.values()) == {phone(1), phone(2), phone(3)}
+
+    def test_cut_short_inside_a_cached_phone_still_raises(self):
+        phones = {}
+        decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones)
+        second = wire(CODE, phone(2), 3.0, 0.5, 5)
+        for cut in range(STATION_CODE_LEN + 1, STATION_CODE_LEN + 4 + len(phone(2).nr) + IMEI_LEN):
+            with pytest.raises(ValidationError):
+                decode_pdr_set(two_records(second[:cut]), PrecisionClass.FEMTO, phones)
+        assert len(phones) == 2
+
+    def test_bad_nr_text_still_raises_and_is_not_cached(self):
+        phones = {}
+        for nr in (b"6000000x1", b"", b"6000 0001", b"-60000001"):
+            with pytest.raises(ValidationError):
+                decode_pdr_set(struct.pack(">I", 1) + raw(CODE.encode("ascii"), nr, phone(1).imei.encode("ascii")), PrecisionClass.FEMTO, phones)
+        assert phones == {}

@@ -27,6 +27,21 @@ SPARSE_DIGESTS = {
     "suspicions.json": "90e8d409ddb9d08ff598cb73e2227eb81f58b2f655959dda99530e03b734e892",
     "traces.csv": "1d4c0e531ae300c8ea605dd03f98afc605bede63856d4dfd87852f868697294b",
 }
+# sha256 of every file `run` writes for `retention_config()` with a Byzantine
+# vault cloud: noisy observation, pruning and parity reads, whose bytes
+# small.json and the sparse world do not cover.
+RETENTION_DIGESTS = {
+    "dag.dot": "341828a2296dcc54d93d293b38b4e880101c8c59b1ab789353b5ad07a2425f2e",
+    "dag.json": "6a5c3d3d868dca337ae875088ebe05fad8f943221e5966bec08ab51f3107c108",
+    "hotspots.csv": "4b776b32968c70dd7cb038d1423b2a81bb627581e7619fc64ab5b16757f2ab3c",
+    "ledger.jsonl": "b13e34ca6d441225d8c32bbc2d00059638bfcd0a35b53c4b43a187a10f8a3672",
+    "pccont.json": "65f8842fc0e79d1df2c30c4cc0a7e86732ccbc22fa2f08b0a4e4686a3e5ebbde",
+    "report.json": "d68078c7e6405cc87f75ea787fa240ab9c5b8576290c812c1ca6736e65fa4a81",
+    "report.txt": "08bdc3e8c6095b8c4b19abc227914bed9cefb5d63e5dcbedbbe145af21ca2701",
+    "scores.json": "bb5368fb444f311a2e0b252c2a83466748a3fa39191c24bb38f01153229b8466",
+    "suspicions.json": "d14123ae455432eee6fefbfa72d6ec10ece221f70d18a97acf8b21ce7c94e7c1",
+    "traces.csv": "1fb419f827f8cedb81984388ce541d0d2fb6abebac21eacff1d9041a9321b3e1",
+}
 CFG = dict(seed=31, n_phones=20, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True)
 
 
@@ -139,6 +154,12 @@ class TestRun:
         assert run(config, out_dir=tmp_path).counts["completion_pairs"] == 31
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == SPARSE_DIGESTS
+
+    def test_retention_run_bytes_are_pinned(self, tmp_path):
+        report = run(retention_config(), tmp_path, "vault:1=byzantine")
+        assert report.counts["pdrs_emitted"] == 24018 and report.counts["sets_pruned"] == 1525
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == RETENTION_DIGESTS
 
 
 @pytest.fixture

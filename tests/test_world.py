@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from random import Random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from epitrace.errors import ConfigurationError
 from epitrace.records import PrecisionClass
 from epitrace.world import (
+    TWO_PI,
     NoiseModel,
     ProviderRegistry,
     ScenarioConfig,
@@ -17,7 +19,7 @@ from epitrace.world import (
     trace_positions,
     traces_csv,
 )
-from util import station
+from util import reference_observe, station
 
 
 def positions_at(traces, minute):
@@ -78,6 +80,7 @@ class TestConfig:
             ("t_incub_max", -1),
             ("pdr_ttl_factor", -1),
             ("vote_window_min", -1),
+            ("index_cases", 51),  # > n_phones
             ("n_phones", "50"),  # types are checked, never coerced
             ("n_phones", 50.5),
             ("n_phones", True),
@@ -243,6 +246,51 @@ class TestObserve:
         assert a == b  # same minute -> same draws
         clean = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
         assert a != clean
+
+    @staticmethod
+    def _bits(records):
+        return [(r.bs, r.phone, r.radius.hex(), r.azimuth.hex(), r.t_pdr) for r in records]
+
+    def test_sweep_matches_per_station_reference_every_minute(self):
+        cfg = small_config(noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        noise = NoiseModel.from_config(cfg)
+        positions = trace_positions(traces, cfg.duration_min)
+        total = 0
+        for minute in range(cfg.duration_min):
+            records = observe(registry, traces, minute, positions[minute], noise)
+            assert self._bits(records) == self._bits(reference_observe(registry, traces, minute, positions[minute], noise))
+            total += len(records)
+        assert total > cfg.duration_min
+
+    def test_no_stations_observe_nothing(self):
+        cfg = small_config(noise_enabled=True)
+        _, traces, _ = generate_world(cfg)
+        empty = ProviderRegistry(stations={}, providers={})
+        noise = NoiseModel.from_config(cfg)
+        assert observe(empty, traces, 10, positions_at(traces, 10), noise) == []
+        assert reference_observe(empty, traces, 10, positions_at(traces, 10), noise) == []
+
+    def test_station_that_sees_no_phone_matches_reference(self):
+        cfg = small_config(noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        noise = NoiseModel.from_config(cfg)
+        blind = station(9, PrecisionClass.PICO)
+        registry.stations[blind] = StationInfo(centroid=(-1e6, -1e6), useful_range=40.0, precision_class=PrecisionClass.PICO)
+        records = observe(registry, traces, 10, positions_at(traces, 10), noise)
+        assert records and blind not in {r.bs for r in records}
+        assert self._bits(records) == self._bits(reference_observe(registry, traces, 10, positions_at(traces, 10), noise))
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 150.0, 1e-300, 0.1])
+    def test_written_out_pair_equals_two_gauss_calls(self, sigma):
+        for seed in ("42/observe/0/00000000000000ab", "7/observe/1439/0123456789abcdef", "", "x" * 64):
+            gauss, uniform = Random(seed), Random(seed).random
+            for _ in range(200):
+                x2pi = uniform() * TWO_PI
+                g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+                dx = 0.0 + math.cos(x2pi) * g2rad * sigma
+                dy = 0.0 + math.sin(x2pi) * g2rad * sigma
+                assert (dx.hex(), dy.hex()) == (gauss.gauss(0.0, sigma).hex(), gauss.gauss(0.0, sigma).hex())
 
     def test_positions_shortcut_matches_interpolation(self):
         # `position_at` is the reference for the positions every sweep is fed.

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from random import Random
+
+import numpy as np
 
 from epitrace.federation import Federation, FederationParams, OperationClass, SystemState
 from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
 from epitrace.runner import vet
-from epitrace.world import MobilityTrace, NoiseModel, ProviderRegistry, ScenarioConfig, observe, trace_positions
+from epitrace.world import TWO_PI, MobilityTrace, NoiseModel, ProviderRegistry, ScenarioConfig, observe, trace_positions
 
 
 SMALL_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
@@ -76,3 +79,25 @@ def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list
     for minute in range(cfg.duration_min):
         sets.extend(group_into_sets(observe(registry, traces, minute, positions[minute], noise)))
     return sets
+
+
+def reference_observe(
+    registry: ProviderRegistry,
+    traces: list[MobilityTrace],
+    minute: int,
+    positions: np.ndarray,
+    noise: NoiseModel | None = None,
+) -> list[ProximityDetailRecord]:
+    """`world.observe` one station at a time, drawing noise with `Random.gauss`: the reference for the bulk sweep."""
+    records: list[ProximityDetailRecord] = []
+    for bs, info in registry.sorted_stations():
+        rel = positions - np.array(info.centroid)
+        in_range = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= info.useful_range)[0]
+        sigma = 0.0 if noise is None else noise.sigma_by_class[info.precision_class]
+        rng = Random(f"{noise.seed}/observe/{minute}/{bs.code}") if sigma > 0.0 else None
+        for j, (dx, dy) in zip(in_range.tolist(), rel[in_range].tolist()):
+            if rng is not None:
+                dx += rng.gauss(0.0, sigma)
+                dy += rng.gauss(0.0, sigma)
+            records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
+    return records
