@@ -4,7 +4,8 @@ potential-contamination DAG, and hotspot mapping over decrypted record streams.
 A suspicion exists when two phones stayed within the proximity threshold for at
 least the duration threshold (short gaps tolerated); scores grade suspicions
 on proximity, accumulated duration, measurement precision, crowd density and
-venue severity. Confirmed-infected pairs become contamination records, whose
+venue severity, with fixed weights and one severity for every venue (module
+constants). Confirmed-infected pairs become contamination records, whose
 time-like separation (bounded by the incubation window) orders them into a
 directed acyclic graph of plausible transmission.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from statistics import median_low
 from typing import Iterable, Sequence
@@ -76,9 +77,6 @@ class ContactWindow:
     @property
     def duration(self) -> int:
         return len(self.minutes)
-
-    def region(self) -> SpaceTimeRegion:
-        return SpaceTimeRegion(start=self.start, end=self.end, stations=self.stations)
 
 
 @dataclass(frozen=True)
@@ -171,44 +169,37 @@ class InfectionDag:
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    prox_max: float = 2.0
-    dur_min: int = 15
-    gap_tolerance: int = 2
-    search_margin: int = 0  # extra minutes scanned before t_inf_min
+    prox_max: float
+    dur_min: int
+    gap_tolerance: int
+    search_margin: int  # extra minutes scanned before t_inf_min
 
 
 _PRECISION_FACTOR = {PrecisionClass.MACRO: 0.2, PrecisionClass.PICO: 0.6, PrecisionClass.FEMTO: 1.0}
 
+# Weights and heuristics of the grading function; `raw` is their weighted sum.
+W_PROX = 0.35
+W_DUR = 0.35
+W_PRECISION = 0.10
+W_DENSITY = 0.10
+W_SEVERITY = 0.10
+DUR_SATURATION_FACTOR = 4.0  # dur_tot saturates at this multiple of dur_min
+PRECISION_DUR = 0.5
+DENSITY_SATURATION = 10.0  # phones per minute treated as fully crowded
+SEVERITY = 0.5  # venue severity; every venue is graded alike
+CLASS_BOUNDARIES = (0.25, 0.5, 0.75)
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    """Weights and heuristics of the grading function; all tunable per epidemic."""
 
-    w_prox: float = 0.35
-    w_dur: float = 0.35
-    w_precision: float = 0.10
-    w_density: float = 0.10
-    w_severity: float = 0.10
-    dur_saturation_factor: float = 4.0  # dur_tot saturates at this multiple of dur_min
-    precision_dur_default: float = 0.5
-    density_saturation: float = 10.0  # phones per minute treated as fully crowded
-    severity_default: float = 0.5
-    severity_by_station: dict[str, float] = field(default_factory=dict)
-    class_boundaries: tuple[float, float, float] = (0.25, 0.5, 0.75)
-
-    def classify(self, raw: float) -> int:
-        b1, b2, b3 = self.class_boundaries
-        if raw < b1:
-            return 1
-        if raw < b2:
-            return 2
-        if raw < b3:
-            return 3
-        return 4
-
-    def severity(self, stations: frozenset[str]) -> float:
-        known = [self.severity_by_station[s] for s in stations if s in self.severity_by_station]
-        return max(known) if known else self.severity_default
+def classify(raw: float) -> int:
+    """Risk class 1 (low) .. 4 (very high) of a raw score in [0, 1]."""
+    b1, b2, b3 = CLASS_BOUNDARIES
+    if raw < b1:
+        return 1
+    if raw < b2:
+        return 2
+    if raw < b3:
+        return 3
+    return 4
 
 
 # -- record stream index ------------------------------------------------------------
@@ -349,7 +340,6 @@ def score_suspicions(
     capability: Capability,
     suspicions: Iterable[ContactSuspicion],
     params: AnalysisParams,
-    scoring: ScoringConfig,
 ) -> list[ContactScore]:
     """Grade flagged suspicions into risk classes 1..4, keeping every term."""
     capability.require_read()
@@ -368,13 +358,12 @@ def score_suspicions(
         precision_prox = sum(class_factors) / len(class_factors)
         density = sum(sizes) / len(sizes)
         region = suspicion.region()
-        severity = scoring.severity(region.stations)
         raw = (
-            scoring.w_prox * (1.0 - prox_avg / params.prox_max)
-            + scoring.w_dur * min(1.0, dur_tot / (scoring.dur_saturation_factor * params.dur_min))
-            + scoring.w_precision * (precision_prox * scoring.precision_dur_default)
-            + scoring.w_density * min(1.0, density / scoring.density_saturation)
-            + scoring.w_severity * severity
+            W_PROX * (1.0 - prox_avg / params.prox_max)
+            + W_DUR * min(1.0, dur_tot / (DUR_SATURATION_FACTOR * params.dur_min))
+            + W_PRECISION * (precision_prox * PRECISION_DUR)
+            + W_DENSITY * min(1.0, density / DENSITY_SATURATION)
+            + W_SEVERITY * SEVERITY
         )
         raw = min(1.0, max(0.0, raw))
         scores.append(
@@ -382,13 +371,13 @@ def score_suspicions(
                 pair=suspicion.pair,
                 region=region,
                 raw=raw,
-                risk_class=scoring.classify(raw),
+                risk_class=classify(raw),
                 prox_avg=prox_avg,
                 dur_tot=dur_tot,
                 precision_prox=precision_prox,
-                precision_dur=scoring.precision_dur_default,
+                precision_dur=PRECISION_DUR,
                 density=density,
-                severity=severity,
+                severity=SEVERITY,
             )
         )
     return scores
@@ -411,7 +400,6 @@ def complete_findings(
     index: PdrIndex,
     seeds: Sequence[PhoneOfInterest],
     params: AnalysisParams,
-    scoring: ScoringConfig,
     class_threshold: int,
 ) -> tuple[dict[PairKey, ContactSuspicion], list[ContactScore], int]:
     """Run the one analysis worklist: the seed phones, then the cascade.
@@ -434,7 +422,7 @@ def complete_findings(
     def scan(poi: PhoneOfInterest) -> None:
         found = [s for s in find_suspicions(capability, index, poi, params) if s.pair not in by_pair]
         by_pair.update((s.pair, s) for s in found)
-        for score in score_suspicions(capability, [s for s in found if s.pc_susp], params, scoring):
+        for score in score_suspicions(capability, [s for s in found if s.pc_susp], params):
             scores.append(score)
             if score.risk_class < class_threshold:
                 continue

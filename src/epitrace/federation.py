@@ -9,7 +9,6 @@ mode, and audit-logs every decision in a hash-chained ledger.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -42,39 +41,42 @@ class SystemState(Enum):
 
 READ_MODES = {OperationClass.BLIND_ANALYSIS, OperationClass.BLIND_PROCESSING, OperationClass.FULL_PROCESSING}
 WRITE_MODES = {OperationClass.STRICT_PUSH, OperationClass.BLIND_PROCESSING, OperationClass.FULL_PROCESSING}
+CRITICAL_CLASSES = {OperationClass.LOCK_UNLOCK, OperationClass.FULL_PROCESSING}  # need q_critical votes
 
 
 @dataclass(frozen=True)
 class FederationParams:
-    """Sizing of the trust federation; q may vary per operation class."""
+    """Sizing of the trust federation, in two quorum tiers.
 
-    n_authorities: int = 7
-    f: int = 2
-    q_by_class: dict[OperationClass, int] = field(
-        default_factory=lambda: {
-            OperationClass.LOCK_UNLOCK: 5,
-            OperationClass.STRICT_PUSH: 3,
-            OperationClass.BLIND_ANALYSIS: 3,
-            OperationClass.BLIND_PROCESSING: 3,
-            OperationClass.FULL_PROCESSING: 5,
-        }
-    )
-    key_threshold: int = 5  # x+1 shares to rebuild an escrowed key
-    vote_window: int = 60  # minutes a request may stay pending before denial
+    Changing the system state and releasing decryption keys
+    (`CRITICAL_CLASSES`) need `q_critical` approvals; every other operation
+    class needs `q_read`.
+    """
+
+    n_authorities: int
+    f: int
+    q_read: int
+    q_critical: int
+    key_threshold: int  # x+1 shares to rebuild an escrowed key
+    vote_window: int  # minutes a request may stay pending before denial
 
     def __post_init__(self) -> None:
         if not (1 <= self.n_authorities <= 255):
             raise ParameterError("authority count must fit one wire byte")
+        if self.f < 0:
+            raise ParameterError(f"f must be >= 0, got {self.f}")
         if self.n_authorities < 2 * self.f + 1:
             raise ParameterError(f"need n >= 2f+1, got n={self.n_authorities} f={self.f}")
-        for cls, q in self.q_by_class.items():
+        for name, q in (("q_read", self.q_read), ("q_critical", self.q_critical)):
             if not (self.f + 1 <= q <= self.n_authorities):
-                raise ParameterError(f"quorum for {cls.name} must be in [f+1, n], got {q}")
+                raise ParameterError(f"{name} must be in [f+1, n], got {q}")
         if not (1 <= self.key_threshold <= self.n_authorities):
             raise ParameterError("key threshold must be in [1, n]")
+        if self.vote_window < 0:
+            raise ParameterError(f"vote window must be >= 0, got {self.vote_window}")
 
     def quorum(self, cls: OperationClass) -> int:
-        return self.q_by_class[cls]
+        return self.q_critical if cls in CRITICAL_CLASSES else self.q_read
 
 
 @dataclass
@@ -101,7 +103,7 @@ class WorkflowRequest:
     signature: bytes
 
     def signing_bytes(self) -> bytes:
-        payload_json = json.dumps(self.payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        payload_json = framing.canonical_json(self.payload)
         return self.request_id + framing.u8(self.operation_class.value) + framing.u8(self.requester) + framing.lp_bytes(payload_json)
 
     def request_hash(self) -> bytes:
@@ -205,7 +207,7 @@ class Capability:
         self.cert = cert
 
     def _require_alert(self) -> None:
-        if self._federation.state.state is not SystemState.ALERT:
+        if self._federation.state is not SystemState.ALERT:
             raise StateError("system is PASSIVE; analysis capabilities are suspended")
 
     def require_read(self) -> None:
@@ -224,12 +226,6 @@ class Capability:
             raise AuthorizationError(f"{self.mode.name} does not release decryption keys")
 
 
-@dataclass
-class StateRecord:
-    state: SystemState = SystemState.PASSIVE
-    alert_started: int | None = None
-
-
 class Federation:
     """The entrusted-authority collective plus everything it governs."""
 
@@ -239,7 +235,7 @@ class Federation:
         self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, params.n_authorities + 1)]
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
         self.ledger = AuditLedger()
-        self.state = StateRecord()
+        self.state = SystemState.PASSIVE
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
         self._pending: dict[bytes, _Pending] = {}
@@ -299,7 +295,7 @@ class Federation:
 
     def engine_key(self, key_id: str) -> bytes:
         """Key material held by the sealed analysis engine; ALERT only."""
-        if self.state.state is not SystemState.ALERT:
+        if self.state is not SystemState.ALERT:
             raise StateError("engine keys exist only while the system is ALERT")
         try:
             return self._engine_keys[key_id]
@@ -316,14 +312,6 @@ class Federation:
         if request.request_id in self._pending:
             raise ValidationError("request id already submitted")
         self._pending[request.request_id] = _Pending(request=request, submitted_at=self.now)
-
-    def approve(self, authority: Authority, request_id: bytes) -> QuorumCertificate | None:
-        pending = self._pending.get(request_id)
-        if pending is None:
-            raise ValidationError("unknown request id")
-        if authority.id in pending.votes:
-            raise AuthorizationError(f"authority {authority.id} already voted on this request")
-        return self.apply_vote(authority.approve(pending.request))
 
     def apply_vote(self, vote: Vote) -> QuorumCertificate | None:
         """Fold one vote message into the pending request; idempotent on replays.
@@ -373,16 +361,15 @@ class Federation:
 
     # -- state machine ------------------------------------------------------------
 
-    def change_state(self, cert: QuorumCertificate, target: SystemState) -> StateRecord:
+    def change_state(self, cert: QuorumCertificate, target: SystemState) -> SystemState:
         self.check_certificate(cert, OperationClass.LOCK_UNLOCK)
-        if target is self.state.state:
+        if target is self.state:
             raise StateError(f"system already {target.name}")
+        self.state = target
         if target is SystemState.ALERT:
-            self.state = StateRecord(state=SystemState.ALERT, alert_started=self.now)
             # Starting analysis rebuilds provider keys inside the engine.
             self._engine_keys = {key_id: self._reconstruct_key(key_id) for key_id in self.key_registry}
         else:
-            self.state = StateRecord(state=SystemState.PASSIVE, alert_started=None)
             self._engine_keys = {}
             if self._vault is not None:
                 self._vault.delete_all(reason="state_change_to_passive")
@@ -391,7 +378,7 @@ class Federation:
         return self.state
 
     def _apply_locks(self) -> None:
-        locked = self.state.state is SystemState.PASSIVE
+        locked = self.state is SystemState.PASSIVE
         for edge in self._edges:
             edge.locked_for_vpn = locked
         if self._vault is not None:

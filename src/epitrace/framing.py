@@ -3,14 +3,22 @@
 Primitives: unsigned big-endian integers (u8/u32/u64) and u32-length-prefixed
 byte strings. Every wire message in the repo (analysis-network fetch,
 certificates, vault fragments) is a fixed concatenation of these, so any two
-encoders produce identical bytes.
+encoders produce identical bytes. JSON that is hashed, signed or written as an
+artifact goes through `canonical_json`, for the same reason.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+from typing import Any
 
 from .errors import FramingError
+
+
+def canonical_json(obj: Any) -> bytes:
+    """The one JSON layout that every digest, signature and artifact is taken over: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 class Reader:

@@ -14,19 +14,16 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .errors import ValidationError
+from .framing import canonical_json
 
 GENESIS_HASH = b"\x00" * 32
-
-
-def canonical_content(content: dict[str, Any]) -> bytes:
-    return json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def entry_hash(sequence: int, previous_hash: bytes, content: dict[str, Any]) -> bytes:
     h = hashlib.sha256()
     h.update(struct.pack(">Q", sequence))
     h.update(previous_hash)
-    h.update(canonical_content(content))
+    h.update(canonical_json(content))
     return h.digest()
 
 
@@ -58,20 +55,12 @@ class AuditLedger:
         return verify_ledger(self.entries)
 
     def export_jsonl(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "sequence": e.sequence,
-                        "previous_hash": e.previous_hash.hex(),
-                        "hash": e.hash.hex(),
-                        "content": e.content,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+        lines = [
+            canonical_json(
+                {"sequence": e.sequence, "previous_hash": e.previous_hash.hex(), "hash": e.hash.hex(), "content": e.content}
+            ).decode("utf-8")
+            for e in self.entries
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
 

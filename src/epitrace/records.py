@@ -48,10 +48,11 @@ class PhoneId:
     imei: str
 
     def __post_init__(self) -> None:
-        if not self.nr or not self.nr.isdigit():
-            raise ValidationError(f"phone nr must be non-empty digits, got {self.nr!r}")
-        if len(self.imei) != IMEI_LEN or not self.imei.isdigit():
-            raise ValidationError(f"imei must be exactly {IMEI_LEN} digits, got {self.imei!r}")
+        # str.isdigit also accepts superscripts and other scripts' digits, so ASCII is checked first.
+        if not (self.nr.isascii() and self.nr.isdigit()):
+            raise ValidationError(f"phone nr must be non-empty ASCII digits, got {self.nr!r}")
+        if len(self.imei) != IMEI_LEN or not (self.imei.isascii() and self.imei.isdigit()):
+            raise ValidationError(f"imei must be exactly {IMEI_LEN} ASCII digits, got {self.imei!r}")
 
 
 @dataclass(frozen=True, slots=True)

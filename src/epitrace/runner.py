@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,7 +84,7 @@ class RunReport:
             "timing": self.timing,
             "ok": self.ok,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+        return framing.canonical_json(payload) + b"\n"
 
     def digest(self) -> str:
         return crypto.digest(self.to_json_bytes()).hex()
@@ -118,23 +117,6 @@ class SimContext:
     vault: VaultCoordinator
 
 
-def federation_params(config: ScenarioConfig) -> FederationParams:
-    q_by_class = {
-        OperationClass.LOCK_UNLOCK: config.q_critical,
-        OperationClass.STRICT_PUSH: config.q_read,
-        OperationClass.BLIND_ANALYSIS: config.q_read,
-        OperationClass.BLIND_PROCESSING: config.q_read,
-        OperationClass.FULL_PROCESSING: config.q_critical,
-    }
-    return FederationParams(
-        n_authorities=config.n_authorities,
-        f=config.f,
-        q_by_class=q_by_class,
-        key_threshold=config.fed_key_threshold,
-        vote_window=config.vote_window_min,
-    )
-
-
 def vet(federation: Federation, operation_class: OperationClass, payload: dict, rng: Random) -> QuorumCertificate:
     """Run the honest-path quorum ceremony and return the certificate."""
     requester = federation.authorities[0]
@@ -143,14 +125,14 @@ def vet(federation: Federation, operation_class: OperationClass, payload: dict, 
     q = federation.params.quorum(operation_class)
     cert = None
     for authority in federation.authorities[:q]:
-        cert = federation.approve(authority, request.request_id)
+        cert = federation.apply_vote(authority.approve(request))
     if cert is None:
         raise AuthorizationError("quorum ceremony did not produce a certificate")
     return cert
 
 
 def parse_faults(spec: str | None) -> dict[int, FaultMode]:
-    """Parse a fault spec like 'vault:2=byzantine,vault:3=crashed'."""
+    """Parse a fault spec like 'vault:2=byzantine,vault:3=crashed'; each cloud may be named once."""
     faults: dict[int, FaultMode] = {}
     if not spec:
         return faults
@@ -163,7 +145,10 @@ def parse_faults(spec: str | None) -> dict[int, FaultMode]:
             kind, idx = target.split(":")
             if kind != "vault":
                 raise ValueError(f"unknown fault target {kind}")
-            faults[int(idx)] = FaultMode(mode.upper())
+            cloud_id = int(idx)
+            if cloud_id in faults:
+                raise ValueError(f"vault cloud {cloud_id} is named twice")
+            faults[cloud_id] = FaultMode(mode.upper())
         except ValueError as exc:
             raise ConfigurationError(f"bad fault spec {part!r}: {exc}") from exc
     return faults
@@ -171,7 +156,15 @@ def parse_faults(spec: str | None) -> dict[int, FaultMode]:
 
 def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = None) -> SimContext:
     registry, traces, ground_truth = generate_world(config)
-    federation = Federation(federation_params(config), rng=Random(f"{config.seed}/federation"))
+    params = FederationParams(
+        n_authorities=config.n_authorities,
+        f=config.f,
+        q_read=config.q_read,
+        q_critical=config.q_critical,
+        key_threshold=config.fed_key_threshold,
+        vote_window=config.vote_window_min,
+    )
+    federation = Federation(params, rng=Random(f"{config.seed}/federation"))
     edges = {}
     for provider_id in sorted(registry.providers):
         key_id = f"provider:{provider_id}"
@@ -234,10 +227,9 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     return counts
 
 
-def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str | dict[int, FaultMode] | None = None) -> RunReport:
-    """Execute the full pipeline for one scenario and write its artifacts."""
-    fault_map = parse_faults(faults) if isinstance(faults, str) or faults is None else faults
-    context = build_context(config, fault_map)
+def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str | None = None) -> RunReport:
+    """Execute the full pipeline for one scenario and write its artifacts; `faults` is a `parse_faults` spec."""
+    context = build_context(config, parse_faults(faults))
     config = context.config
     federation = context.federation
     rng_cer = Random(f"{config.seed}/ceremonies")
@@ -269,13 +261,10 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
         gap_tolerance=config.gap_tolerance_min,
         search_margin=config.search_margin_min,
     )
-    scoring = cep.ScoringConfig()
 
     estimates = infection_estimates(config, context.ground_truth)
     seeds = [cep.PhoneOfInterest(phone=p, t_inf_min=t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
-    by_pair, scores, completion_pairs = cep.complete_findings(
-        cap_read, index, seeds, params, scoring, config.completion_class_threshold
-    )
+    by_pair, scores, completion_pairs = cep.complete_findings(cap_read, index, seeds, params, config.completion_class_threshold)
     counts["completion_pairs"] = completion_pairs
     counts["suspicion_pairs"] = len(by_pair)
     flagged = {pair for pair, s in by_pair.items() if s.pc_susp}
@@ -432,7 +421,7 @@ def _artifact_payloads(
     }
 
     def dumps(obj) -> bytes:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+        return framing.canonical_json(obj) + b"\n"
 
     return {
         "suspicions.json": dumps(sorted((suspicion_obj(s) for s in by_pair.values()), key=lambda o: o["pair"])),

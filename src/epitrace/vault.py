@@ -111,7 +111,7 @@ def _verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: 
 class VaultCoordinator:
     """Scatter/gather front to the cloud set; all access capability-gated."""
 
-    def __init__(self, federation: "Federation", n_clouds: int = 4, k: int = 2, key_threshold: int = 3, rng: Random | None = None):
+    def __init__(self, federation: "Federation", n_clouds: int, k: int, key_threshold: int, rng: Random):
         if not (1 <= k <= n_clouds):
             raise ParameterError(f"need 1 <= k <= n_clouds, got k={k} n={n_clouds}")
         if not (1 <= key_threshold <= n_clouds):
@@ -122,7 +122,7 @@ class VaultCoordinator:
         self.locked = True
         self.inventory: dict[bytes, VaultObject] = {}
         self._federation = federation
-        self._rng = rng if rng is not None else Random()
+        self._rng = rng
 
     # -- operations -------------------------------------------------------------
 

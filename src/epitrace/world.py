@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
+from .framing import canonical_json
 from .records import BsCode, PhoneId, PrecisionClass, ProximityDetailRecord
 
 Point = tuple[float, float]
@@ -171,7 +172,7 @@ class ScenarioConfig:
         return self.pdr_ttl_factor * self.t_incub_max
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return canonical_json(asdict(self)).decode("utf-8")
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
@@ -250,14 +251,11 @@ class MobilityTrace:
 class InfectionRecord:
     t_infected: int
     infected_by: PhoneId | None
-    t_contact: int
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     infections: dict[PhoneId, InfectionRecord]
-    t_incub_min: int
-    t_incub_max: int
 
     def chain_depth(self) -> int:
         depth: dict[PhoneId, int] = {}
@@ -425,7 +423,7 @@ def _replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attemp
     for j, phone in enumerate(phones):
         if phone in index_set:
             infected_at[j] = 0
-            infections[phone] = InfectionRecord(t_infected=0, infected_by=None, t_contact=0)
+            infections[phone] = InfectionRecord(t_infected=0, infected_by=None)
 
     exposure = np.zeros((n, n), dtype=int)  # consecutive qualifying minutes, infector x susceptible
     for minute in range(config.duration_min):
@@ -448,10 +446,10 @@ def _replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attemp
                 exposure[:, j] = 0  # failed transmission; further exposure may retry
                 continue
             infected_at[j] = minute
-            infections[phones[j]] = InfectionRecord(t_infected=minute, infected_by=phones[infector], t_contact=minute)
+            infections[phones[j]] = InfectionRecord(t_infected=minute, infected_by=phones[infector])
             exposure[:, j] = 0
             exposure[j, :] = 0
-    return GroundTruth(infections=infections, t_incub_min=config.t_incub_min, t_incub_max=config.t_incub_max)
+    return GroundTruth(infections=infections)
 
 
 # -- measurement -----------------------------------------------------------------

@@ -12,7 +12,6 @@ from epitrace.cep import (
     ContaminationRecord,
     PdrIndex,
     PhoneOfInterest,
-    ScoringConfig,
     SpaceTimeRegion,
     build_dag,
     build_pccont,
@@ -32,7 +31,7 @@ from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, genera
 from cep_oracle import brute_force_pairs
 from util import capability, pdr, phone, plaintext_sets, station
 
-PARAMS = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2)
+PARAMS = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2, search_margin=0)
 
 
 @pytest.fixture(scope="module")
@@ -254,48 +253,40 @@ class TestScoring:
         # prox at the threshold, duration at the minimum, worst precision,
         # neutral density/severity: raw = 0.1975 (computed independently).
         suspicion = self._suspicion(prox=2.0, dur=15, cls=PrecisionClass.MACRO, sizes=5)
-        [score] = score_suspicions(cap_read, [suspicion], PARAMS, ScoringConfig())
+        [score] = score_suspicions(cap_read, [suspicion], PARAMS)
         assert score.raw == pytest.approx(0.1975, abs=1e-12)
         assert score.risk_class == 1
 
     def test_ceiling_case_scores_class_four(self, cap_read):
-        # prox -> 0, eight-fold duration, femto precision, maximal severity:
-        # raw = 0.9 (computed independently).
-        scoring = ScoringConfig(severity_by_station={"0000000000000001": 1.0})
+        # prox -> 0, eight-fold duration, femto precision, neutral severity:
+        # raw = 0.85 (computed independently).
         suspicion = self._suspicion(prox=0.0, dur=120, cls=PrecisionClass.FEMTO, sizes=5)
-        [score] = score_suspicions(cap_read, [suspicion], PARAMS, scoring)
-        assert score.raw == pytest.approx(0.9, abs=1e-12)
+        [score] = score_suspicions(cap_read, [suspicion], PARAMS)
+        assert score.raw == pytest.approx(0.85, abs=1e-12)
         assert score.risk_class == 4
 
     def test_longer_duration_scores_strictly_higher(self, cap_read):
         shorter = self._suspicion(prox=1.0, dur=20, cls=PrecisionClass.FEMTO, sizes=3)
         longer = self._suspicion(prox=1.0, dur=40, cls=PrecisionClass.FEMTO, sizes=3)
-        [s1], [s2] = score_suspicions(cap_read, [shorter], PARAMS, ScoringConfig()), score_suspicions(
-            cap_read, [longer], PARAMS, ScoringConfig()
-        )
+        [s1], [s2] = score_suspicions(cap_read, [shorter], PARAMS), score_suspicions(cap_read, [longer], PARAMS)
         assert s2.raw > s1.raw
 
     def test_monotonicity_in_each_term(self, cap_read):
-        scoring = ScoringConfig()
         base = self._suspicion(prox=1.0, dur=20, cls=PrecisionClass.PICO, sizes=3)
-        [score_base] = score_suspicions(cap_read, [base], PARAMS, scoring)
+        [score_base] = score_suspicions(cap_read, [base], PARAMS)
         # closer is riskier
-        [closer] = score_suspicions(cap_read, [self._suspicion(0.5, 20, PrecisionClass.PICO, 3)], PARAMS, scoring)
+        [closer] = score_suspicions(cap_read, [self._suspicion(0.5, 20, PrecisionClass.PICO, 3)], PARAMS)
         assert closer.raw > score_base.raw
         # better precision class is riskier (more trustworthy proximity)
-        [better] = score_suspicions(cap_read, [self._suspicion(1.0, 20, PrecisionClass.FEMTO, 3)], PARAMS, scoring)
+        [better] = score_suspicions(cap_read, [self._suspicion(1.0, 20, PrecisionClass.FEMTO, 3)], PARAMS)
         assert better.raw > score_base.raw
         # denser region is riskier
-        [denser] = score_suspicions(cap_read, [self._suspicion(1.0, 20, PrecisionClass.PICO, 8)], PARAMS, scoring)
+        [denser] = score_suspicions(cap_read, [self._suspicion(1.0, 20, PrecisionClass.PICO, 8)], PARAMS)
         assert denser.raw > score_base.raw
-        # severity raises the score
-        hot = ScoringConfig(severity_by_station={"0000000000000001": 0.9})
-        [severe] = score_suspicions(cap_read, [base], PARAMS, hot)
-        assert severe.raw > score_base.raw
 
     def test_terms_are_retained(self, cap_read):
         suspicion = self._suspicion(prox=1.25, dur=30, cls=PrecisionClass.FEMTO, sizes=4)
-        [score] = score_suspicions(cap_read, [suspicion], PARAMS, ScoringConfig())
+        [score] = score_suspicions(cap_read, [suspicion], PARAMS)
         assert score.prox_avg == pytest.approx(1.25)
         assert score.dur_tot == 30
         assert score.precision_prox == pytest.approx(1.0)
@@ -307,25 +298,24 @@ class TestScoring:
     def test_unflagged_input_rejected(self, cap_read):
         bad = ContactSuspicion(pair=(phone(1), phone(2)), pc_susp=False, windows=())
         with pytest.raises(ValidationError):
-            score_suspicions(cap_read, [bad], PARAMS, ScoringConfig())
+            score_suspicions(cap_read, [bad], PARAMS)
 
     def test_windowless_input_is_no_evidence(self, cap_read):
         bad = ContactSuspicion(pair=(phone(1), phone(2)), pc_susp=True, windows=())
         with pytest.raises(NoEvidenceError):
-            score_suspicions(cap_read, [bad], PARAMS, ScoringConfig())
+            score_suspicions(cap_read, [bad], PARAMS)
 
     @given(st.floats(0.0, 1.0))
     def test_classification_total_on_unit_interval(self, raw):
-        assert ScoringConfig().classify(raw) in {1, 2, 3, 4}
+        assert cep.classify(raw) in {1, 2, 3, 4}
 
     def test_class_boundaries(self):
-        scoring = ScoringConfig()
-        assert scoring.classify(0.0) == 1
-        assert scoring.classify(0.2499999) == 1
-        assert scoring.classify(0.25) == 2
-        assert scoring.classify(0.5) == 3
-        assert scoring.classify(0.75) == 4
-        assert scoring.classify(1.0) == 4
+        assert cep.classify(0.0) == 1
+        assert cep.classify(0.2499999) == 1
+        assert cep.classify(0.25) == 2
+        assert cep.classify(0.5) == 3
+        assert cep.classify(0.75) == 4
+        assert cep.classify(1.0) == 4
 
 
 class TestMedian:
@@ -372,7 +362,7 @@ class TestCompletion:
     def test_chain_discovered_only_via_completion(self, cap_read):
         index = PdrIndex(self._chained_sets())
         by_pair, scores, completion_pairs = complete_findings(
-            cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, ScoringConfig(), class_threshold=3
+            cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, class_threshold=3
         )
         assert list(by_pair) == [(phone(1), phone(2)), (phone(2), phone(3))]
         assert completion_pairs == 1
@@ -389,17 +379,17 @@ class TestCompletion:
         monkeypatch.setattr(cep, "find_suspicions", recording_scan)
         index = PdrIndex(self._chained_sets())
         seeds = [PhoneOfInterest(phone(1), 0)]
-        first = complete_findings(cap_read, index, seeds, PARAMS, ScoringConfig(), class_threshold=3)
+        first = complete_findings(cap_read, index, seeds, PARAMS, class_threshold=3)
         # each phone once; a cascade phone starts at the median minute of the window that implicated it
         assert scans == [PhoneOfInterest(phone(1), 0), PhoneOfInterest(phone(2), 115), PhoneOfInterest(phone(3), 215)]
-        second = complete_findings(cap_read, index, seeds, PARAMS, ScoringConfig(), class_threshold=3)
+        second = complete_findings(cap_read, index, seeds, PARAMS, class_threshold=3)
         assert second == first
         assert scans[3:] == scans[:3]
 
     def test_no_pair_above_threshold_is_noop(self, cap_read):
         index = PdrIndex(self._chained_sets())
         by_pair, scores, completion_pairs = complete_findings(
-            cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, ScoringConfig(), class_threshold=4
+            cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, class_threshold=4
         )
         assert list(by_pair) == [(phone(1), phone(2))]
         assert [s.risk_class for s in scores] == [3]
@@ -422,7 +412,7 @@ class TestPccont:
             r for m in minutes for r in (pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m))
         )
         suspicions = find_suspicions(cap, PdrIndex(sets), PhoneOfInterest(phone(a), 0), PARAMS)
-        scores = score_suspicions(cap, suspicions, PARAMS, ScoringConfig())
+        scores = score_suspicions(cap, suspicions, PARAMS)
         return {s.pair: s for s in suspicions}, scores
 
     def test_uninfected_partner_excluded(self, cap_read, cap_full):

@@ -2,8 +2,9 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epitrace.errors import AuthorizationError, ParameterError, StateError, ValidationError
+from epitrace.errors import AuthorizationError, ConfigurationError, ParameterError, StateError, ValidationError
 from epitrace.federation import (
     Federation,
     FederationParams,
@@ -16,28 +17,67 @@ from epitrace.federation import (
     vote_signing_bytes,
 )
 from epitrace.runner import vet
+from epitrace.world import ScenarioConfig
 from util import alerted_federation, small_federation
 
 
+def sizing(**overrides) -> dict:
+    """FederationParams fields of a 5-authority federation with q = 3, with `overrides` applied."""
+    fields = dict(n_authorities=5, f=2, q_read=3, q_critical=3, key_threshold=3, vote_window=60)
+    fields.update(overrides)
+    return fields
+
+
 def five_by_three() -> Federation:
-    params = FederationParams(
-        n_authorities=5,
-        f=2,
-        q_by_class={cls: 3 for cls in OperationClass},
-        key_threshold=3,
-        vote_window=60,
-    )
-    return Federation(params, rng=Random("n5q3"))
+    return Federation(FederationParams(**sizing()), rng=Random("n5q3"))
 
 
 class TestParams:
     def test_n_must_cover_byzantine_bound(self):
         with pytest.raises(ParameterError):
-            FederationParams(n_authorities=4, f=2, q_by_class={cls: 3 for cls in OperationClass}, key_threshold=3)
+            FederationParams(**sizing(n_authorities=4))
 
     def test_quorum_must_exceed_f(self):
+        for tier in ("q_read", "q_critical"):
+            with pytest.raises(ParameterError):
+                FederationParams(**sizing(**{tier: 2}))
+
+    def test_negative_f_rejected(self):
+        # f = -1 would admit a quorum of 0, which an empty certificate meets.
         with pytest.raises(ParameterError):
-            FederationParams(n_authorities=5, f=2, q_by_class={cls: 2 for cls in OperationClass}, key_threshold=3)
+            FederationParams(**sizing(f=-1, q_read=0, q_critical=0))
+
+    def test_each_class_has_its_tier(self):
+        params = FederationParams(**sizing(n_authorities=7, q_read=3, q_critical=5))
+        assert {cls: params.quorum(cls) for cls in OperationClass} == {
+            OperationClass.LOCK_UNLOCK: 5,
+            OperationClass.STRICT_PUSH: 3,
+            OperationClass.BLIND_ANALYSIS: 3,
+            OperationClass.BLIND_PROCESSING: 3,
+            OperationClass.FULL_PROCESSING: 5,
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(-1, 9) | st.sampled_from([255, 256]),
+        f=st.integers(-2, 4),
+        q_read=st.integers(-1, 9),
+        q_critical=st.integers(-1, 9),
+        key_threshold=st.integers(-1, 9),
+        vote_window=st.integers(-2, 2),
+    )
+    def test_accepts_exactly_the_sizings_a_scenario_accepts(self, n, f, q_read, q_critical, key_threshold, vote_window):
+        def accepts(build, error) -> bool:
+            try:
+                build()
+            except error:
+                return False
+            return True
+
+        tiers = dict(n_authorities=n, f=f, q_read=q_read, q_critical=q_critical)
+        scenario = accepts(lambda: ScenarioConfig(**tiers, fed_key_threshold=key_threshold, vote_window_min=vote_window), ConfigurationError)
+        params = accepts(lambda: FederationParams(**tiers, key_threshold=key_threshold, vote_window=vote_window), ParameterError)
+        assert params == scenario
 
 
 class TestQuorumAssembly:
@@ -45,9 +85,9 @@ class TestQuorumAssembly:
         federation = five_by_three()
         request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"poi": "x"}, Random(1))
         federation.submit_request(request)
-        assert federation.approve(federation.authorities[0], request.request_id) is None
-        assert federation.approve(federation.authorities[1], request.request_id) is None
-        cert = federation.approve(federation.authorities[3], request.request_id)
+        assert federation.apply_vote(federation.authorities[0].approve(request)) is None
+        assert federation.apply_vote(federation.authorities[1].approve(request)) is None
+        cert = federation.apply_vote(federation.authorities[3].approve(request))
         assert cert is not None
         assert len(cert.approvals) == 3
         assert verify_certificate(cert, federation.public_keys, 3)
@@ -56,22 +96,10 @@ class TestQuorumAssembly:
         federation = five_by_three()
         request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(2))
         federation.submit_request(request)
-        certs = [federation.approve(a, request.request_id) for a in federation.authorities]
+        certs = [federation.apply_vote(a.approve(request)) for a in federation.authorities]
         assert sum(c is not None for c in certs) == 1
         issued = [e for e in federation.ledger.entries if e.content["kind"] == "certificate"]
         assert len(issued) == 1
-
-    def test_double_vote_rejected(self):
-        federation = five_by_three()
-        request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(3))
-        federation.submit_request(request)
-        federation.approve(federation.authorities[0], request.request_id)
-        with pytest.raises(AuthorizationError):
-            federation.approve(federation.authorities[0], request.request_id)
-        cert = None
-        for authority in federation.authorities[1:3]:
-            cert = federation.approve(authority, request.request_id)
-        assert cert is not None and len({a for a, _ in cert.approvals}) == 3
 
     def test_liveness_with_f_silent_authorities(self):
         # f=2 refuse to vote; the 3 honest approvals still certify.
@@ -80,7 +108,7 @@ class TestQuorumAssembly:
         federation.submit_request(request)
         cert = None
         for authority in federation.authorities[:3]:
-            cert = federation.approve(authority, request.request_id)
+            cert = federation.apply_vote(authority.approve(request))
         assert cert is not None
 
     def test_equivocating_vote_rejected(self):
@@ -141,7 +169,7 @@ class TestQuorumAssembly:
         federation = five_by_three()
         request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(8))
         federation.submit_request(request)
-        federation.approve(federation.authorities[0], request.request_id)
+        federation.apply_vote(federation.authorities[0].approve(request))
         federation.tick(federation.params.vote_window + 1)
         denials = [e for e in federation.ledger.entries if e.content["kind"] == "denial"]
         assert len(denials) == 1
@@ -158,10 +186,12 @@ class TestQuorumAssembly:
 class TestStateMachine:
     def test_passive_to_alert_unlocks(self):
         federation = small_federation()
-        assert federation.state.state is SystemState.PASSIVE
+        assert federation.state is SystemState.PASSIVE
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(1))
-        state = federation.change_state(cert, SystemState.ALERT)
-        assert state.state is SystemState.ALERT and state.alert_started == 0
+        assert federation.change_state(cert, SystemState.ALERT) is SystemState.ALERT
+        assert federation.state is SystemState.ALERT
+        change = federation.ledger.entries[-1].content
+        assert change["kind"] == "state_change" and change["minute"] == 0
 
     def test_wrong_class_cert_rejected(self):
         federation = small_federation()
@@ -245,7 +275,7 @@ class TestCapabilities:
         forged = self._forged_subquorum_cert(federation, OperationClass.LOCK_UNLOCK)
         with pytest.raises(AuthorizationError):
             federation.change_state(forged, SystemState.ALERT)
-        assert federation.state.state is SystemState.PASSIVE
+        assert federation.state is SystemState.PASSIVE
 
 
 class TestSafetyExhaustive:

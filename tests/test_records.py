@@ -63,6 +63,10 @@ class TestMakePdr:
             PhoneId(nr="600", imei="123")  # imei too short
         with pytest.raises(ValidationError):
             PhoneId(nr="60x", imei="3" * 15)
+        with pytest.raises(ValidationError):
+            PhoneId(nr="6²", imei="3" * 15)  # a superscript passes str.isdigit
+        with pytest.raises(ValidationError):
+            PhoneId(nr="600", imei="3" * 14 + "٣")  # so does an Arabic-Indic digit
 
     def test_invalid_prox_rejected(self):
         # A set checks the range rule however it was built, and before the
@@ -250,7 +254,7 @@ class TestDecodePhoneCache:
 
     def test_bad_nr_text_still_raises_and_is_not_cached(self):
         phones = {}
-        for nr in (b"6000000x1", b"", b"6000 0001", b"-60000001"):
+        for nr in (b"6000000x1", b"", b"6000 0001", b"-60000001", "6²".encode("utf-8")):
             with pytest.raises(ValidationError):
                 decode_pdr_set(struct.pack(">I", 1) + raw(CODE.encode("ascii"), nr, phone(1).imei.encode("ascii")), PrecisionClass.FEMTO, phones)
         assert phones == {}

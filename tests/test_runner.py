@@ -216,6 +216,8 @@ class TestFaultSpec:
             parse_faults("vault:x=crashed")
         with pytest.raises(ConfigurationError):
             parse_faults("vault:1=onfire")
+        with pytest.raises(ConfigurationError):
+            parse_faults("vault:1=byzantine,vault:1=crashed")
 
     def test_unknown_cloud_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -164,15 +164,14 @@ class TestGenerateWorld:
         for phone, rec in gt.infections.items():
             if rec.infected_by is None:
                 continue
-            assert rec.t_contact == rec.t_infected
             i, j = idx[rec.infected_by], idx[phone]
             # distance within transmission reach for the whole exposure window
-            for minute in range(rec.t_contact - cfg.min_exposure_min + 1, rec.t_contact + 1):
+            for minute in range(rec.t_infected - cfg.min_exposure_min + 1, rec.t_infected + 1):
                 d = math.dist(tuple(positions[minute][i]), tuple(positions[minute][j]))
                 assert d <= cfg.transmission_distance_m + 1e-9
             # infector must have been infectious throughout that window
             t_source = gt.infections[rec.infected_by].t_infected
-            assert rec.t_contact - cfg.min_exposure_min + 1 >= t_source + cfg.t_incub_min
+            assert rec.t_infected - cfg.min_exposure_min + 1 >= t_source + cfg.t_incub_min
 
     def test_waypoints_strictly_increasing(self):
         _, traces, _ = generate_world(small_config())

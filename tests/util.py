@@ -39,7 +39,8 @@ def small_federation(seed: int = 99, n: int = 3, f: int = 1, q: int = 2, key_thr
     params = FederationParams(
         n_authorities=n,
         f=f,
-        q_by_class={cls: q for cls in OperationClass},
+        q_read=q,
+        q_critical=q,
         key_threshold=key_threshold,
         vote_window=60,
     )
