@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from statistics import median_low
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import NoEvidenceError, ParameterError, ResolutionError, ValidationError
 from .federation import Capability
@@ -228,18 +228,24 @@ class _SetView:
         half = math.sin(0.5 * abs(self.azimuths[pos] - self.azimuths[i]))
         return math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
 
-    def within(self, pos: int, reach: float) -> list[tuple[int, float]]:
-        """(position, distance) of every other phone at most `reach` from the one at `pos`.
+    def within(self, pos: int, reach: float, skip: Container[PhoneId]) -> list[tuple[int, float]]:
+        """(position, distance) of every other phone at most `reach` from the one at `pos`, not in `skip`.
 
         Two phones at radii rv and r are at least |rv - r| apart, so only the
         band of radii around rv is evaluated. The slack covers the rounding of
-        the distance, which is below 1e-7 * (rv + r).
+        the distance, which is below 1e-7 * (rv + r). A phone in `skip` is
+        passed over before its distance is computed.
         """
         rv = self.radii[pos]
         band = reach + 1e-6 * (rv + self.sorted_radii[-1])
         lo = bisect_left(self.sorted_radii, rv - band)
         hi = bisect_right(self.sorted_radii, rv + band)
-        return [(i, d) for i in self.radius_order[lo:hi] if i != pos and (d := self.distance(pos, i)) <= reach]
+        phones = self.phones
+        return [
+            (i, d)
+            for i in self.radius_order[lo:hi]
+            if i != pos and phones[i] not in skip and (d := self.distance(pos, i)) <= reach
+        ]
 
     def sees(self, phone: PhoneId) -> bool:
         i = bisect_left(self.phones, phone)
@@ -260,25 +266,38 @@ class PdrIndex:
 # -- suspicion finding ----------------------------------------------------------------
 
 
+def _scan_lower(poi: PhoneOfInterest, params: AnalysisParams) -> int:
+    """First minute a scan of `poi` considers: its estimate less the search margin."""
+    return max(0, poi.t_inf_min - params.search_margin)
+
+
 def find_suspicions(
     capability: Capability,
     index: PdrIndex,
     poi: PhoneOfInterest,
     params: AnalysisParams,
+    *,
+    done: Mapping[PhoneId, int] | None = None,
 ) -> list[ContactSuspicion]:
     """Scan the presence index for phones that stayed close to the phone of interest.
 
-    Only minutes at or after the phone's earliest-infection estimate are
-    considered. Per minute, the most precise station that sees both phones
-    decides their distance (ties go to the smaller distance), so a partner
-    that a more precise station puts out of range is not in range that
-    minute. Qualifying minutes (distance within the proximity threshold,
-    inclusive) accumulate into windows, tolerating gaps up to the configured
-    number of minutes. A pair is flagged once any single window reaches the
-    duration threshold.
+    Only minutes at or after the phone's earliest-infection estimate (less
+    the search margin) are considered. Per minute, the most precise station
+    that sees both phones decides their distance (ties go to the smaller
+    distance), so a partner that a more precise station puts out of range is
+    not in range that minute. Qualifying minutes (distance within the
+    proximity threshold, inclusive) accumulate into windows, tolerating gaps
+    up to the configured number of minutes. A pair is flagged once any single
+    window reaches the duration threshold.
+
+    `done` maps phones already scanned to the first minute of their scan. A
+    partner whose scan started at or before this one's is skipped: distance
+    and station choice are symmetric, so that scan saw every sample of the
+    pair this one would see.
     """
     capability.require_read()
-    lower = max(0, poi.t_inf_min - params.search_margin)
+    lower = _scan_lower(poi, params)
+    skip = {u for u, start in done.items() if start <= lower} if done else ()
     prox_max = params.prox_max
     samples: dict[PhoneId, list[tuple[int, float, PrecisionClass, str, int]]] = {}
     by_minute = index.presence.get(poi.phone, {})
@@ -289,7 +308,7 @@ def find_suspicions(
         entries = by_minute[minute]
         best: dict[PhoneId, tuple[int, float, str, int]] = {}  # u -> (-rank, dist, code, size), in range only
         for view, pos in entries:
-            for i, dist in view.within(pos, prox_max):
+            for i, dist in view.within(pos, prox_max, skip):
                 candidate = (-view.rank, dist, view.code, view.size)
                 u = view.phones[i]
                 prev = best.get(u)
@@ -408,7 +427,10 @@ def complete_findings(
     found first are kept and their flagged suspicions scored. Every phone of
     a pair scored at or above `class_threshold` that is not a seed joins the
     cascade, which scans each such phone once, smallest phone first, from
-    the earliest median minute among the windows that implicated it.
+    the earliest median minute among the windows that implicated it. Each
+    pair is measured once where it can be: a scan skips every partner
+    already scanned from the same or an earlier minute, whose scan kept the
+    pair first or saw no sample of it.
     Returns the first suspicion of every pair, the scores in the order found,
     and the number of pairs the cascade added.
     """
@@ -418,9 +440,11 @@ def complete_findings(
     # Every phone scanned or queued; a queued phone's entry is its scan start so far.
     onset = {poi.phone: poi.t_inf_min for poi in seeds}
     queue: list[PhoneId] = []
+    done: dict[PhoneId, int] = {}  # scanned phone -> first minute of its scan
 
     def scan(poi: PhoneOfInterest) -> None:
-        found = [s for s in find_suspicions(capability, index, poi, params) if s.pair not in by_pair]
+        found = [s for s in find_suspicions(capability, index, poi, params, done=done) if s.pair not in by_pair]
+        done[poi.phone] = _scan_lower(poi, params)
         by_pair.update((s.pair, s) for s in found)
         for score in score_suspicions(capability, [s for s in found if s.pc_susp], params):
             scores.append(score)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import crypto, framing
 from .errors import AuthorizationError, EncryptionError, LockedError
-from .records import BsCode, PdrSet, encode_pdr_set
+from .records import BsCode, PdrSet, PhoneId, encode_pdr_set
 
 if TYPE_CHECKING:
     from .federation import Federation, QuorumCertificate
@@ -54,6 +54,7 @@ class EdgeCloud:
         self._store: list[EncryptedPdrSet] = []
         self._seal_context: crypto.SealContext | None = None
         self._seal_epoch = -1
+        self._phone_fields: dict[PhoneId, bytes] = {}  # `encode_pdr_set` cache, emptied with the seal context
 
     # -- provider side ----------------------------------------------------------
 
@@ -61,7 +62,9 @@ class EdgeCloud:
         """Encrypt and append one record set; the plaintext is not retained.
 
         The set is sealed under the provider-hour's context, opened on the
-        first push of each hour or when the registry key changes. Returns False
+        first push of each hour or when the registry key changes. The encoded
+        phone fields are cached for that context only, so no plaintext
+        identifier is held past its provider-hour. Returns False
         (the set is dropped) if sealing fails; the provider has no way to
         observe anything else about the store.
         """
@@ -71,9 +74,10 @@ class EdgeCloud:
             context = self._seal_context
             if context is None or epoch != self._seal_epoch or context.recipient != public_key:
                 self._seal_context = None  # rotation drops the old key before opening a new one
+                self._phone_fields = {}
                 context = self._seal_context = crypto.SealContext(public_key, self._rng)
                 self._seal_epoch = epoch
-            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set))
+            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields))
         except EncryptionError:
             return False
         self._store.append(EncryptedPdrSet(ciphertext=bytearray(ciphertext), minute=pdr_set.minute, bs_code_hint=pdr_set.bs))

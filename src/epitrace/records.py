@@ -40,19 +40,33 @@ class PrecisionClass(Enum):
         return {0: cls.MACRO, 1: cls.PICO, 2: cls.FEMTO}[rank]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class PhoneId:
-    """National number + device identifier; ordering on (nr, imei) for tie-breaking."""
+class PhoneId(tuple):
+    """National number + device identifier, as the tuple (nr, imei).
 
-    nr: str
-    imei: str
+    Being a tuple, a phone hashes, compares and orders as (nr, imei) in C: sets,
+    dict keys, sorts and bisects of phones run no Python-level method. Every
+    construction path validates, copy and pickle included (`__reduce__`).
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, nr: str, imei: str) -> "PhoneId":
         # str.isdigit also accepts superscripts and other scripts' digits, so ASCII is checked first.
-        if not (self.nr.isascii() and self.nr.isdigit()):
-            raise ValidationError(f"phone nr must be non-empty ASCII digits, got {self.nr!r}")
-        if len(self.imei) != IMEI_LEN or not (self.imei.isascii() and self.imei.isdigit()):
-            raise ValidationError(f"imei must be exactly {IMEI_LEN} ASCII digits, got {self.imei!r}")
+        if not (nr.isascii() and nr.isdigit()):
+            raise ValidationError(f"phone nr must be non-empty ASCII digits, got {nr!r}")
+        if len(imei) != IMEI_LEN or not (imei.isascii() and imei.isdigit()):
+            raise ValidationError(f"imei must be exactly {IMEI_LEN} ASCII digits, got {imei!r}")
+        return tuple.__new__(cls, (nr, imei))
+
+    nr = property(operator.itemgetter(0))
+    imei = property(operator.itemgetter(1))
+
+    def __reduce__(self) -> tuple[type, tuple[str, str]]:
+        # `__getnewargs__` would serve pickle protocols 2+ only; 0 and 1 would rebuild the tuple unchecked.
+        return PhoneId, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"PhoneId(nr={self[0]!r}, imei={self[1]!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +77,7 @@ class BsCode:
     precision_class: PrecisionClass
 
     def __post_init__(self) -> None:
-        if len(self.code) != STATION_CODE_LEN or any(c not in "0123456789abcdef" for c in self.code):
+        if len(self.code) != STATION_CODE_LEN or self.code.strip("0123456789abcdef"):
             raise ValidationError(f"station code must be {STATION_CODE_LEN} lowercase hex chars, got {self.code!r}")
 
 
@@ -100,6 +114,7 @@ class PdrSet:
     def __post_init__(self) -> None:
         if not (len(self.phones) == len(self.radii) == len(self.azimuths)):
             raise ValidationError("set columns must have equal length")
+        # A plain loop: on sets of this size it beats `min`/`max`/`map(math.isnan)` passes in C.
         for radius, azimuth in zip(self.radii, self.azimuths):
             if not 0.0 <= radius < math.inf:
                 raise ValidationError(f"radius must be finite and >= 0, got {radius}")
@@ -107,10 +122,9 @@ class PdrSet:
                 raise ValidationError(f"azimuth must be in [0, 2*pi), got {azimuth}")
         if self.minute < 0:
             raise ValidationError(f"minute must be >= 0, got {self.minute}")
-        # `PhoneId` order is (nr, imei) order; comparing the key tuples keeps the walk in C.
-        keys = [(phone.nr, phone.imei) for phone in self.phones]
-        if not all(map(operator.lt, keys, keys[1:])):
-            for prev, phone in zip(self.phones, self.phones[1:]):
+        phones = self.phones
+        if not all(map(operator.lt, phones, phones[1:])):
+            for prev, phone in zip(phones, phones[1:]):
                 if not prev < phone:
                     if phone == prev:
                         raise DuplicateRecordError(f"phone {phone.nr} appears twice in set")
@@ -129,7 +143,7 @@ def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
         buckets.setdefault((rec.t_pdr, rec.bs.code), []).append(rec)
     out = []
     for (minute, _code), recs in sorted(buckets.items()):
-        recs.sort(key=lambda r: (r.phone.nr, r.phone.imei))  # `PhoneId` order, compared in C
+        recs.sort(key=operator.attrgetter("phone"))
         _, phones, radii, azimuths, _ = zip(*recs)
         out.append(PdrSet(minute=minute, bs=recs[0].bs, phones=phones, radii=radii, azimuths=azimuths))
     return out
@@ -166,12 +180,23 @@ _U32 = struct.Struct(">I")
 _TAIL = struct.Struct(">ddQ")
 
 
-def encode_pdr_set(pdr_set: PdrSet) -> bytes:
+def encode_pdr_set(pdr_set: PdrSet, phones: dict[PhoneId, bytes] | None = None) -> bytes:
+    """Serialize one set in the canonical layout.
+
+    `phones` is an optional cache of each phone's encoded fields (u32 length
+    prefix, nr, IMEI), filled as phones are met: sets encoded with the same
+    dict encode each phone once. The bytes are the same with or without it.
+    """
+    if phones is None:
+        phones = {}
     code = pdr_set.bs.code.encode("ascii")
     parts = [_U32.pack(len(pdr_set.phones))]
     for phone, radius, azimuth in zip(pdr_set.phones, pdr_set.radii, pdr_set.azimuths):
-        nr = phone.nr.encode("utf-8")
-        parts += (code, _U32.pack(len(nr)), nr, phone.imei.encode("ascii"), _TAIL.pack(radius, azimuth, pdr_set.minute))
+        fields = phones.get(phone)
+        if fields is None:
+            nr = phone.nr.encode("utf-8")
+            fields = phones[phone] = _U32.pack(len(nr)) + nr + phone.imei.encode("ascii")
+        parts += (code, fields, _TAIL.pack(radius, azimuth, pdr_set.minute))
     return b"".join(parts)
 
 

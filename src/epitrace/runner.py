@@ -155,6 +155,10 @@ def parse_faults(spec: str | None) -> dict[int, FaultMode]:
 
 
 def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = None) -> SimContext:
+    faults = faults or {}
+    for cloud_id in faults:
+        if not (1 <= cloud_id <= config.n_clouds):
+            raise ConfigurationError(f"no vault cloud {cloud_id}")
     registry, traces, ground_truth = generate_world(config)
     params = FederationParams(
         n_authorities=config.n_authorities,
@@ -183,9 +187,7 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
         key_threshold=config.vault_key_threshold,
         rng=Random(f"{config.seed}/vault"),
     )
-    for cloud_id, mode in (faults or {}).items():
-        if not (1 <= cloud_id <= len(vault.clouds)):
-            raise ConfigurationError(f"no vault cloud {cloud_id}")
+    for cloud_id, mode in faults.items():
         vault.clouds[cloud_id - 1].fault_mode = mode
     federation.attach_stores(list(edges.values()), vault)
     return SimContext(

@@ -1,3 +1,4 @@
+import json
 import math
 from random import Random
 
@@ -27,9 +28,9 @@ from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError,
 from epitrace.federation import OperationClass, SystemState
 from epitrace.records import PrecisionClass, group_into_sets, pair_distance
 from epitrace.runner import vet
-from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world
+from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world, infection_estimates
 from cep_oracle import brute_force_pairs
-from util import capability, pdr, phone, plaintext_sets, station
+from util import SMALL_JSON, capability, pdr, phone, plaintext_sets, station
 
 PARAMS = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2, search_margin=0)
 
@@ -372,9 +373,9 @@ class TestCompletion:
     def test_completion_idempotent(self, cap_read, monkeypatch):
         scans = []
 
-        def recording_scan(capability, index, poi, params):
+        def recording_scan(capability, index, poi, params, **kwargs):
             scans.append(poi)
-            return find_suspicions(capability, index, poi, params)
+            return find_suspicions(capability, index, poi, params, **kwargs)
 
         monkeypatch.setattr(cep, "find_suspicions", recording_scan)
         index = PdrIndex(self._chained_sets())
@@ -394,6 +395,92 @@ class TestCompletion:
         assert list(by_pair) == [(phone(1), phone(2))]
         assert [s.risk_class for s in scores] == [3]
         assert completion_pairs == 0
+
+
+def without_skip(capability, index, poi, params, **_kwargs):
+    """`find_suspicions` measuring every partner, as before pairs were measured once."""
+    return find_suspicions(capability, index, poi, params)
+
+
+def analyse(monkeypatch, cap, index, seeds, params, class_threshold, scan=find_suspicions):
+    """`complete_findings` with `scan` as its scan, and the number of distances it computed."""
+    calls = 0
+    distance = cep._SetView.distance
+
+    def counting(view, pos, i):
+        nonlocal calls
+        calls += 1
+        return distance(view, pos, i)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cep._SetView, "distance", counting)
+        patch.setattr(cep, "find_suspicions", scan)
+        by_pair, scores, completion_pairs = complete_findings(cap, index, seeds, params, class_threshold)
+    return (list(by_pair.items()), scores, completion_pairs), calls
+
+
+def scenario_analysis(cfg: ScenarioConfig):
+    """The index, seeds and parameters `runner.run` analyses for `cfg`, built from its sets in the clear."""
+    registry, traces, ground_truth = generate_world(cfg)
+    estimates = infection_estimates(cfg, ground_truth)
+    seeds = [PhoneOfInterest(p, t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
+    params = AnalysisParams(cfg.prox_max_m, cfg.dur_min, cfg.gap_tolerance_min, cfg.search_margin_min)
+    return PdrIndex(plaintext_sets(cfg, registry, traces)), seeds, params
+
+
+class TestPairOnce:
+    """A scan skips partners already scanned from an earlier or equal minute; results are unchanged."""
+
+    def test_sparse_world_cascade_matches_unskipped_scan(self, cap_read, monkeypatch):
+        fields = json.loads(SMALL_JSON.read_text())
+        fields.update(seed=3, n_phones=24, duration_min=480, alert_minute=400, transmission_probability=0.05)
+        cfg = ScenarioConfig.from_dict(fields)
+        index, seeds, params = scenario_analysis(cfg)
+        once, once_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold)
+        both, both_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold, without_skip)
+        assert once == both
+        assert once[2] > 0  # the cascade ran
+        assert once_calls < both_calls
+
+    def test_small_scenario_measures_each_pair_once(self, cap_read, monkeypatch):
+        cfg = ScenarioConfig.from_json(SMALL_JSON.read_text())
+        index, seeds, params = scenario_analysis(cfg)
+        once, once_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold)
+        both, both_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold, without_skip)
+        assert once == both
+        assert len(once[0]) == 669
+        assert (once_calls, both_calls) == (56_371, 110_370)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        records=st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(1, 5), st.integers(0, 12)),  # (station, phone, minute)
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 4.0)),
+                st.one_of(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+            ),
+            min_size=10,
+            max_size=120,
+        ),
+        seeds=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)), unique_by=lambda seed: seed[0], max_size=5),
+        dur_min=st.integers(1, 3),
+        gap=st.integers(0, 2),
+        margin=st.integers(0, 4),
+        class_threshold=st.integers(1, 4),
+    )
+    def test_matches_unskipped_scan_on_any_sets(self, cap_read, records, seeds, dur_min, gap, margin, class_threshold):
+        precision = (PrecisionClass.FEMTO, PrecisionClass.PICO, PrecisionClass.MACRO)
+        sets = group_into_sets(
+            pdr(station(s, precision[s]), phone(p), radius, azimuth, minute)
+            for (s, p, minute), (radius, azimuth) in records.items()
+        )
+        index = PdrIndex(sets)
+        pois = [PhoneOfInterest(phone(p), t) for p, t in seeds]
+        params = AnalysisParams(prox_max=1.5, dur_min=dur_min, gap_tolerance=gap, search_margin=margin)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            once, _ = analyse(monkeypatch, cap_read, index, pois, params, class_threshold)
+            both, _ = analyse(monkeypatch, cap_read, index, pois, params, class_threshold, without_skip)
+        assert once == both
 
 
 def registry_with(code_to_info):

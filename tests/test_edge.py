@@ -112,6 +112,15 @@ class TestSealEpochs:
         assert [len(eph) for eph in eph_by_hour.values()] == [1, 1, 1]
         assert len(set().union(*eph_by_hour.values())) == 3
 
+    def test_phone_fields_are_cached_for_one_epoch_only(self, cloud):
+        _, edge = cloud
+        port = edge.provider_port()
+        late = PdrSet(SEAL_EPOCH_MIN, station(1), (phone(7), phone(8)), (1.0, 2.0), (0.0, 0.1))
+        assert port.push(make_set(SEAL_EPOCH_MIN - 1, n_phones=5))
+        assert sorted(edge._phone_fields) == [phone(i) for i in range(5)]
+        assert port.push(late)
+        assert sorted(edge._phone_fields) == [phone(7), phone(8)]
+
     def test_registry_key_swap_opens_a_new_context(self, cloud):
         federation, edge = cloud
         port = edge.provider_port()

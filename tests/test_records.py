@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 
 import pytest
@@ -86,6 +88,132 @@ class TestMakePdr:
     def test_bad_station_code_rejected(self):
         with pytest.raises(ValidationError):
             BsCode(code="XYZ", precision_class=PrecisionClass.MACRO)
+        good = "0123456789abcdef"
+        bad = (
+            "g" + good[1:],  # first character
+            good[:7] + "-" + good[8:],  # a middle one
+            good[:-1] + " ",  # the last one
+            good.upper(),
+            good[:7] + "é" + good[8:],
+            good[:-1],
+            good + "0",
+        )
+        for code in bad:
+            with pytest.raises(ValidationError, match="station code must be 16 lowercase hex chars"):
+                BsCode(code=code, precision_class=PrecisionClass.MACRO)
+        assert BsCode(code=good, precision_class=PrecisionClass.MACRO).code == good
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("radius", math.nan, "radius must be finite and >= 0, got nan"),
+            ("radius", math.inf, "radius must be finite and >= 0, got inf"),
+            ("radius", -1.5, "radius must be finite and >= 0, got -1.5"),
+            ("azimuth", math.nan, "azimuth must be in [0, 2*pi), got nan"),
+            ("azimuth", -0.25, "azimuth must be in [0, 2*pi), got -0.25"),
+            ("azimuth", 2 * math.pi, f"azimuth must be in [0, 2*pi), got {2 * math.pi}"),
+        ],
+    )
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_range_error_names_the_first_offender(self, column, value, message, where):
+        # A second, different offender after the first must not be the one named.
+        radii, azimuths = [1.0, 2.0, 3.0], [0.5, 1.0, 1.5]
+        (radii if column == "radius" else azimuths)[where] = value
+        if where < 2:
+            radii[2] = -9.0
+        phones = (phone(1), phone(2), phone(3))
+        with pytest.raises(ValidationError) as err:
+            PdrSet(minute=5, bs=station(1), phones=phones, radii=tuple(radii), azimuths=tuple(azimuths))
+        assert str(err.value) == message
+        with pytest.raises(ValidationError) as err:
+            group_into_sets([pdr(station(1), who, r, a, 5) for who, r, a in zip(phones, radii, azimuths)])
+        assert str(err.value) == message
+        payload = struct.pack(">I", 3) + b"".join(wire(CODE, who, r, a, 5) for who, r, a in zip(phones, radii, azimuths))
+        with pytest.raises(ValidationError) as err:
+            decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+        assert str(err.value) == message
+
+    def test_range_edges_are_valid(self):
+        tiny = math.nextafter(2 * math.pi, 0.0)
+        pdr_set = PdrSet(5, station(1), (phone(1), phone(2)), (0.0, 1e300), (tiny, 0.0))
+        assert pdr_set.radii == (0.0, 1e300) and pdr_set.azimuths == (tiny, 0.0)
+        assert PdrSet(5, station(1), (), (), ()).phones == ()
+
+
+NR_ERROR = "phone nr must be non-empty ASCII digits, got {!r}"
+IMEI_ERROR = "imei must be exactly 15 ASCII digits, got {!r}"
+
+
+class TestPhoneId:
+    digits = st.text(alphabet="0123456789", min_size=1, max_size=4)
+    imeis = st.text(alphabet="0123456789", min_size=IMEI_LEN, max_size=IMEI_LEN)
+
+    @given(st.lists(st.tuples(digits, imeis), max_size=30))
+    def test_order_is_nr_then_imei(self, fields):
+        phones = [PhoneId(nr, imei) for nr, imei in fields]
+        assert [tuple(p) for p in sorted(phones)] == sorted(fields)
+        assert [(p.nr, p.imei) for p in phones] == fields
+
+    @given(st.tuples(digits, imeis), st.tuples(digits, imeis))
+    def test_hash_and_equality_agree(self, a, b):
+        pa, pb = PhoneId(*a), PhoneId(*b)
+        assert (pa == pb) == (a == b) == (pa <= pb <= pa)
+        if pa == pb:
+            assert hash(pa) == hash(pb)
+        assert PhoneId(*a) == pa and hash(PhoneId(*a)) == hash(pa)
+        assert len({pa, pb, PhoneId(*a)}) == len({a, b})
+
+    def test_is_immutable(self):
+        p = phone(1)
+        with pytest.raises(AttributeError):
+            p.nr = "600000002"
+        with pytest.raises(AttributeError):
+            p.imei = "3" * IMEI_LEN
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p == phone(1)
+
+    def test_repr(self):
+        assert repr(PhoneId("600", "3" * 15)) == "PhoneId(nr='600', imei='333333333333333')"
+
+    def test_copy_and_pickle_round_trip(self):
+        p = phone(7)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        for clone in (copy.copy(p), copy.deepcopy(p), *(pickle.loads(pickle.dumps(p, proto)) for proto in protocols)):
+            assert type(clone) is PhoneId and clone == p and clone.nr == p.nr and clone.imei == p.imei
+        # Every protocol, and copy, rebuild a phone by calling the validating constructor.
+        assert {p.__reduce_ex__(proto) for proto in protocols} == {(PhoneId, (p.nr, p.imei))}
+
+    @pytest.mark.parametrize(
+        "nr, imei, message",
+        [
+            ("", "3" * 15, NR_ERROR.format("")),
+            ("60x", "3" * 15, NR_ERROR.format("60x")),
+            ("6²", "3" * 15, NR_ERROR.format("6²")),
+            ("600", "123", IMEI_ERROR.format("123")),
+            ("600", "3" * 14 + "٣", IMEI_ERROR.format("3" * 14 + "٣")),
+            ("600", "3" * 14 + "x", IMEI_ERROR.format("3" * 14 + "x")),
+        ],
+    )
+    def test_every_construction_path_validates(self, nr, imei, message):
+        # Keyword and positional calls, an edited pickle and a decoded payload all reach the same checks.
+        # Protocol 0 writes strings unframed, so a real pickle can be edited in place.
+        edited = pickle.dumps(PhoneId("600", "3" * 15), 0).replace(b"V600\n", b"V" + nr.encode("raw-unicode-escape") + b"\n")
+        edited = edited.replace(b"V" + b"3" * 15 + b"\n", b"V" + imei.encode("raw-unicode-escape") + b"\n")
+        calls = (
+            lambda: PhoneId(nr=nr, imei=imei),
+            lambda: PhoneId(nr, imei),
+            lambda: pickle.loads(edited),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == message
+        if len(imei.encode("utf-8")) == IMEI_LEN and imei.isascii():
+            payload = struct.pack(">I", 1) + raw(CODE.encode("ascii"), nr.encode("utf-8"), imei.encode("ascii"))
+            with pytest.raises(ValidationError) as err:
+                decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+            assert str(err.value) == message
 
 
 class TestGrouping:
@@ -232,6 +360,21 @@ class TestSerialization:
         for payload in malformed:
             with pytest.raises(ValidationError):
                 decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+
+
+class TestEncodePhoneCache:
+    def test_cache_gives_the_same_bytes(self):
+        sets = [
+            PdrSet(7, station(2), (phone(2), phone(3)), (1.0, 2.0), (0.0, 0.1)),
+            PdrSet(8, station(3), (phone(1), phone(3), phone(4)), (0.5, 2.5, 3.0), (0.2, 0.3, 6.0)),
+        ]
+        phones = {}
+        for pdr_set in sets:
+            assert encode_pdr_set(pdr_set, phones) == encode_pdr_set(pdr_set)
+            assert encode_pdr_set(pdr_set, phones) == encode_pdr_set(pdr_set, {})
+        assert sorted(phones) == [phone(1), phone(2), phone(3), phone(4)]
+        for who, fields in phones.items():
+            assert fields == struct.pack(">I", len(who.nr)) + who.nr.encode("ascii") + who.imei.encode("ascii")
 
 
 class TestDecodePhoneCache:

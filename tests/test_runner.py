@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from epitrace import crypto
+from epitrace import crypto, runner
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError
@@ -222,6 +222,15 @@ class TestFaultSpec:
     def test_unknown_cloud_rejected(self):
         with pytest.raises(ConfigurationError):
             build_context(ScenarioConfig(**CFG), {9: FaultMode.CRASHED})
+
+    def test_unknown_cloud_rejected_before_world_generation(self, monkeypatch):
+        def generate_world(config):
+            raise AssertionError("world generated before the fault spec was checked")
+
+        monkeypatch.setattr(runner, "generate_world", generate_world)
+        for spec in ("vault:9=crashed", "vault:0=byzantine", "vault:1=crashed,vault:5=crashed"):
+            with pytest.raises(ConfigurationError, match="no vault cloud"):
+                run(ScenarioConfig(**CFG), None, spec)
 
 
 class TestAttackSuite:
