@@ -158,6 +158,8 @@ class ScenarioConfig:
             raise ConfigurationError("hotspot_cell_m must be > 0")
         if self.dur_min < 1:
             raise ConfigurationError("dur_min must be >= 1")
+        if not self.world_size_m > 0:
+            raise ConfigurationError(f"world_size_m must be > 0, got {self.world_size_m}")
         if self.transmission_distance_m > self.world_size_m:
             raise ConfigurationError("transmission distance exceeds world size")
         if self.t_incub_min > self.t_incub_max:
@@ -276,6 +278,10 @@ class GroundTruth:
 _WALK_SPEED_M_PER_MIN = 80.0
 _PLACE_RADIUS_M = 1.0  # phones dwell within this radius of a venue/home point
 _MAX_ATTEMPTS = 8
+# Longest epidemic-replay segment. A segment is computed whole even when a
+# transmission cuts it short, so long blocks waste work on failure-heavy
+# epidemics (and memory); 32 minutes keeps the numpy calls per minute low.
+_REPLAY_BLOCK_MIN = 32
 
 
 def _station_code(seed: int, provider: str, cls: PrecisionClass, idx: int) -> str:
@@ -413,9 +419,34 @@ def trace_positions(traces: list[MobilityTrace], duration: int) -> np.ndarray:
 
 
 def _replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attempt: int) -> GroundTruth:
+    """Plant the epidemic of one mobility attempt and return it as ground truth.
+
+    The transmission rule, minute by minute: a phone infected at minute t is
+    infectious from minute t + t_incub_min on (index cases at t = 0). An
+    infectious phone i and a susceptible phone j gain one minute of exposure
+    in every minute with (xi-xj)**2 + (yi-yj)**2 <= transmission_distance_m**2
+    and lose all of it in any other. In a minute where pairs reach
+    min_exposure_min, each such victim in ascending phone order names as
+    infector its candidate with the smallest (infected_at, phone) and, only
+    when transmission_probability < 1, draws one rng.random(): above the
+    probability the transmission fails. Either way the victim's exposure to
+    every phone restarts from zero, so further exposure may retry.
+
+    The replay applies that rule a segment at a time. Within a segment the
+    infectious and susceptible sets are fixed, so one numpy pass over the
+    infectious x susceptible pairs gives each pair's exposure at every minute:
+    its run of close minutes, plus the count carried in from the previous
+    segment while the run reaches back to the segment's start. A segment ends
+    at the next onset of infectiousness, after `_REPLAY_BLOCK_MIN` minutes, or
+    at the first minute a pair reaches min_exposure_min; the rule is applied
+    there and the next segment starts one minute later.
+    """
     rng = Random(f"{config.seed}/epidemic/{attempt}")
     n = len(traces)
-    positions = trace_positions(traces, config.duration_min)
+    duration = config.duration_min
+    positions = trace_positions(traces, duration)
+    xs, ys = positions[:, :, 0], positions[:, :, 1]
+    reach_sq = config.transmission_distance_m**2
     phones = [t.phone for t in traces]
     index_set = set(_index_phones(config))
     infected_at = np.full(n, -1, dtype=int)
@@ -426,29 +457,55 @@ def _replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attemp
             infections[phone] = InfectionRecord(t_infected=0, infected_by=None)
 
     exposure = np.zeros((n, n), dtype=int)  # consecutive qualifying minutes, infector x susceptible
-    for minute in range(config.duration_min):
-        pos = positions[minute]
-        diff = pos[:, None, :] - pos[None, :, :]
-        close = (diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2) <= config.transmission_distance_m**2
-        infectious = (infected_at >= 0) & (infected_at + config.t_incub_min <= minute)
-        susceptible = infected_at < 0
-        active = close & infectious[:, None] & susceptible[None, :]
-        exposure = np.where(active, exposure + 1, 0)
-        complete = np.argwhere(exposure >= config.min_exposure_min)
-        if complete.size == 0:
+    start = 0
+    while start < duration:
+        infected = infected_at >= 0
+        onset = infected_at + config.t_incub_min
+        infectious = np.flatnonzero(infected & (onset <= start))
+        susceptible = np.flatnonzero(~infected)
+        next_onset = int(onset[infected & (onset > start)].min(initial=duration))
+        if not susceptible.size:
+            break
+        if not infectious.size:
+            start = next_onset
             continue
-        by_victim: dict[int, list[int]] = {}
-        for i, j in complete:
-            by_victim.setdefault(int(j), []).append(int(i))
-        for j, candidates in sorted(by_victim.items()):
-            infector = min(candidates, key=lambda i: (infected_at[i], phones[i]))
+        stop = min(start + _REPLAY_BLOCK_MIN, next_onset)
+        # Each (minutes, infectious, susceptible) array is worked on in place
+        # and dropped once used, so that few of them stay on the heap at once.
+        x, y = xs[start:stop], ys[start:stop]
+        dist_sq = x[:, infectious, None] - x[:, None, susceptible]
+        dist_sq *= dist_sq
+        dy = y[:, infectious, None] - y[:, None, susceptible]
+        dy *= dy
+        dist_sq += dy
+        close = dist_sq <= reach_sq
+        del dist_sq, dy
+        steps = np.arange(1, stop - start + 1)[:, None, None]
+        last_far = np.where(close, 0, steps)
+        np.maximum.accumulate(last_far, axis=0, out=last_far)  # 0 while the run reaches back to start
+        pairs = np.ix_(infectious, susceptible)
+        runs = steps - last_far
+        np.add(runs, exposure[pairs], out=runs, where=last_far == 0)
+        del last_far
+        complete = runs >= config.min_exposure_min
+        reached = complete.any(axis=(1, 2))
+        if not reached.any():
+            exposure[pairs] = runs[-1]
+            start = stop
+            continue
+        step = int(reached.argmax())
+        minute = start + step
+        exposure[pairs] = runs[step]
+        complete = complete[step]
+        for v in np.flatnonzero(complete.any(axis=0)).tolist():
+            j = susceptible[v]
+            infector = min(infectious[complete[:, v]].tolist(), key=lambda i: (infected_at[i], phones[i]))
+            exposure[:, j] = 0
             if config.transmission_probability < 1.0 and rng.random() > config.transmission_probability:
-                exposure[:, j] = 0  # failed transmission; further exposure may retry
-                continue
+                continue  # failed transmission; further exposure may retry
             infected_at[j] = minute
             infections[phones[j]] = InfectionRecord(t_infected=minute, infected_by=phones[infector])
-            exposure[:, j] = 0
-            exposure[j, :] = 0
+        start = minute + 1
     return GroundTruth(infections=infections)
 
 

@@ -1,25 +1,38 @@
 import math
+import sys
 from dataclasses import fields
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+from epitrace import world
 from epitrace.errors import ConfigurationError
 from epitrace.records import PrecisionClass
 from epitrace.world import (
+    _MAX_ATTEMPTS,
+    _REPLAY_BLOCK_MIN,
     TWO_PI,
+    MobilityTrace,
     NoiseModel,
     ProviderRegistry,
     ScenarioConfig,
     StationInfo,
+    _build_traces,
+    _phone,
+    _replay_epidemic,
     generate_world,
     infection_estimates,
     observe,
     trace_positions,
     traces_csv,
 )
-from util import reference_observe, station
+from util import reference_observe, reference_replay_epidemic, station
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def positions_at(traces, minute):
@@ -86,6 +99,8 @@ class TestConfig:
             ("n_phones", True),
             ("world_size_m", "600"),
             ("world_size_m", True),
+            ("world_size_m", 0.0),
+            ("world_size_m", -600.0),
             ("noise_enabled", 1),
         ],
     )
@@ -178,6 +193,135 @@ class TestGenerateWorld:
         for trace in traces:
             minutes = [m for m, _ in trace.waypoints]
             assert all(b > a for a, b in zip(minutes, minutes[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_accepted_config_generates_or_raises_configuration_error(self, data):
+        n_phones = data.draw(st.integers(1, 25))
+        duration = data.draw(st.integers(1, 300))
+        world_size = data.draw(st.sampled_from([1e-3, 0.5, 3.0, 50.0, 600.0]) | st.floats(1e-6, 2000.0))
+        t_incub_min = data.draw(st.integers(0, 60))
+        fields = dict(
+            seed=data.draw(st.integers(0, 2**31)),
+            world_size_m=world_size,
+            n_phones=n_phones,
+            n_venues=data.draw(st.integers(1, 5)),
+            duration_min=duration,
+            n_providers=data.draw(st.integers(1, 3)),
+            n_macro=data.draw(st.integers(0, 2)),
+            n_pico=data.draw(st.integers(0, 2)),
+            n_femto=data.draw(st.integers(0, 2)),
+            index_cases=data.draw(st.integers(1, n_phones)),
+            transmission_distance_m=world_size * data.draw(st.sampled_from([0.0, 0.01, 0.5, 1.0])),
+            min_exposure_min=data.draw(st.integers(1, 40)),
+            t_incub_min=t_incub_min,
+            t_incub_max=t_incub_min + data.draw(st.integers(0, 120)),
+            transmission_probability=data.draw(st.floats(0.0, 1.0)),
+            alert_minute=data.draw(st.integers(0, duration)),
+        )
+        try:
+            cfg = ScenarioConfig(**fields)
+        except ConfigurationError:
+            reject()
+        try:
+            generate_world(cfg)
+        except ConfigurationError:
+            pass
+
+
+class TestReplay:
+    """The segment replay plants exactly the epidemic of the minute-by-minute reference."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """Check every replay `generate_world` makes against the reference; returns the attempts made."""
+        made = []
+
+        def checked(config, traces, attempt):
+            got = _replay_epidemic(config, traces, attempt)
+            want = reference_replay_epidemic(config, traces, attempt)
+            assert list(got.infections.items()) == list(want.infections.items())
+            made.append(attempt)
+            return got
+
+        monkeypatch.setattr(world, "_replay_epidemic", checked)
+        return made
+
+    @pytest.mark.parametrize("seed", [2024, 5077])
+    @pytest.mark.parametrize("workload", ["small", "retention", "dense150"])
+    def test_benchmark_shapes_match_reference(self, attempts, workload, seed):
+        config_fields, _ = workloads.scenario(Path(__file__).resolve().parent.parent, workload, seed)
+        generate_world(ScenarioConfig.from_dict(config_fields))
+        assert attempts == list(range(len(attempts)))
+
+    @pytest.mark.parametrize("seed", range(1, 41))
+    def test_sparse_worlds_match_reference_on_every_attempt(self, attempts, seed):
+        cfg = small_config(seed=seed, transmission_probability=0.05)
+        if seed in (16, 34):
+            with pytest.raises(ConfigurationError, match="too sparse"):
+                generate_world(cfg)
+            assert attempts == list(range(_MAX_ATTEMPTS))
+        else:
+            generate_world(cfg)
+            assert attempts == list(range(len(attempts))) and len(attempts) <= 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_phones=st.integers(1, 12),
+        duration_min=st.integers(1, 200),
+        world_size_m=st.sampled_from([10.0, 30.0, 100.0]),
+        transmission_distance_m=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+        index_cases=st.integers(1, 3),
+        min_exposure_min=st.integers(1, 3 * _REPLAY_BLOCK_MIN),
+        t_incub_min=st.integers(0, 2 * _REPLAY_BLOCK_MIN),
+        transmission_probability=st.sampled_from([1.0, 0.9, 0.3, 0.05]),
+        attempt=st.integers(0, 2),
+    )
+    def test_small_configs_match_reference(self, seed, n_phones, index_cases, t_incub_min, attempt, **epidemic):
+        cfg = ScenarioConfig(
+            seed=seed,
+            n_phones=n_phones,
+            n_venues=2,
+            alert_minute=0,
+            index_cases=min(index_cases, n_phones),
+            t_incub_min=t_incub_min,
+            t_incub_max=t_incub_min + 60,
+            **epidemic,
+        )
+        traces = _build_traces(cfg, attempt)
+        got = _replay_epidemic(cfg, traces, attempt)
+        want = reference_replay_epidemic(cfg, traces, attempt)
+        assert list(got.infections.items()) == list(want.infections.items())
+
+    @pytest.mark.parametrize("probability", [1.0, 0.3])
+    @pytest.mark.parametrize("t_incub_min", [0, 1, _REPLAY_BLOCK_MIN])
+    @pytest.mark.parametrize(
+        "min_exposure_min", [_REPLAY_BLOCK_MIN - 1, _REPLAY_BLOCK_MIN, _REPLAY_BLOCK_MIN + 1, 2 * _REPLAY_BLOCK_MIN + 1]
+    )
+    def test_infection_on_a_block_boundary(self, min_exposure_min, t_incub_min, probability):
+        # Three phones on one spot. The first block starts at the index case's
+        # onset, so a certain transmission lands inside it, on its last
+        # minute, or on the first minute of a later block with the exposure
+        # carried across.
+        duration = t_incub_min + 4 * _REPLAY_BLOCK_MIN
+        cfg = ScenarioConfig(
+            seed=3,
+            n_phones=3,
+            duration_min=duration,
+            alert_minute=0,
+            world_size_m=10.0,
+            min_exposure_min=min_exposure_min,
+            t_incub_min=t_incub_min,
+            t_incub_max=t_incub_min + 60,
+            transmission_probability=probability,
+        )
+        traces = [MobilityTrace(_phone(i), ((0, (5.0, 5.0)), (duration, (5.0, 5.0)))) for i in range(3)]
+        got = _replay_epidemic(cfg, traces, 0)
+        assert list(got.infections.items()) == list(reference_replay_epidemic(cfg, traces, 0).infections.items())
+        if probability == 1.0:
+            victims = [rec.t_infected for rec in got.infections.values() if rec.infected_by is not None]
+            assert victims == [t_incub_min + min_exposure_min - 1] * 2
 
 
 class TestObserve:

@@ -12,7 +12,18 @@ import numpy as np
 from epitrace.federation import Federation, FederationParams, OperationClass, SystemState
 from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
 from epitrace.runner import vet
-from epitrace.world import TWO_PI, MobilityTrace, NoiseModel, ProviderRegistry, ScenarioConfig, observe, trace_positions
+from epitrace.world import (
+    TWO_PI,
+    GroundTruth,
+    InfectionRecord,
+    MobilityTrace,
+    NoiseModel,
+    ProviderRegistry,
+    ScenarioConfig,
+    _index_phones,
+    observe,
+    trace_positions,
+)
 
 
 SMALL_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
@@ -102,3 +113,44 @@ def reference_observe(
                 dy += rng.gauss(0.0, sigma)
             records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
     return records
+
+
+def reference_replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attempt: int) -> GroundTruth:
+    """`world._replay_epidemic` one minute at a time over the full phone x phone matrix: the reference for the segment replay."""
+    rng = Random(f"{config.seed}/epidemic/{attempt}")
+    n = len(traces)
+    positions = trace_positions(traces, config.duration_min)
+    phones = [t.phone for t in traces]
+    index_set = set(_index_phones(config))
+    infected_at = np.full(n, -1, dtype=int)
+    infections: dict[PhoneId, InfectionRecord] = {}
+    for j, phone_id in enumerate(phones):
+        if phone_id in index_set:
+            infected_at[j] = 0
+            infections[phone_id] = InfectionRecord(t_infected=0, infected_by=None)
+
+    exposure = np.zeros((n, n), dtype=int)  # consecutive qualifying minutes, infector x susceptible
+    for minute in range(config.duration_min):
+        pos = positions[minute]
+        diff = pos[:, None, :] - pos[None, :, :]
+        close = (diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2) <= config.transmission_distance_m**2
+        infectious = (infected_at >= 0) & (infected_at + config.t_incub_min <= minute)
+        susceptible = infected_at < 0
+        active = close & infectious[:, None] & susceptible[None, :]
+        exposure = np.where(active, exposure + 1, 0)
+        complete = np.argwhere(exposure >= config.min_exposure_min)
+        if complete.size == 0:
+            continue
+        by_victim: dict[int, list[int]] = {}
+        for i, j in complete:
+            by_victim.setdefault(int(j), []).append(int(i))
+        for j, candidates in sorted(by_victim.items()):
+            infector = min(candidates, key=lambda i: (infected_at[i], phones[i]))
+            if config.transmission_probability < 1.0 and rng.random() > config.transmission_probability:
+                exposure[:, j] = 0  # failed transmission; further exposure may retry
+                continue
+            infected_at[j] = minute
+            infections[phones[j]] = InfectionRecord(t_infected=minute, infected_by=phones[infector])
+            exposure[:, j] = 0
+            exposure[j, :] = 0
+    return GroundTruth(infections=infections)
