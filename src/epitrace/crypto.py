@@ -12,14 +12,13 @@ context per provider epoch, so a key that leaks from memory exposes that epoch
 only. The `AESGCM` object holds its key inside the OpenSSL binding, where
 Python cannot zero it; dropping the context is the most this code can do.
 
-Signatures: Ed25519 (deterministic). Digests: SHA-256. Keypairs can be derived
-from seed bytes so whole scenarios replay bit-exactly.
+Signatures: Ed25519 (deterministic). Digests: SHA-256. Every key and nonce is
+drawn from the caller's seeded `Random`, so whole scenarios replay bit-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import secrets as _secrets
 from dataclasses import dataclass
 from random import Random
 
@@ -42,10 +41,6 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def rand_bytes(n: int, rng: Random | None = None) -> bytes:
-    return rng.randbytes(n) if rng is not None else _secrets.token_bytes(n)
-
-
 @dataclass(frozen=True)
 class SealKeyPair:
     """X25519 keypair for hybrid sealing; private half is threshold-shareable bytes."""
@@ -54,8 +49,8 @@ class SealKeyPair:
     public_bytes: bytes
 
     @classmethod
-    def generate(cls, rng: Random | None = None) -> "SealKeyPair":
-        priv_raw = rand_bytes(_KEY_LEN, rng)
+    def generate(cls, rng: Random) -> "SealKeyPair":
+        priv_raw = rng.randbytes(_KEY_LEN)
         priv = X25519PrivateKey.from_private_bytes(priv_raw)
         pub = priv.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
         return cls(private_bytes=priv_raw, public_bytes=pub)
@@ -69,8 +64,8 @@ class SigningKeyPair:
     public_bytes: bytes
 
     @classmethod
-    def generate(cls, rng: Random | None = None) -> "SigningKeyPair":
-        priv_raw = rand_bytes(_KEY_LEN, rng)
+    def generate(cls, rng: Random) -> "SigningKeyPair":
+        priv_raw = rng.randbytes(_KEY_LEN)
         priv = Ed25519PrivateKey.from_private_bytes(priv_raw)
         pub = priv.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
         return cls(private_bytes=priv_raw, public_bytes=pub)
@@ -92,9 +87,9 @@ class SealContext:
 
     __slots__ = ("recipient", "eph_pub", "_aead", "_base_nonce", "_seq")
 
-    def __init__(self, public_bytes: bytes, rng: Random | None = None):
+    def __init__(self, public_bytes: bytes, rng: Random):
         try:
-            eph = X25519PrivateKey.from_private_bytes(rand_bytes(_KEY_LEN, rng))
+            eph = X25519PrivateKey.from_private_bytes(rng.randbytes(_KEY_LEN))
             secret = _derive(eph.exchange(X25519PublicKey.from_public_bytes(public_bytes)), _KEY_LEN + _NONCE_LEN)
         except ValueError as exc:
             raise EncryptionError(str(exc)) from exc
@@ -129,8 +124,8 @@ def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM]) -> byt
         raise DecryptionError("ciphertext authentication failed") from exc
 
 
-def symmetric_encrypt(key: bytes, plaintext: bytes, rng: Random | None = None) -> bytes:
-    nonce = rand_bytes(_NONCE_LEN, rng)
+def symmetric_encrypt(key: bytes, plaintext: bytes, rng: Random) -> bytes:
+    nonce = rng.randbytes(_NONCE_LEN)
     return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
 
 

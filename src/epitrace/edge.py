@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING
 
 from . import crypto, framing
 from .errors import AuthorizationError, EncryptionError, LockedError
+from .federation import READ_MODES, Federation, QuorumCertificate, SystemState
 from .records import BsCode, PdrSet, PhoneId, encode_pdr_set
-
-if TYPE_CHECKING:
-    from .federation import Federation, QuorumCertificate
 
 SEAL_EPOCH_MIN = 60
 
@@ -44,17 +41,21 @@ class EncryptedPdrSet:
 class EdgeCloud:
     """One provider's secure cloud node; all mutation through its two ports."""
 
-    def __init__(self, provider_id: str, key_id: str, federation: "Federation", pdr_ttl: int, rng: Random):
+    def __init__(self, provider_id: str, key_id: str, federation: Federation, pdr_ttl: int, rng: Random):
         self.provider_id = provider_id
         self.key_id = key_id
         self.pdr_ttl = pdr_ttl
-        self.locked_for_vpn = True
         self._federation = federation
         self._rng = rng
         self._store: list[EncryptedPdrSet] = []
         self._seal_context: crypto.SealContext | None = None
         self._seal_epoch = -1
         self._phone_fields: dict[PhoneId, bytes] = {}  # `encode_pdr_set` cache, emptied with the seal context
+
+    @property
+    def locked_for_vpn(self) -> bool:
+        """Fetches are served only while the federation is ALERT."""
+        return self._federation.state is not SystemState.ALERT
 
     # -- provider side ----------------------------------------------------------
 
@@ -108,10 +109,8 @@ class EdgeCloud:
 
     # -- analysis-network side ------------------------------------------------------
 
-    def vpn_fetch(self, cert: "QuorumCertificate", minute_range: tuple[int, int]) -> list[EncryptedPdrSet]:
+    def vpn_fetch(self, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[EncryptedPdrSet]:
         """Return stored sets in the inclusive minute range, under quorum authority."""
-        from .federation import READ_MODES  # local import to avoid a cycle
-
         if self.locked_for_vpn:
             raise LockedError(f"edge cloud {self.provider_id} is locked")
         if cert.operation_class not in READ_MODES:
@@ -129,8 +128,6 @@ class EdgeCloud:
 
     def handle_fetch_frame(self, frame: bytes) -> bytes:
         """Wire-level fetch: decode request frame, serve, encode response frame."""
-        from .federation import QuorumCertificate
-
         cert_blob, start, end = framing.decode_fetch_request(frame)
         entries = self.vpn_fetch(QuorumCertificate.decode(cert_blob), (start, end))
         return framing.encode_fetch_response(

@@ -114,9 +114,9 @@ def make_request(
     requester: Authority,
     operation_class: OperationClass,
     payload: dict[str, Any],
-    rng: Random | None = None,
+    rng: Random,
 ) -> WorkflowRequest:
-    request_id = crypto.rand_bytes(16, rng)
+    request_id = rng.randbytes(16)
     unsigned = WorkflowRequest(request_id=request_id, operation_class=operation_class, payload=payload, requester=requester.id, signature=b"")
     return WorkflowRequest(
         request_id=request_id,
@@ -235,20 +235,18 @@ class Federation:
         self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, params.n_authorities + 1)]
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
         self.ledger = AuditLedger()
-        self.state = SystemState.PASSIVE
+        self.state = SystemState.PASSIVE  # the only record of PASSIVE/ALERT; edge and vault read their locks from it
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
         self._pending: dict[bytes, _Pending] = {}
         self._engine_keys: dict[str, bytes] = {}  # reconstructed only while ALERT
-        self._edges: list[Any] = []
         self._vault: Any | None = None
 
     # -- clock and attachments -------------------------------------------------
 
-    def attach_stores(self, edges: list[Any], vault: Any | None) -> None:
-        self._edges = list(edges)
+    def attach_vault(self, vault: Any) -> None:
+        """The vault whose objects entering PASSIVE shreds; stores read their lock from `state`."""
         self._vault = vault
-        self._apply_locks()
 
     def tick(self, now: int) -> None:
         """Advance the simulated clock; deny requests whose vote window lapsed."""
@@ -365,24 +363,14 @@ class Federation:
         self.check_certificate(cert, OperationClass.LOCK_UNLOCK)
         if target is self.state:
             raise StateError(f"system already {target.name}")
+        # Starting analysis rebuilds provider keys inside the engine, before the
+        # state moves, so a key that cannot be rebuilt leaves the system PASSIVE.
+        self._engine_keys = {key_id: self._reconstruct_key(key_id) for key_id in self.key_registry} if target is SystemState.ALERT else {}
         self.state = target
-        if target is SystemState.ALERT:
-            # Starting analysis rebuilds provider keys inside the engine.
-            self._engine_keys = {key_id: self._reconstruct_key(key_id) for key_id in self.key_registry}
-        else:
-            self._engine_keys = {}
-            if self._vault is not None:
-                self._vault.delete_all(reason="state_change_to_passive")
-        self._apply_locks()
+        if target is SystemState.PASSIVE and self._vault is not None:
+            self._vault.delete_all(reason="state_change_to_passive")
         self.ledger.record("state_change", self.now, target=target.name, request_id=cert.request_id.hex())
         return self.state
-
-    def _apply_locks(self) -> None:
-        locked = self.state is SystemState.PASSIVE
-        for edge in self._edges:
-            edge.locked_for_vpn = locked
-        if self._vault is not None:
-            self._vault.locked = locked
 
     # -- capabilities ---------------------------------------------------------------
 

@@ -189,7 +189,7 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
     )
     for cloud_id, mode in faults.items():
         vault.clouds[cloud_id - 1].fault_mode = mode
-    federation.attach_stores(list(edges.values()), vault)
+    federation.attach_vault(vault)
     return SimContext(
         config=config,
         registry=registry,

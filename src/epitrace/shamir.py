@@ -6,7 +6,6 @@ secret by Lagrange interpolation at x = 0, fewer reveal nothing.
 
 from __future__ import annotations
 
-import secrets as _secrets
 from dataclasses import dataclass
 from random import Random
 
@@ -22,18 +21,16 @@ class Share:
     data: bytes
 
 
-def split_secret(secret: bytes, threshold: int, n: int, rng: Random | None = None) -> list[Share]:
+def split_secret(secret: bytes, threshold: int, n: int, rng: Random) -> list[Share]:
     """Split `secret` into n shares such that any `threshold` reconstruct it.
 
-    `rng` makes the polynomial coefficients reproducible for seeded scenarios;
-    left None, they come from the OS entropy pool.
+    The polynomial coefficients are drawn from `rng`, so seeded scenarios replay.
     """
     if not (1 <= threshold <= n <= 255):
         raise ParameterError(f"need 1 <= threshold <= n <= 255, got threshold={threshold} n={n}")
-    rand_byte = rng.randrange if rng is not None else (lambda _n: _secrets.randbelow(256))
     # Each secret byte draws its threshold-1 higher coefficients in turn; row j
     # gathers every byte's x**j coefficient, row 0 being the secret itself.
-    coeffs = bytes(rand_byte(256) for _ in range(len(secret) * (threshold - 1)))
+    coeffs = bytes(rng.randrange(256) for _ in range(len(secret) * (threshold - 1)))
     rows = [secret, *(coeffs[j :: threshold - 1] for j in range(threshold - 1))]
     shares = []
     for x in range(1, n + 1):

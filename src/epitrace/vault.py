@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import TYPE_CHECKING
 
 from . import crypto, erasure, framing
 from .errors import (
@@ -16,10 +15,8 @@ from .errors import (
     ParameterError,
     UnavailableError,
 )
+from .federation import Capability, Federation, OperationClass, SystemState
 from .shamir import Share, reconstruct_secret, split_secret
-
-if TYPE_CHECKING:
-    from .federation import Capability, Federation
 
 
 class FaultMode(Enum):
@@ -111,7 +108,7 @@ def _verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: 
 class VaultCoordinator:
     """Scatter/gather front to the cloud set; all access capability-gated."""
 
-    def __init__(self, federation: "Federation", n_clouds: int, k: int, key_threshold: int, rng: Random):
+    def __init__(self, federation: Federation, n_clouds: int, k: int, key_threshold: int, rng: Random):
         if not (1 <= k <= n_clouds):
             raise ParameterError(f"need 1 <= k <= n_clouds, got k={k} n={n_clouds}")
         if not (1 <= key_threshold <= n_clouds):
@@ -119,24 +116,33 @@ class VaultCoordinator:
         self.clouds = [CloudNode(id=i) for i in range(1, n_clouds + 1)]
         self.k = k
         self.key_threshold = key_threshold
-        self.locked = True
         self.inventory: dict[bytes, VaultObject] = {}
         self._federation = federation
         self._rng = rng
 
+    @property
+    def locked(self) -> bool:
+        """Reads and writes are served only while the federation is ALERT."""
+        return self._federation.state is not SystemState.ALERT
+
     # -- operations -------------------------------------------------------------
 
-    def write(self, capability: "Capability", plaintext: bytes) -> bytes:
-        """Encrypt under a fresh key, scatter fragments and key shares, forget both."""
+    def write(self, capability: Capability, plaintext: bytes) -> bytes:
+        """Encrypt under a fresh key, scatter fragments and key shares, forget both.
+
+        The write stands only once enough clouds acknowledge it to rebuild both
+        the ciphertext (k fragments) and its key (`key_threshold` shares);
+        below that, every stored piece is shredded and nothing is recorded.
+        """
         if self.locked:
             raise LockedError("vault is locked")
         capability.require_write()
-        key = crypto.rand_bytes(32, self._rng)
+        key = self._rng.randbytes(32)
         ciphertext = crypto.symmetric_encrypt(key, plaintext, self._rng)
         n = len(self.clouds)
         fragments = erasure.encode(ciphertext, self.k, n)
         shares = split_secret(key, self.key_threshold, n, self._rng)
-        object_id = crypto.rand_bytes(16, self._rng)
+        object_id = self._rng.randbytes(16)
         acks = 0
         fragment_digests, share_digests = {}, {}
         for cloud, fragment, share in zip(self.clouds, fragments, shares):
@@ -146,10 +152,11 @@ class VaultCoordinator:
             message = framing.encode_fragment_message(object_id, fragment.index, fragment.data, share_blob)
             if cloud.store(message):
                 acks += 1
-        if acks < self.k:
+        need = max(self.k, self.key_threshold)
+        if acks < need:
             for cloud in self.clouds:
                 cloud.shred(object_id)
-            raise UnavailableError(f"only {acks} clouds acknowledged, need {self.k}")
+            raise UnavailableError(f"only {acks} clouds acknowledged, need {need}")
         meta = VaultObject(
             plain_digest=crypto.digest(plaintext),
             cipher_digest=crypto.digest(ciphertext),
@@ -161,16 +168,14 @@ class VaultCoordinator:
         self._federation.ledger.record("vault_write", self._federation.now, object_id=object_id.hex(), size=len(plaintext))
         return object_id
 
-    def read(self, capability: "Capability", object_id: bytes) -> bytes:
+    def read(self, capability: Capability, object_id: bytes) -> bytes:
         """Rebuild the object; FULL_PROCESSING gets plaintext, blind modes ciphertext.
 
         Each fragment and key share is checked against its write-time digest
         on its own, so any k verified fragments and any `key_threshold`
         verified shares rebuild the object whatever the other clouds return.
         """
-        capability.require_read()
-        if self.locked:
-            raise LockedError("vault is locked")
+        capability.require_read()  # a capability reads only while ALERT, so a locked vault never serves
         meta = self.inventory.get(object_id)
         if meta is None:
             raise UnavailableError("unknown or deleted object")
@@ -179,8 +184,6 @@ class VaultCoordinator:
         ciphertext = erasure.decode([erasure.Fragment(index, data) for index, data in fragments.items()], self.k)
         if crypto.digest(ciphertext) != meta.cipher_digest:
             raise IntegrityError("ciphertext digest mismatch")
-        from .federation import OperationClass
-
         if capability.mode is not OperationClass.FULL_PROCESSING:
             return ciphertext  # blind modes never see plaintext
         blobs = _verified([(index, blob) for index, _, blob in responses], meta.share_digests, self.key_threshold, "key shares")

@@ -578,7 +578,9 @@ def observe(
                 g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
                 dx += 0.0 + math.cos(x2pi) * g2rad * sigma
                 dy += 0.0 + math.sin(x2pi) * g2rad * sigma
-            records.append(ProximityDetailRecord(bs, phones[j], math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
+            # A tiny negative angle rounds up to 2*pi under `%`; the second `%` maps
+            # that one value to 0.0 and leaves every other azimuth as it is.
+            records.append(ProximityDetailRecord(bs, phones[j], math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI % TWO_PI, minute))
     return records
 
 

@@ -203,7 +203,7 @@ def test_criterion_4_vault_thresholds():
         def fresh_vault(seed):
             federation = small_federation(seed=seed)
             vault = VaultCoordinator(federation, n_clouds=4, k=2, key_threshold=3, rng=Random(seed))
-            federation.attach_stores([], vault)
+            federation.attach_vault(vault)
             cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(seed + 1))
             federation.change_state(cert, SystemState.ALERT)
             write_cert = vet(federation, OperationClass.BLIND_PROCESSING, {}, Random(seed + 2))

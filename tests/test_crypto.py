@@ -97,13 +97,13 @@ class TestHybridSeal:
 
 class TestSymmetric:
     def test_round_trip(self):
-        key = crypto.rand_bytes(32, Random(4))
+        key = Random(4).randbytes(32)
         blob = crypto.symmetric_encrypt(key, b"fragment payload", Random(5))
         assert crypto.symmetric_decrypt(key, blob) == b"fragment payload"
 
     def test_wrong_key_rejected(self):
-        key = crypto.rand_bytes(32, Random(4))
-        other = crypto.rand_bytes(32, Random(5))
+        key = Random(4).randbytes(32)
+        other = Random(5).randbytes(32)
         blob = crypto.symmetric_encrypt(key, b"payload", Random(6))
         with pytest.raises(DecryptionError):
             crypto.symmetric_decrypt(other, blob)

@@ -26,7 +26,6 @@ def cloud():
     federation = small_federation()
     federation.escrow_keypair("provider:P1")
     edge = EdgeCloud(provider_id="P1", key_id="provider:P1", federation=federation, pdr_ttl=40320, rng=Random(0))
-    federation.attach_stores([edge], None)
     return federation, edge
 
 

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epitrace.edge import EdgeCloud
 from epitrace.errors import AuthorizationError, ConfigurationError, ParameterError, StateError, ValidationError
 from epitrace.federation import (
     Federation,
@@ -17,6 +18,7 @@ from epitrace.federation import (
     vote_signing_bytes,
 )
 from epitrace.runner import vet
+from epitrace.vault import VaultCoordinator
 from epitrace.world import ScenarioConfig
 from util import alerted_federation, small_federation
 
@@ -209,6 +211,43 @@ class TestStateMachine:
         federation = alerted_federation()
         changes = [e for e in federation.ledger.entries if e.content["kind"] == "state_change"]
         assert len(changes) == 1 and changes[0].content["target"] == "ALERT"
+
+
+    @staticmethod
+    def _stores(federation):
+        federation.escrow_keypair("provider:P1")
+        edge = EdgeCloud(provider_id="P1", key_id="provider:P1", federation=federation, pdr_ttl=60, rng=Random(20))
+        vault = VaultCoordinator(federation, n_clouds=3, k=2, key_threshold=2, rng=Random(21))
+        federation.attach_vault(vault)
+        return edge, vault
+
+    def test_failed_unlock_leaves_the_system_passive(self):
+        federation = small_federation()  # key threshold 2 of 3
+        edge, vault = self._stores(federation)
+        removed = {a.id: a.key_shares.pop("provider:P1") for a in federation.authorities[:2]}
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(22))
+        with pytest.raises(AuthorizationError):
+            federation.change_state(cert, SystemState.ALERT)
+        assert federation.state is SystemState.PASSIVE
+        assert federation.engine_keys_held == 0
+        assert edge.locked_for_vpn and vault.locked
+        assert not [e for e in federation.ledger.entries if e.content["kind"] == "state_change"]
+        for authority in federation.authorities[:2]:
+            authority.key_shares["provider:P1"] = removed[authority.id]
+        retry = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(23))
+        assert federation.change_state(retry, SystemState.ALERT) is SystemState.ALERT
+        assert federation.engine_keys_held == 1
+        assert not edge.locked_for_vpn and not vault.locked
+
+    def test_stores_follow_every_state_change(self):
+        federation = small_federation()
+        edge, vault = self._stores(federation)
+        assert edge.locked_for_vpn and vault.locked
+        for i, target in enumerate([SystemState.ALERT, SystemState.PASSIVE, SystemState.ALERT]):
+            cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": target.name}, Random(30 + i))
+            federation.change_state(cert, target)
+            locked = target is SystemState.PASSIVE
+            assert edge.locked_for_vpn is locked and vault.locked is locked
 
 
 class TestCapabilities:

@@ -36,11 +36,11 @@ class TestSplit:
 
     def test_threshold_above_n_rejected(self):
         with pytest.raises(ParameterError):
-            split_secret(b"s", 4, 3)
+            split_secret(b"s", 4, 3, Random(0))
         with pytest.raises(ParameterError):
-            split_secret(b"s", 0, 3)
+            split_secret(b"s", 0, 3, Random(0))
         with pytest.raises(ParameterError):
-            split_secret(b"s", 2, 300)
+            split_secret(b"s", 2, 300, Random(0))
 
     def test_share_coordinates_are_one_based(self):
         shares = split_secret(b"abc", 2, 4, Random(4))

@@ -2,6 +2,9 @@
 
 A function, method or class that only tests reach is a second path no run
 takes; it is either deleted or named here as a test probe.
+
+Every random draw in the package takes a seeded `Random` handed in by the
+caller: no OS entropy, no unseeded `Random`, no `rng` that may be left out.
 """
 
 import ast
@@ -57,3 +60,62 @@ def test_every_public_name_occurs_outside_its_definition():
 
 def test_every_test_probe_is_still_defined_and_unreferenced():
     assert _unreferenced() & TEST_PROBES == TEST_PROBES
+
+
+def _unseeded_randomness(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) of every draw in `tree` that would not come from the scenario seed."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "imports secrets") for alias in node.names if alias.name == "secrets"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "secrets":
+                found.append((node.lineno, "imports secrets"))
+            elif node.module == "os" and any(alias.name == "urandom" for alias in node.names):
+                found.append((node.lineno, "imports os.urandom"))
+        elif isinstance(node, ast.Attribute) and node.attr == "urandom" and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append((node.lineno, "calls os.urandom"))
+        elif isinstance(node, ast.Call) and not node.args and not node.keywords:
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "Random") or (isinstance(func, ast.Attribute) and func.attr == "Random"):
+                found.append((node.lineno, "builds Random() with no seed"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            found += [(node.lineno, f"{node.name} gives rng a default") for arg in defaulted if arg.arg == "rng"]
+    return sorted(found)
+
+
+def test_every_draw_takes_the_callers_seeded_random():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, what in _unseeded_randomness(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_unseeded_randomness_guard_sees_each_form():
+    text = """
+import secrets
+from os import urandom
+import os, random
+os.urandom(4)
+random.Random()
+Random()
+Random(7)
+def f(x, rng=None): pass
+def g(*, rng=None): pass
+def h(rng): pass
+"""
+    assert [what for _line, what in _unseeded_randomness(ast.parse(text))] == [
+        "imports secrets",
+        "imports os.urandom",
+        "calls os.urandom",
+        "builds Random() with no seed",
+        "builds Random() with no seed",
+        "f gives rng a default",
+        "g gives rng a default",
+    ]

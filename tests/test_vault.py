@@ -22,7 +22,7 @@ from util import small_federation
 def make_vault(key_threshold=3, k=2, n_clouds=4, alerted=True, seed=0):
     federation = small_federation(seed=seed)
     vault = VaultCoordinator(federation, n_clouds=n_clouds, k=k, key_threshold=key_threshold, rng=Random(seed))
-    federation.attach_stores([], vault)
+    federation.attach_vault(vault)
     if alerted:
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(seed + 1))
         federation.change_state(cert, SystemState.ALERT)
@@ -107,6 +107,18 @@ class TestWriteRead:
         assert vault.object_count == 0
         # the surviving cloud holds no fragment of the aborted object
         assert vault.clouds[0].held_object_ids() == []
+
+    def test_write_fails_cleanly_below_key_threshold_clouds(self):
+        # n=4, k=2, key threshold 3: two clouds hold enough fragments but too few key shares.
+        federation, vault = make_vault()
+        cap_write, _ = caps(federation)
+        for cloud in vault.clouds[:2]:
+            cloud.fault_mode = FaultMode.CRASHED
+        with pytest.raises(UnavailableError, match="need 3"):
+            vault.write(cap_write, b"unreadable?")
+        assert vault.object_count == 0
+        assert all(cloud.held_object_ids() == [] for cloud in vault.clouds)
+        assert not [e for e in federation.ledger.entries if e.content["kind"] == "vault_write"]
 
     def test_blind_read_returns_ciphertext_only(self):
         federation, vault = make_vault()

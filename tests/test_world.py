@@ -10,7 +10,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from epitrace import world
 from epitrace.errors import ConfigurationError
-from epitrace.records import PrecisionClass
+from epitrace.records import PrecisionClass, group_into_sets
 from epitrace.world import (
     _MAX_ATTEMPTS,
     _REPLAY_BLOCK_MIN,
@@ -423,6 +423,16 @@ class TestObserve:
         records = observe(registry, traces, 10, positions_at(traces, 10), noise)
         assert records and blind not in {r.bs for r in records}
         assert self._bits(records) == self._bits(reference_observe(registry, traces, 10, positions_at(traces, 10), noise))
+
+    def test_angle_just_below_zero_is_azimuth_zero(self):
+        # atan2 gives -5.7e-17 here, which `% 2*pi` rounds up to exactly 2*pi.
+        bs, registry = self._single_station_registry(centroid=(300.0, 300.0), useful_range=1500.0, cls=PrecisionClass.MACRO)
+        traces = [MobilityTrace(_phone(0), ((0, (1300.0, math.nextafter(300.0, 0.0))),))]
+        for sweep in (observe, reference_observe):
+            [record] = sweep(registry, traces, 0, positions_at(traces, 0), None)
+            assert record.azimuth == 0.0
+            [pdr_set] = group_into_sets([record])
+            assert pdr_set.azimuths == (0.0,)
 
     @pytest.mark.parametrize("sigma", [1.0, 10.0, 150.0, 1e-300, 0.1])
     def test_written_out_pair_equals_two_gauss_calls(self, sigma):

@@ -111,7 +111,8 @@ def reference_observe(
             if rng is not None:
                 dx += rng.gauss(0.0, sigma)
                 dy += rng.gauss(0.0, sigma)
-            records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI, minute))
+            azimuth = math.atan2(dy, dx) % TWO_PI
+            records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), 0.0 if azimuth == TWO_PI else azimuth, minute))
     return records
 
 
