@@ -301,7 +301,6 @@ def find_suspicions(
     prox_max = params.prox_max
     samples: dict[PhoneId, list[tuple[int, float, PrecisionClass, str, int]]] = {}
     by_minute = index.presence.get(poi.phone, {})
-    class_by_rank = {c.rank: c for c in PrecisionClass}
     for minute in sorted(by_minute):
         if minute < lower:
             continue
@@ -317,7 +316,7 @@ def find_suspicions(
         for u, (neg_rank, dist, code, size) in best.items():
             # A more precise station that also sees u decides, and it put u out of range.
             if not any(view.rank > -neg_rank and view.sees(u) for view, _pos in entries):
-                samples.setdefault(u, []).append((minute, dist, class_by_rank[-neg_rank], code, size))
+                samples.setdefault(u, []).append((minute, dist, PrecisionClass.from_rank(-neg_rank), code, size))
 
     suspicions = []
     for u in sorted(samples):

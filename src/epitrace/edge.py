@@ -1,8 +1,9 @@
 """Per-provider edge secure cloud: push-only ingestion, TTL pruning, VPN fetch.
 
 The provider faces a write-only port; once a record set is pushed it can never
-be read back from the provider side. Analysis-side access goes through the
-fetch path, which demands an unlocked cloud and a quorum certificate.
+be read back from the provider side. Analysis-side access goes through one
+entry, the fetch frame, which demands an unlocked cloud and a quorum
+certificate.
 
 Pushed sets are sealed under one sender context per provider-hour (see
 `crypto`): one key exchange per epoch, then one AEAD call per set. The epoch is
@@ -29,8 +30,8 @@ SEAL_EPOCH_MIN = 60
 class EncryptedPdrSet:
     """Sealed record set plus the cleartext metadata needed for pruning.
 
-    In the store the ciphertext is a bytearray, so pruning can zero it in
-    place; fetches hand out `bytes` copies.
+    The ciphertext is a bytearray, so pruning can zero it in place; a fetch
+    copies it into the response frame.
     """
 
     ciphertext: bytes
@@ -109,8 +110,14 @@ class EdgeCloud:
 
     # -- analysis-network side ------------------------------------------------------
 
-    def vpn_fetch(self, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[EncryptedPdrSet]:
-        """Return stored sets in the inclusive minute range, under quorum authority."""
+    def handle_fetch_frame(self, frame: bytes) -> bytes:
+        """The analysis network's one way in: a fetch request frame in, a response frame out.
+
+        Refuses while locked, refuses and ledgers a non-read certificate class,
+        checks the quorum, then encodes the sets of the inclusive minute range.
+        """
+        cert_blob, start, end = framing.decode_fetch_request(frame)
+        cert = QuorumCertificate.decode(cert_blob)
         if self.locked_for_vpn:
             raise LockedError(f"edge cloud {self.provider_id} is locked")
         if cert.operation_class not in READ_MODES:
@@ -119,20 +126,8 @@ class EdgeCloud:
             )
             raise AuthorizationError(f"certificate class {cert.operation_class.name} cannot fetch")
         self._federation.check_certificate(cert, cert.operation_class)
-        start, end = minute_range
-        return [
-            EncryptedPdrSet(ciphertext=bytes(e.ciphertext), minute=e.minute, bs_code_hint=e.bs_code_hint)
-            for e in self._store
-            if start <= e.minute <= end
-        ]
-
-    def handle_fetch_frame(self, frame: bytes) -> bytes:
-        """Wire-level fetch: decode request frame, serve, encode response frame."""
-        cert_blob, start, end = framing.decode_fetch_request(frame)
-        entries = self.vpn_fetch(QuorumCertificate.decode(cert_blob), (start, end))
-        return framing.encode_fetch_response(
-            [(e.minute, e.bs_code_hint.code, e.bs_code_hint.precision_class.rank, e.ciphertext) for e in entries]
-        )
+        entries = [e for e in self._store if start <= e.minute <= end]
+        return framing.encode_fetch_response([(e.minute, e.bs_code_hint.code, e.bs_code_hint.precision_class.rank, e.ciphertext) for e in entries])
 
     # -- introspection for audits (not part of the provider surface) -----------------
 

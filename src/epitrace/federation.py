@@ -279,12 +279,13 @@ class Federation:
         return pair.public_bytes
 
     def _reconstruct_key(self, key_id: str) -> bytes:
+        """Rebuild one escrowed key; too few shares is a ledgered denial."""
         shares = [a.key_shares[key_id] for a in self.authorities if key_id in a.key_shares]
-        if len(shares) < self.params.key_threshold:
-            raise AuthorizationError(f"not enough shares to rebuild key {key_id}")
-        secret = reconstruct_secret(shares[: self.params.key_threshold])
-        self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.params.key_threshold)
-        return secret
+        threshold = self.params.key_threshold
+        if len(shares) < threshold:
+            self.ledger.record("denial", self.now, key_id=key_id, shares_held=len(shares), key_threshold=threshold)
+            raise AuthorizationError(f"not enough shares to rebuild key {key_id}: {len(shares)} held, {threshold} needed")
+        return reconstruct_secret(shares[:threshold])
 
     @property
     def engine_keys_held(self) -> int:
@@ -363,9 +364,13 @@ class Federation:
         self.check_certificate(cert, OperationClass.LOCK_UNLOCK)
         if target is self.state:
             raise StateError(f"system already {target.name}")
-        # Starting analysis rebuilds provider keys inside the engine, before the
-        # state moves, so a key that cannot be rebuilt leaves the system PASSIVE.
-        self._engine_keys = {key_id: self._reconstruct_key(key_id) for key_id in self.key_registry} if target is SystemState.ALERT else {}
+        # Starting analysis rebuilds every provider key inside the engine before
+        # the state moves or any rebuild is ledgered, so a key that cannot be
+        # rebuilt leaves the system PASSIVE and the ledger with only its denial.
+        keys = {key_id: self._reconstruct_key(key_id) for key_id in self.key_registry} if target is SystemState.ALERT else {}
+        for key_id in keys:
+            self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.params.key_threshold)
+        self._engine_keys = keys
         self.state = target
         if target is SystemState.PASSIVE and self._vault is not None:
             self._vault.delete_all(reason="state_change_to_passive")

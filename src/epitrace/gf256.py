@@ -1,7 +1,8 @@
-"""GF(256) arithmetic (AES polynomial 0x11B, generator 3) via log/exp tables.
+"""GF(256) arithmetic (AES polynomial 0x11B, generator 3) through one product table.
 
-Scalar `mul`/`div` serve the small weight computations; bulk byte work goes
-through one 256x256 product table and `combine`.
+The 256x256 table `PRODUCT` is built once from log/exp tables; every field
+multiplication, scalar or bulk, is a lookup in it, and division multiplies by
+a row of `INVERSE`.
 """
 
 from __future__ import annotations
@@ -21,40 +22,30 @@ for _i in range(255):
 for _i in range(255, 512):
     EXP[_i] = EXP[_i - 255]
 
-
-def mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return EXP[LOG[a] + LOG[b]]
-
-
-def div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return EXP[(LOG[a] - LOG[b]) % 255]
-
-
-# PRODUCT[a, b] == mul(a, b); a row is the multiply-by-a lookup for a byte vector.
+# PRODUCT[a, b] is a * b in the field; a row is the multiply-by-a lookup for a byte vector.
 _exp = np.array(EXP, dtype=np.uint8)
 _log = np.array(LOG, dtype=np.intp)
 PRODUCT = _exp[_log[:, None] + _log[None, :]]
 PRODUCT[0, :] = 0
 PRODUCT[:, 0] = 0
+# INVERSE[a] * a == 1 for every a != 0; zero has no inverse and maps to 0.
+INVERSE = _exp[255 - _log]
+INVERSE[0] = 0
 
 
 def lagrange_weights(xs: Sequence[int], at: int) -> list[int]:
-    """Weights w_i with f(at) = XOR of w_i * f(xs[i]) for any polynomial of degree < len(xs)."""
+    """Weights w_i with f(at) = XOR of w_i * f(xs[i]) for any polynomial of degree < len(xs); xs must be distinct."""
     weights = []
     for i, xi in enumerate(xs):
         num, den = 1, 1
         for j, xj in enumerate(xs):
             if i == j:
                 continue
-            num = mul(num, at ^ xj)
-            den = mul(den, xi ^ xj)
-        weights.append(div(num, den))
+            num = PRODUCT[num, at ^ xj]
+            den = PRODUCT[den, xi ^ xj]
+        if not den:
+            raise ZeroDivisionError(f"x-coordinate {xi} repeats")
+        weights.append(int(PRODUCT[num, INVERSE[den]]))
     return weights
 
 

@@ -24,7 +24,10 @@ IMEI_LEN = 15
 
 
 class PrecisionClass(Enum):
-    """Station measurement-precision class; smaller cells measure tighter."""
+    """Station measurement-precision class; smaller cells measure tighter.
+
+    Declared in ascending precision: a class's rank is its place in `_BY_RANK`.
+    """
 
     MACRO = "MACRO"
     PICO = "PICO"
@@ -32,12 +35,17 @@ class PrecisionClass(Enum):
 
     @property
     def rank(self) -> int:
-        # Higher rank = higher measurement precision.
-        return {"MACRO": 0, "PICO": 1, "FEMTO": 2}[self.value]
+        """Higher rank = higher measurement precision; the class byte of a fetched set."""
+        return _BY_RANK.index(self)
 
     @classmethod
     def from_rank(cls, rank: int) -> "PrecisionClass":
-        return {0: cls.MACRO, 1: cls.PICO, 2: cls.FEMTO}[rank]
+        if not 0 <= rank < len(_BY_RANK):
+            raise ValidationError(f"unknown precision rank {rank}")
+        return _BY_RANK[rank]
+
+
+_BY_RANK = tuple(PrecisionClass)
 
 
 class PhoneId(tuple):
@@ -180,15 +188,13 @@ _U32 = struct.Struct(">I")
 _TAIL = struct.Struct(">ddQ")
 
 
-def encode_pdr_set(pdr_set: PdrSet, phones: dict[PhoneId, bytes] | None = None) -> bytes:
+def encode_pdr_set(pdr_set: PdrSet, phones: dict[PhoneId, bytes]) -> bytes:
     """Serialize one set in the canonical layout.
 
-    `phones` is an optional cache of each phone's encoded fields (u32 length
+    `phones` is the caller's cache of each phone's encoded fields (u32 length
     prefix, nr, IMEI), filled as phones are met: sets encoded with the same
-    dict encode each phone once. The bytes are the same with or without it.
+    dict encode each phone once. The bytes do not depend on what it holds.
     """
-    if phones is None:
-        phones = {}
     code = pdr_set.bs.code.encode("ascii")
     parts = [_U32.pack(len(pdr_set.phones))]
     for phone, radius, azimuth in zip(pdr_set.phones, pdr_set.radii, pdr_set.azimuths):

@@ -71,23 +71,7 @@ class RunReport:
         )
 
     def to_json_bytes(self) -> bytes:
-        payload = {
-            "scenario_digest": self.scenario_digest,
-            "seed": self.seed,
-            "counts": self.counts,
-            "scores_by_class": self.scores_by_class,
-            "recall": self.recall,
-            "precision": self.precision,
-            "ledger_ok": self.ledger_ok,
-            "vault_roundtrip_ok": self.vault_roundtrip_ok,
-            "privacy": self.privacy,
-            "timing": self.timing,
-            "ok": self.ok,
-        }
-        return framing.canonical_json(payload) + b"\n"
-
-    def digest(self) -> str:
-        return crypto.digest(self.to_json_bytes()).hex()
+        return framing.canonical_json({**dataclasses.asdict(self), "ok": self.ok}) + b"\n"
 
     def summary_text(self) -> str:
         lines = [
@@ -336,14 +320,19 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
     phones: dict = {}  # one PhoneId per phone across the whole fetch, so index lookups hit on identity
     for provider_id in sorted(context.edges):
         edge = context.edges[provider_id]
-        frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
-        response = edge.handle_fetch_frame(frame)
+        entries = _fetch(edge, cert, minute_range)
         key = context.federation.engine_key(edge.key_id)
         aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
-        for _minute, _code, class_value, ciphertext in framing.decode_fetch_response(response):
+        for _minute, _code, class_value, ciphertext in entries:
             plaintext = crypto.unseal(key, ciphertext, aeads)
             sets.append(decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones))
     return sets
+
+
+def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, str, int, bytes]]:
+    """One fetch as the analysis network makes it: a request frame to the edge, its response frame decoded."""
+    frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
+    return framing.decode_fetch_response(edge.handle_fetch_frame(frame))
 
 
 def _recall_precision(context: SimContext, flagged: set) -> tuple[float, float]:
@@ -484,7 +473,7 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
     # 2. Locked fetch: valid certificate, but the system is passive.
     cert_probe = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "probe"}, rng)
     try:
-        next(iter(context.edges.values())).vpn_fetch(cert_probe, (0, 100))
+        _fetch(next(iter(context.edges.values())), cert_probe, (0, 100))
         results.append(AttackResult("locked_fetch", safe=False, detail="fetch served while passive"))
     except LockedError:
         results.append(AttackResult("locked_fetch", safe=True, detail="locked cloud refused fetch"))
@@ -505,7 +494,7 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
         approvals=tuple(sorted((v.authority_id, v.signature) for v in votes)),
     )
     try:
-        next(iter(context.edges.values())).vpn_fetch(forged, (0, 100))
+        _fetch(next(iter(context.edges.values())), forged, (0, 100))
         results.append(AttackResult("subquorum_fetch", safe=False, detail="sub-quorum certificate accepted"))
     except AuthorizationError:
         logged = any(e.content.get("kind") == "authorization_failure" for e in federation.ledger.entries)
@@ -563,7 +552,7 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
         edge.prune(far_future)
     fetched = []
     for edge in context.edges.values():
-        fetched.extend(edge.vpn_fetch(cert_probe, (0, 30)))
+        fetched.extend(_fetch(edge, cert_probe, (0, 30)))
     results.append(
         AttackResult("expired_pdr_access", safe=not fetched, detail=f"{len(fetched)} expired sets served")
     )

@@ -36,7 +36,7 @@ def split_secret(secret: bytes, threshold: int, n: int, rng: Random) -> list[Sha
     for x in range(1, n + 1):
         powers = [1]
         for _ in range(threshold - 1):
-            powers.append(gf256.mul(powers[-1], x))
+            powers.append(int(gf256.PRODUCT[powers[-1], x]))
         shares.append(Share(x=x, data=gf256.combine(rows, powers)))
     return shares
 

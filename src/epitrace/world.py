@@ -22,11 +22,10 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .framing import canonical_json
-from .records import BsCode, PhoneId, PrecisionClass, ProximityDetailRecord
+from .records import TWO_PI, BsCode, PhoneId, PrecisionClass, ProximityDetailRecord
 
 Point = tuple[float, float]
 
-TWO_PI = 2.0 * math.pi
 MINUTES_PER_DAY = 1440
 
 # Accepted value types per annotated config field type; bool only for bool fields.
@@ -156,6 +155,17 @@ class ScenarioConfig:
             raise ConfigurationError("prox_max_m must be > 0")
         if self.hotspot_cell_m <= 0:
             raise ConfigurationError("hotspot_cell_m must be > 0")
+        # A station box reaches at most `extent` from the origin, which bounds
+        # the hotspot cell index floor((x0 + x1) / 2 / cell) of any box.
+        extent = self.world_size_m + max(self.range_macro_m, self.range_pico_m, self.range_femto_m)
+        if not math.isfinite((extent + extent) / 2.0 / self.hotspot_cell_m):
+            raise ConfigurationError(f"hotspot_cell_m {self.hotspot_cell_m} overflows the grid index of a {extent} m coordinate")
+        # A noisy offset is the in-range offset plus one Box-Muller draw, which
+        # is at most sqrt(-2 ln 2**-53) < 8.6 sigma.
+        for cls in ("macro", "pico", "femto"):
+            useful_range, sigma = getattr(self, f"range_{cls}_m"), getattr(self, f"sigma_{cls}_m")
+            if not math.isfinite(useful_range + 8.6 * sigma):
+                raise ConfigurationError(f"sigma_{cls}_m {sigma} overflows a noisy offset within range_{cls}_m {useful_range}")
         if self.dur_min < 1:
             raise ConfigurationError("dur_min must be >= 1")
         if not self.world_size_m > 0:

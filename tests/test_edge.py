@@ -6,8 +6,8 @@ from epitrace import crypto, framing
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import AuthorizationError, DecryptionError, LockedError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
-from epitrace.records import PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
-from epitrace.runner import vet
+from epitrace.records import BsCode, PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
+from epitrace.runner import _fetch, vet
 from util import phone, small_federation, station
 
 
@@ -59,11 +59,11 @@ class TestPush:
         s = make_set(9, n_phones=4)
         edge.push(s)
         unlock(federation)
-        entry = edge.vpn_fetch(read_cert(federation), (0, 100))[0]
+        [(_minute, _code, _class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
         # Reconstruct the provider key from the escrowed shares, as the engine does.
         private = federation.engine_key("provider:P1")
-        plaintext = crypto.unseal(private, entry.ciphertext, {})
-        assert plaintext == encode_pdr_set(s)
+        plaintext = crypto.unseal(private, ciphertext, {})
+        assert plaintext == encode_pdr_set(s, {})
         assert decode_pdr_set(plaintext, PrecisionClass.FEMTO, {}) == s
 
     def test_metadata_matches_enclosed_set(self, cloud):
@@ -71,9 +71,9 @@ class TestPush:
         s = make_set(42)
         edge.push(s)
         unlock(federation)
-        entry = edge.vpn_fetch(read_cert(federation), (0, 100))[0]
-        assert entry.minute == s.minute == 42
-        assert entry.bs_code_hint == s.bs
+        [(minute, code, class_value, _ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
+        assert minute == s.minute == 42
+        assert BsCode(code, PrecisionClass.from_rank(class_value)) == s.bs
 
     def test_provider_port_exposes_only_push(self, cloud):
         _, edge = cloud
@@ -133,8 +133,8 @@ class TestSealEpochs:
         assert port.push(make_set(3))
         first, second, third = edge.stored_ciphertexts()
         assert len({bytes(c[:32]) for c in (first, second, third)}) == 3
-        assert crypto.unseal(swapped.private_bytes, bytes(second), {}) == encode_pdr_set(make_set(1))
-        assert crypto.unseal(swapped.private_bytes, bytes(third), {}) == encode_pdr_set(make_set(3))
+        assert crypto.unseal(swapped.private_bytes, bytes(second), {}) == encode_pdr_set(make_set(1), {})
+        assert crypto.unseal(swapped.private_bytes, bytes(third), {}) == encode_pdr_set(make_set(3), {})
         with pytest.raises(DecryptionError):
             crypto.unseal(swapped.private_bytes, bytes(first), {})
 
@@ -150,10 +150,9 @@ class TestSealEpochs:
         stored[2][0] ^= 0x01  # eph_pub of the third
         unlock(federation)
         private = federation.engine_key("provider:P1")
-        frame = framing.encode_fetch_request(read_cert(federation).encode(), 0, 10)
         aeads = {}
         opened = []
-        for _minute, _code, _class, ciphertext in framing.decode_fetch_response(edge.handle_fetch_frame(frame)):
+        for _minute, _code, _class, ciphertext in _fetch(edge, read_cert(federation), (0, 10)):
             try:
                 opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads), PrecisionClass.FEMTO, {}))
             except DecryptionError:
@@ -216,9 +215,9 @@ class TestPrune:
         federation, edge = cloud
         edge.provider_port().push(make_set(0))
         unlock(federation)
-        entry = edge.vpn_fetch(read_cert(federation), (0, 10))[0]
+        [(_minute, _code, _class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 10))
         edge.prune(now=50000)
-        assert type(entry.ciphertext) is bytes and any(entry.ciphertext)
+        assert crypto.unseal(federation.engine_key("provider:P1"), ciphertext, {}) == encode_pdr_set(make_set(0), {})
 
     def test_prune_is_ledger_logged(self, cloud):
         federation, edge = cloud
@@ -237,7 +236,7 @@ class TestVpnFetch:
         cert = read_cert(federation)
         assert edge.locked_for_vpn
         with pytest.raises(LockedError):
-            edge.vpn_fetch(cert, (0, 10))
+            _fetch(edge, cert, (0, 10))
 
     def test_subquorum_cert_rejected_and_logged(self, cloud):
         federation, edge = cloud
@@ -254,7 +253,7 @@ class TestVpnFetch:
         )
         before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError):
-            edge.vpn_fetch(forged, (0, 10))
+            _fetch(edge, forged, (0, 10))
         logged = [e for e in federation.ledger.entries[before:] if e.content["kind"] == "authorization_failure"]
         assert logged
 
@@ -264,8 +263,8 @@ class TestVpnFetch:
         for minute in range(6):
             port.push(make_set(minute))
         unlock(federation)
-        entries = edge.vpn_fetch(read_cert(federation), (0, 5))
-        assert [e.minute for e in entries] == list(range(6))
+        entries = _fetch(edge, read_cert(federation), (0, 5))
+        assert [minute for minute, _code, _class, _ciphertext in entries] == list(range(6))
 
     def test_range_is_inclusive_filter(self, cloud):
         federation, edge = cloud
@@ -273,8 +272,8 @@ class TestVpnFetch:
         for minute in (1, 5, 9):
             port.push(make_set(minute))
         unlock(federation)
-        entries = edge.vpn_fetch(read_cert(federation), (5, 9))
-        assert [e.minute for e in entries] == [5, 9]
+        entries = _fetch(edge, read_cert(federation), (5, 9))
+        assert [minute for minute, _code, _class, _ciphertext in entries] == [5, 9]
 
     def test_wire_framing_round_trip(self, cloud):
         federation, edge = cloud
@@ -296,5 +295,7 @@ class TestVpnFetch:
         federation, edge = cloud
         unlock(federation)
         cert = vet(federation, OperationClass.STRICT_PUSH, {}, Random(9))
+        before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError):
-            edge.vpn_fetch(cert, (0, 10))
+            _fetch(edge, cert, (0, 10))
+        assert [e.content["kind"] for e in federation.ledger.entries[before:]] == ["authorization_failure"]

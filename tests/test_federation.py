@@ -239,6 +239,21 @@ class TestStateMachine:
         assert federation.engine_keys_held == 1
         assert not edge.locked_for_vpn and not vault.locked
 
+    def test_failed_unlock_ledgers_one_denial_and_no_rebuilt_key(self):
+        federation = small_federation()  # key threshold 2 of 3
+        for key_id in ("a", "b"):
+            federation.escrow_keypair(key_id)
+        for authority in federation.authorities[:2]:
+            del authority.key_shares["b"]
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(24))
+        with pytest.raises(AuthorizationError, match="key b"):
+            federation.change_state(cert, SystemState.ALERT)
+        assert federation.state is SystemState.PASSIVE
+        assert [e.content["kind"] for e in federation.ledger.entries] == ["certificate", "denial"]
+        denial = federation.ledger.entries[-1].content
+        assert (denial["key_id"], denial["shares_held"], denial["key_threshold"]) == ("b", 1, 2)
+        assert federation.ledger.verify()
+
     def test_stores_follow_every_state_change(self):
         federation = small_federation()
         edge, vault = self._stores(federation)

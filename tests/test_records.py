@@ -144,6 +144,18 @@ NR_ERROR = "phone nr must be non-empty ASCII digits, got {!r}"
 IMEI_ERROR = "imei must be exactly 15 ASCII digits, got {!r}"
 
 
+class TestPrecisionRank:
+    def test_ranks_ascend_with_precision_and_round_trip(self):
+        assert [c.rank for c in (PrecisionClass.MACRO, PrecisionClass.PICO, PrecisionClass.FEMTO)] == [0, 1, 2]
+        assert all(PrecisionClass.from_rank(c.rank) is c for c in PrecisionClass)
+
+    @pytest.mark.parametrize("rank", [-1, 3, 255])
+    def test_unknown_rank_is_a_validation_error(self, rank):
+        # A fetched set's class arrives as one wire byte.
+        with pytest.raises(ValidationError, match="precision rank"):
+            PrecisionClass.from_rank(rank)
+
+
 class TestPhoneId:
     digits = st.text(alphabet="0123456789", min_size=1, max_size=4)
     imeis = st.text(alphabet="0123456789", min_size=IMEI_LEN, max_size=IMEI_LEN)
@@ -294,7 +306,7 @@ class TestSerialization:
     def test_canonical_layout_is_bit_exact(self):
         bs = BsCode(code="00deadbeef00cafe", precision_class=PrecisionClass.PICO)
         records = [pdr(bs, phone(2), 3.0, 0.75, 99), pdr(bs, PhoneId(nr="600000001", imei="350000000000001"), 12.5, 1.25, 99)]
-        blob = encode_pdr_set(group_into_sets(records)[0])
+        blob = encode_pdr_set(group_into_sets(records)[0], {})
         expected = (
             struct.pack(">I", 2)
             + b"00deadbeef00cafe"
@@ -311,14 +323,14 @@ class TestSerialization:
     def test_set_round_trip(self):
         bs = station(4, PrecisionClass.MACRO)
         (original,) = group_into_sets(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in (3, 0, 2, 1))
-        decoded = decode_pdr_set(encode_pdr_set(original), PrecisionClass.MACRO, {})
+        decoded = decode_pdr_set(encode_pdr_set(original, {}), PrecisionClass.MACRO, {})
         assert decoded == original
 
     def test_serialized_bytes_reveal_no_coordinates(self):
         # The registry places this station at a known point; its serialized
         # records must not contain those coordinates in any obvious encoding.
         centroid = (123.456, 789.012)
-        blob = encode_pdr_set(group_into_sets([pdr(station(5), phone(1), 3.0, 0.5, 2)])[0])
+        blob = encode_pdr_set(group_into_sets([pdr(station(5), phone(1), 3.0, 0.5, 2)])[0], {})
         for value in centroid:
             assert struct.pack(">d", value) not in blob
             assert struct.pack("<d", value) not in blob
@@ -370,7 +382,6 @@ class TestEncodePhoneCache:
         ]
         phones = {}
         for pdr_set in sets:
-            assert encode_pdr_set(pdr_set, phones) == encode_pdr_set(pdr_set)
             assert encode_pdr_set(pdr_set, phones) == encode_pdr_set(pdr_set, {})
         assert sorted(phones) == [phone(1), phone(2), phone(3), phone(4)]
         for who, fields in phones.items():
@@ -381,7 +392,7 @@ class TestDecodePhoneCache:
     def test_sets_decoded_with_one_dict_share_phones(self):
         phones = {}
         a = decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones)
-        b = decode_pdr_set(encode_pdr_set(PdrSet(7, station(2), (phone(2), phone(3)), (1.0, 2.0), (0.0, 0.1))), PrecisionClass.FEMTO, phones)
+        b = decode_pdr_set(encode_pdr_set(PdrSet(7, station(2), (phone(2), phone(3)), (1.0, 2.0), (0.0, 0.1)), {}), PrecisionClass.FEMTO, phones)
         assert a.phones == (phone(1), phone(2)) and b.phones == (phone(2), phone(3))
         assert b.phones[0] is a.phones[1]
         assert set(phones.values()) == {phone(1), phone(2), phone(3)}

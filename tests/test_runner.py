@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from epitrace import crypto, runner
 from epitrace.cli import main
@@ -160,6 +161,59 @@ class TestRun:
         assert report.counts["pdrs_emitted"] == 24018 and report.counts["sets_pruned"] == 1525
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == RETENTION_DIGESTS
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_tiny_config_runs_ok_or_raises_configuration_error(self, data):
+        """Any accepted sizing of a tiny world, its federation and its vault either runs clean or is refused up front.
+
+        Refused includes `generate_world` giving up on a world too sparse for
+        the chain guarantee; any other exception is a defect.
+        """
+        n_phones = data.draw(st.integers(1, 12))
+        duration = data.draw(st.integers(1, 300))
+        f = data.draw(st.integers(0, 2))
+        n_authorities = data.draw(st.integers(2 * f + 1, 2 * f + 4))
+        n_clouds = data.draw(st.integers(1, 6))
+        t_incub_min = data.draw(st.integers(0, 60))
+        fields = dict(
+            seed=data.draw(st.integers(0, 2**31)),
+            world_size_m=data.draw(st.sampled_from([10.0, 60.0, 600.0])),
+            n_phones=n_phones,
+            n_venues=data.draw(st.integers(1, 4)),
+            duration_min=duration,
+            n_providers=data.draw(st.integers(1, 3)),
+            n_macro=data.draw(st.integers(0, 2)),
+            n_pico=data.draw(st.integers(0, 2)),
+            n_femto=data.draw(st.integers(0, 3)),
+            noise_enabled=data.draw(st.booleans()),
+            index_cases=data.draw(st.integers(1, n_phones)),
+            min_exposure_min=data.draw(st.integers(1, 20)),
+            t_incub_min=t_incub_min,
+            t_incub_max=t_incub_min + data.draw(st.integers(0, 120)),
+            transmission_probability=data.draw(st.sampled_from([1.0, 0.5, 0.05])),
+            exact_onset_estimates=data.draw(st.booleans()),
+            dur_min=data.draw(st.integers(1, 20)),
+            alert_minute=data.draw(st.integers(0, duration)),
+            hotspot_cell_m=data.draw(st.sampled_from([1e-3, 50.0])),
+            pdr_ttl_factor=data.draw(st.integers(0, 2)),
+            prune_every_min=data.draw(st.integers(1, 120)),
+            n_authorities=n_authorities,
+            f=f,
+            q_read=data.draw(st.integers(f + 1, n_authorities)),
+            q_critical=data.draw(st.integers(f + 1, n_authorities)),
+            fed_key_threshold=data.draw(st.integers(1, n_authorities)),
+            n_clouds=n_clouds,
+            erasure_k=data.draw(st.integers(1, n_clouds)),
+            vault_key_threshold=data.draw(st.integers(1, n_clouds)),
+        )
+        try:
+            report = run(ScenarioConfig(**fields))
+        except ConfigurationError:
+            return
+        assert report.ok, report.summary_text()
 
 
 @pytest.fixture

@@ -69,6 +69,8 @@ class TestConfig:
             ("gap_tolerance_min", -5),
             ("search_margin_min", -3),
             ("hotspot_cell_m", 0.0),
+            ("hotspot_cell_m", 5e-324),  # the grid index of a 2,100 m coordinate overflows
+            ("sigma_macro_m", 1e308),  # the noisy offset overflows
             ("f", -1),
             ("n_authorities", 4),  # < 2f+1 with f=2
             ("n_authorities", 256),
