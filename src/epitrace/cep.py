@@ -1,13 +1,17 @@
-"""Contact analysis engine: suspicion finding, scoring, completion, the
-potential-contamination DAG, and hotspot mapping over decrypted record streams.
+"""Contact analysis engine: the pair table, suspicion finding, scoring,
+completion, the potential-contamination DAG, and hotspot mapping over decrypted
+record streams.
 
-A suspicion exists when two phones stayed within the proximity threshold for at
-least the duration threshold (short gaps tolerated); scores grade suspicions
-on proximity, accumulated duration, measurement precision, crowd density and
-venue severity, with fixed weights and one severity for every venue (module
-constants). Confirmed-infected pairs become contamination records, whose
-time-like separation (bounded by the incubation window) orders them into a
-directed acyclic graph of plausible transmission.
+The pair table measures each phone pair once, in one radius-band sweep per
+set, and keeps its in-range samples in minute order; a scan of a phone reads
+its partners' samples from its lower bound on. A suspicion exists when two
+phones stayed within the proximity threshold for at least the duration
+threshold (short gaps tolerated); scores grade suspicions on proximity,
+accumulated duration, measurement precision, crowd density and venue severity,
+with fixed weights and one severity for every venue (module constants).
+Confirmed-infected pairs become contamination records, whose time-like
+separation (bounded by the incubation window) orders them into a directed
+acyclic graph of plausible transmission.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from statistics import median_low
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NoEvidenceError, ParameterError, ResolutionError, ValidationError
 from .federation import Capability
@@ -191,164 +196,137 @@ CLASS_BOUNDARIES = (0.25, 0.5, 0.75)
 
 
 def classify(raw: float) -> int:
-    """Risk class 1 (low) .. 4 (very high) of a raw score in [0, 1]."""
-    b1, b2, b3 = CLASS_BOUNDARIES
-    if raw < b1:
-        return 1
-    if raw < b2:
-        return 2
-    if raw < b3:
-        return 3
-    return 4
+    """Risk class 1 (low) .. 4 (very high) of a raw score in [0, 1]: one plus the boundaries it reaches."""
+    return 1 + bisect_right(CLASS_BOUNDARIES, raw)
 
 
-# -- record stream index ------------------------------------------------------------
+# -- pair table ----------------------------------------------------------------------
+
+Sample = tuple[int, float, PrecisionClass, str, int]  # (minute, distance, class, station code, set size)
+_CLASSES = tuple(PrecisionClass.from_rank(rank) for rank in range(len(PrecisionClass)))  # class by rank
 
 
-class _SetView:
-    """One set's columns, by reference, plus a radius order for the hot scan loop."""
-
-    __slots__ = ("minute", "code", "rank", "size", "phones", "radii", "azimuths", "radius_order", "sorted_radii")
-
-    def __init__(self, pdr_set: PdrSet):
-        self.minute = pdr_set.minute
-        self.code = pdr_set.bs.code
-        self.rank = pdr_set.bs.precision_class.rank
-        self.phones = pdr_set.phones
-        self.radii = pdr_set.radii
-        self.azimuths = pdr_set.azimuths
-        self.size = len(self.phones)
-        self.radius_order = sorted(range(self.size), key=self.radii.__getitem__)
-        self.sorted_radii = [self.radii[i] for i in self.radius_order]
-
-    def distance(self, pos: int, i: int) -> float:
-        """`records.pair_distance` of the phones at `pos` and `i`: the identical float."""
-        rv, r = self.radii[pos], self.radii[i]
-        dr = rv - r
-        half = math.sin(0.5 * abs(self.azimuths[pos] - self.azimuths[i]))
-        return math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
-
-    def within(self, pos: int, reach: float, skip: Container[PhoneId]) -> list[tuple[int, float]]:
-        """(position, distance) of every other phone at most `reach` from the one at `pos`, not in `skip`.
-
-        Two phones at radii rv and r are at least |rv - r| apart, so only the
-        band of radii around rv is evaluated. The slack covers the rounding of
-        the distance, which is below 1e-7 * (rv + r). A phone in `skip` is
-        passed over before its distance is computed.
-        """
-        rv = self.radii[pos]
-        band = reach + 1e-6 * (rv + self.sorted_radii[-1])
-        lo = bisect_left(self.sorted_radii, rv - band)
-        hi = bisect_right(self.sorted_radii, rv + band)
-        phones = self.phones
-        return [
-            (i, d)
-            for i in self.radius_order[lo:hi]
-            if i != pos and phones[i] not in skip and (d := self.distance(pos, i)) <= reach
-        ]
-
-    def sees(self, phone: PhoneId) -> bool:
-        i = bisect_left(self.phones, phone)
-        return i < self.size and self.phones[i] == phone
+_SetView = NamedTuple("_SetView", [("pdr_set", PdrSet), ("size", int)])  # a set, as the presence probe lists it
 
 
 class PdrIndex:
-    """Presence index over decrypted sets: phone -> minute -> (set view, position)."""
+    """Pair table over decrypted sets: `partners[a][b] is partners[b][a]`, the pair's minute-ordered samples.
 
-    def __init__(self, sets: Iterable[PdrSet]):
-        self.presence: dict[PhoneId, dict[int, list[tuple[_SetView, int]]]] = {}
-        for pdr_set in sets:
-            view = _SetView(pdr_set)
-            for pos, p in enumerate(view.phones):
-                self.presence.setdefault(p, {}).setdefault(view.minute, []).append((view, pos))
+    Per pair and minute, the best in-range candidate of `_best_in_range` is
+    kept (highest precision rank, then smallest distance, then station code),
+    and dropped when a more precise set of that minute holds both phones: that
+    station decides, and it put them out of range.
+    """
+
+    def __init__(self, sets: Iterable[PdrSet], prox_max: float):
+        self.prox_max = prox_max
+        self._sets = list(sets)  # for the `presence` probe only
+        self.partners: dict[PhoneId, dict[PhoneId, list[Sample]]] = {}
+        pairs: dict[PairKey, list[Sample]] = {}
+        by_minute: dict[int, list[PdrSet]] = {}
+        for pdr_set in self._sets:
+            by_minute.setdefault(pdr_set.minute, []).append(pdr_set)
+        for minute in sorted(by_minute):
+            minute_sets = by_minute[minute]
+            ranks = [pdr_set.bs.precision_class.rank for pdr_set in minute_sets]
+            top = max(ranks)
+            held = [(rank, frozenset(pdr_set.phones)) for rank, pdr_set in zip(ranks, minute_sets) if rank > 0]
+            for key, (neg_rank, dist, code, size) in _best_in_range(minute_sets, prox_max).items():
+                rank = -neg_rank
+                if rank < top and any(r > rank and key[0] in members and key[1] in members for r, members in held):
+                    continue
+                samples = pairs.get(key)
+                if samples is None:
+                    a, b = key
+                    samples = pairs[key] = self.partners.setdefault(a, {})[b] = self.partners.setdefault(b, {})[a] = []
+                samples.append((minute, dist, _CLASSES[rank], code, size))
+
+    @cached_property
+    def presence(self) -> dict[PhoneId, dict[int, list[tuple[_SetView, int]]]]:
+        """phone -> minute -> (set view, position): a read-only view for tests and tracing; no scan uses it."""
+        presence: dict[PhoneId, dict[int, list[tuple[_SetView, int]]]] = {}
+        for pdr_set in self._sets:
+            view = _SetView(pdr_set, len(pdr_set.phones))
+            for pos, p in enumerate(pdr_set.phones):
+                presence.setdefault(p, {}).setdefault(pdr_set.minute, []).append((view, pos))
+        return presence
+
+
+def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tuple[int, float, str, int]]:
+    """Per pair, the best in-range candidate (-rank, dist, code, size) among one minute's sets.
+
+    Each set is swept once in radius order, measuring a phone only against the
+    phones above it within `prox_max` plus a slack: two phones at radii rv and
+    r are at least |rv - r| apart, and the slack covers the rounding of the
+    distance, below 1e-7 * (rv + r). The distance is symmetric bit for bit.
+    """
+    best: dict[PairKey, tuple[int, float, str, int]] = {}
+    for pdr_set in sets:
+        phones, radii, azimuths = pdr_set.phones, pdr_set.radii, pdr_set.azimuths
+        if len(phones) < 2:
+            continue
+        order = sorted(range(len(phones)), key=radii.__getitem__)
+        sorted_radii = [radii[i] for i in order]
+        band = prox_max + 2e-6 * sorted_radii[-1]
+        neg_rank, code, size = -pdr_set.bs.precision_class.rank, pdr_set.bs.code, len(phones)
+        for k, i in enumerate(order):
+            rv, av = radii[i], azimuths[i]
+            for j in order[k + 1 : bisect_right(sorted_radii, rv + band, k + 1)]:
+                r = radii[j]
+                dr = rv - r
+                half = math.sin(0.5 * abs(av - azimuths[j]))
+                dist = math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
+                if dist <= prox_max:
+                    key = (phones[i], phones[j]) if i < j else (phones[j], phones[i])  # sets are phone-sorted
+                    candidate = (neg_rank, dist, code, size)
+                    prev = best.get(key)
+                    if prev is None or candidate < prev:
+                        best[key] = candidate
+    return best
 
 
 # -- suspicion finding ----------------------------------------------------------------
 
 
-def _scan_lower(poi: PhoneOfInterest, params: AnalysisParams) -> int:
-    """First minute a scan of `poi` considers: its estimate less the search margin."""
-    return max(0, poi.t_inf_min - params.search_margin)
-
-
 def find_suspicions(
-    capability: Capability,
-    index: PdrIndex,
-    poi: PhoneOfInterest,
-    params: AnalysisParams,
-    *,
-    done: Mapping[PhoneId, int] | None = None,
+    capability: Capability, index: PdrIndex, poi: PhoneOfInterest, params: AnalysisParams
 ) -> list[ContactSuspicion]:
-    """Scan the presence index for phones that stayed close to the phone of interest.
+    """Read from the pair table the phones that stayed close to the phone of interest.
 
     Only minutes at or after the phone's earliest-infection estimate (less
-    the search margin) are considered. Per minute, the most precise station
-    that sees both phones decides their distance (ties go to the smaller
-    distance), so a partner that a more precise station puts out of range is
-    not in range that minute. Qualifying minutes (distance within the
-    proximity threshold, inclusive) accumulate into windows, tolerating gaps
-    up to the configured number of minutes. A pair is flagged once any single
-    window reaches the duration threshold.
-
-    `done` maps phones already scanned to the first minute of their scan. A
-    partner whose scan started at or before this one's is skipped: distance
-    and station choice are symmetric, so that scan saw every sample of the
-    pair this one would see.
+    the search margin) are considered; the table holds, per minute, the
+    sample of the most precise station that sees both phones, if in range.
+    Qualifying minutes accumulate into windows, tolerating gaps up to the
+    configured number of minutes. A pair is flagged once any single window
+    reaches the duration threshold. The index must be built for `params.prox_max`.
     """
     capability.require_read()
-    lower = _scan_lower(poi, params)
-    skip = {u for u, start in done.items() if start <= lower} if done else ()
-    prox_max = params.prox_max
-    samples: dict[PhoneId, list[tuple[int, float, PrecisionClass, str, int]]] = {}
-    by_minute = index.presence.get(poi.phone, {})
-    for minute in sorted(by_minute):
-        if minute < lower:
-            continue
-        entries = by_minute[minute]
-        best: dict[PhoneId, tuple[int, float, str, int]] = {}  # u -> (-rank, dist, code, size), in range only
-        for view, pos in entries:
-            for i, dist in view.within(pos, prox_max, skip):
-                candidate = (-view.rank, dist, view.code, view.size)
-                u = view.phones[i]
-                prev = best.get(u)
-                if prev is None or candidate < prev:
-                    best[u] = candidate
-        for u, (neg_rank, dist, code, size) in best.items():
-            # A more precise station that also sees u decides, and it put u out of range.
-            if not any(view.rank > -neg_rank and view.sees(u) for view, _pos in entries):
-                samples.setdefault(u, []).append((minute, dist, PrecisionClass.from_rank(-neg_rank), code, size))
-
+    if params.prox_max != index.prox_max:
+        raise ParameterError(f"index built for prox_max {index.prox_max}, scan asks for {params.prox_max}")
+    lower = (max(0, poi.t_inf_min - params.search_margin),)  # sorts before every sample of that minute
+    partners = index.partners.get(poi.phone, {})
     suspicions = []
-    for u in sorted(samples):
-        windows = _windows_from_samples(samples[u], params.gap_tolerance)
+    for u in sorted(partners):
+        samples = partners[u]
+        start = bisect_left(samples, lower)
+        if start == len(samples):
+            continue
+        windows = _windows_from_samples(samples[start:], params.gap_tolerance)
         pc_susp = any(w.duration >= params.dur_min for w in windows)
         suspicions.append(ContactSuspicion(pair=pair_key(poi.phone, u), pc_susp=pc_susp, windows=windows))
     return suspicions
 
 
-def _windows_from_samples(
-    samples: Sequence[tuple[int, float, PrecisionClass, str, int]], gap_tolerance: int
-) -> tuple[ContactWindow, ...]:
-    windows: list[ContactWindow] = []
-    run: list[tuple[int, float, PrecisionClass, str, int]] = []
-    for sample in samples:
-        if run and sample[0] - run[-1][0] - 1 > gap_tolerance:
-            windows.append(_close_window(run))
-            run = []
-        run.append(sample)
-    if run:
-        windows.append(_close_window(run))
-    return tuple(windows)
+def _windows_from_samples(samples: Sequence[Sample], gap_tolerance: int) -> tuple[ContactWindow, ...]:
+    """Split minute-ordered samples into windows wherever more than `gap_tolerance` minutes are missing."""
+    minutes = [sample[0] for sample in samples]
+    cuts = [k for k, (prev, minute) in enumerate(zip(minutes, minutes[1:]), 1) if minute - prev - 1 > gap_tolerance]
+    return tuple(_close_window(samples[a:b]) for a, b in zip([0, *cuts], [*cuts, len(samples)]))
 
 
-def _close_window(run: Sequence[tuple[int, float, PrecisionClass, str, int]]) -> ContactWindow:
-    return ContactWindow(
-        minutes=tuple(s[0] for s in run),
-        prox=tuple(s[1] for s in run),
-        classes=tuple(s[2] for s in run),
-        stations=frozenset(s[3] for s in run),
-        set_sizes=tuple(s[4] for s in run),
-    )
+def _close_window(run: Sequence[Sample]) -> ContactWindow:
+    minutes, prox, classes, stations, set_sizes = zip(*run)
+    return ContactWindow(minutes=minutes, prox=prox, classes=classes, stations=frozenset(stations), set_sizes=set_sizes)
 
 
 # -- scoring ------------------------------------------------------------------------------
@@ -426,10 +404,7 @@ def complete_findings(
     found first are kept and their flagged suspicions scored. Every phone of
     a pair scored at or above `class_threshold` that is not a seed joins the
     cascade, which scans each such phone once, smallest phone first, from
-    the earliest median minute among the windows that implicated it. Each
-    pair is measured once where it can be: a scan skips every partner
-    already scanned from the same or an earlier minute, whose scan kept the
-    pair first or saw no sample of it.
+    the earliest median minute among the windows that implicated it.
     Returns the first suspicion of every pair, the scores in the order found,
     and the number of pairs the cascade added.
     """
@@ -439,11 +414,9 @@ def complete_findings(
     # Every phone scanned or queued; a queued phone's entry is its scan start so far.
     onset = {poi.phone: poi.t_inf_min for poi in seeds}
     queue: list[PhoneId] = []
-    done: dict[PhoneId, int] = {}  # scanned phone -> first minute of its scan
 
     def scan(poi: PhoneOfInterest) -> None:
-        found = [s for s in find_suspicions(capability, index, poi, params, done=done) if s.pair not in by_pair]
-        done[poi.phone] = _scan_lower(poi, params)
+        found = [s for s in find_suspicions(capability, index, poi, params) if s.pair not in by_pair]
         by_pair.update((s.pair, s) for s in found)
         for score in score_suspicions(capability, [s for s in found if s.pc_susp], params):
             scores.append(score)

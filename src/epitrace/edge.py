@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import crypto, framing
-from .errors import AuthorizationError, EncryptionError, LockedError
+from .errors import AuthorizationError, EncryptionError, FramingError, LockedError
 from .federation import READ_MODES, Federation, QuorumCertificate, SystemState
 from .records import BsCode, PdrSet, PhoneId, encode_pdr_set
 
@@ -113,21 +113,29 @@ class EdgeCloud:
     def handle_fetch_frame(self, frame: bytes) -> bytes:
         """The analysis network's one way in: a fetch request frame in, a response frame out.
 
-        Refuses while locked, refuses and ledgers a non-read certificate class,
-        checks the quorum, then encodes the sets of the inclusive minute range.
+        Refuses and ledgers a malformed request frame or certificate, refuses
+        while locked, refuses and ledgers a non-read certificate class, checks
+        the quorum, then encodes the sets of the inclusive minute range.
         """
-        cert_blob, start, end = framing.decode_fetch_request(frame)
-        cert = QuorumCertificate.decode(cert_blob)
+        reason = "malformed request frame"
+        try:
+            cert_blob, start, end = framing.decode_fetch_request(frame)
+            reason = "malformed certificate"
+            cert = QuorumCertificate.decode(cert_blob)
+        except FramingError:
+            self._ledger_refusal(reason)
+            raise
         if self.locked_for_vpn:
             raise LockedError(f"edge cloud {self.provider_id} is locked")
         if cert.operation_class not in READ_MODES:
-            self._federation.ledger.record(
-                "authorization_failure", self._federation.now, provider=self.provider_id, reason="non-read certificate class"
-            )
+            self._ledger_refusal("non-read certificate class")
             raise AuthorizationError(f"certificate class {cert.operation_class.name} cannot fetch")
         self._federation.check_certificate(cert, cert.operation_class)
         entries = [e for e in self._store if start <= e.minute <= end]
         return framing.encode_fetch_response([(e.minute, e.bs_code_hint.code, e.bs_code_hint.precision_class.rank, e.ciphertext) for e in entries])
+
+    def _ledger_refusal(self, reason: str) -> None:
+        self._federation.ledger.record("authorization_failure", self._federation.now, provider=self.provider_id, reason=reason)
 
     # -- introspection for audits (not part of the provider surface) -----------------
 

@@ -240,13 +240,8 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     cap_read = federation.authorize_mode(cert_read, OperationClass.BLIND_PROCESSING)
     sets = _fetch_and_decrypt(context, cert_read, (0, config.duration_min))
     counts["sets_fetched"] = len(sets)
-    index = cep.PdrIndex(sets)
-    params = cep.AnalysisParams(
-        prox_max=config.prox_max_m,
-        dur_min=config.dur_min,
-        gap_tolerance=config.gap_tolerance_min,
-        search_margin=config.search_margin_min,
-    )
+    params = cep.AnalysisParams(config.prox_max_m, config.dur_min, config.gap_tolerance_min, config.search_margin_min)
+    index = cep.PdrIndex(sets, params.prox_max)
 
     estimates = infection_estimates(config, context.ground_truth)
     seeds = [cep.PhoneOfInterest(phone=p, t_inf_min=t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
@@ -348,10 +343,32 @@ def _recall_precision(context: SimContext, flagged: set) -> tuple[float, float]:
 def _plaintext_pii_hits(context: SimContext) -> int:
     """Count every phone number and IMEI found in the clear in a stored edge ciphertext or the ledger export."""
     probes = [p for t in context.traces for p in (t.phone.nr, t.phone.imei)]
-    pattern = re.compile("|".join(map(re.escape, probes)).encode("ascii"))
     buffers = [c for edge in context.edges.values() for c in edge.stored_ciphertexts()]
     buffers.append(context.federation.ledger.export_jsonl().encode("utf-8"))
-    return sum(1 for buffer in buffers for _match in pattern.finditer(buffer))
+    return _digit_probe_hits(probes, buffers)
+
+
+_DIGIT_MASK = bytes(int(0x30 <= b <= 0x39) for b in range(256))  # ASCII digit -> 1, any other byte -> 0
+
+
+def _digit_probe_hits(probes: list[str], buffers: list[bytes]) -> int:
+    """The number of matches of the alternation of `probes`, all ASCII digits, in `buffers`.
+
+    Every match lies inside a maximal run of ASCII digits at least as long as
+    the shortest probe: a buffer's digit mask locates those runs, and the
+    alternation runs on them only.
+    """
+    pattern = re.compile("|".join(map(re.escape, probes)).encode("ascii"))
+    long_run = b"\x01" * min(map(len, probes))
+    hits = 0
+    for buffer in buffers:
+        mask = buffer.translate(_DIGIT_MASK) + b"\x00"  # the sentinel ends a run at the buffer's end
+        start = mask.find(long_run)
+        while start >= 0:
+            end = mask.find(0, start)
+            hits += len(pattern.findall(buffer, start, end))
+            start = mask.find(long_run, end)
+    return hits
 
 
 def _artifact_payloads(

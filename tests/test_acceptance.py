@@ -59,10 +59,10 @@ def pipeline_flagged_pairs(cfg: ScenarioConfig):
     registry, traces, gt = generate_world(cfg)
     positions = trace_positions(traces, cfg.duration_min)
     cap, _ = capability(OperationClass.BLIND_PROCESSING, seed=cfg.seed)
-    index = cep.PdrIndex(plaintext_sets(cfg, registry, traces))
     params = cep.AnalysisParams(
         prox_max=cfg.prox_max_m, dur_min=cfg.dur_min, gap_tolerance=cfg.gap_tolerance_min, search_margin=cfg.search_margin_min
     )
+    index = cep.PdrIndex(plaintext_sets(cfg, registry, traces), params.prox_max)
     estimates = infection_estimates(cfg, gt)
     flagged = set()
     for phone, t_inf in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0])):
@@ -88,9 +88,9 @@ def test_criterion_1_oracle_equivalence():
             cfg = ScenarioConfig(seed=seed, n_phones=n_phones, duration_min=1440, alert_minute=960, noise_enabled=True)
             registry, traces, _ = generate_world(cfg)
             sets = plaintext_sets(cfg, registry, traces)
-            index = cep.PdrIndex(sets)
+            index = cep.PdrIndex(sets, params.prox_max)
             engine = {}
-            for phone in sorted(index.presence):
+            for phone in sorted({p for s in sets for p in s.phones}):
                 for s in cep.find_suspicions(cap, index, cep.PhoneOfInterest(phone, 0), params):
                     engine.setdefault(s.pair, s)
             engine_view = {

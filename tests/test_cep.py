@@ -71,9 +71,9 @@ def as_tuples(suspicion: ContactSuspicion):
 
 
 def engine_all_pairs(cap, sets, params):
-    index = PdrIndex(sets)
+    index = PdrIndex(sets, params.prox_max)
     by_pair = {}
-    for p in sorted(index.presence):
+    for p in sorted({p for s in sets for p in s.phones}):
         for s in find_suspicions(cap, index, PhoneOfInterest(phone=p, t_inf_min=0), params):
             by_pair.setdefault(s.pair, s)
     return by_pair
@@ -84,7 +84,7 @@ class TestFindSuspicions:
         # Identical vectors under one femto station for exactly dur_min minutes:
         # Prox = 0 <= max and Dur = dur_min, both bounds inclusive.
         sets = co_located_sets(range(100, 100 + PARAMS.dur_min), prox_a=1.5, prox_b=1.5, az_a=0.7, az_b=0.7)
-        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         assert found[0].pc_susp
         window = found[0].windows[0]
@@ -93,31 +93,31 @@ class TestFindSuspicions:
 
     def test_one_minute_short_is_not_flagged(self, cap_read):
         sets = co_located_sets(range(100, 100 + PARAMS.dur_min - 1))
-        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         assert not found[0].pc_susp
 
     def test_distance_beyond_threshold_excluded(self, cap_read):
         # 3 m apart on opposite azimuths: never qualifies.
         sets = co_located_sets(range(50), prox_a=1.5, prox_b=1.5, az_a=0.0, az_b=math.pi)
-        assert find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS) == []
+        assert find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS) == []
 
     def test_presence_before_t_inf_min_excluded(self, cap_read):
         sets = co_located_sets(range(100, 160))
-        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 200), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 200), PARAMS)
         assert found == []
 
     def test_search_margin_extends_below_estimate(self, cap_read):
         sets = co_located_sets(range(100, 160))
         params = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2, search_margin=60)
-        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 160), params)
+        found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 160), params)
         assert len(found) == 1
         assert found[0].windows[0].start == 100
 
     def test_gap_tolerance_merges_and_splits(self, cap_read):
         minutes = list(range(10, 20)) + list(range(22, 30)) + list(range(40, 50))
         sets = co_located_sets(minutes)
-        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         windows = found[0].windows
         # gap of 2 (minutes 20, 21) merges; gap of 10 splits
         assert len(windows) == 2
@@ -133,7 +133,7 @@ class TestFindSuspicions:
             records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 104.0, 0.0, minute))
             records += (pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 1.5, 0.0, minute))
         sets = group_into_sets(records)
-        found = find_suspicions(cap_read, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
+        found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         window = found[0].windows[0]
         assert set(window.classes) == {PrecisionClass.FEMTO}
@@ -147,7 +147,7 @@ class TestFindSuspicions:
         for minute in range(30):
             records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 100.5, 0.0, minute))
             records += (pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 4.0, 0.0, minute))
-        index = PdrIndex(group_into_sets(records))
+        index = PdrIndex(group_into_sets(records), PARAMS.prox_max)
         for subject in (phone(1), phone(2)):
             assert find_suspicions(cap_read, index, PhoneOfInterest(subject, 0), PARAMS) == []
 
@@ -163,7 +163,7 @@ class TestFindSuspicions:
                 records.append(pdr(femto, phone(1), 1.0, 0.0, minute))
             if 10 <= minute < 20:
                 records.append(pdr(femto, phone(2), 4.0, 0.0, minute))
-        [found] = find_suspicions(cap_read, PdrIndex(group_into_sets(records)), PhoneOfInterest(phone(1), 0), PARAMS)
+        [found] = find_suspicions(cap_read, PdrIndex(group_into_sets(records), PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         assert not found.pc_susp
         assert [w.minutes for w in found.windows] == [tuple(range(10)), tuple(range(20, 30))]
         assert {c for w in found.windows for c in w.classes} == {PrecisionClass.MACRO}
@@ -178,11 +178,11 @@ class TestFindSuspicions:
     def test_every_partner_in_range_is_found(self, cap_read, base, offsets, azimuths):
         # Radii within a few meters of the phone of interest, many on its bearing
         # where the distance is the difference of radii: the edge of the radius
-        # band the scan evaluates. Flagged distances must equal pair_distance.
+        # band the pair table sweeps. Flagged distances must equal pair_distance.
         bs = station(3, PrecisionClass.PICO)
         records = [pdr(bs, phone(1), base, 0.0, 0)]
         records += [pdr(bs, phone(i + 2), max(0.0, base + off), azimuths[i], 0) for i, off in enumerate(offsets)]
-        index = PdrIndex(group_into_sets(records))
+        index = PdrIndex(group_into_sets(records), PARAMS.prox_max)
         found = {s.pair: s.windows[0].prox for s in find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)}
         distances = {r.phone: pair_distance(records[0], r) for r in records[1:]}
         assert found == {pair_key(phone(1), u): (d,) for u, d in distances.items() if d <= PARAMS.prox_max}
@@ -191,14 +191,35 @@ class TestFindSuspicions:
         cap_push, _ = capability(OperationClass.STRICT_PUSH, seed=321)
         sets = co_located_sets(range(5))
         with pytest.raises(AuthorizationError):
-            find_suspicions(cap_push, PdrIndex(sets), PhoneOfInterest(phone(1), 0), PARAMS)
+            find_suspicions(cap_push, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
 
     def test_passive_state_blocks(self):
         cap, federation = capability(OperationClass.BLIND_ANALYSIS, seed=55)
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(56))
         federation.change_state(cert, SystemState.PASSIVE)
         with pytest.raises(StateError):
-            find_suspicions(cap, PdrIndex(co_located_sets(range(5))), PhoneOfInterest(phone(1), 0), PARAMS)
+            find_suspicions(cap, PdrIndex(co_located_sets(range(5)), PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
+
+    def test_index_for_another_prox_max_is_refused(self, cap_read):
+        index = PdrIndex(co_located_sets(range(20)), PARAMS.prox_max)
+        params = AnalysisParams(prox_max=4.5, dur_min=15, gap_tolerance=2, search_margin=0)
+        with pytest.raises(ParameterError):
+            find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), params)
+
+    def test_each_pair_reaches_one_sample_list_from_both_phones(self):
+        index = PdrIndex(co_located_sets(range(3), prox_a=1.0, prox_b=1.5, extra_phones=2), PARAMS.prox_max)
+        samples = index.partners[phone(1)][phone(2)]
+        assert samples is index.partners[phone(2)][phone(1)]
+        assert [(m, d, c, size) for m, d, c, _code, size in samples] == [(m, 0.5, PrecisionClass.FEMTO, 4) for m in range(3)]
+
+    def test_presence_probe_lists_each_phone_by_minute(self):
+        sets = co_located_sets(range(3), extra_phones=1)
+        presence = PdrIndex(sets, PARAMS.prox_max).presence
+        assert sorted(presence) == [phone(1), phone(2), phone(10)]
+        for p, by_minute in presence.items():
+            assert sorted(by_minute) == [0, 1, 2]
+            for minute, [(view, pos)] in by_minute.items():
+                assert view.size == 3 and view.pdr_set.minute == minute and view.pdr_set.phones[pos] == p
 
 
 class TestOracleEquivalence:
@@ -220,14 +241,15 @@ class TestOracleEquivalence:
         cfg = ScenarioConfig(seed=41, n_phones=10, duration_min=180, alert_minute=100, noise_enabled=False)
         registry, traces, _ = generate_world(cfg)
         sets = plaintext_sets(cfg, registry, traces)
-        index = PdrIndex(sets)
-        subject = sorted(index.presence)[0]
+        index = PdrIndex(sets, PARAMS.prox_max)
+        phones = sorted({p for s in sets for p in s.phones})
+        subject = phones[0]
         t_inf = 60
         engine = {
             s.pair: as_tuples(s)
             for s in find_suspicions(cap_read, index, PhoneOfInterest(subject, t_inf), PARAMS)
         }
-        bounds = {p: (t_inf if p == subject else cfg.duration_min) for p in index.presence}
+        bounds = {p: (t_inf if p == subject else cfg.duration_min) for p in phones}
         # pairs not involving the subject are bounded out by construction below
         oracle_all = brute_force_pairs(sets, PARAMS.prox_max, PARAMS.dur_min, PARAMS.gap_tolerance, lower_bounds=bounds)
         oracle = {k: v for k, v in oracle_all.items() if subject in k}
@@ -361,7 +383,7 @@ class TestCompletion:
         return group_into_sets(records)
 
     def test_chain_discovered_only_via_completion(self, cap_read):
-        index = PdrIndex(self._chained_sets())
+        index = PdrIndex(self._chained_sets(), PARAMS.prox_max)
         by_pair, scores, completion_pairs = complete_findings(
             cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, class_threshold=3
         )
@@ -378,7 +400,7 @@ class TestCompletion:
             return find_suspicions(capability, index, poi, params, **kwargs)
 
         monkeypatch.setattr(cep, "find_suspicions", recording_scan)
-        index = PdrIndex(self._chained_sets())
+        index = PdrIndex(self._chained_sets(), PARAMS.prox_max)
         seeds = [PhoneOfInterest(phone(1), 0)]
         first = complete_findings(cap_read, index, seeds, PARAMS, class_threshold=3)
         # each phone once; a cascade phone starts at the median minute of the window that implicated it
@@ -388,7 +410,7 @@ class TestCompletion:
         assert scans[3:] == scans[:3]
 
     def test_no_pair_above_threshold_is_noop(self, cap_read):
-        index = PdrIndex(self._chained_sets())
+        index = PdrIndex(self._chained_sets(), PARAMS.prox_max)
         by_pair, scores, completion_pairs = complete_findings(
             cap_read, index, [PhoneOfInterest(phone(1), 0)], PARAMS, class_threshold=4
         )
@@ -397,59 +419,90 @@ class TestCompletion:
         assert completion_pairs == 0
 
 
-def without_skip(capability, index, poi, params, **_kwargs):
-    """`find_suspicions` measuring every partner, as before pairs were measured once."""
-    return find_suspicions(capability, index, poi, params)
+def run_worklist(cap, index, seeds, params, class_threshold):
+    """`complete_findings`' result, and the scans it made in order."""
+    scans = []
 
+    def recording_scan(capability, index, poi, params):
+        scans.append(poi)
+        return find_suspicions(capability, index, poi, params)
 
-def analyse(monkeypatch, cap, index, seeds, params, class_threshold, scan=find_suspicions):
-    """`complete_findings` with `scan` as its scan, and the number of distances it computed."""
-    calls = 0
-    distance = cep._SetView.distance
-
-    def counting(view, pos, i):
-        nonlocal calls
-        calls += 1
-        return distance(view, pos, i)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cep._SetView, "distance", counting)
-        patch.setattr(cep, "find_suspicions", scan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cep, "find_suspicions", recording_scan)
         by_pair, scores, completion_pairs = complete_findings(cap, index, seeds, params, class_threshold)
-    return (list(by_pair.items()), scores, completion_pairs), calls
+    return by_pair, scores, completion_pairs, scans
+
+
+def oracle_worklist(sets, params, scans):
+    """What the worklist keeps, by the brute-force oracle: pair -> (verdict, index of the scan that keeps it).
+
+    A pair is kept as the first scan that finds it sees it. A scan of phone v
+    from minute L sees the oracle's verdicts on v's pairs when v's lower bound
+    is L and every other phone's lies past the last minute.
+    """
+    phones = {p for s in sets for p in s.phones}
+    end = max(s.minute for s in sets) + 1
+    expected = {}
+    for n, poi in enumerate(scans):
+        bounds = dict.fromkeys(phones, end)
+        bounds[poi.phone] = max(0, poi.t_inf_min - params.search_margin)
+        own = [s for s in sets if poi.phone in s.phones]
+        verdicts = brute_force_pairs(own, params.prox_max, params.dur_min, params.gap_tolerance, lower_bounds=bounds)
+        for pair in sorted(verdicts):  # a scan reports its partners in phone order
+            expected.setdefault(pair, (verdicts[pair], n))
+    return expected
+
+
+def assert_worklist_matches(by_pair, scores, completion_pairs, scans, expected, n_seeds):
+    assert len({poi.phone for poi in scans}) == len(scans)  # each phone scanned once
+    assert [(pair, as_tuples(s)) for pair, s in by_pair.items()] == [(pair, v) for pair, (v, _n) in expected.items()]
+    assert [s.pair for s in scores] == [pair for pair, s in by_pair.items() if s.pc_susp]
+    assert completion_pairs == sum(1 for _v, n in expected.values() if n >= n_seeds)
 
 
 def scenario_analysis(cfg: ScenarioConfig):
-    """The index, seeds and parameters `runner.run` analyses for `cfg`, built from its sets in the clear."""
+    """The sets, seeds and parameters `runner.run` analyses for `cfg`, its sets in the clear."""
     registry, traces, ground_truth = generate_world(cfg)
     estimates = infection_estimates(cfg, ground_truth)
     seeds = [PhoneOfInterest(p, t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
     params = AnalysisParams(cfg.prox_max_m, cfg.dur_min, cfg.gap_tolerance_min, cfg.search_margin_min)
-    return PdrIndex(plaintext_sets(cfg, registry, traces)), seeds, params
+    return plaintext_sets(cfg, registry, traces), seeds, params
 
 
 class TestPairOnce:
-    """A scan skips partners already scanned from an earlier or equal minute; results are unchanged."""
+    """The worklist keeps what the brute-force oracle finds from each scan's lower bound.
 
-    def test_sparse_world_cascade_matches_unskipped_scan(self, cap_read, monkeypatch):
+    The pair table measures each pair once, for every scan; the oracle shares
+    nothing with it but the distance expression.
+    """
+
+    def test_sparse_world_cascade_matches_oracle(self, cap_read):
         fields = json.loads(SMALL_JSON.read_text())
         fields.update(seed=3, n_phones=24, duration_min=480, alert_minute=400, transmission_probability=0.05)
         cfg = ScenarioConfig.from_dict(fields)
-        index, seeds, params = scenario_analysis(cfg)
-        once, once_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold)
-        both, both_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold, without_skip)
-        assert once == both
-        assert once[2] > 0  # the cascade ran
-        assert once_calls < both_calls
+        sets, seeds, params = scenario_analysis(cfg)
+        result = run_worklist(cap_read, PdrIndex(sets, params.prox_max), seeds, params, cfg.completion_class_threshold)
+        assert result[2] > 0  # the cascade ran
+        assert_worklist_matches(*result, oracle_worklist(sets, params, result[3]), len(seeds))
 
-    def test_small_scenario_measures_each_pair_once(self, cap_read, monkeypatch):
+    def test_small_scenario_matches_oracle(self, cap_read):
         cfg = ScenarioConfig.from_json(SMALL_JSON.read_text())
-        index, seeds, params = scenario_analysis(cfg)
-        once, once_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold)
-        both, both_calls = analyse(monkeypatch, cap_read, index, seeds, params, cfg.completion_class_threshold, without_skip)
-        assert once == both
-        assert len(once[0]) == 669
-        assert (once_calls, both_calls) == (56_371, 110_370)
+        sets, seeds, params = scenario_analysis(cfg)
+        by_pair, scores, completion_pairs, scans = run_worklist(
+            cap_read, PdrIndex(sets, params.prox_max), seeds, params, cfg.completion_class_threshold
+        )
+        assert len(by_pair) == 669
+        # No cascade pair and seeds scanned by ascending lower bound: each kept pair
+        # comes from the seed whose bound is the smaller of its phones', which is
+        # the oracle's own rule, so one oracle call over every set covers them all.
+        assert completion_pairs == 0
+        lowers = [max(0, poi.t_inf_min - params.search_margin) for poi in seeds]
+        assert lowers == sorted(lowers) and scans[: len(seeds)] == seeds
+        end = max(s.minute for s in sets) + 1
+        bounds = {p: end for s in sets for p in s.phones} | dict(zip((poi.phone for poi in seeds), lowers))
+        oracle = brute_force_pairs(sets, params.prox_max, params.dur_min, params.gap_tolerance, lower_bounds=bounds)
+        assert {pair: as_tuples(s) for pair, s in by_pair.items()} == oracle
+        assert [s.pair for s in scores] == [pair for pair, s in by_pair.items() if s.pc_susp]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -468,19 +521,16 @@ class TestPairOnce:
         margin=st.integers(0, 4),
         class_threshold=st.integers(1, 4),
     )
-    def test_matches_unskipped_scan_on_any_sets(self, cap_read, records, seeds, dur_min, gap, margin, class_threshold):
+    def test_matches_oracle_on_any_sets(self, cap_read, records, seeds, dur_min, gap, margin, class_threshold):
         precision = (PrecisionClass.FEMTO, PrecisionClass.PICO, PrecisionClass.MACRO)
         sets = group_into_sets(
             pdr(station(s, precision[s]), phone(p), radius, azimuth, minute)
             for (s, p, minute), (radius, azimuth) in records.items()
         )
-        index = PdrIndex(sets)
         pois = [PhoneOfInterest(phone(p), t) for p, t in seeds]
         params = AnalysisParams(prox_max=1.5, dur_min=dur_min, gap_tolerance=gap, search_margin=margin)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            once, _ = analyse(monkeypatch, cap_read, index, pois, params, class_threshold)
-            both, _ = analyse(monkeypatch, cap_read, index, pois, params, class_threshold, without_skip)
-        assert once == both
+        result = run_worklist(cap_read, PdrIndex(sets, params.prox_max), pois, params, class_threshold)
+        assert_worklist_matches(*result, oracle_worklist(sets, params, result[3]), len(pois))
 
 
 def registry_with(code_to_info):
@@ -498,7 +548,7 @@ class TestPccont:
         sets = group_into_sets(
             r for m in minutes for r in (pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m))
         )
-        suspicions = find_suspicions(cap, PdrIndex(sets), PhoneOfInterest(phone(a), 0), PARAMS)
+        suspicions = find_suspicions(cap, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(a), 0), PARAMS)
         scores = score_suspicions(cap, suspicions, PARAMS)
         return {s.pair: s for s in suspicions}, scores
 

@@ -4,7 +4,7 @@ import pytest
 
 from epitrace import crypto, framing
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
-from epitrace.errors import AuthorizationError, DecryptionError, LockedError
+from epitrace.errors import AuthorizationError, DecryptionError, FramingError, LockedError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
 from epitrace.records import BsCode, PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
 from epitrace.runner import _fetch, vet
@@ -299,3 +299,20 @@ class TestVpnFetch:
         with pytest.raises(AuthorizationError):
             _fetch(edge, cert, (0, 10))
         assert [e.content["kind"] for e in federation.ledger.entries[before:]] == ["authorization_failure"]
+
+    @pytest.mark.parametrize(
+        "frame, reason",
+        [
+            (b"junk", "malformed request frame"),
+            (framing.encode_fetch_request(bytes(16), 0, 10), "malformed certificate"),
+        ],
+    )
+    def test_malformed_frame_is_ledgered_before_it_is_refused(self, cloud, frame, reason):
+        federation, edge = cloud
+        unlock(federation)
+        before = len(federation.ledger.entries)
+        with pytest.raises(FramingError):
+            edge.handle_fetch_frame(frame)
+        [entry] = federation.ledger.entries[before:]
+        assert entry.content["kind"] == "authorization_failure"
+        assert (entry.content["provider"], entry.content["reason"]) == ("P1", reason)

@@ -1,17 +1,18 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from epitrace import crypto, runner
+from epitrace import cep, crypto, runner
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError
 from epitrace.ledger import load_jsonl, verify_ledger
-from epitrace.runner import _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run
+from epitrace.runner import _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run
 from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig, generate_world
 from util import SMALL_JSON, retention_config
@@ -69,6 +70,22 @@ class TestRun:
         imei = context.traces[-1].phone.imei.encode("ascii")
         stored[59][10 : 10 + len(imei)] = imei  # the store hands out its own buffers
         assert _plaintext_pii_hits(context) > 0
+
+    def test_privacy_scan_counts_planted_identifiers_like_the_plain_regex(self):
+        context = build_context(ScenarioConfig(**CFG))
+        ingest(context, 0, 60)
+        stored = next(iter(context.edges.values())).stored_ciphertexts()
+        nr = context.traces[0].phone.nr.encode("ascii")
+        imei = context.traces[1].phone.imei.encode("ascii")
+        stored[0][: len(nr)] = nr  # at the start of a buffer
+        stored[1][-len(imei) :] = imei  # at its end
+        stored[2][20 : 20 + len(nr) + len(imei)] = nr + imei  # adjacent
+        probes = [p for t in context.traces for p in (t.phone.nr, t.phone.imei)]
+        pattern = re.compile("|".join(map(re.escape, probes)).encode("ascii"))
+        buffers = [*stored, context.federation.ledger.export_jsonl().encode("utf-8")]
+        expected = sum(len(pattern.findall(buffer)) for buffer in buffers)
+        assert expected >= 4
+        assert _plaintext_pii_hits(context) == expected
 
     def test_artifacts_written(self, completed_run):
         _, out = completed_run
@@ -156,11 +173,66 @@ class TestRun:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == SPARSE_DIGESTS
 
+    def test_run_never_builds_the_presence_probe(self, monkeypatch, tmp_path):
+        def refuse(index):
+            raise AssertionError("the run built PdrIndex.presence")
+
+        monkeypatch.setattr(cep.PdrIndex, "presence", property(refuse))
+        report = run(ScenarioConfig(**CFG), out_dir=tmp_path)
+        assert report.ok and report.counts["suspicion_pairs"] > 0
+
     def test_retention_run_bytes_are_pinned(self, tmp_path):
         report = run(retention_config(), tmp_path, "vault:1=byzantine")
         assert report.counts["pdrs_emitted"] == 24018 and report.counts["sets_pruned"] == 1525
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == RETENTION_DIGESTS
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=18)
+
+
+class TestDigitRunPrefilter:
+    """The privacy gate's digit-run prefilter counts exactly what the plain alternation counts."""
+
+    @staticmethod
+    def counts(probes: list[str], buffer: bytes) -> tuple[int, int]:
+        pattern = re.compile("|".join(map(re.escape, probes)).encode("ascii"))
+        return _digit_probe_hits(probes, [buffer]), len(pattern.findall(buffer))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        probes=st.lists(DIGITS, min_size=1, max_size=6),
+    )
+    def test_equals_the_plain_regex_count(self, data, probes):
+        # Buffers glued from probes, their halves, loose digits and the bytes
+        # just outside the digit range, so matches sit at run edges, abut each
+        # other and nest (a probe inside a longer one, as an nr inside an IMEI).
+        pieces = st.one_of(
+            st.sampled_from(probes).map(str.encode),
+            st.sampled_from(probes).map(lambda p: p[: len(p) // 2].encode()),
+            DIGITS.map(str.encode),
+            st.sampled_from([b"/", b":", b"\x00", b"\xff", b"a", b" "]),
+            st.binary(max_size=4),
+        )
+        buffer = b"".join(data.draw(st.lists(pieces, max_size=12)))
+        prefiltered, plain = self.counts(probes, buffer)
+        assert prefiltered == plain
+
+    @pytest.mark.parametrize(
+        "probes, buffer, hits",
+        [
+            (["4915"], b"4915", 1),  # the whole buffer
+            (["4915"], b"x4915/4915:", 2),  # bounded by '/' and ':', neighbours of the digit range
+            (["12", "34"], b"1234", 2),  # adjacent probes in one run
+            (["3912", "353912345678901"], b"353912345678901", 1),  # an nr inside an IMEI: the IMEI alone
+            (["3912", "353912345678901"], b"-3912-", 1),
+            (["4915"], b"491", 0),  # a run shorter than every probe
+            (["4915"], bytearray(b"..4915"), 1),  # a stored ciphertext is a bytearray
+        ],
+    )
+    def test_planted_identifiers_are_counted(self, probes, buffer, hits):
+        assert self.counts(probes, buffer) == (hits, hits)
 
 
 class TestConfigFuzz:
