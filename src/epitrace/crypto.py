@@ -33,6 +33,8 @@ from .errors import DecryptionError, EncryptionError
 
 _NONCE_LEN = 12
 _KEY_LEN = 32
+_TAG_LEN = 16
+_HEAD_LEN = _KEY_LEN + _NONCE_LEN  # eph_pub || nonce, ahead of a sealed ciphertext
 _HKDF_INFO = b"epitrace.hybrid.v1"
 _MAX_SEQ = 2 ** (8 * _NONCE_LEN) - 1
 
@@ -110,32 +112,43 @@ def seal(context: SealContext, plaintext: bytes) -> bytes:
 
 
 def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM]) -> bytes:
-    """Open one sealed blob; `aeads` is the caller's cache of the AEAD derived for each eph_pub."""
-    if len(blob) < _KEY_LEN + _NONCE_LEN + 16:
+    """Open one sealed blob, any bytes-like, in place; `aeads` is the caller's cache of the AEAD derived for each eph_pub.
+
+    Only eph_pub is copied, to bytes: X25519 takes bytes, and a bytes key in
+    `aeads` does not pin the caller's buffer (a fetch frame, say).
+    """
+    if len(blob) < _HEAD_LEN + _TAG_LEN:
         raise DecryptionError("sealed blob too short")
-    eph_pub, nonce, ct = blob[:_KEY_LEN], blob[_KEY_LEN : _KEY_LEN + _NONCE_LEN], blob[_KEY_LEN + _NONCE_LEN :]
+    view = memoryview(blob)
+    eph_pub = bytes(view[:_KEY_LEN])
     try:
         aead = aeads.get(eph_pub)
         if aead is None:
             shared = X25519PrivateKey.from_private_bytes(private_bytes).exchange(X25519PublicKey.from_public_bytes(eph_pub))
             aead = aeads[eph_pub] = AESGCM(_derive(shared, _KEY_LEN))
-        return aead.decrypt(nonce, ct, None)
+        return aead.decrypt(view[_KEY_LEN:_HEAD_LEN], view[_HEAD_LEN:], None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionError("ciphertext authentication failed") from exc
 
 
-def symmetric_encrypt(key: bytes, plaintext: bytes, rng: Random) -> bytes:
+def symmetric_encrypt(key: bytes, plaintext: bytes, rng: Random) -> bytearray:
+    """nonce(12) || AES-GCM ciphertext, written in place into one new bytearray."""
     nonce = rng.randbytes(_NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    blob = bytearray(_NONCE_LEN + len(plaintext) + _TAG_LEN)
+    blob[:_NONCE_LEN] = nonce
+    AESGCM(key).encrypt_into(nonce, plaintext, None, memoryview(blob)[_NONCE_LEN:])
+    return blob
 
 
 def symmetric_decrypt(key: bytes, blob: bytes) -> bytes:
+    """Open a `symmetric_encrypt` blob, any bytes-like, in place."""
     if len(key) != _KEY_LEN:
         raise DecryptionError(f"key must be {_KEY_LEN} bytes")
-    if len(blob) < _NONCE_LEN + 16:
+    if len(blob) < _NONCE_LEN + _TAG_LEN:
         raise DecryptionError("ciphertext too short")
+    view = memoryview(blob)
     try:
-        return AESGCM(key).decrypt(blob[:_NONCE_LEN], blob[_NONCE_LEN:], None)
+        return AESGCM(key).decrypt(view[:_NONCE_LEN], view[_NONCE_LEN:], None)
     except InvalidTag as exc:
         raise DecryptionError("ciphertext authentication failed") from exc
 

@@ -31,10 +31,10 @@ class EncryptedPdrSet:
     """Sealed record set plus the cleartext metadata needed for pruning.
 
     The ciphertext is a bytearray, so pruning can zero it in place; a fetch
-    copies it into the response frame.
+    copies it once, straight into the response frame.
     """
 
-    ciphertext: bytes
+    ciphertext: bytearray
     minute: int
     bs_code_hint: BsCode
 
@@ -75,8 +75,7 @@ class EdgeCloud:
         try:
             context = self._seal_context
             if context is None or epoch != self._seal_epoch or context.recipient != public_key:
-                self._seal_context = None  # rotation drops the old key before opening a new one
-                self._phone_fields = {}
+                self.close_seal_context()  # rotation drops the old key before opening a new one
                 context = self._seal_context = crypto.SealContext(public_key, self._rng)
                 self._seal_epoch = epoch
             ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields))
@@ -84,6 +83,12 @@ class EdgeCloud:
             return False
         self._store.append(EncryptedPdrSet(ciphertext=bytearray(ciphertext), minute=pdr_set.minute, bs_code_hint=pdr_set.bs))
         return True
+
+    def close_seal_context(self) -> None:
+        """Drop the open seal context and its plaintext phone-field cache; the next push opens a new one."""
+        self._seal_context = None
+        self._seal_epoch = -1
+        self._phone_fields = {}
 
     def provider_port(self) -> "ProviderPort":
         return ProviderPort(self)
@@ -145,6 +150,10 @@ class EdgeCloud:
 
     def stored_ciphertexts(self) -> list[bytearray]:
         return [e.ciphertext for e in self._store]
+
+    def cached_phone_fields(self) -> list[bytes]:
+        """The plaintext phone fields (length prefix, nr, IMEI) the open seal context caches."""
+        return list(self._phone_fields.values())
 
     def oldest_age(self, now: int) -> int | None:
         if not self._store:

@@ -30,14 +30,21 @@ def encode(payload: bytes, k: int, n: int) -> list[Fragment]:
     """
     if not (1 <= k <= n <= 255):
         raise ParameterError(f"need 1 <= k <= n <= 255, got k={k} n={n}")
-    framed = _LEN_HDR.pack(len(payload)) + payload
-    stripe_len = -(-len(framed) // k)
-    framed = framed.ljust(k * stripe_len, b"\x00")
-    stripes = [framed[i * stripe_len : (i + 1) * stripe_len] for i in range(k)]
+    stripes = _stripes(payload, k)
     fragments = [Fragment(i, stripes[i]) for i in range(k)]
     for x in range(k, n):
         fragments.append(Fragment(x, gf256.combine(stripes, gf256.lagrange_weights(range(k), x))))
     return fragments
+
+
+def _stripes(payload: bytes, k: int) -> list[bytes]:
+    """Length header, payload and zero padding cut into k equal stripes: written into one buffer, each stripe copied out once."""
+    stripe_len = -(-(_LEN_HDR.size + len(payload)) // k)
+    framed = bytearray(k * stripe_len)
+    _LEN_HDR.pack_into(framed, 0, len(payload))
+    framed[_LEN_HDR.size : _LEN_HDR.size + len(payload)] = payload
+    view = memoryview(framed)
+    return [bytes(view[i * stripe_len : (i + 1) * stripe_len]) for i in range(k)]
 
 
 def decode(fragments: list[Fragment], k: int) -> bytes:
@@ -47,6 +54,8 @@ def decode(fragments: list[Fragment], k: int) -> bytes:
     the corruption hits the header), never a detected-and-repaired result;
     callers needing Byzantine tolerance must hand in only fragments they
     have verified, e.g. against per-fragment digests taken at encode time.
+    The payload is joined once from views of the stripes, past the header and
+    short of the padding.
     """
     frags = {f.index: f for f in fragments}
     if len(frags) < k:
@@ -63,9 +72,9 @@ def decode(fragments: list[Fragment], k: int) -> bytes:
             stripes.append(chosen_map[target].data)
             continue
         stripes.append(gf256.combine([f.data for f in chosen], gf256.lagrange_weights(xs, target)))
-    framed = b"".join(stripes)
-    (length,) = _LEN_HDR.unpack_from(framed, 0)
-    if length > len(framed) - _LEN_HDR.size:
+    head = b"".join(stripe[: _LEN_HDR.size] for stripe in stripes)  # starts with the header, whatever the stripe length
+    (length,) = _LEN_HDR.unpack_from(head, 0)
+    if length > k * stripe_len - _LEN_HDR.size:
         raise UnavailableError("declared payload length exceeds decoded data")
-    return framed[_LEN_HDR.size : _LEN_HDR.size + length]
-
+    start, end = _LEN_HDR.size, _LEN_HDR.size + length
+    return b"".join(memoryview(stripe)[max(start - i * stripe_len, 0) : max(end - i * stripe_len, 0)] for i, stripe in enumerate(stripes))

@@ -5,6 +5,11 @@ byte strings. Every wire message in the repo (analysis-network fetch,
 certificates, vault fragments) is a fixed concatenation of these, so any two
 encoders produce identical bytes. JSON that is hashed, signed or written as an
 artifact goes through `canonical_json`, for the same reason.
+
+The two bulk messages, the fetch response and the vault fragment message, copy
+each payload once: the encoder joins the caller's buffers straight into the
+frame, and the decoder hands back `memoryview`s of the frame, which the
+receiver opens or copies into its own store.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ def canonical_json(obj: Any) -> bytes:
 
 
 class Reader:
-    """Sequential decoder over one message buffer."""
+    """Sequential decoder over one message buffer; over a `memoryview`, `raw` slices are views too."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes | memoryview):
         self._data = data
         self._off = 0
 
@@ -37,14 +42,14 @@ class Reader:
     def u64(self) -> int:
         return self._unpack(">Q", 8)
 
-    def raw(self, n: int) -> bytes:
+    def raw(self, n: int) -> bytes | memoryview:
         if self._off + n > len(self._data):
             raise FramingError("message truncated")
         out = self._data[self._off : self._off + n]
         self._off += n
         return out
 
-    def lp_bytes(self) -> bytes:
+    def lp_bytes(self) -> bytes | memoryview:
         return self.raw(self.u32())
 
     def done(self) -> None:
@@ -82,12 +87,13 @@ def lp_bytes(b: bytes) -> bytes:
 def encode_fragment_message(object_id: bytes, index: int, fragment: bytes, key_share: bytes) -> bytes:
     if len(object_id) != 16:
         raise FramingError("object id must be 16 bytes")
-    return object_id + u8(index) + lp_bytes(fragment) + lp_bytes(key_share)
+    return b"".join((object_id, u8(index), u32(len(fragment)), fragment, u32(len(key_share)), key_share))
 
 
-def decode_fragment_message(data: bytes) -> tuple[bytes, int, bytes, bytes]:
-    r = Reader(data)
-    object_id = r.raw(16)
+def decode_fragment_message(data: bytes) -> tuple[bytes, int, memoryview, memoryview]:
+    """Object id, index, and the fragment and key share as views of `data`."""
+    r = Reader(memoryview(data))
+    object_id = bytes(r.raw(16))
     index = r.u8()
     fragment = r.lp_bytes()
     key_share = r.lp_bytes()
@@ -99,6 +105,8 @@ def decode_fragment_message(data: bytes) -> tuple[bytes, int, bytes, bytes]:
 # request:  lp certificate (verbatim) || minute start (u64) || minute end (u64)
 # response: entry count (u32) || [minute (u64) || station code (16 bytes ASCII)
 #           || precision class (u8) || lp ciphertext] * count
+
+_ENTRY_HEAD = struct.Struct(">Q16sBI")  # an entry up to its ciphertext: minute, code, class, length
 
 
 def encode_fetch_request(cert_blob: bytes, minute_start: int, minute_end: int) -> bytes:
@@ -115,23 +123,25 @@ def decode_fetch_request(data: bytes) -> tuple[bytes, int, int]:
 
 
 def encode_fetch_response(entries: list[tuple[int, str, int, bytes]]) -> bytes:
+    """The response frame; each ciphertext is copied once, straight into the frame."""
     parts = [u32(len(entries))]
     for minute, code, class_value, ciphertext in entries:
-        parts.append(u64(minute))
-        parts.append(code.encode("ascii"))
-        parts.append(u8(class_value))
-        parts.append(lp_bytes(ciphertext))
+        code_bytes = code.encode("ascii")
+        if len(code_bytes) != 16:
+            raise FramingError("station code must be 16 bytes")
+        parts += (_ENTRY_HEAD.pack(minute, code_bytes, class_value, len(ciphertext)), ciphertext)
     return b"".join(parts)
 
 
-def decode_fetch_response(data: bytes) -> list[tuple[int, str, int, bytes]]:
-    r = Reader(data)
+def decode_fetch_response(data: bytes) -> list[tuple[int, str, int, memoryview]]:
+    """The entries of a response frame, each ciphertext a view of `data`."""
+    r = Reader(memoryview(data))
     count = r.u32()
     out = []
     for _ in range(count):
         minute = r.u64()
         try:
-            code = r.raw(16).decode("ascii")
+            code = str(r.raw(16), "ascii")
         except UnicodeDecodeError:
             raise FramingError("station code is not ASCII") from None
         class_value = r.u8()

@@ -33,6 +33,10 @@ class PrecisionClass(Enum):
     PICO = "PICO"
     FEMTO = "FEMTO"
 
+    # Members are singletons, so they hash by identity, in C; `Enum.__hash__`
+    # hashes the name in Python, once per lookup of a per-class table.
+    __hash__ = object.__hash__
+
     @property
     def rank(self) -> int:
         """Higher rank = higher measurement precision; the class byte of a fetched set."""

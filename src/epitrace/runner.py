@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import Callable, Iterable
 
 from . import cep, crypto, erasure, framing
 from .edge import EdgeCloud
@@ -229,10 +230,12 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     for name, value in ingest(context, config.alert_minute, config.duration_min).items():
         counts[name] += value
     # Analysis runs at the last minute, after an end-of-scenario prune that
-    # keeps the retention bound before shutdown.
+    # keeps the retention bound before shutdown. Nothing is pushed after it, so
+    # each edge's seal context and plaintext phone-field cache go with it.
     federation.tick(config.duration_min)
     for edge in context.edges.values():
         counts["sets_pruned"] += edge.prune(config.duration_min)
+        edge.close_seal_context()
     prune_ticks = (config.duration_min - 1) // config.prune_every_min + 1
 
     # -- analysis under quorum-vetted capabilities ---------------------------------
@@ -324,7 +327,7 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
     return sets
 
 
-def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, str, int, bytes]]:
+def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, str, int, memoryview]]:
     """One fetch as the analysis network makes it: a request frame to the edge, its response frame decoded."""
     frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
     return framing.decode_fetch_response(edge.handle_fetch_frame(frame))
@@ -341,9 +344,14 @@ def _recall_precision(context: SimContext, flagged: set) -> tuple[float, float]:
 
 
 def _plaintext_pii_hits(context: SimContext) -> int:
-    """Count every phone number and IMEI found in the clear in a stored edge ciphertext or the ledger export."""
+    """Count every phone number and IMEI found in the clear in what the run holds at rest.
+
+    That is every edge's stored ciphertexts and phone-field cache, every vault
+    cloud's fragment and key-share buffers, and the ledger export.
+    """
     probes = [p for t in context.traces for p in (t.phone.nr, t.phone.imei)]
-    buffers = [c for edge in context.edges.values() for c in edge.stored_ciphertexts()]
+    buffers = [b for edge in context.edges.values() for b in (*edge.stored_ciphertexts(), *edge.cached_phone_fields())]
+    buffers += [b for cloud in context.vault.clouds for b in cloud.held_buffers()]
     buffers.append(context.federation.ledger.export_jsonl().encode("utf-8"))
     return _digit_probe_hits(probes, buffers)
 
@@ -428,15 +436,25 @@ def _artifact_payloads(
         ],
     }
 
-    def dumps(obj) -> bytes:
-        return framing.canonical_json(obj) + b"\n"
+    def by_pair_nr(item) -> tuple[str, str]:
+        return item.pair[0].nr, item.pair[1].nr
 
     return {
-        "suspicions.json": dumps(sorted((suspicion_obj(s) for s in by_pair.values()), key=lambda o: o["pair"])),
-        "scores.json": dumps(sorted((score_obj(s) for s in scores), key=lambda o: o["pair"])),
-        "pccont.json": dumps(sorted((pccont_obj(r) for r in pccont), key=lambda o: (o["v"], o["u"]))),
-        "dag.json": dumps(dag_obj),
+        "suspicions.json": _json_list(by_pair.values(), suspicion_obj, by_pair_nr),
+        "scores.json": _json_list(scores, score_obj, by_pair_nr),
+        "pccont.json": _json_list(pccont, pccont_obj, lambda r: (r.v.nr, r.u.nr)),
+        "dag.json": framing.canonical_json(dag_obj) + b"\n",
     }
+
+
+def _json_list(items: Iterable, obj: Callable[..., dict], key: Callable[..., tuple]) -> bytes:
+    """`canonical_json` of the list of `obj(item)`, items sorted by `key`, and a newline.
+
+    Each object is encoded as soon as it is built and dropped, so the whole
+    list of dicts never exists at once. The sort is stable, so items of equal
+    key keep their order.
+    """
+    return b"".join((b"[", b",".join(framing.canonical_json(obj(item)) for item in sorted(items, key=key)), b"]\n"))
 
 
 def _write_artifacts(

@@ -25,11 +25,12 @@ class FaultMode(Enum):
     BYZANTINE = "BYZANTINE"
 
 
-def _corrupt(data: bytes) -> bytes:
-    # Deterministic corruption: flip every bit of the first byte.
-    if not data:
-        return data
-    return bytes([data[0] ^ 0xFF]) + data[1:]
+def _corrupt(data: bytes) -> bytearray:
+    # Deterministic corruption: flip every bit of the first byte of one copy.
+    corrupted = bytearray(data)
+    if corrupted:
+        corrupted[0] ^= 0xFF
+    return corrupted
 
 
 @dataclass
@@ -37,7 +38,8 @@ class CloudNode:
     """One storage cloud; Byzantine nodes return corrupted bytes, crashed ones nothing.
 
     Fragments and key shares are held as bytearrays so that shredding can
-    overwrite them in place.
+    overwrite them in place; `store` copies each once, from a view of the
+    fragment message, into its bytearray.
     """
 
     id: int
@@ -74,6 +76,10 @@ class CloudNode:
 
     def held_object_ids(self) -> list[bytes]:
         return sorted(self._fragments)
+
+    def held_buffers(self) -> list[bytearray]:
+        """Every fragment and key-share buffer the cloud holds."""
+        return [buffer for _index, fragment, key_share in self._fragments.values() for buffer in (fragment, key_share)]
 
 
 @dataclass(frozen=True)
@@ -139,13 +145,16 @@ class VaultCoordinator:
         capability.require_write()
         key = self._rng.randbytes(32)
         ciphertext = crypto.symmetric_encrypt(key, plaintext, self._rng)
+        cipher_digest = crypto.digest(ciphertext)
         n = len(self.clouds)
         fragments = erasure.encode(ciphertext, self.k, n)
+        del ciphertext  # the fragments carry it from here
         shares = split_secret(key, self.key_threshold, n, self._rng)
         object_id = self._rng.randbytes(16)
         acks = 0
         fragment_digests, share_digests = {}, {}
-        for cloud, fragment, share in zip(self.clouds, fragments, shares):
+        for cloud, share in zip(self.clouds, shares):
+            fragment = fragments.pop(0)  # dropped once its message is built, so only the clouds' copies pile up
             share_blob = framing.u8(share.x) + share.data
             fragment_digests[fragment.index] = crypto.digest(fragment.data)
             share_digests[fragment.index] = crypto.digest(share_blob)
@@ -159,7 +168,7 @@ class VaultCoordinator:
             raise UnavailableError(f"only {acks} clouds acknowledged, need {need}")
         meta = VaultObject(
             plain_digest=crypto.digest(plaintext),
-            cipher_digest=crypto.digest(ciphertext),
+            cipher_digest=cipher_digest,
             fragment_digests=fragment_digests,
             share_digests=share_digests,
             size=len(plaintext),

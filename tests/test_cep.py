@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 from random import Random
@@ -317,6 +318,16 @@ class TestScoring:
         assert score.density == pytest.approx(4.0)
         assert score.severity == 0.5
         assert score.region.stations == frozenset({"0000000000000001"})
+
+    def test_precision_factors_are_looked_up_without_enum_hash(self, cap_read, monkeypatch):
+        suspicion = self._suspicion(prox=1.0, dur=20, cls=PrecisionClass.PICO, sizes=3)
+        [expected] = score_suspicions(cap_read, [suspicion], PARAMS)
+        hashed = []
+        real_hash = enum.Enum.__hash__
+        monkeypatch.setattr(enum.Enum, "__hash__", lambda member: hashed.append(member) or real_hash(member))
+        [score] = score_suspicions(cap_read, [suspicion], PARAMS)
+        assert score == expected
+        assert not [member for member in hashed if isinstance(member, PrecisionClass)]
 
     def test_unflagged_input_rejected(self, cap_read):
         bad = ContactSuspicion(pair=(phone(1), phone(2)), pc_susp=False, windows=())

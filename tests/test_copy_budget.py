@@ -1,0 +1,104 @@
+"""Peak traced allocation of each bulk wire-path call, as a multiple of the bytes it moves.
+
+A buffer crosses each layer with at most one copy: into a frame where one is
+assembled, or into the store that must own (and later zero) it. Each bound
+sits between the figure of a path that copied at every layer and the in-place
+figure, so a copy that comes back fails its test. The comments give both
+figures (copying -> in place), for a 1,000-entry frame of 1 KB ciphertexts and
+a 1 MiB payload. tracemalloc counts every Python and NumPy allocation, so the
+figures repeat exactly for one interpreter and library set; the call's result
+counts, since it is allocated inside the measured window.
+"""
+
+import tracemalloc
+from random import Random
+
+import pytest
+
+from epitrace import erasure, framing, runner
+from epitrace.world import ScenarioConfig
+from test_vault import caps, make_vault
+
+PAYLOAD = Random(1).randbytes(1 << 20)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated while `fn(*args)` ran, over what was allocated before)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fetch_entries():
+    rng = Random(2)
+    return [(minute, f"{minute:016x}", minute % 3, bytearray(rng.randbytes(1000))) for minute in range(1000)]
+
+
+def test_fetch_response_encode_copies_each_ciphertext_once(fetch_entries):
+    # 2.51x -> 1.27x: no per-entry length-prefixed copy ahead of the join.
+    _, peak = traced_peak(framing.encode_fetch_response, fetch_entries)
+    assert peak < 1.75 * 1_000_000
+
+
+def test_fetch_response_decode_copies_no_ciphertext(fetch_entries):
+    # 1.20x -> 0.35x: the entries are views of the frame; what is left is tuples and view objects.
+    frame = framing.encode_fetch_response(fetch_entries)
+    _, peak = traced_peak(framing.decode_fetch_response, frame)
+    assert peak < 0.75 * 1_000_000
+
+
+def test_fragment_message_encode_copies_the_fragment_once():
+    # 2.00x -> 1.00x: one join, not a chain of concatenations.
+    fragment = PAYLOAD[: len(PAYLOAD) // 2]
+    _, peak = traced_peak(framing.encode_fragment_message, bytes(16), 1, fragment, bytes(33))
+    assert peak < 1.5 * len(fragment)
+
+
+def test_fragment_message_decode_copies_no_fragment():
+    # 1.00x -> 0.00x: the cloud's bytearray is the one copy.
+    fragment = PAYLOAD[: len(PAYLOAD) // 2]
+    message = framing.encode_fragment_message(bytes(16), 1, fragment, bytes(33))
+    _, peak = traced_peak(framing.decode_fragment_message, message)
+    assert peak < 0.5 * len(fragment)
+
+
+def test_erasure_encode_writes_the_framed_payload_once():
+    # 3.57x -> 2.57x, of which the four fragments are 2x.
+    _, peak = traced_peak(erasure.encode, PAYLOAD, 2, 4)
+    assert peak < 3.0 * len(PAYLOAD)
+
+
+def test_erasure_decode_joins_the_payload_once():
+    # 2.50x -> 1.50x with one parity fragment: the rebuilt stripe, then the payload.
+    fragments = erasure.encode(PAYLOAD, 2, 4)
+    _, peak = traced_peak(erasure.decode, fragments[1:3], 2)
+    assert peak < 2.0 * len(PAYLOAD)
+
+
+def test_vault_write_and_read_copy_once_per_hop():
+    # write 6.00x -> 3.57x: the ciphertext and each fragment go once the next layer holds them,
+    # and the clouds' copies (2x) stay. read 3.00x -> 2.00x: the ciphertext and the plaintext.
+    federation, vault = make_vault()
+    cap_write, cap_full = caps(federation)
+    object_id, peak_write = traced_peak(vault.write, cap_write, PAYLOAD)
+    assert peak_write < 4.25 * len(PAYLOAD)
+    plaintext, peak_read = traced_peak(vault.read, cap_full, object_id)
+    assert plaintext == PAYLOAD
+    assert peak_read < 2.5 * len(PAYLOAD)
+
+
+def test_artifact_payloads_encode_each_object_as_it_is_built(monkeypatch):
+    # 12.6x -> 3.06x of the four payloads: no list of every object's dict, no second copy of the whole JSON.
+    captured = []
+    real = runner._artifact_payloads
+    monkeypatch.setattr(runner, "_artifact_payloads", lambda *args: captured.append(args) or real(*args))
+    runner.run(ScenarioConfig(seed=31, n_phones=20, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True))
+    payloads, peak = traced_peak(real, *captured[0])
+    assert payloads["suspicions.json"] != b"[]\n"
+    assert peak < 5.0 * sum(map(len, payloads.values()))

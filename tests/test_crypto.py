@@ -73,6 +73,28 @@ class TestHybridSeal:
             with pytest.raises(DecryptionError):
                 crypto.unseal(pair.private_bytes, short, {})
 
+    def test_unseal_opens_a_view_in_place(self):
+        pair = crypto.SealKeyPair.generate(Random(0))
+        context = crypto.SealContext(pair.public_bytes, Random(2))
+        frame = b"head" + crypto.seal(context, b"first") + crypto.seal(context, b"second")
+        view = memoryview(frame)
+        first, second = view[4 : 4 + 44 + 5 + 16], view[4 + 44 + 5 + 16 :]
+        aeads = {}
+        assert [crypto.unseal(pair.private_bytes, b, aeads) for b in (first, second)] == [b"first", b"second"]
+        assert [type(k) for k in aeads] == [bytes]  # the cache holds no view of the frame
+
+    def test_short_or_tampered_view_is_a_decryption_error(self):
+        pair = crypto.SealKeyPair.generate(Random(0))
+        blob = crypto.seal(crypto.SealContext(pair.public_bytes, Random(2)), b"secret")
+        for short in (memoryview(blob)[:-23], memoryview(b"short")):
+            with pytest.raises(DecryptionError):
+                crypto.unseal(pair.private_bytes, short, {})
+        for index in (0, 32, 44, len(blob) - 1):  # eph_pub, nonce, ciphertext, tag
+            tampered = bytearray(blob)
+            tampered[index] ^= 0x01
+            with pytest.raises(DecryptionError):
+                crypto.unseal(pair.private_bytes, memoryview(tampered), {})
+
     def test_exhausted_context_refuses_to_seal(self):
         pair = crypto.SealKeyPair.generate(Random(0))
         context = crypto.SealContext(pair.public_bytes, Random(2))

@@ -1,4 +1,7 @@
+import struct
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from epitrace import framing
 from epitrace.errors import FramingError
@@ -58,3 +61,88 @@ class TestCertificateMessage:
     def test_unknown_operation_class_rejected(self):
         with pytest.raises(FramingError):
             QuorumCertificate.decode(bytes(48) + bytes([9, 3, 0]))
+
+
+# -- the in-place wire path ----------------------------------------------------------
+# The references below build each frame by plain concatenation, field by field,
+# as the layout comments in `framing` describe it.
+
+
+def reference_fetch_response(entries) -> bytes:
+    out = struct.pack(">I", len(entries))
+    for minute, code, class_value, ciphertext in entries:
+        out += struct.pack(">Q", minute) + code.encode("ascii") + struct.pack(">B", class_value)
+        out += struct.pack(">I", len(ciphertext)) + bytes(ciphertext)
+    return out
+
+
+def reference_fragment_message(object_id, index, fragment, key_share) -> bytes:
+    return object_id + struct.pack(">B", index) + struct.pack(">I", len(fragment)) + fragment + struct.pack(">I", len(key_share)) + key_share
+
+
+ENTRIES = st.lists(
+    st.tuples(
+        st.integers(0, 2**64 - 1),
+        st.text("0123456789abcdef", min_size=16, max_size=16),
+        st.integers(0, 255),
+        st.binary(max_size=64).map(bytearray),  # the edge stores bytearrays
+    ),
+    max_size=8,
+)
+
+
+class TestInPlaceWirePath:
+    @given(ENTRIES)
+    @example([])
+    @example([(0, "0" * 16, 0, bytearray())])
+    def test_fetch_response_equals_the_concatenation(self, entries):
+        frame = framing.encode_fetch_response(entries)
+        assert frame == reference_fetch_response(entries)
+        assert framing.decode_fetch_response(frame) == entries
+
+    @given(st.binary(min_size=16, max_size=16), st.integers(0, 255), st.binary(max_size=64), st.binary(max_size=40))
+    @example(bytes(16), 0, b"", b"")
+    def test_fragment_message_equals_the_concatenation(self, object_id, index, fragment, key_share):
+        message = framing.encode_fragment_message(object_id, index, fragment, key_share)
+        assert message == reference_fragment_message(object_id, index, fragment, key_share)
+        assert framing.decode_fragment_message(message) == (object_id, index, fragment, key_share)
+
+    def test_fetch_response_entries_are_views_of_the_frame(self):
+        frame = framing.encode_fetch_response([(7, "00" * 8, 2, bytearray(b"ct-1")), (8, "ff" * 8, 0, bytearray(b"ct-22"))])
+        entries = framing.decode_fetch_response(frame)
+        assert [e[3].obj for e in entries] == [frame, frame]
+        assert [bytes(e[3]) for e in entries] == [b"ct-1", b"ct-22"]
+        assert all(type(e[1]) is str for e in entries)
+
+    def test_fragment_message_payloads_are_views_of_the_message(self):
+        message = framing.encode_fragment_message(b"\xab" * 16, 3, b"fragment", b"\x01share")
+        object_id, _index, fragment, key_share = framing.decode_fragment_message(message)
+        assert type(object_id) is bytes  # a store's dict key must not pin the message
+        assert fragment.obj is message and key_share.obj is message
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_malformed_fetch_response_is_a_framing_error(self, wrap):
+        frame = framing.encode_fetch_response([(7, "00" * 8, 2, b"ct"), (9, "11" * 8, 1, b"")])
+        for cut in range(len(frame)):
+            with pytest.raises(FramingError):
+                framing.decode_fetch_response(wrap(frame[:cut]))
+        with pytest.raises(FramingError):
+            framing.decode_fetch_response(wrap(frame + b"\x00"))
+        bad_code = bytearray(frame)
+        bad_code[12] = 0xFF  # first byte of the station code, after count (4) and minute (8)
+        with pytest.raises(FramingError):
+            framing.decode_fetch_response(wrap(bytes(bad_code)))
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_malformed_fragment_message_is_a_framing_error(self, wrap):
+        message = framing.encode_fragment_message(b"\x00" * 16, 1, b"AB", b"C")
+        for cut in range(len(message)):
+            with pytest.raises(FramingError):
+                framing.decode_fragment_message(wrap(message[:cut]))
+        with pytest.raises(FramingError):
+            framing.decode_fragment_message(wrap(message + b"\x00"))
+
+    @pytest.mark.parametrize("code", ["0" * 15, "0" * 17])
+    def test_station_code_must_be_sixteen_bytes(self, code):
+        with pytest.raises(FramingError):
+            framing.encode_fetch_response([(1, code, 0, b"ct")])

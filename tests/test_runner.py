@@ -2,17 +2,19 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from epitrace import cep, crypto, runner
+from epitrace import cep, crypto, framing, runner
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError
+from epitrace.federation import OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
-from epitrace.runner import _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run
+from epitrace.runner import _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
 from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig, generate_world
 from util import SMALL_JSON, retention_config
@@ -65,6 +67,8 @@ class TestRun:
     def test_privacy_scan_checks_every_stored_ciphertext(self):
         context = build_context(ScenarioConfig(**CFG))
         ingest(context, 0, 60)
+        for edge in context.edges.values():
+            edge.close_seal_context()  # as `run` does after the last prune
         assert _plaintext_pii_hits(context) == 0
         stored = next(iter(context.edges.values())).stored_ciphertexts()
         imei = context.traces[-1].phone.imei.encode("ascii")
@@ -74,6 +78,8 @@ class TestRun:
     def test_privacy_scan_counts_planted_identifiers_like_the_plain_regex(self):
         context = build_context(ScenarioConfig(**CFG))
         ingest(context, 0, 60)
+        for edge in context.edges.values():
+            edge.close_seal_context()
         stored = next(iter(context.edges.values())).stored_ciphertexts()
         nr = context.traces[0].phone.nr.encode("ascii")
         imei = context.traces[1].phone.imei.encode("ascii")
@@ -86,6 +92,49 @@ class TestRun:
         expected = sum(len(pattern.findall(buffer)) for buffer in buffers)
         assert expected >= 4
         assert _plaintext_pii_hits(context) == expected
+
+    def test_privacy_scan_counts_an_open_phone_field_cache(self):
+        context = build_context(ScenarioConfig(**CFG))
+        ingest(context, 0, 60)
+        edges = list(context.edges.values())
+        cached = [fields for edge in edges for fields in edge.cached_phone_fields()]
+        assert cached  # each field holds one nr and one IMEI in the clear
+        assert _plaintext_pii_hits(context) == 2 * len(cached)
+        for edge in edges[1:]:
+            edge.close_seal_context()
+        assert _plaintext_pii_hits(context) == 2 * len(edges[0].cached_phone_fields()) > 0
+        edges[0].close_seal_context()
+        assert _plaintext_pii_hits(context) == 0
+
+    def test_privacy_scan_counts_vault_buffers_and_the_ledger(self):
+        context = build_context(ScenarioConfig(**CFG))
+        federation = context.federation
+        rng = Random(3)
+        federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng), SystemState.ALERT)
+        cap = federation.authorize_mode(vet(federation, OperationClass.BLIND_PROCESSING, {}, rng), OperationClass.BLIND_PROCESSING)
+        context.vault.write(cap, b"results")
+        assert _plaintext_pii_hits(context) == 0
+        imei = context.traces[0].phone.imei.encode("ascii")
+        fragment, key_share = context.vault.clouds[0].held_buffers()
+        fragment[: len(imei)] = imei
+        key_share[: len(imei)] = imei
+        assert _plaintext_pii_hits(context) == 2
+        federation.ledger.record("note", 0, text=context.traces[1].phone.nr)
+        assert _plaintext_pii_hits(context) == 3
+
+    def test_run_closes_every_seal_context(self, monkeypatch):
+        edges = []
+        real_build = runner.build_context
+
+        def keep_edges(*args):
+            context = real_build(*args)
+            edges.extend(context.edges.values())
+            return context
+
+        monkeypatch.setattr(runner, "build_context", keep_edges)
+        report = run(ScenarioConfig(**CFG))
+        assert report.privacy["plaintext_pii_hits"] == 0
+        assert edges and all(edge._seal_context is None and not edge.cached_phone_fields() for edge in edges)
 
     def test_artifacts_written(self, completed_run):
         _, out = completed_run
@@ -514,3 +563,26 @@ class TestCli:
         result2 = CliRunner().invoke(main, ["export-dag", "--run-dir", str(out), "--out", str(dot_file)])
         assert result2.exit_code == 0
         assert dot_file.read_text() == (out / "dag.dot").read_text()
+
+
+JSON_VALUES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+# Keys from a tiny alphabet, so that equal keys are common.
+KEYED_ITEMS = st.lists(st.tuples(st.tuples(st.sampled_from(["1", "10", "2"]), st.sampled_from(["1", "2"])), JSON_VALUES), max_size=12)
+
+
+def keyed_obj(item) -> dict:
+    (a, b), value = item
+    return {"pair": [a, b], "value": value, "tag": [value, {"z": 1, "a": [a]}]}
+
+
+class TestStreamedArtifacts:
+    @given(KEYED_ITEMS)
+    @example([])
+    @example([(("1", "2"), "second"), (("1", "2"), "first"), (("1", "10"), 1.5), (("1", "2"), None)])
+    def test_json_list_equals_the_sorted_list_dumped_whole(self, items):
+        whole = framing.canonical_json(sorted(map(keyed_obj, items), key=lambda o: o["pair"])) + b"\n"
+        assert runner._json_list(items, keyed_obj, lambda item: item[0]) == whole
+
+    def test_json_list_keeps_the_order_of_equal_keys(self):
+        items = [(("1", "2"), value) for value in ("c", "a", "b")]
+        assert [o["value"] for o in json.loads(runner._json_list(items, keyed_obj, lambda item: item[0]))] == ["c", "a", "b"]
