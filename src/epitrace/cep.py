@@ -21,6 +21,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import groupby
+from operator import attrgetter
 from statistics import median_low
 from typing import Iterable, NamedTuple, Sequence
 
@@ -206,7 +208,7 @@ Sample = tuple[int, float, PrecisionClass, str, int]  # (minute, distance, class
 _CLASSES = tuple(PrecisionClass.from_rank(rank) for rank in range(len(PrecisionClass)))  # class by rank
 
 
-_SetView = NamedTuple("_SetView", [("pdr_set", PdrSet), ("size", int)])  # a set, as the presence probe lists it
+_SetView = NamedTuple("_SetView", [("phones", tuple), ("size", int)])  # a set, as the presence probe lists it
 
 
 class PdrIndex:
@@ -216,18 +218,26 @@ class PdrIndex:
     kept (highest precision rank, then smallest distance, then station code),
     and dropped when a more precise set of that minute holds both phones: that
     station decides, and it put them out of range.
+
+    `sets` is read once, as a stream in minute order (a minute that comes back
+    after a later one raises ValidationError). Each minute's sets are swept as
+    soon as the stream moves past that minute and are not kept: the table
+    holds only the samples, `sets_swept` and, for the `presence` probe, each
+    set's minute and phones.
     """
 
     def __init__(self, sets: Iterable[PdrSet], prox_max: float):
         self.prox_max = prox_max
-        self._sets = list(sets)  # for the `presence` probe only
+        self._sets: list[tuple[int, tuple[PhoneId, ...]]] = []  # for the `presence` probe only
         self.partners: dict[PhoneId, dict[PhoneId, list[Sample]]] = {}
         pairs: dict[PairKey, list[Sample]] = {}
-        by_minute: dict[int, list[PdrSet]] = {}
-        for pdr_set in self._sets:
-            by_minute.setdefault(pdr_set.minute, []).append(pdr_set)
-        for minute in sorted(by_minute):
-            minute_sets = by_minute[minute]
+        last = -1
+        for minute, group in groupby(sets, key=attrgetter("minute")):
+            if minute <= last:
+                raise ValidationError(f"sets must arrive in minute order: minute {minute} after minute {last}")
+            last = minute
+            minute_sets = list(group)
+            self._sets += [(minute, pdr_set.phones) for pdr_set in minute_sets]
             ranks = [pdr_set.bs.precision_class.rank for pdr_set in minute_sets]
             top = max(ranks)
             held = [(rank, frozenset(pdr_set.phones)) for rank, pdr_set in zip(ranks, minute_sets) if rank > 0]
@@ -240,15 +250,16 @@ class PdrIndex:
                     a, b = key
                     samples = pairs[key] = self.partners.setdefault(a, {})[b] = self.partners.setdefault(b, {})[a] = []
                 samples.append((minute, dist, _CLASSES[rank], code, size))
+        self.sets_swept = len(self._sets)
 
     @cached_property
     def presence(self) -> dict[PhoneId, dict[int, list[tuple[_SetView, int]]]]:
         """phone -> minute -> (set view, position): a read-only view for tests and tracing; no scan uses it."""
         presence: dict[PhoneId, dict[int, list[tuple[_SetView, int]]]] = {}
-        for pdr_set in self._sets:
-            view = _SetView(pdr_set, len(pdr_set.phones))
-            for pos, p in enumerate(pdr_set.phones):
-                presence.setdefault(p, {}).setdefault(pdr_set.minute, []).append((view, pos))
+        for minute, phones in self._sets:
+            view = _SetView(phones, len(phones))
+            for pos, p in enumerate(phones):
+                presence.setdefault(p, {}).setdefault(minute, []).append((view, pos))
         return presence
 
 

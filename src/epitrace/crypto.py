@@ -102,13 +102,16 @@ class SealContext:
         self._seq = 0
 
 
-def seal(context: SealContext, plaintext: bytes) -> bytes:
-    """Encrypt the context's next message: eph_pub(32) || nonce(12) || AES-GCM ciphertext."""
+def seal(context: SealContext, plaintext: bytes) -> bytearray:
+    """Encrypt the context's next message: eph_pub(32) || nonce(12) || AES-GCM ciphertext, written into one new bytearray."""
     if context._seq == _MAX_SEQ:
         raise EncryptionError("seal context exhausted its nonces")
     nonce = (context._base_nonce ^ context._seq).to_bytes(_NONCE_LEN, "big")
     context._seq += 1
-    return context.eph_pub + nonce + context._aead.encrypt(nonce, plaintext, None)
+    blob = bytearray(_HEAD_LEN + len(plaintext) + _TAG_LEN)
+    blob[:_HEAD_LEN] = context.eph_pub + nonce
+    context._aead.encrypt_into(nonce, plaintext, None, memoryview(blob)[_HEAD_LEN:])
+    return blob
 
 
 def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM]) -> bytes:

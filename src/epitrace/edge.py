@@ -30,8 +30,8 @@ SEAL_EPOCH_MIN = 60
 class EncryptedPdrSet:
     """Sealed record set plus the cleartext metadata needed for pruning.
 
-    The ciphertext is a bytearray, so pruning can zero it in place; a fetch
-    copies it once, straight into the response frame.
+    The ciphertext is the bytearray `crypto.seal` wrote, so pruning can zero
+    it in place; a fetch copies it once, straight into the response frame.
     """
 
     ciphertext: bytearray
@@ -81,7 +81,7 @@ class EdgeCloud:
             ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields))
         except EncryptionError:
             return False
-        self._store.append(EncryptedPdrSet(ciphertext=bytearray(ciphertext), minute=pdr_set.minute, bs_code_hint=pdr_set.bs))
+        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, bs_code_hint=pdr_set.bs))
         return True
 
     def close_seal_context(self) -> None:

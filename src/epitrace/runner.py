@@ -7,12 +7,14 @@ Drives the whole pipeline on a simulated clock with no wall-clock reads, so a
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import cep, crypto, erasure, framing
 from .edge import EdgeCloud
@@ -189,19 +191,20 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
 def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     """Feed minutes [start, stop) into the edge clouds; return the ingest counts.
 
-    Each minute advances the federation clock, observes every station, groups
-    the records into per-station sets and pushes each through its provider's
-    port; every `prune_every_min`-th minute then ends with a prune of all edges.
+    Phone positions are interpolated for these minutes only. Each minute
+    advances the federation clock, observes every station, groups the records
+    into per-station sets and pushes each through its provider's port; every
+    `prune_every_min`-th minute then ends with a prune of all edges.
     """
     config = context.config
     noise = NoiseModel.from_config(config) if config.noise_enabled else None
-    positions = trace_positions(context.traces, stop)
+    positions = trace_positions(context.traces, start, stop)
     provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
-    for minute in range(start, stop):
+    for minute, minute_positions in zip(range(start, stop), positions):
         context.federation.tick(minute)
-        records = observe(context.registry, context.traces, minute, positions[minute], noise)
+        records = observe(context.registry, context.traces, minute, minute_positions, noise)
         counts["pdrs_emitted"] += len(records)
         for pdr_set in group_into_sets(records):
             if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
@@ -241,10 +244,9 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     # -- analysis under quorum-vetted capabilities ---------------------------------
     cert_read = vet(federation, OperationClass.BLIND_PROCESSING, {"purpose": "contact analysis"}, rng_cer)
     cap_read = federation.authorize_mode(cert_read, OperationClass.BLIND_PROCESSING)
-    sets = _fetch_and_decrypt(context, cert_read, (0, config.duration_min))
-    counts["sets_fetched"] = len(sets)
     params = cep.AnalysisParams(config.prox_max_m, config.dur_min, config.gap_tolerance_min, config.search_margin_min)
-    index = cep.PdrIndex(sets, params.prox_max)
+    index = cep.PdrIndex(_fetch_and_decrypt(context, cert_read, (0, config.duration_min)), params.prox_max)
+    counts["sets_fetched"] = index.sets_swept
 
     estimates = infection_estimates(config, context.ground_truth)
     seeds = [cep.PhoneOfInterest(phone=p, t_inf_min=t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
@@ -312,19 +314,30 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     return report
 
 
-def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[PdrSet]:
-    """Pull every provider's sealed sets over the wire framing and open them in-engine."""
-    sets: list[PdrSet] = []
+def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_range: tuple[int, int]) -> Iterator[PdrSet]:
+    """Pull every provider's sealed sets over the wire framing; open them in-engine as the stream is read.
+
+    Each provider's frame is fetched up front, in provider order. Its sets are
+    unsealed and decoded one at a time, and the providers' streams are merged
+    by minute. The merge is stable, so within a minute every set of one
+    provider comes before the next provider's, each in its store order.
+    """
+    streams = []
     phones: dict = {}  # one PhoneId per phone across the whole fetch, so index lookups hit on identity
     for provider_id in sorted(context.edges):
         edge = context.edges[provider_id]
-        entries = _fetch(edge, cert, minute_range)
-        key = context.federation.engine_key(edge.key_id)
-        aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
-        for _minute, _code, class_value, ciphertext in entries:
-            plaintext = crypto.unseal(key, ciphertext, aeads)
-            sets.append(decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones))
-    return sets
+        streams.append(_open_entries(_fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), phones))
+    return heapq.merge(*streams, key=attrgetter("minute"))
+
+
+def _open_entries(entries: list[tuple[int, str, int, memoryview]], key: bytes, phones: dict) -> Iterator[PdrSet]:
+    """Unseal and decode one provider's fetched entries, one set per step; each entry is dropped as its set is decoded."""
+    aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
+    entries.reverse()
+    while entries:
+        _minute, _code, class_value, ciphertext = entries.pop()
+        plaintext = crypto.unseal(key, ciphertext, aeads)
+        yield decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones)
 
 
 def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, str, int, memoryview]]:

@@ -415,10 +415,14 @@ def _index_phones(config: ScenarioConfig) -> list[PhoneId]:
     return [_phone(i) for i in sorted(chosen)]
 
 
-def trace_positions(traces: list[MobilityTrace], duration: int) -> np.ndarray:
-    """Positions of every phone at every whole minute, shape (duration, n, 2)."""
-    out = np.empty((duration, len(traces), 2), dtype=float)
-    minutes = np.arange(duration, dtype=float)
+def trace_positions(traces: list[MobilityTrace], start: int, stop: int) -> np.ndarray:
+    """Positions of every phone at each whole minute of [start, stop), shape (stop - start, n, 2).
+
+    Each minute is interpolated on its own, so the rows equal the same
+    minutes' rows of any wider range bit for bit.
+    """
+    minutes = np.arange(start, stop, dtype=float)
+    out = np.empty((len(minutes), len(traces), 2), dtype=float)
     for j, trace in enumerate(traces):
         ts = np.array([m for m, _ in trace.waypoints], dtype=float)
         xs = np.array([p[0] for _, p in trace.waypoints], dtype=float)
@@ -454,7 +458,7 @@ def _replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attemp
     rng = Random(f"{config.seed}/epidemic/{attempt}")
     n = len(traces)
     duration = config.duration_min
-    positions = trace_positions(traces, duration)
+    positions = trace_positions(traces, 0, duration)
     xs, ys = positions[:, :, 0], positions[:, :, 1]
     reach_sq = config.transmission_distance_m**2
     phones = [t.phone for t in traces]

@@ -57,7 +57,7 @@ def criterion(number: int, name: str):
 def pipeline_flagged_pairs(cfg: ScenarioConfig):
     """Run generation + measurement + the scan stack; return flagged pairs and world."""
     registry, traces, gt = generate_world(cfg)
-    positions = trace_positions(traces, cfg.duration_min)
+    positions = trace_positions(traces, 0, cfg.duration_min)
     cap, _ = capability(OperationClass.BLIND_PROCESSING, seed=cfg.seed)
     params = cep.AnalysisParams(
         prox_max=cfg.prox_max_m, dur_min=cfg.dur_min, gap_tolerance=cfg.gap_tolerance_min, search_margin=cfg.search_margin_min
@@ -322,7 +322,7 @@ def test_criterion_6_dag_validity():
             assert seen == len(nodes), f"seed {seed}: dag artifact contains a cycle"
 
             # no edge contradicts ground-truth feasibility
-            positions = trace_positions(traces, cfg.duration_min)
+            positions = trace_positions(traces, 0, cfg.duration_min)
             index_of = {t.phone.nr: i for i, t in enumerate(traces)}
             t_infected = {p.nr: r.t_infected for p, r in gt.infections.items()}
             for src, dst in edges:

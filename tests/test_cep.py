@@ -220,7 +220,32 @@ class TestFindSuspicions:
         for p, by_minute in presence.items():
             assert sorted(by_minute) == [0, 1, 2]
             for minute, [(view, pos)] in by_minute.items():
-                assert view.size == 3 and view.pdr_set.minute == minute and view.pdr_set.phones[pos] == p
+                assert view.size == 3 and view.phones == sets[minute].phones and view.phones[pos] == p
+
+
+class TestStreamedIndex:
+    def test_a_minute_ordered_stream_builds_the_table_of_the_list(self):
+        cfg = ScenarioConfig(seed=17, n_phones=14, duration_min=240, alert_minute=200, noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        sets = plaintext_sets(cfg, registry, traces)
+        listed = PdrIndex(sets, PARAMS.prox_max)
+        streamed = PdrIndex((pdr_set for pdr_set in sets), PARAMS.prox_max)
+        assert listed.partners and streamed.partners == listed.partners
+        assert streamed.sets_swept == listed.sets_swept == len(sets)
+        assert streamed.presence == listed.presence
+
+    def test_a_minute_that_comes_back_is_refused(self):
+        first, second = co_located_sets(range(1, 3))
+        (late,) = co_located_sets([1], bs=station(2))
+        with pytest.raises(ValidationError):
+            PdrIndex(iter([first, second, late]), PARAMS.prox_max)
+        with pytest.raises(ValidationError):
+            PdrIndex(iter([second, first]), PARAMS.prox_max)
+        assert PdrIndex(iter([first, late, second]), PARAMS.prox_max).sets_swept == 3
+
+    def test_an_empty_stream_builds_an_empty_table(self):
+        index = PdrIndex(iter([]), PARAMS.prox_max)
+        assert index.partners == {} and index.sets_swept == 0 and index.presence == {}
 
 
 class TestOracleEquivalence:

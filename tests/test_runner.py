@@ -1,6 +1,9 @@
+import gc
 import hashlib
+import itertools
 import json
 import re
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 
@@ -14,10 +17,11 @@ from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError
 from epitrace.federation import OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
+from epitrace.records import PdrSet, decode_pdr_set
 from epitrace.runner import _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
 from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig, generate_world
-from util import SMALL_JSON, retention_config
+from util import SMALL_JSON, ingested_for_analysis, retention_config
 
 SPARSE_DIGESTS = {
     "dag.dot": "275e6c7090ca820ba96fa2440ce615cce7c46fda5555a5169713ab4661cbc32b",
@@ -237,6 +241,52 @@ class TestRun:
         assert digests == RETENTION_DIGESTS
 
 
+def live_sets() -> int:
+    """The number of `PdrSet` instances alive in this process, after a full collection."""
+    gc.collect()
+    return sum(isinstance(obj, PdrSet) for obj in gc.get_objects())
+
+
+class TestAnalysisStream:
+    @pytest.fixture(scope="class")
+    def fetchable(self):
+        return ingested_for_analysis(ScenarioConfig(**CFG))
+
+    def test_fetch_merges_the_providers_by_minute_first_provider_first(self, fetchable, monkeypatch):
+        context, cert = fetchable
+        minute_range = (0, CFG["duration_min"])
+        expected = [
+            list(runner._open_entries(runner._fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), {}))
+            for _provider_id, edge in sorted(context.edges.items())
+        ]
+        decoded = []
+        monkeypatch.setattr(runner, "decode_pdr_set", lambda *args: decoded.append(1) or decode_pdr_set(*args))
+        stream = runner._fetch_and_decrypt(context, cert, minute_range)
+        assert decoded == []  # nothing is decoded before the stream is read
+        sets = list(stream)
+        assert sets == sorted(itertools.chain(*expected), key=attrgetter("minute"))
+        assert len(sets) == len(decoded) == sum(edge.stored_count for edge in context.edges.values())
+        provider = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
+        shared = [m for m, group in itertools.groupby(sets, attrgetter("minute")) if len({provider[s.bs.code] for s in group}) > 1]
+        assert shared  # minutes in which both providers' sets are merged
+
+    def test_no_decoded_set_outlives_the_index(self, fetchable):
+        context, cert = fetchable
+        before = live_sets()
+        index = cep.PdrIndex(runner._fetch_and_decrypt(context, cert, (0, CFG["duration_min"])), ScenarioConfig(**CFG).prox_max_m)
+        assert index.sets_swept > 0 and index.partners
+        assert live_sets() == before
+
+    def test_run_holds_no_decoded_set_during_analysis(self, monkeypatch):
+        alive = []
+        complete_findings = cep.complete_findings
+        monkeypatch.setattr(cep, "complete_findings", lambda *args: alive.append(live_sets()) or complete_findings(*args))
+        before = live_sets()
+        report = run(ScenarioConfig(**CFG))
+        assert report.ok and report.counts["sets_fetched"] > 0
+        assert alive == [before]
+
+
 DIGITS = st.text("0123456789", min_size=1, max_size=18)
 
 
@@ -344,8 +394,9 @@ def sealed(monkeypatch):
     seal, push = crypto.seal, EdgeCloud.push
 
     def recording_seal(context, plaintext):
-        blobs.append(seal(context, plaintext))
-        return blobs[-1]
+        blob = seal(context, plaintext)
+        blobs.append(bytes(blob))  # a copy: the edge stores the sealed buffer itself and zeroes it on prune
+        return blob
 
     def recording_push(cloud, pdr_set):
         pushed = push(cloud, pdr_set)

@@ -36,7 +36,7 @@ import workloads  # noqa: E402
 
 
 def positions_at(traces, minute):
-    return trace_positions(traces, minute + 1)[minute]
+    return trace_positions(traces, minute, minute + 1)[0]
 
 
 def small_config(**overrides):
@@ -173,7 +173,7 @@ class TestGenerateWorld:
         # Replay the traces and confirm each transmission's exposure window.
         cfg = ScenarioConfig(seed=5, n_phones=200, duration_min=720, alert_minute=700, index_cases=1, noise_enabled=False)
         _, traces, gt = generate_world(cfg)
-        positions = trace_positions(traces, cfg.duration_min)
+        positions = trace_positions(traces, 0, cfg.duration_min)
         idx = {t.phone: i for i, t in enumerate(traces)}
         index_cases = [p for p, r in gt.infections.items() if r.infected_by is None]
         assert len(index_cases) == 1
@@ -400,7 +400,7 @@ class TestObserve:
         cfg = small_config(noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
-        positions = trace_positions(traces, cfg.duration_min)
+        positions = trace_positions(traces, 0, cfg.duration_min)
         total = 0
         for minute in range(cfg.duration_min):
             records = observe(registry, traces, minute, positions[minute], noise)
@@ -452,7 +452,16 @@ class TestObserve:
         cfg = small_config()
         _, traces, _ = generate_world(cfg)
         expected = [[t.position_at(minute) for t in traces] for minute in range(cfg.duration_min)]
-        assert trace_positions(traces, cfg.duration_min) == pytest.approx(np.array(expected), abs=1e-9)
+        assert trace_positions(traces, 0, cfg.duration_min) == pytest.approx(np.array(expected), abs=1e-9)
+
+    def test_a_range_is_the_slice_of_the_whole_run_bit_for_bit(self):
+        cfg = small_config()
+        _, traces, _ = generate_world(cfg)
+        whole = trace_positions(traces, 0, cfg.duration_min)
+        for start, stop in ((0, 1), (100, 250), (cfg.duration_min - 1, cfg.duration_min), (37, 37)):
+            part = trace_positions(traces, start, stop)
+            assert part.shape == (stop - start, len(traces), 2)
+            assert part.tobytes() == whole[start:stop].tobytes()
 
 
 class TestEstimates:

@@ -9,9 +9,9 @@ from random import Random
 
 import numpy as np
 
-from epitrace.federation import Federation, FederationParams, OperationClass, SystemState
+from epitrace.federation import Federation, FederationParams, OperationClass, QuorumCertificate, SystemState
 from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
-from epitrace.runner import vet
+from epitrace.runner import SimContext, build_context, ingest, vet
 from epitrace.world import (
     TWO_PI,
     GroundTruth,
@@ -72,6 +72,16 @@ def capability(mode: OperationClass, federation: Federation | None = None, seed:
     return federation.authorize_mode(cert, mode), federation
 
 
+def ingested_for_analysis(config: ScenarioConfig) -> tuple[SimContext, QuorumCertificate]:
+    """A context that ingested every minute of `config` and is ALERT, with a read certificate for its fetch."""
+    context = build_context(config)
+    ingest(context, 0, config.duration_min)
+    rng = Random(f"test-analysis/{config.seed}")
+    cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
+    context.federation.change_state(cert, SystemState.ALERT)
+    return context, vet(context.federation, OperationClass.BLIND_PROCESSING, {"purpose": "test"}, rng)
+
+
 def phone(i: int) -> PhoneId:
     return PhoneId(nr=f"6{i:08d}", imei=f"{350000000000000 + i:015d}")
 
@@ -85,7 +95,7 @@ pdr = ProximityDetailRecord
 
 def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list[MobilityTrace]) -> list[PdrSet]:
     """Every record set of the scenario, grouped in the clear as providers would push them."""
-    positions = trace_positions(traces, cfg.duration_min)
+    positions = trace_positions(traces, 0, cfg.duration_min)
     noise = NoiseModel.from_config(cfg) if cfg.noise_enabled else None
     sets = []
     for minute in range(cfg.duration_min):
@@ -120,7 +130,7 @@ def reference_replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace
     """`world._replay_epidemic` one minute at a time over the full phone x phone matrix: the reference for the segment replay."""
     rng = Random(f"{config.seed}/epidemic/{attempt}")
     n = len(traces)
-    positions = trace_positions(traces, config.duration_min)
+    positions = trace_positions(traces, 0, config.duration_min)
     phones = [t.phone for t in traces]
     index_set = set(_index_phones(config))
     infected_at = np.full(n, -1, dtype=int)
