@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NoEvidenceError, ParameterError, ResolutionError, ValidationError
 from .federation import Capability
-from .records import PdrSet, PhoneId, PrecisionClass
+from .records import CLASS_BY_RANK, PdrSet, PhoneId, PrecisionClass
 from .world import ProviderRegistry
 
 PairKey = tuple[PhoneId, PhoneId]
@@ -205,7 +205,6 @@ def classify(raw: float) -> int:
 # -- pair table ----------------------------------------------------------------------
 
 Sample = tuple[int, float, PrecisionClass, str, int]  # (minute, distance, class, station code, set size)
-_CLASSES = tuple(PrecisionClass.from_rank(rank) for rank in range(len(PrecisionClass)))  # class by rank
 
 
 _SetView = NamedTuple("_SetView", [("phones", tuple), ("size", int)])  # a set, as the presence probe lists it
@@ -249,7 +248,7 @@ class PdrIndex:
                 if samples is None:
                     a, b = key
                     samples = pairs[key] = self.partners.setdefault(a, {})[b] = self.partners.setdefault(b, {})[a] = []
-                samples.append((minute, dist, _CLASSES[rank], code, size))
+                samples.append((minute, dist, CLASS_BY_RANK[rank], code, size))
         self.sets_swept = len(self._sets)
 
     @cached_property

@@ -21,14 +21,14 @@ from random import Random
 from . import crypto, framing
 from .errors import AuthorizationError, EncryptionError, FramingError, LockedError
 from .federation import READ_MODES, Federation, QuorumCertificate, SystemState
-from .records import BsCode, PdrSet, PhoneId, encode_pdr_set
+from .records import PdrSet, PhoneId, encode_pdr_set
 
 SEAL_EPOCH_MIN = 60
 
 
 @dataclass(frozen=True, slots=True)
 class EncryptedPdrSet:
-    """Sealed record set plus the cleartext metadata needed for pruning.
+    """Sealed record set plus the cleartext its store acts on: the minute, to prune and to filter, and its fetch entry's class byte.
 
     The ciphertext is the bytearray `crypto.seal` wrote, so pruning can zero
     it in place; a fetch copies it once, straight into the response frame.
@@ -36,7 +36,7 @@ class EncryptedPdrSet:
 
     ciphertext: bytearray
     minute: int
-    bs_code_hint: BsCode
+    precision_rank: int
 
 
 class EdgeCloud:
@@ -81,7 +81,7 @@ class EdgeCloud:
             ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields))
         except EncryptionError:
             return False
-        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, bs_code_hint=pdr_set.bs))
+        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, precision_rank=pdr_set.bs.precision_class.rank))
         return True
 
     def close_seal_context(self) -> None:
@@ -136,8 +136,7 @@ class EdgeCloud:
             self._ledger_refusal("non-read certificate class")
             raise AuthorizationError(f"certificate class {cert.operation_class.name} cannot fetch")
         self._federation.check_certificate(cert, cert.operation_class)
-        entries = [e for e in self._store if start <= e.minute <= end]
-        return framing.encode_fetch_response([(e.minute, e.bs_code_hint.code, e.bs_code_hint.precision_class.rank, e.ciphertext) for e in entries])
+        return framing.encode_fetch_response([(e.precision_rank, e.ciphertext) for e in self._store if start <= e.minute <= end])
 
     def _ledger_refusal(self, reason: str) -> None:
         self._federation.ledger.record("authorization_failure", self._federation.now, provider=self.provider_id, reason=reason)

@@ -140,12 +140,11 @@ class Vote:
 
 @dataclass(frozen=True)
 class QuorumCertificate:
-    """Proof that `required_q` distinct authorities vetted one request."""
+    """Proof that distinct authorities vetted one request; each verifier counts the approvals against its own quorum."""
 
     request_id: bytes
     request_hash: bytes
     operation_class: OperationClass
-    required_q: int
     approvals: tuple[tuple[int, bytes], ...]  # (authority id, signature)
 
     def encode(self) -> bytes:
@@ -153,7 +152,6 @@ class QuorumCertificate:
             self.request_id,
             self.request_hash,
             framing.u8(self.operation_class.value),
-            framing.u8(self.required_q),
             framing.u8(len(self.approvals)),
         ]
         for authority_id, sig in self.approvals:
@@ -171,11 +169,10 @@ class QuorumCertificate:
             op_class = OperationClass(class_value)
         except ValueError:
             raise FramingError(f"unknown operation class {class_value}") from None
-        required_q = r.u8()
         count = r.u8()
         approvals = tuple((r.u8(), r.lp_bytes()) for _ in range(count))
         r.done()
-        return cls(request_id=request_id, request_hash=request_hash, operation_class=op_class, required_q=required_q, approvals=approvals)
+        return cls(request_id=request_id, request_hash=request_hash, operation_class=op_class, approvals=approvals)
 
 
 def verify_certificate(cert: QuorumCertificate, public_keys: dict[int, bytes], q: int) -> bool:
@@ -201,10 +198,9 @@ class _Pending:
 class Capability:
     """Bearer right produced by authorize_mode; checks live against system state."""
 
-    def __init__(self, federation: "Federation", mode: OperationClass, cert: QuorumCertificate):
+    def __init__(self, federation: "Federation", mode: OperationClass):
         self._federation = federation
         self.mode = mode
-        self.cert = cert
 
     def _require_alert(self) -> None:
         if self._federation.state is not SystemState.ALERT:
@@ -337,7 +333,6 @@ class Federation:
                 request_id=pending.request.request_id,
                 request_hash=pending.request.request_hash(),
                 operation_class=pending.request.operation_class,
-                required_q=q,
                 approvals=approvals,
             )
             pending.certificate = cert
@@ -353,7 +348,11 @@ class Federation:
 
     def check_certificate(self, cert: QuorumCertificate, expected_class: OperationClass) -> None:
         if cert.operation_class is not expected_class:
-            raise AuthorizationError(f"certificate class {cert.operation_class.name} does not authorize {expected_class.name}")
+            presented = cert.operation_class.name
+            self.ledger.record(
+                "authorization_failure", self.now, operation_class=expected_class.name, presented_class=presented, request_id=cert.request_id.hex()
+            )
+            raise AuthorizationError(f"certificate class {presented} does not authorize {expected_class.name}")
         if not verify_certificate(cert, self.public_keys, self.params.quorum(expected_class)):
             self.ledger.record("authorization_failure", self.now, operation_class=expected_class.name, request_id=cert.request_id.hex())
             raise AuthorizationError("certificate lacks a valid quorum")
@@ -373,7 +372,7 @@ class Federation:
         self._engine_keys = keys
         self.state = target
         if target is SystemState.PASSIVE and self._vault is not None:
-            self._vault.delete_all(reason="state_change_to_passive")
+            self._vault.delete_all()
         self.ledger.record("state_change", self.now, target=target.name, request_id=cert.request_id.hex())
         return self.state
 
@@ -384,4 +383,4 @@ class Federation:
             raise ValidationError("lock/unlock is not a data-access mode; use change_state")
         self.check_certificate(cert, operation_class)
         self.ledger.record("capability", self.now, mode=operation_class.name, request_id=cert.request_id.hex())
-        return Capability(self, operation_class, cert)
+        return Capability(self, operation_class)

@@ -103,10 +103,10 @@ def decode_fragment_message(data: bytes) -> tuple[bytes, int, memoryview, memory
 
 # -- edge fetch request/response ----------------------------------------------
 # request:  lp certificate (verbatim) || minute start (u64) || minute end (u64)
-# response: entry count (u32) || [minute (u64) || station code (16 bytes ASCII)
-#           || precision class (u8) || lp ciphertext] * count
+# response: entry count (u32) || [precision class (u8) || lp ciphertext] * count;
+#           a set's minute and station code travel only inside its ciphertext
 
-_ENTRY_HEAD = struct.Struct(">Q16sBI")  # an entry up to its ciphertext: minute, code, class, length
+_ENTRY_HEAD = struct.Struct(">BI")  # an entry up to its ciphertext: class, length
 
 
 def encode_fetch_request(cert_blob: bytes, minute_start: int, minute_end: int) -> bytes:
@@ -122,29 +122,18 @@ def decode_fetch_request(data: bytes) -> tuple[bytes, int, int]:
     return cert_blob, start, end
 
 
-def encode_fetch_response(entries: list[tuple[int, str, int, bytes]]) -> bytes:
+def encode_fetch_response(entries: list[tuple[int, bytes]]) -> bytes:
     """The response frame; each ciphertext is copied once, straight into the frame."""
     parts = [u32(len(entries))]
-    for minute, code, class_value, ciphertext in entries:
-        code_bytes = code.encode("ascii")
-        if len(code_bytes) != 16:
-            raise FramingError("station code must be 16 bytes")
-        parts += (_ENTRY_HEAD.pack(minute, code_bytes, class_value, len(ciphertext)), ciphertext)
+    for class_value, ciphertext in entries:
+        parts += (_ENTRY_HEAD.pack(class_value, len(ciphertext)), ciphertext)
     return b"".join(parts)
 
 
-def decode_fetch_response(data: bytes) -> list[tuple[int, str, int, memoryview]]:
-    """The entries of a response frame, each ciphertext a view of `data`."""
+def decode_fetch_response(data: bytes) -> list[tuple[int, memoryview]]:
+    """The (class, ciphertext) entries of a response frame, each ciphertext a view of `data`."""
     r = Reader(memoryview(data))
     count = r.u32()
-    out = []
-    for _ in range(count):
-        minute = r.u64()
-        try:
-            code = str(r.raw(16), "ascii")
-        except UnicodeDecodeError:
-            raise FramingError("station code is not ASCII") from None
-        class_value = r.u8()
-        out.append((minute, code, class_value, r.lp_bytes()))
+    out = [(r.u8(), r.lp_bytes()) for _ in range(count)]
     r.done()
     return out

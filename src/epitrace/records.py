@@ -26,7 +26,7 @@ IMEI_LEN = 15
 class PrecisionClass(Enum):
     """Station measurement-precision class; smaller cells measure tighter.
 
-    Declared in ascending precision: a class's rank is its place in `_BY_RANK`.
+    Declared in ascending precision: a class's rank is its place in `CLASS_BY_RANK`.
     """
 
     MACRO = "MACRO"
@@ -40,16 +40,16 @@ class PrecisionClass(Enum):
     @property
     def rank(self) -> int:
         """Higher rank = higher measurement precision; the class byte of a fetched set."""
-        return _BY_RANK.index(self)
+        return CLASS_BY_RANK.index(self)
 
     @classmethod
     def from_rank(cls, rank: int) -> "PrecisionClass":
-        if not 0 <= rank < len(_BY_RANK):
+        if not 0 <= rank < len(CLASS_BY_RANK):
             raise ValidationError(f"unknown precision rank {rank}")
-        return _BY_RANK[rank]
+        return CLASS_BY_RANK[rank]
 
 
-_BY_RANK = tuple(PrecisionClass)
+CLASS_BY_RANK = tuple(PrecisionClass)
 
 
 class PhoneId(tuple):

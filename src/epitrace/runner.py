@@ -252,6 +252,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     seeds = [cep.PhoneOfInterest(phone=p, t_inf_min=t) for p, t in sorted(estimates.items(), key=lambda kv: (kv[1], kv[0]))]
     by_pair, scores, completion_pairs = cep.complete_findings(cap_read, index, seeds, params, config.completion_class_threshold)
     counts["completion_pairs"] = completion_pairs
+    del index  # the findings hold what the rest needs; the pair table would sit under the vault's peak
     counts["suspicion_pairs"] = len(by_pair)
     flagged = {pair for pair, s in by_pair.items() if s.pc_susp}
     counts["flagged_pairs"] = len(flagged)
@@ -330,17 +331,17 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
     return heapq.merge(*streams, key=attrgetter("minute"))
 
 
-def _open_entries(entries: list[tuple[int, str, int, memoryview]], key: bytes, phones: dict) -> Iterator[PdrSet]:
+def _open_entries(entries: list[tuple[int, memoryview]], key: bytes, phones: dict) -> Iterator[PdrSet]:
     """Unseal and decode one provider's fetched entries, one set per step; each entry is dropped as its set is decoded."""
     aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
     entries.reverse()
     while entries:
-        _minute, _code, class_value, ciphertext = entries.pop()
+        class_value, ciphertext = entries.pop()
         plaintext = crypto.unseal(key, ciphertext, aeads)
         yield decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones)
 
 
-def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, str, int, memoryview]]:
+def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, memoryview]]:
     """One fetch as the analysis network makes it: a request frame to the edge, its response frame decoded."""
     frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
     return framing.decode_fetch_response(edge.handle_fetch_frame(frame))
@@ -538,7 +539,6 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
         request_id=request.request_id,
         request_hash=request.request_hash(),
         operation_class=OperationClass.BLIND_ANALYSIS,
-        required_q=q,
         approvals=tuple(sorted((v.authority_id, v.signature) for v in votes)),
     )
     try:

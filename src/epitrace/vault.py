@@ -94,7 +94,6 @@ class VaultObject:
     cipher_digest: bytes
     fragment_digests: dict[int, bytes]
     share_digests: dict[int, bytes]
-    size: int
 
 
 def _verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: int, what: str) -> dict[int, bytes]:
@@ -171,7 +170,6 @@ class VaultCoordinator:
             cipher_digest=cipher_digest,
             fragment_digests=fragment_digests,
             share_digests=share_digests,
-            size=len(plaintext),
         )
         self.inventory[object_id] = meta
         self._federation.ledger.record("vault_write", self._federation.now, object_id=object_id.hex(), size=len(plaintext))
@@ -203,17 +201,16 @@ class VaultCoordinator:
             raise IntegrityError("plaintext digest mismatch")
         return plaintext
 
-    def delete_all(self, reason: str) -> int:
-        """Secure-delete every object (state-change driven); one ledger entry per batch."""
+    def delete_all(self) -> int:
+        """Secure-delete every object as the system turns PASSIVE; one ledger entry per batch."""
         object_ids = sorted(self.inventory)
         for object_id in object_ids:
             for cloud in self.clouds:
                 cloud.shred(object_id)
         self.inventory.clear()
         if object_ids:
-            self._federation.ledger.record(
-                "vault_delete", self._federation.now, objects=[o.hex() for o in object_ids], reason=reason
-            )
+            objects = [o.hex() for o in object_ids]
+            self._federation.ledger.record("vault_delete", self._federation.now, objects=objects, reason="state_change_to_passive")
         return len(object_ids)
 
     # -- audits --------------------------------------------------------------------

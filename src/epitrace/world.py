@@ -215,7 +215,6 @@ class ScenarioConfig:
 class StationInfo:
     centroid: Point
     useful_range: float
-    precision_class: PrecisionClass
 
 
 @dataclass
@@ -333,7 +332,7 @@ def _build_registry(config: ScenarioConfig) -> ProviderRegistry:
     def add(cls: PrecisionClass, idx: int, centroid: Point, useful_range: float) -> None:
         provider = provider_names[(idx + cls.rank) % len(provider_names)]
         bs = BsCode(code=_station_code(config.seed, provider, cls, idx), precision_class=cls)
-        stations[bs] = StationInfo(centroid=centroid, useful_range=useful_range, precision_class=cls)
+        stations[bs] = StationInfo(centroid=centroid, useful_range=useful_range)
         providers[provider].append(bs)
 
     for i in range(config.n_macro):
@@ -581,10 +580,10 @@ def observe(
     readings = zip(np.nonzero(inside)[1].tolist(), rel_x[inside].tolist(), rel_y[inside].tolist())
     phones = [trace.phone for trace in traces]
     records: list[ProximityDetailRecord] = []
-    for (bs, info), count in zip(stations, np.count_nonzero(inside, axis=1).tolist()):
+    for (bs, _info), count in zip(stations, np.count_nonzero(inside, axis=1).tolist()):
         if not count:
             continue
-        sigma = 0.0 if noise is None else noise.sigma_by_class[info.precision_class]
+        sigma = 0.0 if noise is None else noise.sigma_by_class[bs.precision_class]
         uniform = Random(f"{noise.seed}/observe/{minute}/{bs.code}").random if sigma > 0.0 else None
         for j, dx, dy in itertools.islice(readings, count):
             if uniform is not None:

@@ -590,13 +590,13 @@ class TestPccont:
 
     def test_uninfected_partner_excluded(self, cap_read, cap_full):
         by_pair, scores = self._scored_pair(cap_read)
-        registry = registry_with({station(1): StationInfo((50.0, 60.0), 8.0, PrecisionClass.FEMTO)})
+        registry = registry_with({station(1): StationInfo((50.0, 60.0), 8.0)})
         records = build_pccont(cap_full, scores, by_pair, {phone(1): 0}, registry, PARAMS.dur_min)
         assert records == []
 
     def test_both_infected_resolved(self, cap_read, cap_full):
         by_pair, scores = self._scored_pair(cap_read)
-        registry = registry_with({station(1): StationInfo((50.0, 60.0), 8.0, PrecisionClass.FEMTO)})
+        registry = registry_with({station(1): StationInfo((50.0, 60.0), 8.0)})
         records = build_pccont(cap_full, scores, by_pair, {phone(1): 0, phone(2): 90}, registry, PARAMS.dur_min)
         assert len(records) == 1
         record = records[0]
@@ -607,13 +607,13 @@ class TestPccont:
 
     def test_unresolvable_station_raises(self, cap_read, cap_full):
         by_pair, scores = self._scored_pair(cap_read)
-        registry = registry_with({station(99): StationInfo((0.0, 0.0), 8.0, PrecisionClass.FEMTO)})
+        registry = registry_with({station(99): StationInfo((0.0, 0.0), 8.0)})
         with pytest.raises(ResolutionError):
             build_pccont(cap_full, scores, by_pair, {phone(1): 0, phone(2): 90}, registry, PARAMS.dur_min)
 
     def test_requires_full_processing(self, cap_read):
         by_pair, scores = self._scored_pair(cap_read)
-        registry = registry_with({station(1): StationInfo((0.0, 0.0), 8.0, PrecisionClass.FEMTO)})
+        registry = registry_with({station(1): StationInfo((0.0, 0.0), 8.0)})
         with pytest.raises(AuthorizationError):
             build_pccont(cap_read, scores, by_pair, {phone(1): 0, phone(2): 0}, registry, PARAMS.dur_min)
 

@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import pytest
@@ -6,9 +7,10 @@ from epitrace import crypto, framing
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import AuthorizationError, DecryptionError, FramingError, LockedError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
-from epitrace.records import BsCode, PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
-from epitrace.runner import _fetch, vet
-from util import phone, small_federation, station
+from epitrace.records import PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
+from epitrace.runner import _fetch, _open_entries, build_context, ingest, vet
+from epitrace.world import ScenarioConfig
+from util import SMALL_JSON, phone, small_federation, station
 
 
 def make_set(minute: int, n_phones: int = 3, bs=None) -> PdrSet:
@@ -59,7 +61,7 @@ class TestPush:
         s = make_set(9, n_phones=4)
         edge.push(s)
         unlock(federation)
-        [(_minute, _code, _class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
+        [(_class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
         # Reconstruct the provider key from the escrowed shares, as the engine does.
         private = federation.engine_key("provider:P1")
         plaintext = crypto.unseal(private, ciphertext, {})
@@ -68,12 +70,11 @@ class TestPush:
 
     def test_metadata_matches_enclosed_set(self, cloud):
         federation, edge = cloud
-        s = make_set(42)
+        s = make_set(42, bs=station(1, PrecisionClass.PICO))
         edge.push(s)
         unlock(federation)
-        [(minute, code, class_value, _ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
-        assert minute == s.minute == 42
-        assert BsCode(code, PrecisionClass.from_rank(class_value)) == s.bs
+        [(class_value, _ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
+        assert PrecisionClass.from_rank(class_value) is s.bs.precision_class is PrecisionClass.PICO
 
     def test_provider_port_exposes_only_push(self, cloud):
         _, edge = cloud
@@ -152,7 +153,7 @@ class TestSealEpochs:
         private = federation.engine_key("provider:P1")
         aeads = {}
         opened = []
-        for _minute, _code, _class, ciphertext in _fetch(edge, read_cert(federation), (0, 10)):
+        for _class, ciphertext in _fetch(edge, read_cert(federation), (0, 10)):
             try:
                 opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads), PrecisionClass.FEMTO, {}))
             except DecryptionError:
@@ -215,7 +216,7 @@ class TestPrune:
         federation, edge = cloud
         edge.provider_port().push(make_set(0))
         unlock(federation)
-        [(_minute, _code, _class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 10))
+        [(_class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 10))
         edge.prune(now=50000)
         assert crypto.unseal(federation.engine_key("provider:P1"), ciphertext, {}) == encode_pdr_set(make_set(0), {})
 
@@ -248,7 +249,6 @@ class TestVpnFetch:
             request_id=request.request_id,
             request_hash=request.request_hash(),
             operation_class=OperationClass.BLIND_ANALYSIS,
-            required_q=q,
             approvals=tuple((v.authority_id, v.signature) for v in votes),
         )
         before = len(federation.ledger.entries)
@@ -263,8 +263,8 @@ class TestVpnFetch:
         for minute in range(6):
             port.push(make_set(minute))
         unlock(federation)
-        entries = _fetch(edge, read_cert(federation), (0, 5))
-        assert [minute for minute, _code, _class, _ciphertext in entries] == list(range(6))
+        sets = _open_entries(_fetch(edge, read_cert(federation), (0, 5)), federation.engine_key("provider:P1"), {})
+        assert [s.minute for s in sets] == list(range(6))
 
     def test_range_is_inclusive_filter(self, cloud):
         federation, edge = cloud
@@ -272,8 +272,8 @@ class TestVpnFetch:
         for minute in (1, 5, 9):
             port.push(make_set(minute))
         unlock(federation)
-        entries = _fetch(edge, read_cert(federation), (5, 9))
-        assert [minute for minute, _code, _class, _ciphertext in entries] == [5, 9]
+        sets = _open_entries(_fetch(edge, read_cert(federation), (5, 9)), federation.engine_key("provider:P1"), {})
+        assert [s.minute for s in sets] == [5, 9]
 
     def test_wire_framing_round_trip(self, cloud):
         federation, edge = cloud
@@ -284,12 +284,20 @@ class TestVpnFetch:
         frame = framing.encode_fetch_request(cert.encode(), 0, 10)
         response = framing.decode_fetch_response(edge.handle_fetch_frame(frame))
         assert len(response) == 1
-        minute, code, class_value, ciphertext = response[0]
-        assert minute == 3
-        assert code == station(1).code
+        class_value, ciphertext = response[0]
         assert PrecisionClass.from_rank(class_value) is PrecisionClass.FEMTO
         private = federation.engine_key("provider:P1")
         assert decode_pdr_set(crypto.unseal(private, ciphertext, {}), PrecisionClass.FEMTO, {}) == make_set(3)
+
+    def test_no_station_code_crosses_in_the_clear(self):
+        context = build_context(ScenarioConfig.from_dict(json.loads(SMALL_JSON.read_text())))
+        ingest(context, 0, 60)
+        unlock(context.federation)
+        request = framing.encode_fetch_request(read_cert(context.federation).encode(), 0, 59)
+        codes = [bs.code.encode("ascii") for bs in context.registry.stations]
+        frames = [edge.handle_fetch_frame(request) for edge in context.edges.values()]
+        assert sum(len(framing.decode_fetch_response(frame)) for frame in frames) > 0
+        assert [code for code in codes for frame in frames if code in frame] == []
 
     def test_write_class_cert_cannot_fetch(self, cloud):
         federation, edge = cloud

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -184,6 +185,12 @@ class TestQuorumAssembly:
         cert = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "x"}, Random(9))
         assert QuorumCertificate.decode(cert.encode()) == cert
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_certificate_is_fifty_bytes_plus_69_per_approval(self, n):
+        # request id (16) || request hash (32) || class (u8) || count (u8) || [id (u8) || lp signature (4 + 64)] * n
+        cert = vet(five_by_three(), OperationClass.BLIND_ANALYSIS, {"purpose": "x"}, Random(9))
+        assert len(dataclasses.replace(cert, approvals=cert.approvals[:n]).encode()) == 50 + 69 * n
+
 
 class TestStateMachine:
     def test_passive_to_alert_unlocks(self):
@@ -288,6 +295,25 @@ class TestCapabilities:
         with pytest.raises(AuthorizationError):
             federation.authorize_mode(cert, OperationClass.FULL_PROCESSING)
 
+    @pytest.mark.parametrize(
+        "expected, call",
+        [
+            ("LOCK_UNLOCK", lambda federation, cert: federation.change_state(cert, SystemState.PASSIVE)),
+            ("FULL_PROCESSING", lambda federation, cert: federation.authorize_mode(cert, OperationClass.FULL_PROCESSING)),
+        ],
+        ids=["change_state", "authorize_mode"],
+    )
+    def test_wrong_class_refusal_is_ledgered(self, expected, call):
+        federation = alerted_federation()
+        cert = vet(federation, OperationClass.BLIND_ANALYSIS, {}, Random(13))
+        before = len(federation.ledger.entries)
+        with pytest.raises(AuthorizationError):
+            call(federation, cert)
+        [entry] = [e.content for e in federation.ledger.entries[before:]]
+        assert entry["kind"] == "authorization_failure"
+        assert (entry["operation_class"], entry["presented_class"], entry["request_id"]) == (expected, "BLIND_ANALYSIS", cert.request_id.hex())
+        assert federation.state is SystemState.ALERT
+
     def test_capabilities_suspended_in_passive(self):
         federation = alerted_federation()
         cert = vet(federation, OperationClass.BLIND_ANALYSIS, {}, Random(9))
@@ -312,7 +338,6 @@ class TestCapabilities:
             request_id=request.request_id,
             request_hash=request.request_hash(),
             operation_class=operation_class,
-            required_q=q,
             approvals=tuple((v.authority_id, v.signature) for v in votes),
         )
 

@@ -38,7 +38,7 @@ class TestFetchMessages:
         assert framing.decode_fetch_request(blob) == (b"cert-bytes", 5, 900)
 
     def test_response_round_trip(self):
-        entries = [(7, "00" * 8, 2, b"ct-1"), (8, "ff" * 8, 0, b"ct-2")]
+        entries = [(2, b"ct-1"), (0, b"ct-2")]
         blob = framing.encode_fetch_response(entries)
         assert framing.decode_fetch_response(blob) == entries
 
@@ -50,17 +50,11 @@ class TestFetchMessages:
         with pytest.raises(FramingError):
             framing.decode_fetch_request(blob[:-3])
 
-    def test_non_ascii_station_code_rejected(self):
-        blob = bytearray(framing.encode_fetch_response([(7, "00" * 8, 2, b"ct")]))
-        blob[12] = 0xFF  # first byte of the station code, after count (4) and minute (8)
-        with pytest.raises(FramingError):
-            framing.decode_fetch_response(bytes(blob))
-
 
 class TestCertificateMessage:
     def test_unknown_operation_class_rejected(self):
         with pytest.raises(FramingError):
-            QuorumCertificate.decode(bytes(48) + bytes([9, 3, 0]))
+            QuorumCertificate.decode(bytes(48) + bytes([9, 0]))
 
 
 # -- the in-place wire path ----------------------------------------------------------
@@ -70,9 +64,8 @@ class TestCertificateMessage:
 
 def reference_fetch_response(entries) -> bytes:
     out = struct.pack(">I", len(entries))
-    for minute, code, class_value, ciphertext in entries:
-        out += struct.pack(">Q", minute) + code.encode("ascii") + struct.pack(">B", class_value)
-        out += struct.pack(">I", len(ciphertext)) + bytes(ciphertext)
+    for class_value, ciphertext in entries:
+        out += struct.pack(">B", class_value) + struct.pack(">I", len(ciphertext)) + bytes(ciphertext)
     return out
 
 
@@ -81,12 +74,7 @@ def reference_fragment_message(object_id, index, fragment, key_share) -> bytes:
 
 
 ENTRIES = st.lists(
-    st.tuples(
-        st.integers(0, 2**64 - 1),
-        st.text("0123456789abcdef", min_size=16, max_size=16),
-        st.integers(0, 255),
-        st.binary(max_size=64).map(bytearray),  # the edge stores bytearrays
-    ),
+    st.tuples(st.integers(0, 255), st.binary(max_size=64).map(bytearray)),  # the edge stores bytearrays
     max_size=8,
 )
 
@@ -94,7 +82,7 @@ ENTRIES = st.lists(
 class TestInPlaceWirePath:
     @given(ENTRIES)
     @example([])
-    @example([(0, "0" * 16, 0, bytearray())])
+    @example([(0, bytearray())])
     def test_fetch_response_equals_the_concatenation(self, entries):
         frame = framing.encode_fetch_response(entries)
         assert frame == reference_fetch_response(entries)
@@ -108,11 +96,10 @@ class TestInPlaceWirePath:
         assert framing.decode_fragment_message(message) == (object_id, index, fragment, key_share)
 
     def test_fetch_response_entries_are_views_of_the_frame(self):
-        frame = framing.encode_fetch_response([(7, "00" * 8, 2, bytearray(b"ct-1")), (8, "ff" * 8, 0, bytearray(b"ct-22"))])
+        frame = framing.encode_fetch_response([(2, bytearray(b"ct-1")), (0, bytearray(b"ct-22"))])
         entries = framing.decode_fetch_response(frame)
-        assert [e[3].obj for e in entries] == [frame, frame]
-        assert [bytes(e[3]) for e in entries] == [b"ct-1", b"ct-22"]
-        assert all(type(e[1]) is str for e in entries)
+        assert [e[1].obj for e in entries] == [frame, frame]
+        assert [(class_value, bytes(ciphertext)) for class_value, ciphertext in entries] == [(2, b"ct-1"), (0, b"ct-22")]
 
     def test_fragment_message_payloads_are_views_of_the_message(self):
         message = framing.encode_fragment_message(b"\xab" * 16, 3, b"fragment", b"\x01share")
@@ -122,16 +109,12 @@ class TestInPlaceWirePath:
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_malformed_fetch_response_is_a_framing_error(self, wrap):
-        frame = framing.encode_fetch_response([(7, "00" * 8, 2, b"ct"), (9, "11" * 8, 1, b"")])
+        frame = framing.encode_fetch_response([(2, b"ct"), (1, b"")])
         for cut in range(len(frame)):
             with pytest.raises(FramingError):
                 framing.decode_fetch_response(wrap(frame[:cut]))
         with pytest.raises(FramingError):
             framing.decode_fetch_response(wrap(frame + b"\x00"))
-        bad_code = bytearray(frame)
-        bad_code[12] = 0xFF  # first byte of the station code, after count (4) and minute (8)
-        with pytest.raises(FramingError):
-            framing.decode_fetch_response(wrap(bytes(bad_code)))
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_malformed_fragment_message_is_a_framing_error(self, wrap):
@@ -141,8 +124,3 @@ class TestInPlaceWirePath:
                 framing.decode_fragment_message(wrap(message[:cut]))
         with pytest.raises(FramingError):
             framing.decode_fragment_message(wrap(message + b"\x00"))
-
-    @pytest.mark.parametrize("code", ["0" * 15, "0" * 17])
-    def test_station_code_must_be_sixteen_bytes(self, code):
-        with pytest.raises(FramingError):
-            framing.encode_fetch_response([(1, code, 0, b"ct")])

@@ -3,6 +3,9 @@
 A function, method or class that only tests reach is a second path no run
 takes; it is either deleted or named here as a test probe.
 
+Every dataclass field and every attribute an `__init__` sets is read
+somewhere in the package; state that is only written is deleted.
+
 Every random draw in the package takes a seeded `Random` handed in by the
 caller: no OS entropy, no unseeded `Random`, no `rng` that may be left out.
 """
@@ -62,6 +65,70 @@ def test_every_public_name_occurs_outside_its_definition():
 
 def test_every_test_probe_is_still_defined_and_unreferenced():
     assert _unreferenced() & TEST_PROBES == TEST_PROBES
+
+
+# Dataclasses whose fields are read through `dataclasses.asdict`, which no attribute load shows.
+READ_BY_ASDICT = {"RunReport"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(trees: list[ast.AST]) -> set[str]:
+    """`Class.field` of every dataclass field and `__init__` attribute whose name no attribute load in `trees` reads.
+
+    Name-based, like `_unreferenced`: a field passes once any attribute of its
+    name is read anywhere, so a field named like an attribute read elsewhere
+    goes unseen. An unread `size` field would pass, because the package reads
+    `struct.Struct.size`.
+    """
+    loaded = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name in READ_BY_ASDICT:
+                continue
+            fields = [stmt.target for stmt in cls.body if isinstance(stmt, ast.AnnAssign)] if _is_dataclass(cls) else []
+            names = [target.id for target in fields if isinstance(target, ast.Name)]
+            for init in (stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"):
+                for node in ast.walk(init):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+                    names += [t.attr for t in targets if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"]
+            unread |= {f"{cls.name}.{name}" for name in names if name not in loaded}
+    return unread
+
+
+def test_every_field_is_read():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert sorted(_unread_fields(trees)) == []
+
+
+def test_unread_field_guard_sees_each_form():
+    text = """
+@dataclass(frozen=True)
+class Stored:
+    kept: int
+    dropped: int
+
+@dataclass
+class RunReport:
+    hidden: int
+
+class Plain:
+    shown: int
+    def __init__(self, a):
+        self.held = a
+        self._private: int = a
+        self.kept = a
+    def use(self):
+        return self.kept + self._private
+"""
+    assert _unread_fields([ast.parse(text)]) == {"Stored.dropped", "Plain.held"}
 
 
 def _unseeded_randomness(tree: ast.AST) -> list[tuple[int, str]]:

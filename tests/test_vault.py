@@ -58,9 +58,9 @@ class TestWriteRead:
         payload = Random(1).randbytes(1000)
         object_id = vault.write(cap_write, payload)
         assert vault.read(cap_full, object_id) == payload
-        meta = vault.inventory[object_id]
-        assert meta.plain_digest == crypto.digest(payload)
-        assert meta.size == 1000
+        assert vault.inventory[object_id].plain_digest == crypto.digest(payload)
+        [written] = [e.content for e in federation.ledger.entries if e.content["kind"] == "vault_write"]
+        assert (written["object_id"], written["size"]) == (object_id.hex(), 1000)
 
     def test_fragments_are_about_payload_over_k(self):
         federation, vault = make_vault()
@@ -258,7 +258,7 @@ class TestDelete:
         object_id = vault.write(cap_write, b"secret results " * 8)
         held = [cloud.retrieve(object_id) for cloud in vault.clouds]
         assert all(any(fragment) and any(share) for _index, fragment, share in held)
-        assert vault.delete_all(reason="test") == 1
+        assert vault.delete_all() == 1
         for _index, fragment, share in held:
             assert fragment == bytes(len(fragment))
             assert share == bytes(len(share))

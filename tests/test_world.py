@@ -330,7 +330,7 @@ class TestObserve:
     def _single_station_registry(self, centroid=(50.0, 50.0), useful_range=8.0, cls=PrecisionClass.FEMTO):
         bs = station(1, cls)
         return bs, ProviderRegistry(
-            stations={bs: StationInfo(centroid=centroid, useful_range=useful_range, precision_class=cls)},
+            stations={bs: StationInfo(centroid=centroid, useful_range=useful_range)},
             providers={"P1": [bs]},
         )
 
@@ -355,9 +355,9 @@ class TestObserve:
         pos = traces[0].position_at(0)
         bs1, reg1 = self._single_station_registry(centroid=pos)
         bs2 = station(2, PrecisionClass.PICO)
-        reg1.stations[bs2] = StationInfo(centroid=(pos[0] + 3, pos[1]), useful_range=40.0, precision_class=PrecisionClass.PICO)
+        reg1.stations[bs2] = StationInfo(centroid=(pos[0] + 3, pos[1]), useful_range=40.0)
         bs3 = station(3, PrecisionClass.MACRO)
-        reg1.stations[bs3] = StationInfo(centroid=(pos[0], pos[1] + 5), useful_range=1500.0, precision_class=PrecisionClass.MACRO)
+        reg1.stations[bs3] = StationInfo(centroid=(pos[0], pos[1] + 5), useful_range=1500.0)
         records = observe(reg1, traces[:1], 0, positions_at(traces[:1], 0), noise=None)
         assert len(records) == 3
         assert {r.bs for r in records} == {bs1, bs2, bs3}
@@ -368,7 +368,7 @@ class TestObserve:
         noise = NoiseModel.from_config(cfg)
         base = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
         bs = station(9, PrecisionClass.FEMTO)
-        registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0, precision_class=PrecisionClass.FEMTO)
+        registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0)
         extended = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
         assert set(base).issubset(set(extended))
 
@@ -377,7 +377,7 @@ class TestObserve:
         registry, traces, _ = generate_world(cfg)
         base = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
         bs = station(9, PrecisionClass.FEMTO)
-        registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0, precision_class=PrecisionClass.FEMTO)
+        registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0)
         extended = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
         assert set(base).issubset(set(extended))
         assert len(extended) > len(base)
@@ -421,7 +421,7 @@ class TestObserve:
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
         blind = station(9, PrecisionClass.PICO)
-        registry.stations[blind] = StationInfo(centroid=(-1e6, -1e6), useful_range=40.0, precision_class=PrecisionClass.PICO)
+        registry.stations[blind] = StationInfo(centroid=(-1e6, -1e6), useful_range=40.0)
         records = observe(registry, traces, 10, positions_at(traces, 10), noise)
         assert records and blind not in {r.bs for r in records}
         assert self._bits(records) == self._bits(reference_observe(registry, traces, 10, positions_at(traces, 10), noise))

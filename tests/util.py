@@ -115,7 +115,7 @@ def reference_observe(
     for bs, info in registry.sorted_stations():
         rel = positions - np.array(info.centroid)
         in_range = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= info.useful_range)[0]
-        sigma = 0.0 if noise is None else noise.sigma_by_class[info.precision_class]
+        sigma = 0.0 if noise is None else noise.sigma_by_class[bs.precision_class]
         rng = Random(f"{noise.seed}/observe/{minute}/{bs.code}") if sigma > 0.0 else None
         for j, (dx, dy) in zip(in_range.tolist(), rel[in_range].tolist()):
             if rng is not None:
