@@ -109,9 +109,7 @@ class ContactScore:
     prox_avg: float
     dur_tot: int
     precision_prox: float
-    precision_dur: float
     density: float
-    severity: float
 
 
 @dataclass(frozen=True)
@@ -381,9 +379,7 @@ def score_suspicions(
                 prox_avg=prox_avg,
                 dur_tot=dur_tot,
                 precision_prox=precision_prox,
-                precision_dur=PRECISION_DUR,
                 density=density,
-                severity=SEVERITY,
             )
         )
     return scores

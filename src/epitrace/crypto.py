@@ -6,8 +6,9 @@ exchange and one HKDF-SHA256 expansion to key(32) || base_nonce(12). Every
 message sealed under it is then one AES-256-GCM call with nonce
 base_nonce XOR seq, where seq counts the context's messages, so no
 (key, nonce) pair repeats. Each blob is eph_pub(32) || nonce(12) || ciphertext,
-self-describing: `unseal` needs only the recipient's private key and the
-caller's dict, which keeps one AEAD per distinct eph_pub. The edge opens one
+self-describing: `unseal` needs only the recipient's private key, the caller's
+dict, which keeps one AEAD per distinct eph_pub, and the associated data the
+blob was sealed with, which travels beside it in the clear. The edge opens one
 context per provider epoch, so a key that leaks from memory exposes that epoch
 only. The `AESGCM` object holds its key inside the OpenSSL binding, where
 Python cannot zero it; dropping the context is the most this code can do.
@@ -102,20 +103,20 @@ class SealContext:
         self._seq = 0
 
 
-def seal(context: SealContext, plaintext: bytes) -> bytearray:
-    """Encrypt the context's next message: eph_pub(32) || nonce(12) || AES-GCM ciphertext, written into one new bytearray."""
+def seal(context: SealContext, plaintext: bytes, aad: bytes) -> bytearray:
+    """Encrypt the context's next message, authenticating `aad` with it: eph_pub(32) || nonce(12) || AES-GCM ciphertext, written into one new bytearray."""
     if context._seq == _MAX_SEQ:
         raise EncryptionError("seal context exhausted its nonces")
     nonce = (context._base_nonce ^ context._seq).to_bytes(_NONCE_LEN, "big")
     context._seq += 1
     blob = bytearray(_HEAD_LEN + len(plaintext) + _TAG_LEN)
     blob[:_HEAD_LEN] = context.eph_pub + nonce
-    context._aead.encrypt_into(nonce, plaintext, None, memoryview(blob)[_HEAD_LEN:])
+    context._aead.encrypt_into(nonce, plaintext, aad, memoryview(blob)[_HEAD_LEN:])
     return blob
 
 
-def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM]) -> bytes:
-    """Open one sealed blob, any bytes-like, in place; `aeads` is the caller's cache of the AEAD derived for each eph_pub.
+def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM], aad: bytes) -> bytes:
+    """Open one sealed blob, any bytes-like, in place, if `aad` is what it was sealed with; `aeads` is the caller's cache of the AEAD derived for each eph_pub.
 
     Only eph_pub is copied, to bytes: X25519 takes bytes, and a bytes key in
     `aeads` does not pin the caller's buffer (a fetch frame, say).
@@ -129,7 +130,7 @@ def unseal(private_bytes: bytes, blob: bytes, aeads: dict[bytes, AESGCM]) -> byt
         if aead is None:
             shared = X25519PrivateKey.from_private_bytes(private_bytes).exchange(X25519PublicKey.from_public_bytes(eph_pub))
             aead = aeads[eph_pub] = AESGCM(_derive(shared, _KEY_LEN))
-        return aead.decrypt(view[_KEY_LEN:_HEAD_LEN], view[_HEAD_LEN:], None)
+        return aead.decrypt(view[_KEY_LEN:_HEAD_LEN], view[_HEAD_LEN:], aad)
     except (InvalidTag, ValueError) as exc:
         raise DecryptionError("ciphertext authentication failed") from exc
 

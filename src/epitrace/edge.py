@@ -28,7 +28,7 @@ SEAL_EPOCH_MIN = 60
 
 @dataclass(frozen=True, slots=True)
 class EncryptedPdrSet:
-    """Sealed record set plus the cleartext its store acts on: the minute, to prune and to filter, and its fetch entry's class byte.
+    """Sealed record set plus the cleartext its store acts on: the minute, to prune and to filter, and its fetch entry's class byte, which the seal authenticates.
 
     The ciphertext is the bytearray `crypto.seal` wrote, so pruning can zero
     it in place; a fetch copies it once, straight into the response frame.
@@ -64,24 +64,26 @@ class EdgeCloud:
         """Encrypt and append one record set; the plaintext is not retained.
 
         The set is sealed under the provider-hour's context, opened on the
-        first push of each hour or when the registry key changes. The encoded
-        phone fields are cached for that context only, so no plaintext
-        identifier is held past its provider-hour. Returns False
+        first push of each hour or when the registry key changes, with its
+        class byte as associated data, so a relabelled fetch entry fails to
+        open. The encoded phone fields are cached for that context only, so
+        no plaintext identifier is held past its provider-hour. Returns False
         (the set is dropped) if sealing fails; the provider has no way to
         observe anything else about the store.
         """
         public_key = self._federation.key_registry[self.key_id]
         epoch = pdr_set.minute // SEAL_EPOCH_MIN
+        rank = pdr_set.bs.precision_class.rank
         try:
             context = self._seal_context
             if context is None or epoch != self._seal_epoch or context.recipient != public_key:
                 self.close_seal_context()  # rotation drops the old key before opening a new one
                 context = self._seal_context = crypto.SealContext(public_key, self._rng)
                 self._seal_epoch = epoch
-            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields))
+            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields), framing.u8(rank))
         except EncryptionError:
             return False
-        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, precision_rank=pdr_set.bs.precision_class.rank))
+        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, precision_rank=rank))
         return True
 
     def close_seal_context(self) -> None:

@@ -15,15 +15,10 @@ from random import Random
 from typing import Any
 
 from . import crypto, framing
-from .errors import (
-    AuthorizationError,
-    FramingError,
-    ParameterError,
-    StateError,
-    ValidationError,
-)
+from .errors import AuthorizationError, FramingError, StateError, ValidationError
 from .ledger import AuditLedger
 from .shamir import Share, reconstruct_secret, split_secret
+from .world import ScenarioConfig
 
 
 class OperationClass(Enum):
@@ -42,41 +37,6 @@ class SystemState(Enum):
 READ_MODES = {OperationClass.BLIND_ANALYSIS, OperationClass.BLIND_PROCESSING, OperationClass.FULL_PROCESSING}
 WRITE_MODES = {OperationClass.STRICT_PUSH, OperationClass.BLIND_PROCESSING, OperationClass.FULL_PROCESSING}
 CRITICAL_CLASSES = {OperationClass.LOCK_UNLOCK, OperationClass.FULL_PROCESSING}  # need q_critical votes
-
-
-@dataclass(frozen=True)
-class FederationParams:
-    """Sizing of the trust federation, in two quorum tiers.
-
-    Changing the system state and releasing decryption keys
-    (`CRITICAL_CLASSES`) need `q_critical` approvals; every other operation
-    class needs `q_read`.
-    """
-
-    n_authorities: int
-    f: int
-    q_read: int
-    q_critical: int
-    key_threshold: int  # x+1 shares to rebuild an escrowed key
-    vote_window: int  # minutes a request may stay pending before denial
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.n_authorities <= 255):
-            raise ParameterError("authority count must fit one wire byte")
-        if self.f < 0:
-            raise ParameterError(f"f must be >= 0, got {self.f}")
-        if self.n_authorities < 2 * self.f + 1:
-            raise ParameterError(f"need n >= 2f+1, got n={self.n_authorities} f={self.f}")
-        for name, q in (("q_read", self.q_read), ("q_critical", self.q_critical)):
-            if not (self.f + 1 <= q <= self.n_authorities):
-                raise ParameterError(f"{name} must be in [f+1, n], got {q}")
-        if not (1 <= self.key_threshold <= self.n_authorities):
-            raise ParameterError("key threshold must be in [1, n]")
-        if self.vote_window < 0:
-            raise ParameterError(f"vote window must be >= 0, got {self.vote_window}")
-
-    def quorum(self, cls: OperationClass) -> int:
-        return self.q_critical if cls in CRITICAL_CLASSES else self.q_read
 
 
 @dataclass
@@ -223,12 +183,19 @@ class Capability:
 
 
 class Federation:
-    """The entrusted-authority collective plus everything it governs."""
+    """The entrusted-authority collective plus everything it governs.
 
-    def __init__(self, params: FederationParams, rng: Random):
-        self.params = params
+    Sized by the `ScenarioConfig` it is built from, which checks the sizing:
+    changing the system state and releasing decryption keys
+    (`CRITICAL_CLASSES`) need `q_critical` approvals, every other operation
+    class `q_read`; `fed_key_threshold` shares rebuild an escrowed key; a
+    request pending longer than `vote_window_min` minutes is denied.
+    """
+
+    def __init__(self, config: ScenarioConfig, rng: Random):
+        self.config = config
         self.rng = rng
-        self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, params.n_authorities + 1)]
+        self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, config.n_authorities + 1)]
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
         self.ledger = AuditLedger()
         self.state = SystemState.PASSIVE  # the only record of PASSIVE/ALERT; edge and vault read their locks from it
@@ -237,6 +204,9 @@ class Federation:
         self._pending: dict[bytes, _Pending] = {}
         self._engine_keys: dict[str, bytes] = {}  # reconstructed only while ALERT
         self._vault: Any | None = None
+
+    def quorum(self, cls: OperationClass) -> int:
+        return self.config.q_critical if cls in CRITICAL_CLASSES else self.config.q_read
 
     # -- clock and attachments -------------------------------------------------
 
@@ -248,7 +218,7 @@ class Federation:
         """Advance the simulated clock; deny requests whose vote window lapsed."""
         self.now = now
         for pending in self._pending.values():
-            if pending.certificate is None and not pending.denied and now - pending.submitted_at > self.params.vote_window:
+            if pending.certificate is None and not pending.denied and now - pending.submitted_at > self.config.vote_window_min:
                 pending.denied = True
                 self.ledger.record(
                     "denial",
@@ -256,7 +226,7 @@ class Federation:
                     request_id=pending.request.request_id.hex(),
                     operation_class=pending.request.operation_class.name,
                     votes=len(pending.votes),
-                    required=self.params.quorum(pending.request.operation_class),
+                    required=self.quorum(pending.request.operation_class),
                 )
 
     # -- key escrow --------------------------------------------------------------
@@ -268,7 +238,7 @@ class Federation:
         exists again only inside the analysis engine while the system is ALERT.
         """
         pair = crypto.SealKeyPair.generate(self.rng)
-        shares = split_secret(pair.private_bytes, self.params.key_threshold, self.params.n_authorities, self.rng)
+        shares = split_secret(pair.private_bytes, self.config.fed_key_threshold, self.config.n_authorities, self.rng)
         for authority, share in zip(self.authorities, shares):
             authority.key_shares[key_id] = share
         self.key_registry[key_id] = pair.public_bytes
@@ -277,7 +247,7 @@ class Federation:
     def _reconstruct_key(self, key_id: str) -> bytes:
         """Rebuild one escrowed key; too few shares is a ledgered denial."""
         shares = [a.key_shares[key_id] for a in self.authorities if key_id in a.key_shares]
-        threshold = self.params.key_threshold
+        threshold = self.config.fed_key_threshold
         if len(shares) < threshold:
             self.ledger.record("denial", self.now, key_id=key_id, shares_held=len(shares), key_threshold=threshold)
             raise AuthorizationError(f"not enough shares to rebuild key {key_id}: {len(shares)} held, {threshold} needed")
@@ -326,7 +296,7 @@ class Federation:
         if vote.authority_id in pending.votes:
             return None  # replay
         pending.votes[vote.authority_id] = vote
-        q = self.params.quorum(pending.request.operation_class)
+        q = self.quorum(pending.request.operation_class)
         if pending.certificate is None and not pending.denied and len(pending.votes) >= q:
             approvals = tuple(sorted((v.authority_id, v.signature) for v in pending.votes.values()))
             cert = QuorumCertificate(
@@ -353,7 +323,7 @@ class Federation:
                 "authorization_failure", self.now, operation_class=expected_class.name, presented_class=presented, request_id=cert.request_id.hex()
             )
             raise AuthorizationError(f"certificate class {presented} does not authorize {expected_class.name}")
-        if not verify_certificate(cert, self.public_keys, self.params.quorum(expected_class)):
+        if not verify_certificate(cert, self.public_keys, self.quorum(expected_class)):
             self.ledger.record("authorization_failure", self.now, operation_class=expected_class.name, request_id=cert.request_id.hex())
             raise AuthorizationError("certificate lacks a valid quorum")
 
@@ -368,7 +338,7 @@ class Federation:
         # rebuilt leaves the system PASSIVE and the ledger with only its denial.
         keys = {key_id: self._reconstruct_key(key_id) for key_id in self.key_registry} if target is SystemState.ALERT else {}
         for key_id in keys:
-            self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.params.key_threshold)
+            self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.config.fed_key_threshold)
         self._engine_keys = keys
         self.state = target
         if target is SystemState.PASSIVE and self._vault is not None:

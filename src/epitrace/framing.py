@@ -104,7 +104,8 @@ def decode_fragment_message(data: bytes) -> tuple[bytes, int, memoryview, memory
 # -- edge fetch request/response ----------------------------------------------
 # request:  lp certificate (verbatim) || minute start (u64) || minute end (u64)
 # response: entry count (u32) || [precision class (u8) || lp ciphertext] * count;
-#           a set's minute and station code travel only inside its ciphertext
+#           a set's minute and station code travel only inside its ciphertext,
+#           which authenticates the class byte as associated data
 
 _ENTRY_HEAD = struct.Struct(">BI")  # an entry up to its ciphertext: class, length
 

@@ -27,7 +27,7 @@ from .errors import (
     ReconstructionError,
     UnavailableError,
 )
-from .federation import Federation, FederationParams, OperationClass, QuorumCertificate, SystemState, make_request
+from .federation import Federation, OperationClass, QuorumCertificate, SystemState, make_request
 from .ledger import verify_ledger
 from .records import PdrSet, PrecisionClass, decode_pdr_set, group_into_sets
 from .shamir import Share, reconstruct_secret
@@ -109,7 +109,7 @@ def vet(federation: Federation, operation_class: OperationClass, payload: dict, 
     requester = federation.authorities[0]
     request = make_request(requester, operation_class, payload, rng)
     federation.submit_request(request)
-    q = federation.params.quorum(operation_class)
+    q = federation.quorum(operation_class)
     cert = None
     for authority in federation.authorities[:q]:
         cert = federation.apply_vote(authority.approve(request))
@@ -147,15 +147,7 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
         if not (1 <= cloud_id <= config.n_clouds):
             raise ConfigurationError(f"no vault cloud {cloud_id}")
     registry, traces, ground_truth = generate_world(config)
-    params = FederationParams(
-        n_authorities=config.n_authorities,
-        f=config.f,
-        q_read=config.q_read,
-        q_critical=config.q_critical,
-        key_threshold=config.fed_key_threshold,
-        vote_window=config.vote_window_min,
-    )
-    federation = Federation(params, rng=Random(f"{config.seed}/federation"))
+    federation = Federation(config, rng=Random(f"{config.seed}/federation"))
     edges = {}
     for provider_id in sorted(registry.providers):
         key_id = f"provider:{provider_id}"
@@ -337,7 +329,7 @@ def _open_entries(entries: list[tuple[int, memoryview]], key: bytes, phones: dic
     entries.reverse()
     while entries:
         class_value, ciphertext = entries.pop()
-        plaintext = crypto.unseal(key, ciphertext, aeads)
+        plaintext = crypto.unseal(key, ciphertext, aeads, framing.u8(class_value))  # the class byte is the set's associated data
         yield decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones)
 
 
@@ -425,9 +417,9 @@ def _artifact_payloads(
                 "prox_avg_m": round(s.prox_avg, 6),
                 "dur_tot_min": s.dur_tot,
                 "precision_prox": round(s.precision_prox, 6),
-                "precision_dur": s.precision_dur,
+                "precision_dur": cep.PRECISION_DUR,
                 "density": round(s.density, 6),
-                "severity": s.severity,
+                "severity": cep.SEVERITY,
             },
         }
 
@@ -533,7 +525,7 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
 
     # 3. Sub-quorum fetch: certificate carrying q-1 approvals.
     request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"purpose": "subquorum"}, rng)
-    q = federation.params.quorum(OperationClass.BLIND_ANALYSIS)
+    q = federation.quorum(OperationClass.BLIND_ANALYSIS)
     votes = [authority.approve(request) for authority in federation.authorities[: q - 1]]
     forged = QuorumCertificate(
         request_id=request.request_id,

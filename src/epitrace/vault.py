@@ -9,12 +9,7 @@ from enum import Enum
 from random import Random
 
 from . import crypto, erasure, framing
-from .errors import (
-    IntegrityError,
-    LockedError,
-    ParameterError,
-    UnavailableError,
-)
+from .errors import IntegrityError, LockedError, UnavailableError
 from .federation import Capability, Federation, OperationClass, SystemState
 from .shamir import Share, reconstruct_secret, split_secret
 
@@ -111,13 +106,15 @@ def _verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: 
 
 
 class VaultCoordinator:
-    """Scatter/gather front to the cloud set; all access capability-gated."""
+    """Scatter/gather front to the cloud set; all access capability-gated.
+
+    The sizing is checked where it is configured (`ScenarioConfig`); built
+    directly with a `k` or `key_threshold` outside [1, n_clouds], the first
+    write fails with `ParameterError` in `erasure.encode` or `split_secret`,
+    before any cloud stores a piece.
+    """
 
     def __init__(self, federation: Federation, n_clouds: int, k: int, key_threshold: int, rng: Random):
-        if not (1 <= k <= n_clouds):
-            raise ParameterError(f"need 1 <= k <= n_clouds, got k={k} n={n_clouds}")
-        if not (1 <= key_threshold <= n_clouds):
-            raise ParameterError("key threshold must be in [1, n_clouds]")
         self.clouds = [CloudNode(id=i) for i in range(1, n_clouds + 1)]
         self.k = k
         self.key_threshold = key_threshold

@@ -16,7 +16,7 @@ import pytest
 
 from epitrace import cep, crypto, erasure
 from epitrace.errors import DecryptionError, ReconstructionError, UnavailableError
-from epitrace.federation import Federation, FederationParams, OperationClass, SystemState, make_request
+from epitrace.federation import Federation, OperationClass, SystemState, make_request
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PrecisionClass
 from epitrace.runner import attack_suite, build_context, ingest, run, vet
@@ -167,13 +167,11 @@ def test_criterion_2_ground_truth_recall():
 
 def test_criterion_3_quorum_safety():
     with criterion(3, "quorum safety: certificates iff >= q distinct approvals"):
-        params = FederationParams(
-            n_authorities=5, f=2, q_read=3, q_critical=3, key_threshold=3, vote_window=60
-        )
+        sizing = ScenarioConfig(n_authorities=5, f=2, q_read=3, q_critical=3, fed_key_threshold=3, vote_window_min=60)
         accepted = rejected = 0
         for size in range(6):
             for subset in itertools.combinations(range(5), size):
-                federation = Federation(params, rng=Random("acceptance-q"))
+                federation = Federation(sizing, rng=Random("acceptance-q"))
                 request = make_request(
                     federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"subset": list(subset)}, Random(1)
                 )

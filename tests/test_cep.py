@@ -12,6 +12,7 @@ from epitrace.cep import (
     ContactSuspicion,
     ContactWindow,
     ContaminationRecord,
+    InfectionDag,
     PdrIndex,
     PhoneOfInterest,
     SpaceTimeRegion,
@@ -28,7 +29,7 @@ from epitrace.cep import (
 from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError, ResolutionError, StateError, ValidationError
 from epitrace.federation import OperationClass, SystemState
 from epitrace.records import PrecisionClass, group_into_sets, pair_distance
-from epitrace.runner import vet
+from epitrace.runner import _artifact_payloads, vet
 from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world, infection_estimates
 from cep_oracle import brute_force_pairs
 from util import SMALL_JSON, capability, pdr, phone, plaintext_sets, station
@@ -339,10 +340,11 @@ class TestScoring:
         assert score.prox_avg == pytest.approx(1.25)
         assert score.dur_tot == 30
         assert score.precision_prox == pytest.approx(1.0)
-        assert score.precision_dur == 0.5
         assert score.density == pytest.approx(4.0)
-        assert score.severity == 0.5
         assert score.region.stations == frozenset({"0000000000000001"})
+        scores_json = _artifact_payloads({}, [score], [], InfectionDag(nodes=frozenset(), edges=()))["scores.json"]
+        [written] = json.loads(scores_json)
+        assert (written["terms"]["precision_dur"], written["terms"]["severity"]) == (0.5, 0.5)
 
     def test_precision_factors_are_looked_up_without_enum_hash(self, cap_read, monkeypatch):
         suspicion = self._suspicion(prox=1.0, dur=20, cls=PrecisionClass.PICO, sizes=3)

@@ -12,6 +12,8 @@ from epitrace.runner import _fetch, _open_entries, build_context, ingest, vet
 from epitrace.world import ScenarioConfig
 from util import SMALL_JSON, phone, small_federation, station
 
+FEMTO_AAD = framing.u8(PrecisionClass.FEMTO.rank)  # the class byte a set at `station(1)` is sealed with
+
 
 def make_set(minute: int, n_phones: int = 3, bs=None) -> PdrSet:
     return PdrSet(
@@ -64,7 +66,7 @@ class TestPush:
         [(_class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
         # Reconstruct the provider key from the escrowed shares, as the engine does.
         private = federation.engine_key("provider:P1")
-        plaintext = crypto.unseal(private, ciphertext, {})
+        plaintext = crypto.unseal(private, ciphertext, {}, FEMTO_AAD)
         assert plaintext == encode_pdr_set(s, {})
         assert decode_pdr_set(plaintext, PrecisionClass.FEMTO, {}) == s
 
@@ -134,10 +136,10 @@ class TestSealEpochs:
         assert port.push(make_set(3))
         first, second, third = edge.stored_ciphertexts()
         assert len({bytes(c[:32]) for c in (first, second, third)}) == 3
-        assert crypto.unseal(swapped.private_bytes, bytes(second), {}) == encode_pdr_set(make_set(1), {})
-        assert crypto.unseal(swapped.private_bytes, bytes(third), {}) == encode_pdr_set(make_set(3), {})
+        assert crypto.unseal(swapped.private_bytes, bytes(second), {}, FEMTO_AAD) == encode_pdr_set(make_set(1), {})
+        assert crypto.unseal(swapped.private_bytes, bytes(third), {}, FEMTO_AAD) == encode_pdr_set(make_set(3), {})
         with pytest.raises(DecryptionError):
-            crypto.unseal(swapped.private_bytes, bytes(first), {})
+            crypto.unseal(swapped.private_bytes, bytes(first), {}, FEMTO_AAD)
 
     def test_corrupt_set_fails_alone_within_its_epoch(self, cloud):
         federation, edge = cloud
@@ -155,7 +157,7 @@ class TestSealEpochs:
         opened = []
         for _class, ciphertext in _fetch(edge, read_cert(federation), (0, 10)):
             try:
-                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads), PrecisionClass.FEMTO, {}))
+                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads, FEMTO_AAD), PrecisionClass.FEMTO, {}))
             except DecryptionError:
                 opened.append(None)
         assert opened == [None, sets[1], None, sets[3], sets[4]]
@@ -218,7 +220,7 @@ class TestPrune:
         unlock(federation)
         [(_class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 10))
         edge.prune(now=50000)
-        assert crypto.unseal(federation.engine_key("provider:P1"), ciphertext, {}) == encode_pdr_set(make_set(0), {})
+        assert crypto.unseal(federation.engine_key("provider:P1"), ciphertext, {}, FEMTO_AAD) == encode_pdr_set(make_set(0), {})
 
     def test_prune_is_ledger_logged(self, cloud):
         federation, edge = cloud
@@ -243,7 +245,7 @@ class TestVpnFetch:
         federation, edge = cloud
         unlock(federation)
         request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(5))
-        q = federation.params.quorum(OperationClass.BLIND_ANALYSIS)
+        q = federation.quorum(OperationClass.BLIND_ANALYSIS)
         votes = [a.approve(request) for a in federation.authorities[: q - 1]]
         forged = QuorumCertificate(
             request_id=request.request_id,
@@ -287,7 +289,17 @@ class TestVpnFetch:
         class_value, ciphertext = response[0]
         assert PrecisionClass.from_rank(class_value) is PrecisionClass.FEMTO
         private = federation.engine_key("provider:P1")
-        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}), PrecisionClass.FEMTO, {}) == make_set(3)
+        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}, FEMTO_AAD), PrecisionClass.FEMTO, {}) == make_set(3)
+
+    def test_relabelled_class_byte_fails_to_open(self, cloud):
+        federation, edge = cloud
+        edge.provider_port().push(make_set(3))
+        unlock(federation)
+        frame = bytearray(edge.handle_fetch_frame(framing.encode_fetch_request(read_cert(federation).encode(), 0, 10)))
+        assert frame[4] == PrecisionClass.FEMTO.rank == 2  # after the u32 entry count
+        frame[4] = PrecisionClass.MACRO.rank
+        with pytest.raises(DecryptionError):
+            next(_open_entries(framing.decode_fetch_response(bytes(frame)), federation.engine_key("provider:P1"), {}))
 
     def test_no_station_code_crosses_in_the_clear(self):
         context = build_context(ScenarioConfig.from_dict(json.loads(SMALL_JSON.read_text())))

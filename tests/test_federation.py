@@ -3,13 +3,14 @@ import itertools
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
 from epitrace.edge import EdgeCloud
-from epitrace.errors import AuthorizationError, ConfigurationError, ParameterError, StateError, ValidationError
+from epitrace.errors import AuthorizationError, ConfigurationError, StateError, ValidationError
 from epitrace.federation import (
     Federation,
-    FederationParams,
     OperationClass,
     QuorumCertificate,
     SystemState,
@@ -25,34 +26,38 @@ from util import alerted_federation, small_federation
 
 
 def sizing(**overrides) -> dict:
-    """FederationParams fields of a 5-authority federation with q = 3, with `overrides` applied."""
-    fields = dict(n_authorities=5, f=2, q_read=3, q_critical=3, key_threshold=3, vote_window=60)
+    """Federation fields of a 5-authority scenario with q = 3, with `overrides` applied."""
+    fields = dict(n_authorities=5, f=2, q_read=3, q_critical=3, fed_key_threshold=3, vote_window_min=60)
     fields.update(overrides)
     return fields
 
 
 def five_by_three() -> Federation:
-    return Federation(FederationParams(**sizing()), rng=Random("n5q3"))
+    return Federation(ScenarioConfig(**sizing()), rng=Random("n5q3"))
+
+
+def x25519_public(private_bytes: bytes) -> bytes:
+    return X25519PrivateKey.from_private_bytes(private_bytes).public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
 class TestParams:
     def test_n_must_cover_byzantine_bound(self):
-        with pytest.raises(ParameterError):
-            FederationParams(**sizing(n_authorities=4))
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(**sizing(n_authorities=4))
 
     def test_quorum_must_exceed_f(self):
         for tier in ("q_read", "q_critical"):
-            with pytest.raises(ParameterError):
-                FederationParams(**sizing(**{tier: 2}))
+            with pytest.raises(ConfigurationError):
+                ScenarioConfig(**sizing(**{tier: 2}))
 
     def test_negative_f_rejected(self):
         # f = -1 would admit a quorum of 0, which an empty certificate meets.
-        with pytest.raises(ParameterError):
-            FederationParams(**sizing(f=-1, q_read=0, q_critical=0))
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(**sizing(f=-1, q_read=0, q_critical=0))
 
     def test_each_class_has_its_tier(self):
-        params = FederationParams(**sizing(n_authorities=7, q_read=3, q_critical=5))
-        assert {cls: params.quorum(cls) for cls in OperationClass} == {
+        federation = Federation(ScenarioConfig(**sizing(n_authorities=7, q_read=3, q_critical=5)), rng=Random("n7"))
+        assert {cls: federation.quorum(cls) for cls in OperationClass} == {
             OperationClass.LOCK_UNLOCK: 5,
             OperationClass.STRICT_PUSH: 3,
             OperationClass.BLIND_ANALYSIS: 3,
@@ -69,18 +74,47 @@ class TestParams:
         key_threshold=st.integers(-1, 9),
         vote_window=st.integers(-2, 2),
     )
-    def test_accepts_exactly_the_sizings_a_scenario_accepts(self, n, f, q_read, q_critical, key_threshold, vote_window):
-        def accepts(build, error) -> bool:
-            try:
-                build()
-            except error:
-                return False
-            return True
-
+    def test_a_scenario_accepts_exactly_the_sound_sizings_and_each_one_runs(self, n, f, q_read, q_critical, key_threshold, vote_window):
+        sound = (
+            f >= 0
+            and 2 * f + 1 <= n <= 255
+            and f + 1 <= q_read <= n
+            and f + 1 <= q_critical <= n
+            and 1 <= key_threshold <= n
+            and vote_window >= 0
+        )
         tiers = dict(n_authorities=n, f=f, q_read=q_read, q_critical=q_critical)
-        scenario = accepts(lambda: ScenarioConfig(**tiers, fed_key_threshold=key_threshold, vote_window_min=vote_window), ConfigurationError)
-        params = accepts(lambda: FederationParams(**tiers, key_threshold=key_threshold, vote_window=vote_window), ParameterError)
-        assert params == scenario
+        try:
+            config = ScenarioConfig(**tiers, fed_key_threshold=key_threshold, vote_window_min=vote_window)
+        except ConfigurationError:
+            assert not sound
+            return
+        assert sound
+        federation = Federation(config, rng=Random("sizing"))
+        public = federation.escrow_keypair("k")
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(1))
+        assert federation.change_state(cert, SystemState.ALERT) is SystemState.ALERT
+        assert x25519_public(federation.engine_key("k")) == public
+
+    def test_each_sizing_field_reaches_the_federation(self):
+        config = ScenarioConfig(**sizing(n_authorities=9, q_read=4, q_critical=6, fed_key_threshold=5, vote_window_min=17))
+        federation = Federation(config, rng=Random("n9"))
+        assert len(federation.authorities) == 9
+        assert {cls: federation.quorum(cls) for cls in OperationClass} == {
+            cls: 6 if cls in (OperationClass.LOCK_UNLOCK, OperationClass.FULL_PROCESSING) else 4 for cls in OperationClass
+        }
+        federation.escrow_keypair("k")
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(1))
+        federation.change_state(cert, SystemState.ALERT)
+        [rebuilt] = [e.content for e in federation.ledger.entries if e.content["kind"] == "key_reconstruction"]
+        assert rebuilt["shares_used"] == 5
+        request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(2))
+        federation.submit_request(request)
+        federation.tick(17)
+        assert not [e for e in federation.ledger.entries if e.content["kind"] == "denial"]
+        federation.tick(18)
+        [denial] = [e.content for e in federation.ledger.entries if e.content["kind"] == "denial"]
+        assert (denial["minute"], denial["required"]) == (18, 4)
 
 
 class TestQuorumAssembly:
@@ -173,7 +207,7 @@ class TestQuorumAssembly:
         request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {}, Random(8))
         federation.submit_request(request)
         federation.apply_vote(federation.authorities[0].approve(request))
-        federation.tick(federation.params.vote_window + 1)
+        federation.tick(federation.config.vote_window_min + 1)
         denials = [e for e in federation.ledger.entries if e.content["kind"] == "denial"]
         assert len(denials) == 1
         # late quorum cannot resurrect a denied request
@@ -332,7 +366,7 @@ class TestCapabilities:
 
     def _forged_subquorum_cert(self, federation, operation_class):
         request = make_request(federation.authorities[0], operation_class, {}, Random(12))
-        q = federation.params.quorum(operation_class)
+        q = federation.quorum(operation_class)
         votes = [a.approve(request) for a in federation.authorities[: q - 1]]
         return QuorumCertificate(
             request_id=request.request_id,

@@ -393,8 +393,8 @@ def sealed(monkeypatch):
     blobs, provider_hours = [], set()
     seal, push = crypto.seal, EdgeCloud.push
 
-    def recording_seal(context, plaintext):
-        blob = seal(context, plaintext)
+    def recording_seal(context, plaintext, aad):
+        blob = seal(context, plaintext, aad)
         blobs.append(bytes(blob))  # a copy: the edge stores the sealed buffer itself and zeroes it on prune
         return blob
 

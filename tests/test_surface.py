@@ -6,6 +6,9 @@ takes; it is either deleted or named here as a test probe.
 Every dataclass field and every attribute an `__init__` sets is read
 somewhere in the package; state that is only written is deleted.
 
+Every `ScenarioConfig` field is read somewhere in the package outside the
+config's own checks: a field that is only checked configures nothing.
+
 Every random draw in the package takes a seeded `Random` handed in by the
 caller: no OS entropy, no unseeded `Random`, no `rng` that may be left out.
 """
@@ -129,6 +132,58 @@ class Plain:
         return self.kept + self._private
 """
     assert _unread_fields([ast.parse(text)]) == {"Stored.dropped", "Plain.held"}
+
+
+# ScenarioConfig fields that only the config's own checks read, each with its reason.
+# `f` is the declared Byzantine bound: it bounds the quorums and the authority
+# count, and the federation acts on the quorums alone.
+CHECKED_ONLY = {"f"}
+
+
+def _config_fields_read_only_by_checks(trees: list[ast.AST]) -> set[str]:
+    """`ScenarioConfig` fields whose name no attribute load outside `ScenarioConfig.__post_init__` reads.
+
+    Name-based, like `_unread_fields`: a read of any attribute of the field's
+    name counts, including one in another of the config's own methods.
+    """
+    configs = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "ScenarioConfig"]
+    fields = {stmt.target.id for cls in configs for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    checks = [stmt for cls in configs for stmt in cls.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"]
+    in_checks = {id(node) for check in checks for node in ast.walk(check)}
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in in_checks
+    }
+    return fields - loaded
+
+
+def test_every_config_field_is_read_outside_its_checks():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert _config_fields_read_only_by_checks(trees) == CHECKED_ONLY
+
+
+def test_config_field_guard_sees_each_form():
+    text = """
+@dataclass(frozen=True)
+class ScenarioConfig:
+    used: int
+    derived: int
+    checked: int
+    written: int
+    def __post_init__(self):
+        if self.checked < self.used:
+            raise ConfigurationError("checked")
+    @property
+    def twice(self):
+        return 2 * self.derived
+
+def build(config):
+    config.written = 1
+    return config.used
+"""
+    assert _config_fields_read_only_by_checks([ast.parse(text)]) == {"checked", "written"}
 
 
 def _unseeded_randomness(tree: ast.AST) -> list[tuple[int, str]]:

@@ -9,6 +9,7 @@ from epitrace.errors import (
     DecryptionError,
     IntegrityError,
     LockedError,
+    ParameterError,
     ReconstructionError,
     UnavailableError,
 )
@@ -119,6 +120,16 @@ class TestWriteRead:
         assert vault.object_count == 0
         assert all(cloud.held_object_ids() == [] for cloud in vault.clouds)
         assert not [e for e in federation.ledger.entries if e.content["kind"] == "vault_write"]
+
+    @pytest.mark.parametrize("k, key_threshold", [(4, 2), (2, 4)], ids=["k_above_n", "key_threshold_above_n"])
+    def test_sizing_beyond_the_clouds_refuses_the_first_write(self, k, key_threshold):
+        # Built directly, outside a checked ScenarioConfig: the coding layers refuse before any cloud stores a piece.
+        federation, vault = make_vault(key_threshold=key_threshold, k=k, n_clouds=3)
+        cap_write, _ = caps(federation)
+        with pytest.raises(ParameterError):
+            vault.write(cap_write, b"never stored")
+        assert vault.object_count == 0
+        assert all(cloud.held_buffers() == [] for cloud in vault.clouds)
 
     def test_blind_read_returns_ciphertext_only(self):
         federation, vault = make_vault()

@@ -9,7 +9,7 @@ from random import Random
 
 import numpy as np
 
-from epitrace.federation import Federation, FederationParams, OperationClass, QuorumCertificate, SystemState
+from epitrace.federation import Federation, OperationClass, QuorumCertificate, SystemState
 from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
 from epitrace.runner import SimContext, build_context, ingest, vet
 from epitrace.world import (
@@ -46,16 +46,10 @@ def retention_config() -> ScenarioConfig:
     return ScenarioConfig.from_dict(fields)
 
 
-def small_federation(seed: int = 99, n: int = 3, f: int = 1, q: int = 2, key_threshold: int = 2) -> Federation:
-    params = FederationParams(
-        n_authorities=n,
-        f=f,
-        q_read=q,
-        q_critical=q,
-        key_threshold=key_threshold,
-        vote_window=60,
-    )
-    return Federation(params, rng=Random(f"test-fed/{seed}"))
+def small_federation(seed: int = 99) -> Federation:
+    """Three authorities, f = 1, both quorums 2, key threshold 2."""
+    config = ScenarioConfig(n_authorities=3, f=1, q_read=2, q_critical=2, fed_key_threshold=2, vote_window_min=60)
+    return Federation(config, rng=Random(f"test-fed/{seed}"))
 
 
 def alerted_federation(seed: int = 99) -> Federation:
