@@ -1,14 +1,15 @@
 """Desk-scale deterministic simulator of a quorum-governed, privacy-preserving
-epidemic contact-tracing infrastructure: proximity records at simulated cell
-stations, push-only encrypted edge storage, a threshold-crypto data vault, and
-a contact-analysis pipeline ending in a who-infected-whom DAG."""
+epidemic contact-tracing infrastructure: proximity records swept a block of
+minutes at a time at simulated cell stations and cut into per-station sets,
+push-only encrypted edge storage, a threshold-crypto data vault, and a
+contact-analysis pipeline ending in a who-infected-whom DAG."""
 
 from .records import (
     BsCode,
     PdrSet,
     PhoneId,
     PrecisionClass,
-    ProximityDetailRecord,
+    Sweep,
     group_into_sets,
 )
 from .runner import RunReport, attack_suite, run
@@ -22,9 +23,9 @@ __all__ = [
     "PhoneId",
     "PrecisionClass",
     "ProviderRegistry",
-    "ProximityDetailRecord",
     "RunReport",
     "ScenarioConfig",
+    "Sweep",
     "attack_suite",
     "generate_world",
     "group_into_sets",

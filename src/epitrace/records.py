@@ -1,7 +1,8 @@
 """Proximity detail records: the per-minute relative-position unit of the system.
 
 A record ties one phone to one base station for one clock minute, carrying only
-a polar offset from the station's antenna centroid. Nothing here encodes an
+a polar offset from the station's antenna centroid; records travel as sets,
+one station's records of one minute held as columns. Nothing here encodes an
 absolute position; the station-code-to-coordinate mapping lives exclusively in
 the provider registry.
 """
@@ -13,7 +14,6 @@ import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
 
 from .errors import DuplicateRecordError, ValidationError
 
@@ -93,26 +93,12 @@ class BsCode:
             raise ValidationError(f"station code must be {STATION_CODE_LEN} lowercase hex chars, got {self.code!r}")
 
 
-class ProximityDetailRecord(NamedTuple):
-    """One phone's polar offset (meters, radians) from one station's centroid in one clock minute.
-
-    Never absolute. The record is a plain value; its range rule is checked
-    in the set it is grouped into (`PdrSet`).
-    """
-
-    bs: BsCode
-    phone: PhoneId
-    radius: float
-    azimuth: float
-    t_pdr: int
-
-
 @dataclass(frozen=True, slots=True)
 class PdrSet:
     """All records of one station for one minute, as columns in strictly ascending phone order.
 
-    This is the only check of a set, whether `group_into_sets` or
-    `decode_pdr_set` built it: equal column lengths, then the range rule
+    This is the only check of a set, whether `group_into_sets` cut it from a
+    sweep or `decode_pdr_set` built it: equal column lengths, then the range rule
     (radius finite and >= 0, azimuth in [0, 2*pi), minute >= 0), then phone
     order.
     """
@@ -143,37 +129,37 @@ class PdrSet:
                     raise ValidationError("set phones must be in ascending order")
 
 
-def group_into_sets(records: Iterable[ProximityDetailRecord]) -> list[PdrSet]:
-    """Organise loose records into per-(station, minute) sets, sorted by (minute, code).
+@dataclass(frozen=True, slots=True)
+class Sweep:
+    """Every station's readings over a block of minutes, as runs over flat columns.
 
-    Raises DuplicateRecordError when the same (station, phone, minute) triple
-    appears twice: stations emit at most one record per phone per minute, so a
-    duplicate signals a simulation bug upstream.
+    `runs` holds one (minute, station, count) per station-minute that saw a
+    phone, in (minute, code) order; a run's readings are the next `count`
+    entries of `phones`, `radii` and `azimuths`, in ascending phone order.
     """
-    buckets: dict[tuple[int, str], list[ProximityDetailRecord]] = {}
-    for rec in records:
-        buckets.setdefault((rec.t_pdr, rec.bs.code), []).append(rec)
-    out = []
-    for (minute, _code), recs in sorted(buckets.items()):
-        recs.sort(key=operator.attrgetter("phone"))
-        _, phones, radii, azimuths, _ = zip(*recs)
-        out.append(PdrSet(minute=minute, bs=recs[0].bs, phones=phones, radii=radii, azimuths=azimuths))
-    return out
+
+    runs: list[tuple[int, BsCode, int]]
+    phones: tuple[PhoneId, ...]
+    radii: tuple[float, ...]
+    azimuths: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.phones)
 
 
-def pair_distance(a: ProximityDetailRecord, b: ProximityDetailRecord) -> float:
-    """Distance in meters between the phones of two records of the same station.
+def group_into_sets(sweep: Sweep) -> list[PdrSet]:
+    """Cut a sweep into its per-(station, minute) sets, in (minute, code) order: one slice of each column per run.
 
-    Law of cosines on the two polar offsets, in the haversine form
-    d^2 = (ra - rb)^2 + 4 ra rb sin^2(dθ/2): it equals the Euclidean distance
-    between the two relative positions and, unlike ra^2 + rb^2 - 2 ra rb cos dθ,
-    loses no precision when the phones are close. Written to be
-    bitwise-commutative so callers get the identical float regardless of
-    argument order.
+    Each set is checked by `PdrSet`, so a phone that a station read twice in
+    one minute raises DuplicateRecordError.
     """
-    dr = a.radius - b.radius
-    half = math.sin(0.5 * abs(a.azimuth - b.azimuth))
-    return math.sqrt(dr * dr + 4.0 * (a.radius * b.radius) * (half * half))
+    phones, radii, azimuths = sweep.phones, sweep.radii, sweep.azimuths
+    sets = []
+    end = 0
+    for minute, bs, count in sweep.runs:
+        begin, end = end, end + count
+        sets.append(PdrSet(minute, bs, phones[begin:end], radii[begin:end], azimuths[begin:end]))
+    return sets
 
 
 # -- canonical serialization -------------------------------------------------

@@ -180,13 +180,20 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
     )
 
 
+# Minutes per `observe` call: a longer block spreads the sweep's call overhead
+# further but holds more readings at once; 30 ran as fast as 60 on half the heap.
+_SWEEP_BLOCK_MIN = 30
+
+
 def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     """Feed minutes [start, stop) into the edge clouds; return the ingest counts.
 
-    Phone positions are interpolated for these minutes only. Each minute
-    advances the federation clock, observes every station, groups the records
-    into per-station sets and pushes each through its provider's port; every
-    `prune_every_min`-th minute then ends with a prune of all edges.
+    Phone positions are interpolated for these minutes only. Each block of
+    `_SWEEP_BLOCK_MIN` minutes is observed in one sweep and cut into its
+    per-station sets; then, minute by minute, the federation clock advances,
+    that minute's sets are pushed through their providers' ports in code
+    order, and every `prune_every_min`-th minute ends with a prune of all
+    edges. Pushes, seals and the ledger are those of a minute-at-a-time loop.
     """
     config = context.config
     noise = NoiseModel.from_config(config) if config.noise_enabled else None
@@ -194,18 +201,23 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
-    for minute, minute_positions in zip(range(start, stop), positions):
-        context.federation.tick(minute)
-        records = observe(context.registry, context.traces, minute, minute_positions, noise)
-        counts["pdrs_emitted"] += len(records)
-        for pdr_set in group_into_sets(records):
-            if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
-                counts["sets_pushed"] += 1
-            else:
-                counts["push_failures"] += 1
-        if minute > 0 and minute % config.prune_every_min == 0:
-            for edge in context.edges.values():
-                counts["sets_pruned"] += edge.prune(minute)
+    for block in range(start, stop, _SWEEP_BLOCK_MIN):
+        minutes = range(block, min(block + _SWEEP_BLOCK_MIN, stop))
+        sweep = observe(context.registry, context.traces, block, positions[block - start : minutes.stop - start], noise)
+        counts["pdrs_emitted"] += len(sweep)
+        # Once the sweep is gone, each minute's sets hold its readings until pushed.
+        pending = {minute: list(sets) for minute, sets in itertools.groupby(group_into_sets(sweep), attrgetter("minute"))}
+        del sweep
+        for minute in minutes:
+            context.federation.tick(minute)
+            for pdr_set in pending.pop(minute, ()):
+                if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
+                    counts["sets_pushed"] += 1
+                else:
+                    counts["push_failures"] += 1
+            if minute > 0 and minute % config.prune_every_min == 0:
+                for edge in context.edges.values():
+                    counts["sets_pruned"] += edge.prune(minute)
     return counts
 
 

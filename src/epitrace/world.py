@@ -14,6 +14,7 @@ import hmac
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from random import Random
 from typing import Iterable
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .framing import canonical_json
-from .records import TWO_PI, BsCode, PhoneId, PrecisionClass, ProximityDetailRecord
+from .records import TWO_PI, BsCode, PhoneId, PrecisionClass, Sweep
 
 Point = tuple[float, float]
 
@@ -243,19 +244,6 @@ class MobilityTrace:
         minutes = [m for m, _ in self.waypoints]
         if any(b <= a for a, b in zip(minutes, minutes[1:])):
             raise ValidationError("waypoints must be strictly increasing in minute")
-
-    def position_at(self, minute: float) -> Point:
-        """Position at any minute, by piecewise-linear interpolation: the reference for `trace_positions`."""
-        pts = self.waypoints
-        if minute <= pts[0][0]:
-            return pts[0][1]
-        if minute >= pts[-1][0]:
-            return pts[-1][1]
-        for (m0, p0), (m1, p1) in zip(pts, pts[1:]):
-            if m0 <= minute <= m1:
-                frac = (minute - m0) / (m1 - m0)
-                return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
-        raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -547,54 +535,65 @@ class NoiseModel:
 def observe(
     registry: ProviderRegistry,
     traces: list[MobilityTrace],
-    minute: int,
+    start: int,
     positions: np.ndarray,
     noise: NoiseModel | None = None,
-) -> list[ProximityDetailRecord]:
-    """One sweep of every station over every phone at one minute.
+) -> Sweep:
+    """One sweep of every station over every phone, for each minute of a block.
 
-    `positions` holds every phone's position at `minute`, shape (n, 2), as
-    `trace_positions` gives them; `noise=None` measures without noise.
-    A record is issued per (station, phone) pair with the phone inside the
-    station's useful range; overlapping stations therefore yield several
-    records for the same phone. The range test runs once per minute for all
-    stations at once; each station then takes its slice of the phones in
-    range, in ascending phone order.
-    Noise draws are keyed by (seed, minute, station), so sweeps are
-    independent, adding a station never perturbs another station's readings,
-    and the whole measurement process stays a pure function of the scenario.
-    A station's stream is seeded only when a phone is in its range, and each
-    record draws one Box-Muller pair from it, written out as the two
-    `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine term
-    offsets x, the sine term y.
+    `positions` holds every phone's position at minutes start, start + 1, ...,
+    shape (minutes, n, 2), as `trace_positions` gives them, with the traces in
+    ascending phone order; `noise=None` measures without noise. A phone inside
+    a station's useful range gives one reading per minute, so overlapping
+    stations read it several times. The range test runs once per block.
+    Noise draws are keyed by (seed, minute, station), so adding a station never
+    perturbs another's readings. A station-minute's stream is seeded only when
+    a phone is in its range, and each reading draws one Box-Muller pair from
+    it, the two `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine
+    term offsets x, the sine term y. Transcendentals run through `math` (libm),
+    numpy does only IEEE-exact arithmetic in the same operand order, and a
+    reading without noise gets no `0.0 +` (which would turn a -0.0 offset's
+    azimuth from pi to 0), so each float equals a per-reading sweep's.
     """
     stations = registry.sorted_stations()
-    if not stations:
-        return []
-    cx, cy = np.array([info.centroid for _, info in stations]).T
+    cx, cy = np.array([info.centroid for _, info in stations]).reshape(-1, 2).T
     ranges = np.array([info.useful_range for _, info in stations])
-    rel_x = positions[:, 0] - cx[:, None]  # (stations, phones)
-    rel_y = positions[:, 1] - cy[:, None]
-    inside = np.hypot(rel_x, rel_y) <= ranges[:, None]
-    # Station-major, and ascending phone within a station.
-    readings = zip(np.nonzero(inside)[1].tolist(), rel_x[inside].tolist(), rel_y[inside].tolist())
+    # (minutes, stations, phones); each offset is computed again below for the readings only.
+    inside = np.hypot(positions[:, None, :, 0] - cx[:, None], positions[:, None, :, 1] - cy[:, None]) <= ranges[:, None]
+    per_run = np.count_nonzero(inside, axis=2)
+    run_minute, run_station = np.nonzero(per_run)
+    minutes = list(range(start, start + len(positions)))  # one int per minute, shared by the minute's sets as stored
+    run_count = per_run[run_minute, run_station].tolist()
+    runs = [(minutes[m], stations[s][0], count) for m, s, count in zip(run_minute.tolist(), run_station.tolist(), run_count)]
+    minute, station, phone = np.nonzero(inside)
     phones = [trace.phone for trace in traces]
-    records: list[ProximityDetailRecord] = []
-    for (bs, _info), count in zip(stations, np.count_nonzero(inside, axis=1).tolist()):
-        if not count:
-            continue
-        sigma = 0.0 if noise is None else noise.sigma_by_class[bs.precision_class]
-        uniform = Random(f"{noise.seed}/observe/{minute}/{bs.code}").random if sigma > 0.0 else None
-        for j, dx, dy in itertools.islice(readings, count):
-            if uniform is not None:
-                x2pi = uniform() * TWO_PI
-                g2rad = math.sqrt(-2.0 * math.log(1.0 - uniform()))
-                dx += 0.0 + math.cos(x2pi) * g2rad * sigma
-                dy += 0.0 + math.sin(x2pi) * g2rad * sigma
-            # A tiny negative angle rounds up to 2*pi under `%`; the second `%` maps
-            # that one value to 0.0 and leaves every other azimuth as it is.
-            records.append(ProximityDetailRecord(bs, phones[j], math.hypot(dx, dy), math.atan2(dy, dx) % TWO_PI % TWO_PI, minute))
-    return records
+    dx = positions[minute, phone, 0] - cx[station]
+    dy = positions[minute, phone, 1] - cy[station]
+    if noise is not None:
+        station_sigma = np.array([noise.sigma_by_class[bs.precision_class] for bs, _ in stations])
+        noisy = station_sigma[station] > 0.0
+        uniform = np.empty(2 * int(np.count_nonzero(noisy)))
+        end = 0
+        for (m, bs, count), sigma in zip(runs, station_sigma[run_station].tolist()):
+            if sigma > 0.0:
+                draw = Random(f"{noise.seed}/observe/{m}/{bs.code}").random
+                begin, end = end, end + 2 * count
+                uniform[begin:end] = [draw() for _ in range(2 * count)]
+        x2pi = uniform[0::2] * TWO_PI
+        g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, 1.0 - uniform[1::2]), float, len(x2pi)))
+        sigma = station_sigma[station[noisy]]
+        dx[noisy] += 0.0 + np.fromiter(map(math.cos, x2pi), float, len(x2pi)) * g2rad * sigma
+        dy[noisy] += 0.0 + np.fromiter(map(math.sin, x2pi), float, len(x2pi)) * g2rad * sigma
+    dx, dy = dx.tolist(), dy.tolist()
+    # A tiny negative angle rounds up to 2*pi under `%`; the second `%` maps
+    # that one value to 0.0 and leaves every other azimuth as it is.
+    two_pi = itertools.repeat(TWO_PI)
+    return Sweep(
+        runs,
+        tuple(map(phones.__getitem__, phone.tolist())),
+        tuple(map(math.hypot, dx, dy)),
+        tuple(map(operator.mod, map(operator.mod, map(math.atan2, dy, dx), two_pi), two_pi)),
+    )
 
 
 def infection_estimates(config: ScenarioConfig, ground_truth: GroundTruth) -> dict[PhoneId, int]:

@@ -28,11 +28,11 @@ from epitrace.cep import (
 )
 from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError, ResolutionError, StateError, ValidationError
 from epitrace.federation import OperationClass, SystemState
-from epitrace.records import PrecisionClass, group_into_sets, pair_distance
+from epitrace.records import PrecisionClass
 from epitrace.runner import _artifact_payloads, vet
 from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world, infection_estimates
 from cep_oracle import brute_force_pairs
-from util import SMALL_JSON, capability, pdr, phone, plaintext_sets, station
+from util import SMALL_JSON, capability, group_records, pair_distance, pdr, phone, plaintext_sets, station
 
 PARAMS = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2, search_margin=0)
 
@@ -59,7 +59,7 @@ def co_located_sets(minutes, bs=None, prox_a=0.0, prox_b=0.0, az_a=0.0, az_b=0.0
             pdr(bs, phone(2), prox_b, az_b, minute),
         ]
         records += [pdr(bs, phone(10 + i), 5.0 + i, 1.0, minute) for i in range(extra_phones)]
-    return group_into_sets(records)
+    return group_records(records)
 
 
 def as_tuples(suspicion: ContactSuspicion):
@@ -134,7 +134,7 @@ class TestFindSuspicions:
         for minute in range(30):
             records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 104.0, 0.0, minute))
             records += (pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 1.5, 0.0, minute))
-        sets = group_into_sets(records)
+        sets = group_records(records)
         found = find_suspicions(cap_read, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         assert len(found) == 1
         window = found[0].windows[0]
@@ -149,7 +149,7 @@ class TestFindSuspicions:
         for minute in range(30):
             records += (pdr(macro, phone(1), 100.0, 0.0, minute), pdr(macro, phone(2), 100.5, 0.0, minute))
             records += (pdr(femto, phone(1), 1.0, 0.0, minute), pdr(femto, phone(2), 4.0, 0.0, minute))
-        index = PdrIndex(group_into_sets(records), PARAMS.prox_max)
+        index = PdrIndex(group_records(records), PARAMS.prox_max)
         for subject in (phone(1), phone(2)):
             assert find_suspicions(cap_read, index, PhoneOfInterest(subject, 0), PARAMS) == []
 
@@ -165,7 +165,7 @@ class TestFindSuspicions:
                 records.append(pdr(femto, phone(1), 1.0, 0.0, minute))
             if 10 <= minute < 20:
                 records.append(pdr(femto, phone(2), 4.0, 0.0, minute))
-        [found] = find_suspicions(cap_read, PdrIndex(group_into_sets(records), PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
+        [found] = find_suspicions(cap_read, PdrIndex(group_records(records), PARAMS.prox_max), PhoneOfInterest(phone(1), 0), PARAMS)
         assert not found.pc_susp
         assert [w.minutes for w in found.windows] == [tuple(range(10)), tuple(range(20, 30))]
         assert {c for w in found.windows for c in w.classes} == {PrecisionClass.MACRO}
@@ -184,7 +184,7 @@ class TestFindSuspicions:
         bs = station(3, PrecisionClass.PICO)
         records = [pdr(bs, phone(1), base, 0.0, 0)]
         records += [pdr(bs, phone(i + 2), max(0.0, base + off), azimuths[i], 0) for i, off in enumerate(offsets)]
-        index = PdrIndex(group_into_sets(records), PARAMS.prox_max)
+        index = PdrIndex(group_records(records), PARAMS.prox_max)
         found = {s.pair: s.windows[0].prox for s in find_suspicions(cap_read, index, PhoneOfInterest(phone(1), 0), PARAMS)}
         distances = {r.phone: pair_distance(records[0], r) for r in records[1:]}
         assert found == {pair_key(phone(1), u): (d,) for u, d in distances.items() if d <= PARAMS.prox_max}
@@ -418,7 +418,7 @@ class TestCompletion:
             records += (pdr(s1, phone(1), 0.1, 0.0, minute), pdr(s1, phone(2), 0.2, 0.0, minute))
         for minute in range(200, 231):
             records += (pdr(s2, phone(2), 0.1, 0.0, minute), pdr(s2, phone(3), 0.2, 0.0, minute))
-        return group_into_sets(records)
+        return group_records(records)
 
     def test_chain_discovered_only_via_completion(self, cap_read):
         index = PdrIndex(self._chained_sets(), PARAMS.prox_max)
@@ -561,7 +561,7 @@ class TestPairOnce:
     )
     def test_matches_oracle_on_any_sets(self, cap_read, records, seeds, dur_min, gap, margin, class_threshold):
         precision = (PrecisionClass.FEMTO, PrecisionClass.PICO, PrecisionClass.MACRO)
-        sets = group_into_sets(
+        sets = group_records(
             pdr(station(s, precision[s]), phone(p), radius, azimuth, minute)
             for (s, p, minute), (radius, azimuth) in records.items()
         )
@@ -583,7 +583,7 @@ def registry_with(code_to_info):
 class TestPccont:
     def _scored_pair(self, cap, a=1, b=2, minutes=range(100, 120), bs=None):
         bs = bs or station(1)
-        sets = group_into_sets(
+        sets = group_records(
             r for m in minutes for r in (pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m))
         )
         suspicions = find_suspicions(cap, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(a), 0), PARAMS)

@@ -19,10 +19,10 @@ import pytest
 
 from epitrace import cep, edge, erasure, framing, runner
 from epitrace.edge import EdgeCloud
-from epitrace.records import encode_pdr_set, group_into_sets
+from epitrace.records import PdrSet, encode_pdr_set
 from epitrace.world import ScenarioConfig
 from test_vault import caps, make_vault
-from util import SMALL_JSON, alerted_federation, ingested_for_analysis, pdr, phone, station
+from util import SMALL_JSON, alerted_federation, ingested_for_analysis, phone, station
 
 PAYLOAD = Random(1).randbytes(1 << 20)
 
@@ -115,7 +115,8 @@ def test_push_seals_into_the_stored_buffer(monkeypatch):
     federation.escrow_keypair("provider:P1")
     cloud = EdgeCloud("P1", "provider:P1", federation, pdr_ttl=10_000, rng=Random(3))
     rng = Random(4)
-    (pdr_set,) = group_into_sets(pdr(station(1), phone(i), rng.uniform(0.0, 50.0), rng.uniform(0.0, 6.0), 5) for i in range(5000))
+    readings = [(rng.uniform(0.0, 50.0), rng.uniform(0.0, 6.0)) for _ in range(5000)]
+    pdr_set = PdrSet(5, station(1), tuple(phone(i) for i in range(5000)), *map(tuple, zip(*readings)))
     assert cloud.push(pdr_set)  # opens the hour's seal context
     plaintext = encode_pdr_set(pdr_set, {})
     monkeypatch.setattr(edge, "encode_pdr_set", lambda *args: plaintext)

@@ -15,11 +15,11 @@ from epitrace.records import (
     PhoneId,
     PrecisionClass,
     decode_pdr_set,
+    Sweep,
     encode_pdr_set,
     group_into_sets,
-    pair_distance,
 )
-from util import pdr, phone, station
+from util import group_records, pair_distance, pdr, phone, station
 
 
 def raw(code: bytes, nr: bytes, imei: bytes, radius: float = 1.0, azimuth: float = 0.5, minute: int = 5) -> bytes:
@@ -51,11 +51,11 @@ def two_records(second: bytes) -> bytes:
 
 class TestMakePdr:
     def test_zero_radius_is_valid(self):
-        (pdr_set,) = group_into_sets([pdr(station(), phone(2), 0.0, 0.0, 0)])
+        (pdr_set,) = group_records([pdr(station(), phone(2), 0.0, 0.0, 0)])
         assert pdr_set.radii == (0.0,)
 
     def test_minute_past_first_day_is_valid(self):
-        (pdr_set,) = group_into_sets([pdr(station(), phone(3), 1.0, 1.0, 1440)])
+        (pdr_set,) = group_records([pdr(station(), phone(3), 1.0, 1.0, 1440)])
         assert pdr_set.minute == 1440
 
     def test_invalid_phone_rejected(self):
@@ -77,7 +77,7 @@ class TestMakePdr:
             with pytest.raises(ValidationError):
                 PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(2)), radii=(1.0, radius), azimuths=(0.0, azimuth))
             with pytest.raises(ValidationError):
-                group_into_sets([pdr(station(1), phone(1), 1.0, 0.5, 5), pdr(station(1), phone(2), radius, azimuth, 5)])
+                group_records([pdr(station(1), phone(1), 1.0, 0.5, 5), pdr(station(1), phone(2), radius, azimuth, 5)])
             for who in (phone(2), phone(1)):
                 with pytest.raises(ValidationError) as err:
                     decode_pdr_set(two_records(wire(CODE, who, radius, azimuth, 5)), PrecisionClass.FEMTO, {})
@@ -126,7 +126,7 @@ class TestMakePdr:
             PdrSet(minute=5, bs=station(1), phones=phones, radii=tuple(radii), azimuths=tuple(azimuths))
         assert str(err.value) == message
         with pytest.raises(ValidationError) as err:
-            group_into_sets([pdr(station(1), who, r, a, 5) for who, r, a in zip(phones, radii, azimuths)])
+            group_records([pdr(station(1), who, r, a, 5) for who, r, a in zip(phones, radii, azimuths)])
         assert str(err.value) == message
         payload = struct.pack(">I", 3) + b"".join(wire(CODE, who, r, a, 5) for who, r, a in zip(phones, radii, azimuths))
         with pytest.raises(ValidationError) as err:
@@ -231,35 +231,36 @@ class TestPhoneId:
 class TestGrouping:
     def test_same_station_same_minute_one_set(self):
         records = [pdr(station(1), phone(i), 1.0, 0.1, 7) for i in range(3)]
-        sets = group_into_sets(records)
+        sets = group_records(records)
         assert len(sets) == 1
         assert len(sets[0].phones) == 3
         assert sets[0].minute == 7
 
     def test_three_minutes_three_sets(self):
         records = [pdr(station(1), phone(0), 1.0, 0.1, m) for m in (1, 2, 3)]
-        sets = group_into_sets(records)
+        sets = group_records(records)
         assert [s.minute for s in sets] == [1, 2, 3]
         assert all(len(s.phones) == 1 for s in sets)
 
     def test_empty_input(self):
-        assert group_into_sets([]) == []
+        assert group_records([]) == []
+        assert group_into_sets(Sweep([], (), (), ())) == []
 
     def test_duplicate_triple_rejected(self):
         rec = pdr(station(1), phone(0), 1.0, 0.1, 1)
         with pytest.raises(DuplicateRecordError):
-            group_into_sets([rec, rec])
+            group_records([rec, rec])
 
     def test_records_sorted_by_phone(self):
         records = [pdr(station(1), phone(i), float(i), 0.1 * i, 7) for i in (3, 1, 2)]
-        (pdr_set,) = group_into_sets(records)
+        (pdr_set,) = group_records(records)
         assert pdr_set.phones == (phone(1), phone(2), phone(3))
         assert pdr_set.radii == (1.0, 2.0, 3.0)
         assert pdr_set.azimuths == (0.1, 0.2, 0.1 * 3)
 
     def test_day_boundary_lands_in_later_set(self):
         records = [pdr(station(1), phone(0), 1.0, 0.1, 1439), pdr(station(1), phone(0), 1.0, 0.1, 1440)]
-        sets = group_into_sets(records)
+        sets = group_records(records)
         assert [s.minute for s in sets] == [1439, 1440]
 
     @given(
@@ -271,7 +272,7 @@ class TestGrouping:
     )
     def test_group_then_flatten_is_permutation(self, triples):
         records = [pdr(station(b), phone(p), 1.0 + p, 0.5, m) for b, p, m in triples]
-        sets = group_into_sets(records)
+        sets = group_records(records)
         flattened = [
             (s.bs, p, s.minute, r, a) for s in sets for p, r, a in zip(s.phones, s.radii, s.azimuths)
         ]
@@ -279,6 +280,21 @@ class TestGrouping:
             ((r.bs, r.phone, r.t_pdr, r.radius, r.azimuth) for r in records),
             key=lambda t: (t[0].code, t[1], t[2]),
         )
+
+    def test_a_sweep_is_cut_into_one_set_per_run(self):
+        bs1, bs2 = station(1), station(2)
+        phones = (phone(1), phone(3), phone(2), phone(1))
+        sweep = Sweep([(4, bs1, 2), (4, bs2, 1), (5, bs1, 1)], phones, (1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4))
+        assert len(sweep) == 4
+        assert group_into_sets(sweep) == [
+            PdrSet(4, bs1, (phone(1), phone(3)), (1.0, 2.0), (0.1, 0.2)),
+            PdrSet(4, bs2, (phone(2),), (3.0,), (0.3,)),
+            PdrSet(5, bs1, (phone(1),), (4.0,), (0.4,)),
+        ]
+
+    def test_a_phone_read_twice_in_one_run_is_rejected(self):
+        with pytest.raises(DuplicateRecordError):
+            group_into_sets(Sweep([(1, station(1), 2)], (phone(0), phone(0)), (1.0, 1.0), (0.1, 0.1)))
 
 
 class TestPairDistance:
@@ -306,7 +322,7 @@ class TestSerialization:
     def test_canonical_layout_is_bit_exact(self):
         bs = BsCode(code="00deadbeef00cafe", precision_class=PrecisionClass.PICO)
         records = [pdr(bs, phone(2), 3.0, 0.75, 99), pdr(bs, PhoneId(nr="600000001", imei="350000000000001"), 12.5, 1.25, 99)]
-        blob = encode_pdr_set(group_into_sets(records)[0], {})
+        blob = encode_pdr_set(group_records(records)[0], {})
         expected = (
             struct.pack(">I", 2)
             + b"00deadbeef00cafe"
@@ -322,7 +338,7 @@ class TestSerialization:
 
     def test_set_round_trip(self):
         bs = station(4, PrecisionClass.MACRO)
-        (original,) = group_into_sets(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in (3, 0, 2, 1))
+        (original,) = group_records(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in (3, 0, 2, 1))
         decoded = decode_pdr_set(encode_pdr_set(original, {}), PrecisionClass.MACRO, {})
         assert decoded == original
 
@@ -330,7 +346,7 @@ class TestSerialization:
         # The registry places this station at a known point; its serialized
         # records must not contain those coordinates in any obvious encoding.
         centroid = (123.456, 789.012)
-        blob = encode_pdr_set(group_into_sets([pdr(station(5), phone(1), 3.0, 0.5, 2)])[0], {})
+        blob = encode_pdr_set(group_records([pdr(station(5), phone(1), 3.0, 0.5, 2)])[0], {})
         for value in centroid:
             assert struct.pack(">d", value) not in blob
             assert struct.pack("<d", value) not in blob

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -18,10 +19,10 @@ from epitrace.errors import ConfigurationError
 from epitrace.federation import OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PdrSet, decode_pdr_set
-from epitrace.runner import _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
+from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
 from epitrace.vault import FaultMode
 from epitrace.world import ScenarioConfig, generate_world
-from util import SMALL_JSON, ingested_for_analysis, retention_config
+from util import SMALL_JSON, ingested_for_analysis, reference_ingest, retention_config
 
 SPARSE_DIGESTS = {
     "dag.dot": "275e6c7090ca820ba96fa2440ce615cce7c46fda5555a5169713ab4661cbc32b",
@@ -407,6 +408,29 @@ def sealed(monkeypatch):
     monkeypatch.setattr(crypto, "seal", recording_seal)
     monkeypatch.setattr(EdgeCloud, "push", recording_push)
     return blobs, provider_hours
+
+
+class TestIngest:
+    def test_blocks_push_prune_and_ledger_as_a_minute_at_a_time_loop(self):
+        # Neither end of the range, the prune period nor the alert minute falls on a sweep-block boundary.
+        config = dataclasses.replace(retention_config(), prune_every_min=13, alert_minute=100, t_incub_max=40, pdr_ttl_factor=1)
+        start, stop = 37, 211
+        assert all(value % _SWEEP_BLOCK_MIN for value in (start, stop, config.prune_every_min, config.alert_minute))
+
+        def drive(feed):
+            context = build_context(config)
+            counts = feed(context, start, config.alert_minute)
+            context.federation.tick(config.alert_minute)
+            cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random("test-ingest"))
+            context.federation.change_state(cert, SystemState.ALERT)
+            for name, value in feed(context, config.alert_minute, stop).items():
+                counts[name] += value
+            stored = {pid: [bytes(c) for c in edge.stored_ciphertexts()] for pid, edge in context.edges.items()}
+            return counts, context.federation.ledger.export_jsonl(), stored
+
+        counts, ledger, stored = drive(ingest)
+        assert counts["sets_pruned"] > 0 and counts["push_failures"] == 0
+        assert (counts, ledger, stored) == drive(reference_ingest)
 
 
 class TestSealEpochs:

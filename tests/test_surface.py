@@ -22,10 +22,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "epitrace"
 
 # Read-only views that tests use to look into a run; the pipeline never needs them.
-# `pair_distance` is the tests' reference for the distance the contact scan computes.
 # `presence` is the benchmark tracer's and the tests' view of who was in which set,
 # until the tracer's pair-evaluation counter (perfbench/spans.py) stops reading it.
-TEST_PROBES = {"position_at", "stored_count", "oldest_age", "held_object_ids", "pair_distance", "presence"}
+TEST_PROBES = {"stored_count", "oldest_age", "held_object_ids", "presence"}
 
 
 def _is_cli_command(node: ast.AST) -> bool:

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -29,7 +30,8 @@ from epitrace.world import (
     trace_positions,
     traces_csv,
 )
-from util import reference_observe, reference_replay_epidemic, station
+from epitrace.runner import _SWEEP_BLOCK_MIN
+from util import Record, group_records, reference_observe, reference_position_at, reference_replay_epidemic, station
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -326,6 +328,58 @@ class TestReplay:
             assert victims == [t_incub_min + min_exposure_min - 1] * 2
 
 
+def records_of(sweep):
+    """A sweep's readings as loose records, in sweep order."""
+    records, end = [], 0
+    for minute, bs, count in sweep.runs:
+        begin, end = end, end + count
+        records += map(Record, [bs] * count, sweep.phones[begin:end], sweep.radii[begin:end], sweep.azimuths[begin:end], [minute] * count)
+    return records
+
+
+def observe_at(registry, traces, minute, noise):
+    """One minute's sweep, as loose records."""
+    return records_of(observe(registry, traces, minute, trace_positions(traces, minute, minute + 1), noise))
+
+
+def set_bits(sets):
+    """Each set's minute, station and phones, and each reading's exact radius and azimuth bytes."""
+    return [(s.minute, s.bs, s.phones, [struct.pack("<dd", r, a) for r, a in zip(s.radii, s.azimuths)]) for s in sets]
+
+
+def reference_sets(registry, traces, start, positions, noise):
+    """The per-minute reference readings of a block, grouped by the tests' loose-record grouping."""
+    return group_records(r for m, pos in enumerate(positions) for r in reference_observe(registry, traces, start + m, pos, noise))
+
+
+coordinate = st.one_of(st.floats(-80.0, 80.0), st.sampled_from([0.0, -0.0, 40.0]))
+
+
+@st.composite
+def sweep_worlds(draw):
+    """A small registry, traces, a block and a noise model, for comparing a sweep with the reference."""
+    classes = list(PrecisionClass)
+    stations = {}
+    for i in range(draw(st.integers(0, 5))):
+        centroid = (draw(coordinate), draw(coordinate))
+        stations[station(i, draw(st.sampled_from(classes)))] = StationInfo(centroid, draw(st.floats(0.0, 120.0)))
+    if draw(st.booleans()):
+        stations[station(9, PrecisionClass.PICO)] = StationInfo((-1e6, -1e6), 40.0)  # sees no phone
+    registry = ProviderRegistry(stations=stations, providers={"P1": sorted(stations, key=lambda bs: bs.code)})
+    traces = []
+    for j in range(draw(st.integers(1, 5))):
+        minutes = sorted(draw(st.sets(st.integers(0, 2100), min_size=1, max_size=4)))
+        traces.append(MobilityTrace(_phone(j), tuple((m, (draw(coordinate), draw(coordinate))) for m in minutes)))
+    start = draw(st.integers(0, 2000))
+    length = draw(st.sampled_from([1, 1, 7, 59, 60, 61, 97]))
+    noise = None
+    if draw(st.booleans()):
+        sigmas = [draw(st.sampled_from([0.1, 1.0, 10.0, 150.0])) for _ in classes]
+        sigmas[draw(st.integers(0, len(classes) - 1))] = 0.0  # one class reads without noise
+        noise = NoiseModel(seed=draw(st.integers(0, 2**32)), sigma_by_class=dict(zip(classes, sigmas)))
+    return registry, traces, start, trace_positions(traces, start, start + length), noise
+
+
 class TestObserve:
     def _single_station_registry(self, centroid=(50.0, 50.0), useful_range=8.0, cls=PrecisionClass.FEMTO):
         bs = station(1, cls)
@@ -337,28 +391,29 @@ class TestObserve:
     def test_phone_at_centroid_noise_off(self):
         cfg = small_config(n_phones=1)
         _, traces, _ = generate_world(cfg)
-        bs, registry = self._single_station_registry(centroid=traces[0].position_at(0))
-        records = observe(registry, traces[:1], 0, positions_at(traces[:1], 0), noise=None)
+        bs, registry = self._single_station_registry(centroid=reference_position_at(traces[0], 0))
+        records = observe_at(registry, traces[:1], 0, noise=None)
         assert len(records) == 1
         assert records[0].radius == pytest.approx(0.0, abs=1e-9)
 
     def test_phone_outside_all_ranges(self):
         cfg = small_config(n_phones=1)
         _, traces, _ = generate_world(cfg)
-        x, y = traces[0].position_at(0)
+        x, y = reference_position_at(traces[0], 0)
         _, registry = self._single_station_registry(centroid=(x + 100.0, y), useful_range=8.0)
-        assert observe(registry, traces[:1], 0, positions_at(traces[:1], 0), noise=None) == []
+        sweep = observe(registry, traces[:1], 0, trace_positions(traces[:1], 0, 1), noise=None)
+        assert len(sweep) == 0 and sweep.runs == []
 
     def test_overlapping_stations_yield_multiple_records(self):
         cfg = small_config(n_phones=1)
         _, traces, _ = generate_world(cfg)
-        pos = traces[0].position_at(0)
+        pos = reference_position_at(traces[0], 0)
         bs1, reg1 = self._single_station_registry(centroid=pos)
         bs2 = station(2, PrecisionClass.PICO)
         reg1.stations[bs2] = StationInfo(centroid=(pos[0] + 3, pos[1]), useful_range=40.0)
         bs3 = station(3, PrecisionClass.MACRO)
         reg1.stations[bs3] = StationInfo(centroid=(pos[0], pos[1] + 5), useful_range=1500.0)
-        records = observe(reg1, traces[:1], 0, positions_at(traces[:1], 0), noise=None)
+        records = observe_at(reg1, traces[:1], 0, noise=None)
         assert len(records) == 3
         assert {r.bs for r in records} == {bs1, bs2, bs3}
 
@@ -366,19 +421,19 @@ class TestObserve:
         cfg = small_config(noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
-        base = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
+        base = observe_at(registry, traces, 10, noise=noise)
         bs = station(9, PrecisionClass.FEMTO)
-        registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0)
-        extended = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
+        registry.stations[bs] = StationInfo(centroid=reference_position_at(traces[0], 10), useful_range=8.0)
+        extended = observe_at(registry, traces, 10, noise=noise)
         assert set(base).issubset(set(extended))
 
     def test_adding_femto_only_adds_records(self):
         cfg = small_config()
         registry, traces, _ = generate_world(cfg)
-        base = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
+        base = observe_at(registry, traces, 10, noise=None)
         bs = station(9, PrecisionClass.FEMTO)
-        registry.stations[bs] = StationInfo(centroid=traces[0].position_at(10), useful_range=8.0)
-        extended = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
+        registry.stations[bs] = StationInfo(centroid=reference_position_at(traces[0], 10), useful_range=8.0)
+        extended = observe_at(registry, traces, 10, noise=None)
         assert set(base).issubset(set(extended))
         assert len(extended) > len(base)
 
@@ -386,34 +441,50 @@ class TestObserve:
         cfg = small_config(noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
-        a = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
-        b = observe(registry, traces, 10, positions_at(traces, 10), noise=noise)
+        a = observe_at(registry, traces, 10, noise=noise)
+        b = observe_at(registry, traces, 10, noise=noise)
         assert a == b  # same minute -> same draws
-        clean = observe(registry, traces, 10, positions_at(traces, 10), noise=None)
+        clean = observe_at(registry, traces, 10, noise=None)
         assert a != clean
-
-    @staticmethod
-    def _bits(records):
-        return [(r.bs, r.phone, r.radius.hex(), r.azimuth.hex(), r.t_pdr) for r in records]
 
     def test_sweep_matches_per_station_reference_every_minute(self):
         cfg = small_config(noise_enabled=True)
         registry, traces, _ = generate_world(cfg)
         noise = NoiseModel.from_config(cfg)
         positions = trace_positions(traces, 0, cfg.duration_min)
-        total = 0
-        for minute in range(cfg.duration_min):
-            records = observe(registry, traces, minute, positions[minute], noise)
-            assert self._bits(records) == self._bits(reference_observe(registry, traces, minute, positions[minute], noise))
-            total += len(records)
-        assert total > cfg.duration_min
+        sets = []
+        for start in range(0, cfg.duration_min, _SWEEP_BLOCK_MIN):
+            block = positions[start : start + _SWEEP_BLOCK_MIN]
+            sweep = observe(registry, traces, start, block, noise)
+            assert len(sweep) == sum(count for _m, _bs, count in sweep.runs)
+            sets += group_into_sets(sweep)
+        assert set_bits(sets) == set_bits(reference_sets(registry, traces, 0, positions, noise))
+        assert len({s.minute for s in sets}) == cfg.duration_min
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_worlds())
+    def test_a_block_sweep_equals_the_per_minute_reference_bit_for_bit(self, world_block):
+        registry, traces, start, positions, noise = world_block
+        sets = group_into_sets(observe(registry, traces, start, positions, noise))
+        assert set_bits(sets) == set_bits(reference_sets(registry, traces, start, positions, noise))
+
+    def test_negative_zero_offset_keeps_its_sign(self):
+        # atan2(0.0, -0.0) is pi; a `0.0 +` on a reading without noise would make it 0.0.
+        bs, registry = self._single_station_registry(centroid=(0.0, 0.0), useful_range=1.0, cls=PrecisionClass.FEMTO)
+        traces = [MobilityTrace(_phone(0), ((0, (-0.0, 0.0)),))]
+        quiet = NoiseModel(seed=5, sigma_by_class={PrecisionClass.MACRO: 1.0, PrecisionClass.PICO: 1.0, PrecisionClass.FEMTO: 0.0})
+        for noise in (None, quiet):
+            [record] = observe_at(registry, traces, 0, noise)
+            assert record.azimuth == math.pi
+            assert observe_at(registry, traces, 0, noise) == reference_observe(registry, traces, 0, positions_at(traces, 0), noise)
 
     def test_no_stations_observe_nothing(self):
         cfg = small_config(noise_enabled=True)
         _, traces, _ = generate_world(cfg)
         empty = ProviderRegistry(stations={}, providers={})
         noise = NoiseModel.from_config(cfg)
-        assert observe(empty, traces, 10, positions_at(traces, 10), noise) == []
+        sweep = observe(empty, traces, 10, trace_positions(traces, 10, 70), noise)
+        assert len(sweep) == 0 and group_into_sets(sweep) == []
         assert reference_observe(empty, traces, 10, positions_at(traces, 10), noise) == []
 
     def test_station_that_sees_no_phone_matches_reference(self):
@@ -422,19 +493,19 @@ class TestObserve:
         noise = NoiseModel.from_config(cfg)
         blind = station(9, PrecisionClass.PICO)
         registry.stations[blind] = StationInfo(centroid=(-1e6, -1e6), useful_range=40.0)
-        records = observe(registry, traces, 10, positions_at(traces, 10), noise)
-        assert records and blind not in {r.bs for r in records}
-        assert self._bits(records) == self._bits(reference_observe(registry, traces, 10, positions_at(traces, 10), noise))
+        positions = trace_positions(traces, 10, 70)
+        sets = group_into_sets(observe(registry, traces, 10, positions, noise))
+        assert sets and blind not in {s.bs for s in sets}
+        assert set_bits(sets) == set_bits(reference_sets(registry, traces, 10, positions, noise))
 
     def test_angle_just_below_zero_is_azimuth_zero(self):
         # atan2 gives -5.7e-17 here, which `% 2*pi` rounds up to exactly 2*pi.
         bs, registry = self._single_station_registry(centroid=(300.0, 300.0), useful_range=1500.0, cls=PrecisionClass.MACRO)
         traces = [MobilityTrace(_phone(0), ((0, (1300.0, math.nextafter(300.0, 0.0))),))]
-        for sweep in (observe, reference_observe):
-            [record] = sweep(registry, traces, 0, positions_at(traces, 0), None)
-            assert record.azimuth == 0.0
-            [pdr_set] = group_into_sets([record])
-            assert pdr_set.azimuths == (0.0,)
+        [record] = reference_observe(registry, traces, 0, positions_at(traces, 0), None)
+        assert record.azimuth == 0.0
+        [pdr_set] = group_into_sets(observe(registry, traces, 0, trace_positions(traces, 0, 1), None))
+        assert pdr_set.azimuths == (0.0,)
 
     @pytest.mark.parametrize("sigma", [1.0, 10.0, 150.0, 1e-300, 0.1])
     def test_written_out_pair_equals_two_gauss_calls(self, sigma):
@@ -448,10 +519,10 @@ class TestObserve:
                 assert (dx.hex(), dy.hex()) == (gauss.gauss(0.0, sigma).hex(), gauss.gauss(0.0, sigma).hex())
 
     def test_positions_shortcut_matches_interpolation(self):
-        # `position_at` is the reference for the positions every sweep is fed.
+        # `reference_position_at` is the reference for the positions every sweep is fed.
         cfg = small_config()
         _, traces, _ = generate_world(cfg)
-        expected = [[t.position_at(minute) for t in traces] for minute in range(cfg.duration_min)]
+        expected = [[reference_position_at(t, minute) for t in traces] for minute in range(cfg.duration_min)]
         assert trace_positions(traces, 0, cfg.duration_min) == pytest.approx(np.array(expected), abs=1e-9)
 
     def test_a_range_is_the_slice_of_the_whole_run_bit_for_bit(self):

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 from random import Random
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from epitrace.federation import Federation, OperationClass, QuorumCertificate, SystemState
-from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, ProximityDetailRecord, group_into_sets
-from epitrace.runner import SimContext, build_context, ingest, vet
+from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, group_into_sets
+from epitrace.runner import _SWEEP_BLOCK_MIN, SimContext, build_context, ingest, vet
 from epitrace.world import (
     TWO_PI,
     GroundTruth,
     InfectionRecord,
     MobilityTrace,
     NoiseModel,
+    Point,
     ProviderRegistry,
     ScenarioConfig,
     _index_phones,
@@ -84,16 +87,71 @@ def station(i: int = 0, precision: PrecisionClass = PrecisionClass.FEMTO) -> BsC
     return BsCode(code=f"{i:016x}", precision_class=precision)
 
 
-pdr = ProximityDetailRecord
+class Record(NamedTuple):
+    """One loose reading: a phone's polar offset (meters, radians) from one station's centroid in one minute."""
+
+    bs: BsCode
+    phone: PhoneId
+    radius: float
+    azimuth: float
+    t_pdr: int
+
+
+pdr = Record
+
+
+def group_records(records: Iterable[Record]) -> list[PdrSet]:
+    """Loose records bucketed into per-(station, minute) sets, sorted by (minute, code), phones ascending.
+
+    The reference for what `group_into_sets` cuts from a sweep: a triple that
+    appears twice fails its set's check with DuplicateRecordError.
+    """
+    buckets: dict[tuple[int, str], list[Record]] = {}
+    for rec in records:
+        buckets.setdefault((rec.t_pdr, rec.bs.code), []).append(rec)
+    out = []
+    for (minute, _code), recs in sorted(buckets.items()):
+        recs.sort(key=operator.attrgetter("phone"))
+        _, phones, radii, azimuths, _ = zip(*recs)
+        out.append(PdrSet(minute=minute, bs=recs[0].bs, phones=phones, radii=radii, azimuths=azimuths))
+    return out
+
+
+def pair_distance(a: Record, b: Record) -> float:
+    """Distance in meters between the phones of two records of the same station.
+
+    Law of cosines on the two polar offsets, in the haversine form
+    d^2 = (ra - rb)^2 + 4 ra rb sin^2(dθ/2): it equals the Euclidean distance
+    between the two relative positions and, unlike ra^2 + rb^2 - 2 ra rb cos dθ,
+    loses no precision when the phones are close. Bitwise-commutative; the
+    reference for the distance the pair table computes.
+    """
+    dr = a.radius - b.radius
+    half = math.sin(0.5 * abs(a.azimuth - b.azimuth))
+    return math.sqrt(dr * dr + 4.0 * (a.radius * b.radius) * (half * half))
+
+
+def reference_position_at(trace: MobilityTrace, minute: float) -> Point:
+    """A trace's position at any minute, by piecewise-linear interpolation: the reference for `trace_positions`."""
+    pts = trace.waypoints
+    if minute <= pts[0][0]:
+        return pts[0][1]
+    if minute >= pts[-1][0]:
+        return pts[-1][1]
+    for (m0, p0), (m1, p1) in zip(pts, pts[1:]):
+        if m0 <= minute <= m1:
+            frac = (minute - m0) / (m1 - m0)
+            return (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
+    raise AssertionError("unreachable")
 
 
 def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list[MobilityTrace]) -> list[PdrSet]:
-    """Every record set of the scenario, grouped in the clear as providers would push them."""
+    """Every record set of the scenario, swept a block at a time and cut into sets in the clear, as providers push them."""
     positions = trace_positions(traces, 0, cfg.duration_min)
     noise = NoiseModel.from_config(cfg) if cfg.noise_enabled else None
     sets = []
-    for minute in range(cfg.duration_min):
-        sets.extend(group_into_sets(observe(registry, traces, minute, positions[minute], noise)))
+    for start in range(0, cfg.duration_min, _SWEEP_BLOCK_MIN):
+        sets += group_into_sets(observe(registry, traces, start, positions[start : start + _SWEEP_BLOCK_MIN], noise))
     return sets
 
 
@@ -103,9 +161,12 @@ def reference_observe(
     minute: int,
     positions: np.ndarray,
     noise: NoiseModel | None = None,
-) -> list[ProximityDetailRecord]:
-    """`world.observe` one station at a time, drawing noise with `Random.gauss`: the reference for the bulk sweep."""
-    records: list[ProximityDetailRecord] = []
+) -> list[Record]:
+    """One minute of `world.observe`, one station and one record at a time, drawing noise with `Random.gauss`.
+
+    `positions` is the minute's (n, 2) slice. The reference for the block sweep.
+    """
+    records: list[Record] = []
     for bs, info in registry.sorted_stations():
         rel = positions - np.array(info.centroid)
         in_range = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= info.useful_range)[0]
@@ -116,8 +177,32 @@ def reference_observe(
                 dx += rng.gauss(0.0, sigma)
                 dy += rng.gauss(0.0, sigma)
             azimuth = math.atan2(dy, dx) % TWO_PI
-            records.append(ProximityDetailRecord(bs, traces[j].phone, math.hypot(dx, dy), 0.0 if azimuth == TWO_PI else azimuth, minute))
+            records.append(Record(bs, traces[j].phone, math.hypot(dx, dy), 0.0 if azimuth == TWO_PI else azimuth, minute))
     return records
+
+
+def reference_ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
+    """`runner.ingest` one minute at a time from `reference_observe`: tick, observe, group, push, prune.
+
+    The reference for the block-wise ingest's pushes, seals, prunes and ledger.
+    """
+    config = context.config
+    noise = NoiseModel.from_config(config) if config.noise_enabled else None
+    positions = trace_positions(context.traces, start, stop)
+    provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
+    ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
+    counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
+    for minute, minute_positions in zip(range(start, stop), positions):
+        context.federation.tick(minute)
+        records = reference_observe(context.registry, context.traces, minute, minute_positions, noise)
+        counts["pdrs_emitted"] += len(records)
+        for pdr_set in group_records(records):
+            pushed = ports[provider_by_code[pdr_set.bs.code]].push(pdr_set)
+            counts["sets_pushed" if pushed else "push_failures"] += 1
+        if minute > 0 and minute % config.prune_every_min == 0:
+            for edge in context.edges.values():
+                counts["sets_pruned"] += edge.prune(minute)
+    return counts
 
 
 def reference_replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attempt: int) -> GroundTruth:
