@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NoEvidenceError, ParameterError, ResolutionError, ValidationError
 from .federation import Capability
-from .records import CLASS_BY_RANK, PdrSet, PhoneId, PrecisionClass
+from .records import PdrSet, PhoneId, PrecisionClass
 from .world import ProviderRegistry
 
 PairKey = tuple[PhoneId, PhoneId]
@@ -212,7 +212,7 @@ class PdrIndex:
     """Pair table over decrypted sets: `partners[a][b] is partners[b][a]`, the pair's minute-ordered samples.
 
     Per pair and minute, the best in-range candidate of `_best_in_range` is
-    kept (highest precision rank, then smallest distance, then station code),
+    kept (most precise class, then smallest distance, then station code),
     and dropped when a more precise set of that minute holds both phones: that
     station decides, and it put them out of range.
 
@@ -235,18 +235,17 @@ class PdrIndex:
             last = minute
             minute_sets = list(group)
             self._sets += [(minute, pdr_set.phones) for pdr_set in minute_sets]
-            ranks = [pdr_set.bs.precision_class.rank for pdr_set in minute_sets]
-            top = max(ranks)
-            held = [(rank, frozenset(pdr_set.phones)) for rank, pdr_set in zip(ranks, minute_sets) if rank > 0]
-            for key, (neg_rank, dist, code, size) in _best_in_range(minute_sets, prox_max).items():
-                rank = -neg_rank
-                if rank < top and any(r > rank and key[0] in members and key[1] in members for r, members in held):
+            classes = [pdr_set.bs.precision_class for pdr_set in minute_sets]
+            top = max(classes)
+            held = [(c, frozenset(pdr_set.phones)) for c, pdr_set in zip(classes, minute_sets) if c > PrecisionClass.MACRO]
+            for key, (cls, dist, code, size) in _best_in_range(minute_sets, prox_max).items():
+                if cls < top and any(c > cls and key[0] in members and key[1] in members for c, members in held):
                     continue
                 samples = pairs.get(key)
                 if samples is None:
                     a, b = key
                     samples = pairs[key] = self.partners.setdefault(a, {})[b] = self.partners.setdefault(b, {})[a] = []
-                samples.append((minute, dist, CLASS_BY_RANK[rank], code, size))
+                samples.append((minute, dist, cls, code, size))
         self.sets_swept = len(self._sets)
 
     @cached_property
@@ -260,15 +259,15 @@ class PdrIndex:
         return presence
 
 
-def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tuple[int, float, str, int]]:
-    """Per pair, the best in-range candidate (-rank, dist, code, size) among one minute's sets.
+def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tuple[PrecisionClass, float, str, int]]:
+    """Per pair, the best in-range candidate (class, dist, code, size) among one minute's sets: the most precise class, then the least tuple.
 
     Each set is swept once in radius order, measuring a phone only against the
     phones above it within `prox_max` plus a slack: two phones at radii rv and
     r are at least |rv - r| apart, and the slack covers the rounding of the
     distance, below 1e-7 * (rv + r). The distance is symmetric bit for bit.
     """
-    best: dict[PairKey, tuple[int, float, str, int]] = {}
+    best: dict[PairKey, tuple[PrecisionClass, float, str, int]] = {}
     for pdr_set in sets:
         phones, radii, azimuths = pdr_set.phones, pdr_set.radii, pdr_set.azimuths
         if len(phones) < 2:
@@ -276,7 +275,7 @@ def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tup
         order = sorted(range(len(phones)), key=radii.__getitem__)
         sorted_radii = [radii[i] for i in order]
         band = prox_max + 2e-6 * sorted_radii[-1]
-        neg_rank, code, size = -pdr_set.bs.precision_class.rank, pdr_set.bs.code, len(phones)
+        cls, code, size = pdr_set.bs.precision_class, pdr_set.bs.code, len(phones)
         for k, i in enumerate(order):
             rv, av = radii[i], azimuths[i]
             for j in order[k + 1 : bisect_right(sorted_radii, rv + band, k + 1)]:
@@ -286,9 +285,9 @@ def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tup
                 dist = math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
                 if dist <= prox_max:
                     key = (phones[i], phones[j]) if i < j else (phones[j], phones[i])  # sets are phone-sorted
-                    candidate = (neg_rank, dist, code, size)
+                    candidate = (cls, dist, code, size)
                     prev = best.get(key)
-                    if prev is None or candidate < prev:
+                    if prev is None or cls > prev[0] or (cls is prev[0] and candidate < prev):
                         best[key] = candidate
     return best
 
@@ -486,7 +485,7 @@ def resolve_region_box(registry: ProviderRegistry, region: SpaceTimeRegion) -> t
     boxes = []
     for code in sorted(region.stations):
         try:
-            _bs, info = registry.resolve(code)
+            info = registry.resolve(code)
         except ValidationError as exc:
             raise ResolutionError(f"station {code} is not in the provider registry") from exc
         cx, cy = info.centroid

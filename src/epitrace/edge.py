@@ -21,14 +21,14 @@ from random import Random
 from . import crypto, framing
 from .errors import AuthorizationError, EncryptionError, FramingError, LockedError
 from .federation import READ_MODES, Federation, QuorumCertificate, SystemState
-from .records import PdrSet, PhoneId, encode_pdr_set
+from .records import PdrSet, PhoneId, PrecisionClass, encode_pdr_set
 
 SEAL_EPOCH_MIN = 60
 
 
 @dataclass(frozen=True, slots=True)
 class EncryptedPdrSet:
-    """Sealed record set plus the cleartext its store acts on: the minute, to prune and to filter, and its fetch entry's class byte, which the seal authenticates.
+    """Sealed record set plus the cleartext its store acts on: the minute, to prune and to filter, and its precision class, whose value is the fetch entry's class byte that the seal authenticates.
 
     The ciphertext is the bytearray `crypto.seal` wrote, so pruning can zero
     it in place; a fetch copies it once, straight into the response frame.
@@ -36,7 +36,7 @@ class EncryptedPdrSet:
 
     ciphertext: bytearray
     minute: int
-    precision_rank: int
+    precision_class: PrecisionClass
 
 
 class EdgeCloud:
@@ -73,17 +73,17 @@ class EdgeCloud:
         """
         public_key = self._federation.key_registry[self.key_id]
         epoch = pdr_set.minute // SEAL_EPOCH_MIN
-        rank = pdr_set.bs.precision_class.rank
+        cls = pdr_set.bs.precision_class
         try:
             context = self._seal_context
             if context is None or epoch != self._seal_epoch or context.recipient != public_key:
                 self.close_seal_context()  # rotation drops the old key before opening a new one
                 context = self._seal_context = crypto.SealContext(public_key, self._rng)
                 self._seal_epoch = epoch
-            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields), framing.u8(rank))
+            ciphertext = crypto.seal(context, encode_pdr_set(pdr_set, self._phone_fields), framing.u8(cls))
         except EncryptionError:
             return False
-        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, precision_rank=rank))
+        self._store.append(EncryptedPdrSet(ciphertext=ciphertext, minute=pdr_set.minute, precision_class=cls))
         return True
 
     def close_seal_context(self) -> None:
@@ -138,16 +138,12 @@ class EdgeCloud:
             self._ledger_refusal("non-read certificate class")
             raise AuthorizationError(f"certificate class {cert.operation_class.name} cannot fetch")
         self._federation.check_certificate(cert, cert.operation_class)
-        return framing.encode_fetch_response([(e.precision_rank, e.ciphertext) for e in self._store if start <= e.minute <= end])
+        return framing.encode_fetch_response([(e.precision_class, e.ciphertext) for e in self._store if start <= e.minute <= end])
 
     def _ledger_refusal(self, reason: str) -> None:
         self._federation.ledger.record("authorization_failure", self._federation.now, provider=self.provider_id, reason=reason)
 
     # -- introspection for audits (not part of the provider surface) -----------------
-
-    @property
-    def stored_count(self) -> int:
-        return len(self._store)
 
     def stored_ciphertexts(self) -> list[bytearray]:
         return [e.ciphertext for e in self._store]
@@ -155,11 +151,6 @@ class EdgeCloud:
     def cached_phone_fields(self) -> list[bytes]:
         """The plaintext phone fields (length prefix, nr, IMEI) the open seal context caches."""
         return list(self._phone_fields.values())
-
-    def oldest_age(self, now: int) -> int | None:
-        if not self._store:
-            return None
-        return max(now - e.minute for e in self._store)
 
 
 class ProviderPort:

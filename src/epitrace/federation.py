@@ -153,6 +153,7 @@ class _Pending:
     votes: dict[int, Vote] = field(default_factory=dict)
     certificate: QuorumCertificate | None = None
     denied: bool = False
+    spent: bool = False  # a LOCK_UNLOCK certificate moves the state once
 
 
 class Capability:
@@ -330,7 +331,27 @@ class Federation:
     # -- state machine ------------------------------------------------------------
 
     def change_state(self, cert: QuorumCertificate, target: SystemState) -> SystemState:
+        """Move to `target` on a certificate for a request that asked for `target`, once.
+
+        A certificate for another request hash or another target, or one that
+        already moved the state, is a ledgered refusal. A refused or failed use
+        spends nothing.
+        """
         self.check_certificate(cert, OperationClass.LOCK_UNLOCK)
+        pending = self._pending.get(cert.request_id)
+        if pending is None or pending.request.request_hash() != cert.request_hash:
+            refusal = "certificate matches no vetted request"
+        elif (approved := pending.request.payload.get("target")) != target.name:
+            refusal = f"certificate approved target {approved}, not {target.name}"
+        elif pending.spent:
+            refusal = "certificate already used"
+        else:
+            refusal = None
+        if refusal is not None:
+            self.ledger.record(
+                "authorization_failure", self.now, operation_class=OperationClass.LOCK_UNLOCK.name, request_id=cert.request_id.hex(), reason=refusal
+            )
+            raise AuthorizationError(refusal)
         if target is self.state:
             raise StateError(f"system already {target.name}")
         # Starting analysis rebuilds every provider key inside the engine before
@@ -341,6 +362,7 @@ class Federation:
             self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.config.fed_key_threshold)
         self._engine_keys = keys
         self.state = target
+        pending.spent = True
         if target is SystemState.PASSIVE and self._vault is not None:
             self._vault.delete_all()
         self.ledger.record("state_change", self.now, target=target.name, request_id=cert.request_id.hex())

@@ -13,7 +13,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 from .errors import DuplicateRecordError, ValidationError
 
@@ -23,33 +23,16 @@ STATION_CODE_LEN = 16  # hex characters
 IMEI_LEN = 15
 
 
-class PrecisionClass(Enum):
+class PrecisionClass(IntEnum):
     """Station measurement-precision class; smaller cells measure tighter.
 
-    Declared in ascending precision: a class's rank is its place in `CLASS_BY_RANK`.
+    The value is the class's rank, higher = more precise, and its byte on the
+    wire: the fetch entry's class byte and the seal's associated data.
     """
 
-    MACRO = "MACRO"
-    PICO = "PICO"
-    FEMTO = "FEMTO"
-
-    # Members are singletons, so they hash by identity, in C; `Enum.__hash__`
-    # hashes the name in Python, once per lookup of a per-class table.
-    __hash__ = object.__hash__
-
-    @property
-    def rank(self) -> int:
-        """Higher rank = higher measurement precision; the class byte of a fetched set."""
-        return CLASS_BY_RANK.index(self)
-
-    @classmethod
-    def from_rank(cls, rank: int) -> "PrecisionClass":
-        if not 0 <= rank < len(CLASS_BY_RANK):
-            raise ValidationError(f"unknown precision rank {rank}")
-        return CLASS_BY_RANK[rank]
-
-
-CLASS_BY_RANK = tuple(PrecisionClass)
+    MACRO = 0
+    PICO = 1
+    FEMTO = 2
 
 
 class PhoneId(tuple):
@@ -196,13 +179,15 @@ def encode_pdr_set(pdr_set: PdrSet, phones: dict[PhoneId, bytes]) -> bytes:
     return b"".join(parts)
 
 
-def decode_pdr_set(data: bytes, precision_class: PrecisionClass, phones: dict[bytes, PhoneId]) -> PdrSet:
+def decode_pdr_set(data: bytes, class_byte: int, phones: dict[bytes, PhoneId]) -> PdrSet:
     """Decode one set; every record must carry the first record's station and minute.
 
     A payload that is cut short, runs on past its records or holds text that
     does not decode raises ValidationError; the set itself is checked by
-    `PdrSet`. The precision class is not part of the wire layout (it is
-    registry metadata), so the caller supplies it.
+    `PdrSet`. The precision class is not part of the set layout (it is
+    registry metadata): the caller passes the class byte its fetch entry
+    carried, and an unknown byte raises ValidationError. This is the one
+    place a byte becomes a `PrecisionClass`.
 
     `phones` is the caller's cache of decoded phones, keyed by a record's
     exact phone bytes (u32 length prefix, nr, IMEI): a phone is parsed and
@@ -210,6 +195,10 @@ def decode_pdr_set(data: bytes, precision_class: PrecisionClass, phones: dict[by
     `PhoneId` per phone. Only a phone that `PhoneId` accepted is cached, and a
     phone field cut short fails its record's tail read before any lookup.
     """
+    try:
+        precision_class = PrecisionClass(class_byte)
+    except ValueError:
+        raise ValidationError(f"unknown precision class byte {class_byte}") from None
     try:
         (count,) = _U32.unpack_from(data, 0)
         if not count:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .federation import Federation, OperationClass, QuorumCertificate, SystemState, make_request
 from .ledger import verify_ledger
-from .records import PdrSet, PrecisionClass, decode_pdr_set, group_into_sets
+from .records import PdrSet, decode_pdr_set, group_into_sets
 from .shamir import Share, reconstruct_secret
 from .vault import FaultMode, VaultCoordinator
 from .world import (
@@ -340,9 +340,9 @@ def _open_entries(entries: list[tuple[int, memoryview]], key: bytes, phones: dic
     aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
     entries.reverse()
     while entries:
-        class_value, ciphertext = entries.pop()
-        plaintext = crypto.unseal(key, ciphertext, aeads, framing.u8(class_value))  # the class byte is the set's associated data
-        yield decode_pdr_set(plaintext, PrecisionClass.from_rank(class_value), phones)
+        class_byte, ciphertext = entries.pop()
+        plaintext = crypto.unseal(key, ciphertext, aeads, framing.u8(class_byte))  # the class byte is the set's associated data
+        yield decode_pdr_set(plaintext, class_byte, phones)
 
 
 def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, memoryview]]:
@@ -411,7 +411,7 @@ def _artifact_payloads(
                 {
                     "minutes": list(w.minutes),
                     "prox_m": [round(p, 6) for p in w.prox],
-                    "classes": [c.value for c in w.classes],
+                    "classes": [c.name for c in w.classes],
                     "stations": sorted(w.stations),
                     "set_sizes": list(w.set_sizes),
                 }

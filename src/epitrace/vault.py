@@ -69,9 +69,6 @@ class CloudNode:
         key_share[:] = bytes(len(key_share))
         return True
 
-    def held_object_ids(self) -> list[bytes]:
-        return sorted(self._fragments)
-
     def held_buffers(self) -> list[bytearray]:
         """Every fragment and key-share buffer the cloud holds."""
         return [buffer for _index, fragment, key_share in self._fragments.values() for buffer in (fragment, key_share)]

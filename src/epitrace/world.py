@@ -225,10 +225,10 @@ class ProviderRegistry:
     stations: dict[BsCode, StationInfo]
     providers: dict[str, list[BsCode]]
 
-    def resolve(self, code: str) -> tuple[BsCode, StationInfo]:
+    def resolve(self, code: str) -> StationInfo:
         for bs, info in self.stations.items():
             if bs.code == code:
-                return bs, info
+                return info
         raise ValidationError(f"unknown station code {code}")
 
     def sorted_stations(self) -> list[tuple[BsCode, StationInfo]]:
@@ -284,7 +284,7 @@ _REPLAY_BLOCK_MIN = 32
 def _station_code(seed: int, provider: str, cls: PrecisionClass, idx: int) -> str:
     # Keyed pseudorandom station tokens; nothing about position leaks from them.
     key = hashlib.sha256(f"station-code/{seed}".encode()).digest()
-    return hmac.new(key, f"{provider}/{cls.value}/{idx}".encode(), hashlib.sha256).hexdigest()[:16]
+    return hmac.new(key, f"{provider}/{cls.name}/{idx}".encode(), hashlib.sha256).hexdigest()[:16]
 
 
 def _phone(idx: int) -> PhoneId:
@@ -318,7 +318,7 @@ def _build_registry(config: ScenarioConfig) -> ProviderRegistry:
     provider_names = sorted(providers)
 
     def add(cls: PrecisionClass, idx: int, centroid: Point, useful_range: float) -> None:
-        provider = provider_names[(idx + cls.rank) % len(provider_names)]
+        provider = provider_names[(idx + cls) % len(provider_names)]
         bs = BsCode(code=_station_code(config.seed, provider, cls, idx), precision_class=cls)
         stations[bs] = StationInfo(centroid=centroid, useful_range=useful_range)
         providers[provider].append(bs)

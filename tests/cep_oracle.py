@@ -12,10 +12,8 @@ from math import sin, sqrt
 
 from epitrace.records import PdrSet, PhoneId
 
-WindowTuple = tuple[tuple[int, ...], tuple[float, ...], tuple[str, ...], tuple[str, ...], tuple[int, ...]]
-# (minutes, prox, class names, sorted station codes, set sizes)
-
-_RANK_NAME = {0: "MACRO", 1: "PICO", 2: "FEMTO"}
+WindowTuple = tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...], tuple[str, ...], tuple[int, ...]]
+# (minutes, prox, class bytes, sorted station codes, set sizes)
 
 
 def brute_force_pairs(
@@ -33,7 +31,7 @@ def brute_force_pairs(
     """
     best: dict[tuple[PhoneId, PhoneId], dict[int, tuple[int, float, str, int]]] = {}
     for pdr_set in sets:
-        neg_rank = -pdr_set.bs.precision_class.rank
+        neg_class = -int(pdr_set.bs.precision_class)  # negated, so the least candidate is the most precise
         code = pdr_set.bs.code
         minute = pdr_set.minute
         phones, radii, azimuths = pdr_set.phones, pdr_set.radii, pdr_set.azimuths
@@ -49,15 +47,15 @@ def brute_force_pairs(
                 rj = radii[j]
                 dr = ri - rj
                 half = sin(0.5 * abs(ai - azimuths[j]))
-                cand = (neg_rank, sqrt(dr * dr + 4.0 * (ri * rj) * (half * half)), code, size)
+                cand = (neg_class, sqrt(dr * dr + 4.0 * (ri * rj) * (half * half)), code, size)
                 per_minute = best.setdefault(key, {})
                 if minute not in per_minute or cand < per_minute[minute]:
                     per_minute[minute] = cand
     out = {}
     for key, per_minute in best.items():
         samples = [
-            (minute, dist, -neg_rank, code, size)
-            for minute, (neg_rank, dist, code, size) in sorted(per_minute.items())
+            (minute, dist, -neg_class, code, size)
+            for minute, (neg_class, dist, code, size) in sorted(per_minute.items())
             if dist <= prox_max
         ]
         if not samples:
@@ -85,7 +83,7 @@ def _pack(run) -> WindowTuple:
     return (
         tuple(s[0] for s in run),
         tuple(s[1] for s in run),
-        tuple(_RANK_NAME[s[2]] for s in run),
+        tuple(s[2] for s in run),
         tuple(sorted({s[3] for s in run})),
         tuple(s[4] for s in run),
     )

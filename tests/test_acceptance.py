@@ -24,7 +24,7 @@ from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode, VaultCoordinator
 from epitrace.world import ScenarioConfig, generate_world, infection_estimates, trace_positions
 from cep_oracle import brute_force_pairs
-from util import capability, plaintext_sets, small_federation
+from util import capability, oldest_age, plaintext_sets, small_federation
 
 SMALL_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "small.json"
 
@@ -272,7 +272,7 @@ def test_criterion_5_pruning_bound():
             assert len(pruned) == len(context.edges), f"no prune of every edge at minute {minute}"
             prune_checks += 1
             for edge in context.edges.values():
-                age = edge.oldest_age(minute)
+                age = oldest_age(edge, minute)
                 assert age is None or age <= cfg.pdr_ttl, f"entry aged {age} > ttl {cfg.pdr_ttl} at minute {minute}"
         assert prune_checks == 2
         assert deletions > 0, "bound held vacuously: nothing was ever pruned"

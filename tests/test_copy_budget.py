@@ -121,7 +121,7 @@ def test_push_seals_into_the_stored_buffer(monkeypatch):
     plaintext = encode_pdr_set(pdr_set, {})
     monkeypatch.setattr(edge, "encode_pdr_set", lambda *args: plaintext)
     pushed, peak = traced_peak(cloud.push, pdr_set)
-    assert pushed and cloud.stored_count == 2
+    assert pushed and len(cloud.stored_ciphertexts()) == 2
     assert peak < 1.5 * len(plaintext)
 
 

@@ -5,14 +5,14 @@ import pytest
 
 from epitrace import crypto, framing
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
-from epitrace.errors import AuthorizationError, DecryptionError, FramingError, LockedError
+from epitrace.errors import AuthorizationError, DecryptionError, FramingError, LockedError, ValidationError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
 from epitrace.records import PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
 from epitrace.runner import _fetch, _open_entries, build_context, ingest, vet
 from epitrace.world import ScenarioConfig
-from util import SMALL_JSON, phone, small_federation, station
+from util import SMALL_JSON, oldest_age, phone, small_federation, station
 
-FEMTO_AAD = framing.u8(PrecisionClass.FEMTO.rank)  # the class byte a set at `station(1)` is sealed with
+FEMTO_AAD = framing.u8(PrecisionClass.FEMTO)  # the class byte a set at `station(1)` is sealed with
 
 
 def make_set(minute: int, n_phones: int = 3, bs=None) -> PdrSet:
@@ -48,7 +48,7 @@ class TestPush:
         port = edge.provider_port()
         for minute in range(10):
             assert port.push(make_set(minute))
-        assert edge.stored_count == 10
+        assert len(edge.stored_ciphertexts()) == 10
 
     def test_no_dedup_on_double_push(self, cloud):
         _, edge = cloud
@@ -56,7 +56,7 @@ class TestPush:
         s = make_set(5)
         port.push(s)
         port.push(s)
-        assert edge.stored_count == 2
+        assert len(edge.stored_ciphertexts()) == 2
 
     def test_ciphertext_round_trips_bit_exact(self, cloud):
         federation, edge = cloud
@@ -75,8 +75,28 @@ class TestPush:
         s = make_set(42, bs=station(1, PrecisionClass.PICO))
         edge.push(s)
         unlock(federation)
-        [(class_value, _ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
-        assert PrecisionClass.from_rank(class_value) is s.bs.precision_class is PrecisionClass.PICO
+        [(class_byte, _ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
+        assert class_byte == s.bs.precision_class == PrecisionClass.PICO == 1
+
+    @pytest.mark.parametrize("cls", list(PrecisionClass), ids=lambda cls: cls.name)
+    def test_each_class_round_trips_through_its_fetch_entry_byte(self, cloud, cls):
+        federation, edge = cloud
+        s = make_set(42, bs=station(1, cls))
+        edge.push(s)
+        unlock(federation)
+        entries = _fetch(edge, read_cert(federation), (0, 100))
+        assert [class_byte for class_byte, _ciphertext in entries] == [cls.value]
+        [decoded] = _open_entries(entries, federation.engine_key("provider:P1"), {})
+        assert decoded == s and decoded.bs.precision_class is cls
+
+    def test_an_unknown_class_byte_sealed_under_the_provider_key_is_a_validation_error(self, cloud):
+        # A Byzantine edge can seal any plaintext under the provider's public key, class byte included.
+        federation, _edge = cloud
+        context = crypto.SealContext(federation.key_registry["provider:P1"], Random(5))
+        ciphertext = crypto.seal(context, encode_pdr_set(make_set(3), {}), framing.u8(3))
+        unlock(federation)
+        with pytest.raises(ValidationError, match="unknown precision class byte 3"):
+            next(_open_entries([(3, memoryview(ciphertext))], federation.engine_key("provider:P1"), {}))
 
     def test_provider_port_exposes_only_push(self, cloud):
         _, edge = cloud
@@ -98,7 +118,7 @@ class TestPush:
         federation, edge = cloud
         federation.key_registry["provider:P1"] = b"not a key"
         assert edge.provider_port().push(make_set(1)) is False
-        assert edge.stored_count == 0
+        assert len(edge.stored_ciphertexts()) == 0
 
 
 class TestSealEpochs:
@@ -173,7 +193,7 @@ class TestPrune:
         port.push(make_set(41000))
         deleted = edge.prune(now=41000 + 1)
         assert deleted == 1  # only the minute-0 entry exceeded 40320
-        assert edge.stored_count == 2
+        assert len(edge.stored_ciphertexts()) == 2
 
     def test_nothing_deleted_before_ttl(self, cloud):
         _, edge = cloud
@@ -181,7 +201,7 @@ class TestPrune:
         for minute in range(5):
             port.push(make_set(minute))
         assert edge.prune(now=100) == 0
-        assert edge.stored_count == 5
+        assert len(edge.stored_ciphertexts()) == 5
 
     def test_all_expired(self, cloud):
         _, edge = cloud
@@ -189,7 +209,7 @@ class TestPrune:
         for minute in range(5):
             port.push(make_set(minute))
         assert edge.prune(now=50000) == 5
-        assert edge.stored_count == 0
+        assert len(edge.stored_ciphertexts()) == 0
 
     def test_pruning_bound_holds_after_any_prune(self, cloud):
         _, edge = cloud
@@ -199,7 +219,7 @@ class TestPrune:
             port.push(make_set(minute))
         for now in (10_000, 50_000, 90_000, 130_000):
             edge.prune(now)
-            age = edge.oldest_age(now)
+            age = oldest_age(edge, now)
             assert age is None or age <= edge.pdr_ttl
 
     def test_prune_zeroes_stored_ciphertext_in_place(self, cloud):
@@ -286,8 +306,8 @@ class TestVpnFetch:
         frame = framing.encode_fetch_request(cert.encode(), 0, 10)
         response = framing.decode_fetch_response(edge.handle_fetch_frame(frame))
         assert len(response) == 1
-        class_value, ciphertext = response[0]
-        assert PrecisionClass.from_rank(class_value) is PrecisionClass.FEMTO
+        class_byte, ciphertext = response[0]
+        assert class_byte == PrecisionClass.FEMTO
         private = federation.engine_key("provider:P1")
         assert decode_pdr_set(crypto.unseal(private, ciphertext, {}, FEMTO_AAD), PrecisionClass.FEMTO, {}) == make_set(3)
 
@@ -296,8 +316,8 @@ class TestVpnFetch:
         edge.provider_port().push(make_set(3))
         unlock(federation)
         frame = bytearray(edge.handle_fetch_frame(framing.encode_fetch_request(read_cert(federation).encode(), 0, 10)))
-        assert frame[4] == PrecisionClass.FEMTO.rank == 2  # after the u32 entry count
-        frame[4] = PrecisionClass.MACRO.rank
+        assert frame[4] == PrecisionClass.FEMTO == 2  # after the u32 entry count
+        frame[4] = PrecisionClass.MACRO
         with pytest.raises(DecryptionError):
             next(_open_entries(framing.decode_fetch_response(bytes(frame)), federation.engine_key("provider:P1"), {}))
 

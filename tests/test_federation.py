@@ -255,6 +255,60 @@ class TestStateMachine:
 
 
     @staticmethod
+    def _refusals(federation, before):
+        return [e.content for e in federation.ledger.entries[before:] if e.content["kind"] == "authorization_failure"]
+
+    def test_a_certificate_moves_the_state_only_to_the_target_it_was_vetted_for(self):
+        federation = alerted_federation()
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(40))
+        before = len(federation.ledger.entries)
+        with pytest.raises(AuthorizationError, match="approved target ALERT, not PASSIVE"):
+            federation.change_state(cert, SystemState.PASSIVE)
+        assert federation.state is SystemState.ALERT
+        [refusal] = self._refusals(federation, before)
+        assert (refusal["operation_class"], refusal["request_id"]) == ("LOCK_UNLOCK", cert.request_id.hex())
+        assert refusal["reason"] == "certificate approved target ALERT, not PASSIVE"
+        assert len(federation.ledger.entries) == before + 1
+
+    def test_a_certificate_moves_the_state_once(self):
+        federation = small_federation()
+        unlock = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(41))
+        federation.change_state(unlock, SystemState.ALERT)
+        federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(42)), SystemState.PASSIVE)
+        before = len(federation.ledger.entries)
+        with pytest.raises(AuthorizationError, match="already used"):
+            federation.change_state(unlock, SystemState.ALERT)
+        assert federation.state is SystemState.PASSIVE and federation.engine_keys_held == 0
+        [refusal] = self._refusals(federation, before)
+        assert (refusal["request_id"], refusal["reason"]) == (unlock.request_id.hex(), "certificate already used")
+        assert len(federation.ledger.entries) == before + 1
+
+    def test_a_certificate_for_no_vetted_request_is_refused(self):
+        federation = small_federation()
+        request = make_request(federation.authorities[0], OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(43))
+        votes = [a.approve(request) for a in federation.authorities]  # a full quorum, but never submitted
+        cert = QuorumCertificate(request.request_id, request.request_hash(), OperationClass.LOCK_UNLOCK, tuple((v.authority_id, v.signature) for v in votes))
+        with pytest.raises(AuthorizationError, match="no vetted request"):
+            federation.change_state(cert, SystemState.ALERT)
+        assert federation.state is SystemState.PASSIVE
+        [refusal] = self._refusals(federation, 0)
+        assert refusal["reason"] == "certificate matches no vetted request"
+
+    def test_a_refused_or_failed_use_spends_nothing(self):
+        federation = small_federation()  # key threshold 2 of 3
+        federation.escrow_keypair("provider:P1")
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(44))
+        with pytest.raises(StateError):
+            federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(45)), SystemState.PASSIVE)
+        removed = {a.id: a.key_shares.pop("provider:P1") for a in federation.authorities[:2]}
+        with pytest.raises(AuthorizationError, match="not enough shares"):
+            federation.change_state(cert, SystemState.ALERT)
+        for authority in federation.authorities[:2]:
+            authority.key_shares["provider:P1"] = removed[authority.id]
+        assert federation.change_state(cert, SystemState.ALERT) is SystemState.ALERT
+        assert not self._refusals(federation, 0)
+
+    @staticmethod
     def _stores(federation):
         federation.escrow_keypair("provider:P1")
         edge = EdgeCloud(provider_id="P1", key_id="provider:P1", federation=federation, pdr_ttl=60, rng=Random(20))

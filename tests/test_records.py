@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epitrace.errors import DuplicateRecordError, ValidationError
+from epitrace.federation import OperationClass
 from epitrace.records import (
     IMEI_LEN,
     STATION_CODE_LEN,
@@ -144,16 +145,26 @@ NR_ERROR = "phone nr must be non-empty ASCII digits, got {!r}"
 IMEI_ERROR = "imei must be exactly 15 ASCII digits, got {!r}"
 
 
-class TestPrecisionRank:
-    def test_ranks_ascend_with_precision_and_round_trip(self):
-        assert [c.rank for c in (PrecisionClass.MACRO, PrecisionClass.PICO, PrecisionClass.FEMTO)] == [0, 1, 2]
-        assert all(PrecisionClass.from_rank(c.rank) is c for c in PrecisionClass)
+class TestWireBytes:
+    def test_a_precision_class_is_its_rank_and_its_class_byte(self):
+        # Ascending precision; the value is a fetch entry's class byte and the seal's associated data.
+        assert {c: c.value for c in PrecisionClass} == {PrecisionClass.MACRO: 0, PrecisionClass.PICO: 1, PrecisionClass.FEMTO: 2}
 
-    @pytest.mark.parametrize("rank", [-1, 3, 255])
-    def test_unknown_rank_is_a_validation_error(self, rank):
-        # A fetched set's class arrives as one wire byte.
-        with pytest.raises(ValidationError, match="precision rank"):
-            PrecisionClass.from_rank(rank)
+    def test_an_operation_class_is_its_certificate_class_byte(self):
+        assert {c: c.value for c in OperationClass} == {
+            OperationClass.LOCK_UNLOCK: 1,
+            OperationClass.STRICT_PUSH: 2,
+            OperationClass.BLIND_ANALYSIS: 3,
+            OperationClass.BLIND_PROCESSING: 4,
+            OperationClass.FULL_PROCESSING: 5,
+        }
+
+    @pytest.mark.parametrize("class_byte", [-1, 3, 255])
+    def test_an_unknown_class_byte_is_a_validation_error(self, class_byte):
+        # A fetched set's class arrives as one wire byte, which decode alone turns into a class.
+        payload = encode_pdr_set(PdrSet(5, station(1), (phone(0),), (1.0,), (0.5,)), {})
+        with pytest.raises(ValidationError, match=f"unknown precision class byte {class_byte}$"):
+            decode_pdr_set(payload, class_byte, {})
 
 
 class TestPhoneId:

@@ -266,7 +266,7 @@ class TestAnalysisStream:
         assert decoded == []  # nothing is decoded before the stream is read
         sets = list(stream)
         assert sets == sorted(itertools.chain(*expected), key=attrgetter("minute"))
-        assert len(sets) == len(decoded) == sum(edge.stored_count for edge in context.edges.values())
+        assert len(sets) == len(decoded) == sum(len(edge.stored_ciphertexts()) for edge in context.edges.values())
         provider = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
         shared = [m for m, group in itertools.groupby(sets, attrgetter("minute")) if len({provider[s.bs.code] for s in group}) > 1]
         assert shared  # minutes in which both providers' sets are merged

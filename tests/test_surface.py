@@ -21,10 +21,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "epitrace"
 
-# Read-only views that tests use to look into a run; the pipeline never needs them.
-# `presence` is the benchmark tracer's and the tests' view of who was in which set,
-# until the tracer's pair-evaluation counter (perfbench/spans.py) stops reading it.
-TEST_PROBES = {"stored_count", "oldest_age", "held_object_ids", "presence"}
+# Read-only views into a run that the pipeline never needs. Tests keep their own
+# probes in tests/util.py; `presence` stays in the package because the benchmark
+# tracer's pair-evaluation counter (perfbench/spans.py) reads it, and goes when
+# that counter stops reading it.
+TEST_PROBES = {"presence"}
 
 
 def _is_cli_command(node: ast.AST) -> bool:

@@ -17,7 +17,7 @@ from epitrace.federation import OperationClass, SystemState
 from epitrace.runner import vet
 from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode, VaultCoordinator
-from util import small_federation
+from util import held_object_ids, small_federation
 
 
 def make_vault(key_threshold=3, k=2, n_clouds=4, alerted=True, seed=0):
@@ -107,7 +107,7 @@ class TestWriteRead:
             vault.write(cap_write, b"partial?")
         assert vault.object_count == 0
         # the surviving cloud holds no fragment of the aborted object
-        assert vault.clouds[0].held_object_ids() == []
+        assert held_object_ids(vault.clouds[0]) == []
 
     def test_write_fails_cleanly_below_key_threshold_clouds(self):
         # n=4, k=2, key threshold 3: two clouds hold enough fragments but too few key shares.
@@ -118,7 +118,7 @@ class TestWriteRead:
         with pytest.raises(UnavailableError, match="need 3"):
             vault.write(cap_write, b"unreadable?")
         assert vault.object_count == 0
-        assert all(cloud.held_object_ids() == [] for cloud in vault.clouds)
+        assert all(held_object_ids(cloud) == [] for cloud in vault.clouds)
         assert not [e for e in federation.ledger.entries if e.content["kind"] == "vault_write"]
 
     @pytest.mark.parametrize("k, key_threshold", [(4, 2), (2, 4)], ids=["k_above_n", "key_threshold_above_n"])
@@ -273,7 +273,7 @@ class TestDelete:
         for _index, fragment, share in held:
             assert fragment == bytes(len(fragment))
             assert share == bytes(len(share))
-        assert all(cloud.held_object_ids() == [] for cloud in vault.clouds)
+        assert all(held_object_ids(cloud) == [] for cloud in vault.clouds)
         with pytest.raises(UnavailableError):
             vault.read(cap_write, object_id)
 

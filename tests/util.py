@@ -11,9 +11,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from epitrace.edge import EdgeCloud
 from epitrace.federation import Federation, OperationClass, QuorumCertificate, SystemState
 from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, group_into_sets
 from epitrace.runner import _SWEEP_BLOCK_MIN, SimContext, build_context, ingest, vet
+from epitrace.vault import CloudNode
 from epitrace.world import (
     TWO_PI,
     GroundTruth,
@@ -77,6 +79,16 @@ def ingested_for_analysis(config: ScenarioConfig) -> tuple[SimContext, QuorumCer
     cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
     context.federation.change_state(cert, SystemState.ALERT)
     return context, vet(context.federation, OperationClass.BLIND_PROCESSING, {"purpose": "test"}, rng)
+
+
+def oldest_age(edge: EdgeCloud, now: int) -> int | None:
+    """Age in minutes at `now` of the oldest set the edge still stores; None if it stores none."""
+    return max((now - entry.minute for entry in edge._store), default=None)
+
+
+def held_object_ids(cloud: CloudNode) -> list[bytes]:
+    """The ids of the objects a vault cloud holds a fragment of, sorted."""
+    return sorted(cloud._fragments)
 
 
 def phone(i: int) -> PhoneId:
