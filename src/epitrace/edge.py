@@ -2,8 +2,9 @@
 
 The provider faces a write-only port; once a record set is pushed it can never
 be read back from the provider side. Analysis-side access goes through one
-entry, the fetch frame, which demands an unlocked cloud and a quorum
-certificate.
+entry, the fetch frame, which demands an unlocked cloud and a read-class
+certificate that `Federation.admit` binds to a vetted request approving the
+frame's minute range.
 
 Pushed sets are sealed under one sender context per provider-hour (see
 `crypto`): one key exchange per epoch, then one AEAD call per set. The epoch is
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import crypto, framing
-from .errors import AuthorizationError, EncryptionError, FramingError, LockedError
+from .errors import EncryptionError, FramingError, LockedError
 from .federation import READ_MODES, Federation, QuorumCertificate, SystemState
 from .records import PdrSet, PhoneId, PrecisionClass, encode_pdr_set
 
@@ -120,9 +121,11 @@ class EdgeCloud:
     def handle_fetch_frame(self, frame: bytes) -> bytes:
         """The analysis network's one way in: a fetch request frame in, a response frame out.
 
-        Refuses and ledgers a malformed request frame or certificate, refuses
-        while locked, refuses and ledgers a non-read certificate class, checks
-        the quorum, then encodes the sets of the inclusive minute range.
+        A malformed request frame or certificate is refused through
+        `Federation.refuse` before `FramingError`; a locked cloud raises
+        `LockedError`; then `Federation.admit` judges the read certificate and
+        the inclusive minute range in this provider's name, and the response
+        encodes the sets of that range.
         """
         reason = "malformed request frame"
         try:
@@ -130,18 +133,12 @@ class EdgeCloud:
             reason = "malformed certificate"
             cert = QuorumCertificate.decode(cert_blob)
         except FramingError:
-            self._ledger_refusal(reason)
+            self._federation.refuse(reason, provider=self.provider_id)
             raise
         if self.locked_for_vpn:
             raise LockedError(f"edge cloud {self.provider_id} is locked")
-        if cert.operation_class not in READ_MODES:
-            self._ledger_refusal("non-read certificate class")
-            raise AuthorizationError(f"certificate class {cert.operation_class.name} cannot fetch")
-        self._federation.check_certificate(cert, cert.operation_class)
+        self._federation.admit(cert, READ_MODES, minutes=(start, end), provider=self.provider_id)
         return framing.encode_fetch_response([(e.precision_class, e.ciphertext) for e in self._store if start <= e.minute <= end])
-
-    def _ledger_refusal(self, reason: str) -> None:
-        self._federation.ledger.record("authorization_failure", self._federation.now, provider=self.provider_id, reason=reason)
 
     # -- introspection for audits (not part of the provider surface) -----------------
 

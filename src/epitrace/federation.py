@@ -9,7 +9,7 @@ mode, and audit-logs every decision in a hash-chained ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
 from typing import Any
@@ -76,15 +76,8 @@ def make_request(
     payload: dict[str, Any],
     rng: Random,
 ) -> WorkflowRequest:
-    request_id = rng.randbytes(16)
-    unsigned = WorkflowRequest(request_id=request_id, operation_class=operation_class, payload=payload, requester=requester.id, signature=b"")
-    return WorkflowRequest(
-        request_id=request_id,
-        operation_class=operation_class,
-        payload=payload,
-        requester=requester.id,
-        signature=requester.keypair.sign(unsigned.signing_bytes()),
-    )
+    unsigned = WorkflowRequest(request_id=rng.randbytes(16), operation_class=operation_class, payload=payload, requester=requester.id, signature=b"")
+    return replace(unsigned, signature=requester.keypair.sign(unsigned.signing_bytes()))
 
 
 def vote_signing_bytes(request_id: bytes, request_hash: bytes) -> bytes:
@@ -163,24 +156,20 @@ class Capability:
         self._federation = federation
         self.mode = mode
 
-    def _require_alert(self) -> None:
+    def _require(self, modes: set[OperationClass], denial: str) -> None:
         if self._federation.state is not SystemState.ALERT:
             raise StateError("system is PASSIVE; analysis capabilities are suspended")
+        if self.mode not in modes:
+            raise AuthorizationError(f"{self.mode.name} {denial}")
 
     def require_read(self) -> None:
-        self._require_alert()
-        if self.mode not in READ_MODES:
-            raise AuthorizationError(f"{self.mode.name} grants no read access")
+        self._require(READ_MODES, "grants no read access")
 
     def require_write(self) -> None:
-        self._require_alert()
-        if self.mode not in WRITE_MODES:
-            raise AuthorizationError(f"{self.mode.name} grants no write access")
+        self._require(WRITE_MODES, "grants no write access")
 
     def require_decrypt(self) -> None:
-        self._require_alert()
-        if self.mode is not OperationClass.FULL_PROCESSING:
-            raise AuthorizationError(f"{self.mode.name} does not release decryption keys")
+        self._require({OperationClass.FULL_PROCESSING}, "does not release decryption keys")
 
 
 class Federation:
@@ -317,41 +306,52 @@ class Federation:
             return cert
         return None
 
-    def check_certificate(self, cert: QuorumCertificate, expected_class: OperationClass) -> None:
-        if cert.operation_class is not expected_class:
-            presented = cert.operation_class.name
-            self.ledger.record(
-                "authorization_failure", self.now, operation_class=expected_class.name, presented_class=presented, request_id=cert.request_id.hex()
-            )
-            raise AuthorizationError(f"certificate class {presented} does not authorize {expected_class.name}")
-        if not verify_certificate(cert, self.public_keys, self.quorum(expected_class)):
-            self.ledger.record("authorization_failure", self.now, operation_class=expected_class.name, request_id=cert.request_id.hex())
-            raise AuthorizationError("certificate lacks a valid quorum")
+    def refuse(self, reason: str, **fields: Any) -> None:
+        """Ledger one refusal with its reason; `fields` name the certificate's class and request id once it was decoded, and the edge that refused."""
+        self.ledger.record("authorization_failure", self.now, reason=reason, **fields)
+
+    def admit(
+        self, cert: QuorumCertificate, classes: set[OperationClass], *, target: SystemState | None = None, minutes: tuple[int, int] | None = None, **where: str
+    ) -> _Pending:
+        """The one judge of a certificate; returns the record of the request it certifies.
+
+        In order: its class is in `classes`; it carries that class's quorum;
+        this federation certified a request of its id and hash, so signatures
+        gathered after a denial certify nothing; and that request approved the
+        operation: its `target`, once, or a fetch inside its `minutes`.
+        Otherwise `refuse` ledgers the reason with `where` (the refusing
+        edge's provider), and `AuthorizationError` is raised.
+        """
+        pending = self._pending.get(cert.request_id)
+        approved = pending.request.payload if pending is not None else {}
+        span = approved.get("minutes")
+        span = span if isinstance(span, (list, tuple)) and len(span) == 2 and all(type(m) is int for m in span) else None  # only [lo, hi] approves a fetch
+        if cert.operation_class not in classes:
+            wanted = " or ".join(c.name for c in OperationClass if c in classes)
+            reason = f"certificate class {cert.operation_class.name} does not authorize {wanted}"
+        elif not verify_certificate(cert, self.public_keys, self.quorum(cert.operation_class)):
+            reason = "certificate lacks a valid quorum"
+        elif pending is None or pending.certificate is None or pending.certificate.request_hash != cert.request_hash:
+            reason = "certificate matches no vetted request"
+        elif target is not None and approved.get("target") != target.name:
+            reason = f"certificate approved target {approved.get('target')}, not {target.name}"
+        elif target is not None and pending.spent:
+            reason = "certificate already used"
+        elif minutes is not None and (span is None or not span[0] <= minutes[0] <= minutes[1] <= span[1]):
+            reason = f"certificate approved minutes {span}, not {list(minutes)}"
+        else:
+            return pending
+        self.refuse(reason, operation_class=cert.operation_class.name, request_id=cert.request_id.hex(), **where)
+        raise AuthorizationError(reason)
 
     # -- state machine ------------------------------------------------------------
 
     def change_state(self, cert: QuorumCertificate, target: SystemState) -> SystemState:
-        """Move to `target` on a certificate for a request that asked for `target`, once.
+        """Move to `target` on a certificate that `admit` binds to a request that asked for `target`, once.
 
-        A certificate for another request hash or another target, or one that
-        already moved the state, is a ledgered refusal. A refused or failed use
-        spends nothing.
+        A refused or failed use spends nothing.
         """
-        self.check_certificate(cert, OperationClass.LOCK_UNLOCK)
-        pending = self._pending.get(cert.request_id)
-        if pending is None or pending.request.request_hash() != cert.request_hash:
-            refusal = "certificate matches no vetted request"
-        elif (approved := pending.request.payload.get("target")) != target.name:
-            refusal = f"certificate approved target {approved}, not {target.name}"
-        elif pending.spent:
-            refusal = "certificate already used"
-        else:
-            refusal = None
-        if refusal is not None:
-            self.ledger.record(
-                "authorization_failure", self.now, operation_class=OperationClass.LOCK_UNLOCK.name, request_id=cert.request_id.hex(), reason=refusal
-            )
-            raise AuthorizationError(refusal)
+        pending = self.admit(cert, {OperationClass.LOCK_UNLOCK}, target=target)
         if target is self.state:
             raise StateError(f"system already {target.name}")
         # Starting analysis rebuilds every provider key inside the engine before
@@ -373,6 +373,6 @@ class Federation:
     def authorize_mode(self, cert: QuorumCertificate, operation_class: OperationClass) -> Capability:
         if operation_class is OperationClass.LOCK_UNLOCK:
             raise ValidationError("lock/unlock is not a data-access mode; use change_state")
-        self.check_certificate(cert, operation_class)
+        self.admit(cert, {operation_class})
         self.ledger.record("capability", self.now, mode=operation_class.name, request_id=cert.request_id.hex())
         return Capability(self, operation_class)

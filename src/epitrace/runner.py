@@ -246,7 +246,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     prune_ticks = (config.duration_min - 1) // config.prune_every_min + 1
 
     # -- analysis under quorum-vetted capabilities ---------------------------------
-    cert_read = vet(federation, OperationClass.BLIND_PROCESSING, {"purpose": "contact analysis"}, rng_cer)
+    cert_read = vet(federation, OperationClass.BLIND_PROCESSING, {"purpose": "contact analysis", "minutes": [0, config.duration_min]}, rng_cer)
     cap_read = federation.authorize_mode(cert_read, OperationClass.BLIND_PROCESSING)
     params = cep.AnalysisParams(config.prox_max_m, config.dur_min, config.gap_tolerance_min, config.search_margin_min)
     index = cep.PdrIndex(_fetch_and_decrypt(context, cert_read, (0, config.duration_min)), params.prox_max)
@@ -517,16 +517,17 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
 
     # Feed a little data while passive.
     ingest(context, 0, 30)
+    edge = next(iter(context.edges.values()))
 
     # 1. Provider tries to read its own edge cloud: the port has no read surface.
-    port = next(iter(context.edges.values())).provider_port()
+    port = edge.provider_port()
     readable = [a for a in dir(port) if not a.startswith("_") and a != "push"]
     results.append(AttackResult("provider_read", safe=not readable, detail=f"provider surface: {['push'] + readable}"))
 
     # 2. Locked fetch: valid certificate, but the system is passive.
-    cert_probe = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "probe"}, rng)
+    cert_probe = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "probe", "minutes": [0, 100]}, rng)
     try:
-        _fetch(next(iter(context.edges.values())), cert_probe, (0, 100))
+        _fetch(edge, cert_probe, (0, 100))
         results.append(AttackResult("locked_fetch", safe=False, detail="fetch served while passive"))
     except LockedError:
         results.append(AttackResult("locked_fetch", safe=True, detail="locked cloud refused fetch"))
@@ -535,7 +536,8 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
     cert_alert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
     federation.change_state(cert_alert, SystemState.ALERT)
 
-    # 3. Sub-quorum fetch: certificate carrying q-1 approvals.
+    # 3. Sub-quorum fetch: certificate carrying q-1 approvals. Safe only if the
+    # attempt ledgers exactly its refusal, naming the forged request and the edge.
     request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"purpose": "subquorum"}, rng)
     q = federation.quorum(OperationClass.BLIND_ANALYSIS)
     votes = [authority.approve(request) for authority in federation.authorities[: q - 1]]
@@ -545,12 +547,14 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
         operation_class=OperationClass.BLIND_ANALYSIS,
         approvals=tuple(sorted((v.authority_id, v.signature) for v in votes)),
     )
+    before = len(federation.ledger.entries)
     try:
-        _fetch(next(iter(context.edges.values())), forged, (0, 100))
+        _fetch(edge, forged, (0, 100))
         results.append(AttackResult("subquorum_fetch", safe=False, detail="sub-quorum certificate accepted"))
-    except AuthorizationError:
-        logged = any(e.content.get("kind") == "authorization_failure" for e in federation.ledger.entries)
-        results.append(AttackResult("subquorum_fetch", safe=logged, detail="refused and ledger-logged" if logged else "refused but not logged"))
+    except AuthorizationError as exc:
+        added = [e.content for e in federation.ledger.entries[before:]]
+        logged = [(c.get("reason"), c.get("request_id"), c.get("provider")) for c in added] == [(str(exc), forged.request_id.hex(), edge.provider_id)]
+        results.append(AttackResult("subquorum_fetch", safe=logged, detail="refused and ledgered once" if logged else f"refused, ledger added {added}"))
 
     # 4. Ledger tamper detection.
     entries = list(federation.ledger.entries)
@@ -602,9 +606,7 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
     federation.tick(far_future)
     for edge in context.edges.values():
         edge.prune(far_future)
-    fetched = []
-    for edge in context.edges.values():
-        fetched.extend(_fetch(edge, cert_probe, (0, 30)))
+    fetched = [entry for edge in context.edges.values() for entry in _fetch(edge, cert_probe, (0, 30))]
     results.append(
         AttackResult("expired_pdr_access", safe=not fetched, detail=f"{len(fetched)} expired sets served")
     )

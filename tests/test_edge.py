@@ -33,8 +33,8 @@ def cloud():
     return federation, edge
 
 
-def read_cert(federation, seed=1):
-    return vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "test"}, Random(seed))
+def read_cert(federation, seed=1, minutes=(0, 100)):
+    return vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "test", "minutes": list(minutes)}, Random(seed))
 
 
 def unlock(federation):
@@ -278,6 +278,50 @@ class TestVpnFetch:
             _fetch(edge, forged, (0, 10))
         logged = [e for e in federation.ledger.entries[before:] if e.content["kind"] == "authorization_failure"]
         assert logged
+
+    def test_a_fetch_overreaching_its_approved_minutes_is_refused_once_in_the_providers_name(self, cloud):
+        federation, edge = cloud
+        port = edge.provider_port()
+        for minute in range(60):
+            port.push(make_set(minute))
+        unlock(federation)
+        cert = read_cert(federation, minutes=(0, 10))
+        before = len(federation.ledger.entries)
+        with pytest.raises(AuthorizationError, match=r"approved minutes \[0, 10\], not \[0, 59\]"):
+            _fetch(edge, cert, (0, 59))
+        [refusal] = [e.content for e in federation.ledger.entries[before:]]
+        assert (refusal["kind"], refusal["provider"], refusal["request_id"]) == ("authorization_failure", "P1", cert.request_id.hex())
+        assert len(_fetch(edge, cert, (0, 10))) == 11
+
+    @pytest.mark.parametrize(
+        "minute_range, served",
+        [((5, 10), True), ((6, 9), True), ((4, 10), False), ((5, 11), False), ((11, 20), False)],
+        ids=["same", "inside", "starts-before", "ends-after", "past-the-end"],
+    )
+    def test_a_fetch_is_served_only_inside_its_approved_minutes(self, cloud, minute_range, served):
+        federation, edge = cloud
+        unlock(federation)
+        cert = read_cert(federation, minutes=(5, 10))
+        if served:
+            assert _fetch(edge, cert, minute_range) == []
+        else:
+            with pytest.raises(AuthorizationError, match="approved minutes"):
+                _fetch(edge, cert, minute_range)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"minutes": [5]}, {"minutes": [5, 10, 20]}, {"minutes": [5, "10"]}, {"minutes": [5.0, 10]}, {"minutes": "5-10"}],
+        ids=["absent", "one-bound", "three-bounds", "text-bound", "float-bound", "text"],
+    )
+    def test_a_request_naming_no_minute_range_cannot_fetch(self, cloud, payload):
+        federation, edge = cloud
+        edge.provider_port().push(make_set(5))
+        unlock(federation)
+        cert = vet(federation, OperationClass.BLIND_ANALYSIS, payload, Random(2))
+        before = len(federation.ledger.entries)
+        with pytest.raises(AuthorizationError, match=r"approved minutes None, not \[5, 10\]"):
+            _fetch(edge, cert, (5, 10))
+        assert [e.content["kind"] for e in federation.ledger.entries[before:]] == ["authorization_failure"]
 
     def test_full_range_returns_everything_in_order(self, cloud):
         federation, edge = cloud

@@ -7,19 +7,21 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings, strategies as st
 
+from epitrace import framing
 from epitrace.edge import EdgeCloud
-from epitrace.errors import AuthorizationError, ConfigurationError, StateError, ValidationError
+from epitrace.errors import AuthorizationError, ConfigurationError, FramingError, StateError, ValidationError
 from epitrace.federation import (
     Federation,
     OperationClass,
     QuorumCertificate,
     SystemState,
     Vote,
+    WorkflowRequest,
     make_request,
     verify_certificate,
     vote_signing_bytes,
 )
-from epitrace.runner import vet
+from epitrace.runner import _fetch, vet
 from epitrace.vault import VaultCoordinator
 from epitrace.world import ScenarioConfig
 from util import alerted_federation, small_federation
@@ -34,6 +36,23 @@ def sizing(**overrides) -> dict:
 
 def five_by_three() -> Federation:
     return Federation(ScenarioConfig(**sizing()), rng=Random("n5q3"))
+
+
+def p1_edge(federation: Federation) -> EdgeCloud:
+    """Provider P1's edge cloud, under a key escrowed with `federation`."""
+    federation.escrow_keypair("provider:P1")
+    return EdgeCloud(provider_id="P1", key_id="provider:P1", federation=federation, pdr_ttl=60, rng=Random(20))
+
+
+def self_signed_cert(federation: Federation, request: WorkflowRequest, signers: int | None = None) -> QuorumCertificate:
+    """A certificate for `request` assembled outside the federation from the first `signers` authorities' signatures (all by default)."""
+    approvals = tuple((a.id, a.approve(request).signature) for a in federation.authorities[:signers])
+    return QuorumCertificate(request.request_id, request.request_hash(), request.operation_class, approvals)
+
+
+def unsubmitted_cert(federation: Federation, operation_class: OperationClass, payload: dict, seed: int, signers: int | None = None) -> QuorumCertificate:
+    """A self-signed certificate for a request never submitted to `federation`."""
+    return self_signed_cert(federation, make_request(federation.authorities[0], operation_class, payload, Random(seed)), signers)
 
 
 def x25519_public(private_bytes: bytes) -> bytes:
@@ -214,6 +233,28 @@ class TestQuorumAssembly:
         for authority in federation.authorities[1:4]:
             assert federation.apply_vote(authority.approve(request)) is None
 
+    def test_signatures_gathered_after_a_denial_certify_nothing(self):
+        federation = small_federation()
+        edge = p1_edge(federation)
+        requests = [
+            make_request(federation.authorities[0], OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(60)),
+            make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(61)),
+        ]
+        for request in requests:
+            federation.submit_request(request)
+            federation.apply_vote(federation.authorities[0].approve(request))
+        federation.tick(federation.config.vote_window_min + 1)
+        late = [self_signed_cert(federation, request) for request in requests]
+        with pytest.raises(AuthorizationError, match="no vetted request"):
+            federation.change_state(late[0], SystemState.ALERT)
+        federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(62)), SystemState.ALERT)
+        with pytest.raises(AuthorizationError, match="no vetted request"):
+            federation.authorize_mode(late[1], OperationClass.BLIND_ANALYSIS)
+        with pytest.raises(AuthorizationError, match="no vetted request"):
+            _fetch(edge, late[1], (0, 10))
+        kinds = [e.content["kind"] for e in federation.ledger.entries]
+        assert kinds.count("authorization_failure") == 3 and "capability" not in kinds
+
     def test_certificate_encoding_round_trip(self):
         federation = five_by_three()
         cert = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "x"}, Random(9))
@@ -285,14 +326,25 @@ class TestStateMachine:
 
     def test_a_certificate_for_no_vetted_request_is_refused(self):
         federation = small_federation()
-        request = make_request(federation.authorities[0], OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(43))
-        votes = [a.approve(request) for a in federation.authorities]  # a full quorum, but never submitted
-        cert = QuorumCertificate(request.request_id, request.request_hash(), OperationClass.LOCK_UNLOCK, tuple((v.authority_id, v.signature) for v in votes))
+        edge = p1_edge(federation)
+        cert = unsubmitted_cert(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, 43)  # a full quorum, but never submitted
         with pytest.raises(AuthorizationError, match="no vetted request"):
             federation.change_state(cert, SystemState.ALERT)
         assert federation.state is SystemState.PASSIVE
-        [refusal] = self._refusals(federation, 0)
-        assert refusal["reason"] == "certificate matches no vetted request"
+        federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(46)), SystemState.ALERT)
+        read = unsubmitted_cert(federation, OperationClass.BLIND_PROCESSING, {"minutes": [0, 10]}, 47)
+        with pytest.raises(AuthorizationError, match="no vetted request"):
+            _fetch(edge, read, (0, 10))
+        with pytest.raises(AuthorizationError, match="no vetted request"):
+            federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
+        refusals = self._refusals(federation, 0)
+        assert [(r["reason"], r["request_id"]) for r in refusals] == [
+            ("certificate matches no vetted request", cert.request_id.hex()),
+            ("certificate matches no vetted request", read.request_id.hex()),
+            ("certificate matches no vetted request", read.request_id.hex()),
+        ]
+        assert [r.get("provider") for r in refusals] == [None, "P1", None]
+        assert not [e for e in federation.ledger.entries if e.content["kind"] == "capability"]
 
     def test_a_refused_or_failed_use_spends_nothing(self):
         federation = small_federation()  # key threshold 2 of 3
@@ -310,8 +362,7 @@ class TestStateMachine:
 
     @staticmethod
     def _stores(federation):
-        federation.escrow_keypair("provider:P1")
-        edge = EdgeCloud(provider_id="P1", key_id="provider:P1", federation=federation, pdr_ttl=60, rng=Random(20))
+        edge = p1_edge(federation)
         vault = VaultCoordinator(federation, n_clouds=3, k=2, key_threshold=2, rng=Random(21))
         federation.attach_vault(vault)
         return edge, vault
@@ -399,7 +450,8 @@ class TestCapabilities:
             call(federation, cert)
         [entry] = [e.content for e in federation.ledger.entries[before:]]
         assert entry["kind"] == "authorization_failure"
-        assert (entry["operation_class"], entry["presented_class"], entry["request_id"]) == (expected, "BLIND_ANALYSIS", cert.request_id.hex())
+        assert (entry["operation_class"], entry["request_id"]) == ("BLIND_ANALYSIS", cert.request_id.hex())
+        assert entry["reason"] == f"certificate class BLIND_ANALYSIS does not authorize {expected}"
         assert federation.state is SystemState.ALERT
 
     def test_capabilities_suspended_in_passive(self):
@@ -419,15 +471,7 @@ class TestCapabilities:
             federation.authorize_mode(cert, OperationClass.LOCK_UNLOCK)
 
     def _forged_subquorum_cert(self, federation, operation_class):
-        request = make_request(federation.authorities[0], operation_class, {}, Random(12))
-        q = federation.quorum(operation_class)
-        votes = [a.approve(request) for a in federation.authorities[: q - 1]]
-        return QuorumCertificate(
-            request_id=request.request_id,
-            request_hash=request.request_hash(),
-            operation_class=operation_class,
-            approvals=tuple((v.authority_id, v.signature) for v in votes),
-        )
+        return unsubmitted_cert(federation, operation_class, {}, 12, signers=federation.quorum(operation_class) - 1)
 
     def test_subquorum_cert_cannot_mint_capability(self):
         federation = alerted_federation()
@@ -443,6 +487,72 @@ class TestCapabilities:
         with pytest.raises(AuthorizationError):
             federation.change_state(forged, SystemState.ALERT)
         assert federation.state is SystemState.PASSIVE
+
+
+def reused_lock(federation, edge):
+    lock = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(52))
+    federation.change_state(lock, SystemState.PASSIVE)
+    federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(53)), SystemState.ALERT)
+    federation.change_state(lock, SystemState.PASSIVE)
+
+
+CERT_FIELDS = {"operation_class", "request_id"}
+EDGE_FIELDS = {"provider"}
+
+# Every way to be refused: (attempt on an ALERT federation with P1's edge, the error it raises, the fields its record adds to kind, minute and reason).
+REFUSALS = {
+    "malformed frame": (lambda federation, edge: edge.handle_fetch_frame(b"junk"), FramingError, EDGE_FIELDS),
+    "malformed certificate": (lambda federation, edge: edge.handle_fetch_frame(framing.encode_fetch_request(bytes(16), 0, 10)), FramingError, EDGE_FIELDS),
+    "strict push at an edge": (
+        lambda federation, edge: _fetch(edge, vet(federation, OperationClass.STRICT_PUSH, {"minutes": [0, 10]}, Random(50)), (0, 10)),
+        AuthorizationError,
+        CERT_FIELDS | EDGE_FIELDS,
+    ),
+    "sub-quorum at an edge": (
+        lambda federation, edge: _fetch(edge, unsubmitted_cert(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, 51, signers=1), (0, 10)),
+        AuthorizationError,
+        CERT_FIELDS | EDGE_FIELDS,
+    ),
+    "wrong class at change_state": (
+        lambda federation, edge: federation.change_state(vet(federation, OperationClass.BLIND_ANALYSIS, {}, Random(54)), SystemState.PASSIVE),
+        AuthorizationError,
+        CERT_FIELDS,
+    ),
+    "wrong class at authorize_mode": (
+        lambda federation, edge: federation.authorize_mode(vet(federation, OperationClass.BLIND_ANALYSIS, {}, Random(55)), OperationClass.FULL_PROCESSING),
+        AuthorizationError,
+        CERT_FIELDS,
+    ),
+    "no vetted request": (
+        lambda federation, edge: federation.authorize_mode(unsubmitted_cert(federation, OperationClass.STRICT_PUSH, {}, 56), OperationClass.STRICT_PUSH),
+        AuthorizationError,
+        CERT_FIELDS,
+    ),
+    "wrong target": (
+        lambda federation, edge: federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(57)), SystemState.PASSIVE),
+        AuthorizationError,
+        CERT_FIELDS,
+    ),
+    "certificate reused": (reused_lock, AuthorizationError, CERT_FIELDS),
+    "range overreach": (
+        lambda federation, edge: _fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(58)), (0, 59)),
+        AuthorizationError,
+        CERT_FIELDS | EDGE_FIELDS,
+    ),
+}
+
+
+class TestRefusalRecord:
+    @pytest.mark.parametrize("attempt, error, fields", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_every_refusal_is_one_record_of_one_shape(self, attempt, error, fields):
+        federation = alerted_federation()
+        edge = p1_edge(federation)
+        before = len(federation.ledger.entries)
+        with pytest.raises(error):
+            attempt(federation, edge)
+        [refusal] = [e.content for e in federation.ledger.entries[before:] if e.content["kind"] == "authorization_failure"]
+        assert set(refusal) == {"kind", "minute", "reason"} | fields
+        assert refusal["reason"] and refusal.get("provider", "P1") == "P1"
 
 
 class TestSafetyExhaustive:

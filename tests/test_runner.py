@@ -16,7 +16,7 @@ from epitrace import cep, crypto, framing, runner
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError
-from epitrace.federation import OperationClass, SystemState
+from epitrace.federation import Federation, OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PdrSet, decode_pdr_set
 from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
@@ -499,6 +499,14 @@ class TestAttackSuite:
             "byzantine_fragment",
             "expired_pdr_access",
         }
+
+
+    @pytest.mark.parametrize("dropped", ["provider", "request_id"])
+    def test_a_subquorum_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, dropped):
+        refuse = Federation.refuse
+        monkeypatch.setattr(Federation, "refuse", lambda self, reason, **fields: refuse(self, reason, **{k: v for k, v in fields.items() if k != dropped}))
+        results = {r.name: r for r in attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))}
+        assert not results["subquorum_fetch"].safe
 
 
 class TestCli:

@@ -11,6 +11,9 @@ config's own checks: a field that is only checked configures nothing.
 
 Every random draw in the package takes a seeded `Random` handed in by the
 caller: no OS entropy, no unseeded `Random`, no `rng` that may be left out.
+
+Every refusal is ledgered by `Federation.refuse`: the ledger kind
+`"authorization_failure"` is spelled nowhere else in the package.
 """
 
 import ast
@@ -243,3 +246,44 @@ def h(rng): pass
         "f gives rng a default",
         "g gives rng a default",
     ]
+
+
+def _literal_scopes(tree: ast.AST, literal: str) -> list[str]:
+    """The dotted name of the innermost class or function around each string constant equal to `literal`; "" at module level."""
+    scopes = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and child.value == literal:
+                scopes.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(tree, "")
+    return scopes
+
+
+def test_only_refuse_writes_a_refusal():
+    scopes = [
+        f"{path.name}:{scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _literal_scopes(ast.parse(path.read_text(), filename=str(path)), "authorization_failure")
+    ]
+    assert scopes == ["federation.py:Federation.refuse"]
+
+
+def test_refusal_literal_guard_sees_each_form():
+    text = '''
+KIND = "authorization_failure"
+class Federation:
+    def refuse(self, reason):
+        self.ledger.record("authorization_failure", reason=reason)
+    def admit(self):
+        def inner():
+            return {"kind": "authorization_failure"}
+class Edge:
+    def refuse(self):
+        """Ledgers an `authorization_failure`."""
+        return f"authorization_failure {self}", "authorization_failure"
+'''
+    assert _literal_scopes(ast.parse(text), "authorization_failure") == ["", "Federation.refuse", "Federation.admit.inner", "Edge.refuse"]

@@ -72,13 +72,13 @@ def capability(mode: OperationClass, federation: Federation | None = None, seed:
 
 
 def ingested_for_analysis(config: ScenarioConfig) -> tuple[SimContext, QuorumCertificate]:
-    """A context that ingested every minute of `config` and is ALERT, with a read certificate for its fetch."""
+    """A context that ingested every minute of `config` and is ALERT, with a read certificate for fetches of minutes [0, duration]."""
     context = build_context(config)
     ingest(context, 0, config.duration_min)
     rng = Random(f"test-analysis/{config.seed}")
     cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
     context.federation.change_state(cert, SystemState.ALERT)
-    return context, vet(context.federation, OperationClass.BLIND_PROCESSING, {"purpose": "test"}, rng)
+    return context, vet(context.federation, OperationClass.BLIND_PROCESSING, {"purpose": "test", "minutes": [0, config.duration_min]}, rng)
 
 
 def oldest_age(edge: EdgeCloud, now: int) -> int | None:
