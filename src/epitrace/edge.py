@@ -2,9 +2,9 @@
 
 The provider faces a write-only port; once a record set is pushed it can never
 be read back from the provider side. Analysis-side access goes through one
-entry, the fetch frame, which demands an unlocked cloud and a read-class
-certificate that `Federation.admit` binds to a vetted request approving the
-frame's minute range.
+entry, the fetch frame, which `Federation.admit` serves only while the system
+is ALERT and only on a read-class certificate bound to a vetted request
+approving the frame's minute range.
 
 Pushed sets are sealed under one sender context per provider-hour (see
 `crypto`): one key exchange per epoch, then one AEAD call per set. The epoch is
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from random import Random
 
 from . import crypto, framing
-from .errors import EncryptionError, FramingError, LockedError
-from .federation import READ_MODES, Federation, QuorumCertificate, SystemState
+from .errors import EncryptionError, FramingError
+from .federation import READ_MODES, Federation, QuorumCertificate
 from .records import PdrSet, PhoneId, PrecisionClass, encode_pdr_set
 
 SEAL_EPOCH_MIN = 60
@@ -53,11 +53,6 @@ class EdgeCloud:
         self._seal_context: crypto.SealContext | None = None
         self._seal_epoch = -1
         self._phone_fields: dict[PhoneId, bytes] = {}  # `encode_pdr_set` cache, emptied with the seal context
-
-    @property
-    def locked_for_vpn(self) -> bool:
-        """Fetches are served only while the federation is ALERT."""
-        return self._federation.state is not SystemState.ALERT
 
     # -- provider side ----------------------------------------------------------
 
@@ -122,10 +117,10 @@ class EdgeCloud:
         """The analysis network's one way in: a fetch request frame in, a response frame out.
 
         A malformed request frame or certificate is refused through
-        `Federation.refuse` before `FramingError`; a locked cloud raises
-        `LockedError`; then `Federation.admit` judges the read certificate and
-        the inclusive minute range in this provider's name, and the response
-        encodes the sets of that range.
+        `Federation.refuse` before `FramingError`; then `Federation.admit`
+        judges the read certificate, the inclusive minute range and the system
+        state in this provider's name, and the response encodes the sets of
+        that range.
         """
         reason = "malformed request frame"
         try:
@@ -135,8 +130,6 @@ class EdgeCloud:
         except FramingError:
             self._federation.refuse(reason, provider=self.provider_id)
             raise
-        if self.locked_for_vpn:
-            raise LockedError(f"edge cloud {self.provider_id} is locked")
         self._federation.admit(cert, READ_MODES, minutes=(start, end), provider=self.provider_id)
         return framing.encode_fetch_response([(e.precision_class, e.ciphertext) for e in self._store if start <= e.minute <= end])
 

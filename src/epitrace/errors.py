@@ -37,12 +37,12 @@ class AuthorizationError(EpitraceError):
     """Operation attempted without a sufficient quorum certificate or capability."""
 
 
-class LockedError(EpitraceError):
-    """Store is locked (system passive); no access from the analysis network."""
-
-
 class StateError(EpitraceError):
-    """Operation is invalid in the current system state."""
+    """The federation's state gate refused an operation; raised as such for a state change to the state the system is already in."""
+
+
+class LockedError(StateError):
+    """The system is PASSIVE, so the federation admits no data access: no fetch, capability, vault read or write."""
 
 
 class UnavailableError(EpitraceError):

@@ -15,7 +15,7 @@ from random import Random
 from typing import Any
 
 from . import crypto, framing
-from .errors import AuthorizationError, FramingError, StateError, ValidationError
+from .errors import AuthorizationError, FramingError, LockedError, StateError, ValidationError
 from .ledger import AuditLedger
 from .shamir import Share, reconstruct_secret, split_secret
 from .world import ScenarioConfig
@@ -150,7 +150,7 @@ class _Pending:
 
 
 class Capability:
-    """Bearer right produced by authorize_mode; checks live against system state."""
+    """Bearer right produced by authorize_mode; each use is checked live against system state, and a refused use is ledgered."""
 
     def __init__(self, federation: "Federation", mode: OperationClass):
         self._federation = federation
@@ -158,9 +158,13 @@ class Capability:
 
     def _require(self, modes: set[OperationClass], denial: str) -> None:
         if self._federation.state is not SystemState.ALERT:
-            raise StateError("system is PASSIVE; analysis capabilities are suspended")
-        if self.mode not in modes:
-            raise AuthorizationError(f"{self.mode.name} {denial}")
+            reason, error = "system is PASSIVE", LockedError
+        elif self.mode not in modes:
+            reason, error = f"{self.mode.name} {denial}", AuthorizationError
+        else:
+            return
+        self._federation.refuse(reason, operation_class=self.mode.name)
+        raise error(reason)
 
     def require_read(self) -> None:
         self._require(READ_MODES, "grants no read access")
@@ -188,7 +192,7 @@ class Federation:
         self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, config.n_authorities + 1)]
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
         self.ledger = AuditLedger()
-        self.state = SystemState.PASSIVE  # the only record of PASSIVE/ALERT; edge and vault read their locks from it
+        self.state = SystemState.PASSIVE  # the only record of PASSIVE/ALERT; only `admit` and `Capability` gate on it
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
         self._pending: dict[bytes, _Pending] = {}
@@ -201,7 +205,7 @@ class Federation:
     # -- clock and attachments -------------------------------------------------
 
     def attach_vault(self, vault: Any) -> None:
-        """The vault whose objects entering PASSIVE shreds; stores read their lock from `state`."""
+        """The vault whose objects entering PASSIVE shreds."""
         self._vault = vault
 
     def tick(self, now: int) -> None:
@@ -249,9 +253,7 @@ class Federation:
         return len(self._engine_keys)
 
     def engine_key(self, key_id: str) -> bytes:
-        """Key material held by the sealed analysis engine; ALERT only."""
-        if self.state is not SystemState.ALERT:
-            raise StateError("engine keys exist only while the system is ALERT")
+        """Key material held by the sealed analysis engine, which holds keys only while ALERT."""
         try:
             return self._engine_keys[key_id]
         except KeyError:
@@ -313,19 +315,22 @@ class Federation:
     def admit(
         self, cert: QuorumCertificate, classes: set[OperationClass], *, target: SystemState | None = None, minutes: tuple[int, int] | None = None, **where: str
     ) -> _Pending:
-        """The one judge of a certificate; returns the record of the request it certifies.
+        """The one judge of a certificate and of the system state; returns the record of the request it certifies.
 
         In order: its class is in `classes`; it carries that class's quorum;
         this federation certified a request of its id and hash, so signatures
-        gathered after a denial certify nothing; and that request approved the
-        operation: its `target`, once, or a fetch inside its `minutes`.
-        Otherwise `refuse` ledgers the reason with `where` (the refusing
-        edge's provider), and `AuthorizationError` is raised.
+        gathered after a denial certify nothing; that request approved the
+        operation: its `target`, once, or a fetch inside its `minutes`; every
+        class but LOCK_UNLOCK acts only while ALERT (else `LockedError`), and
+        a state change only away from the current state (else `StateError`).
+        A refusal is ledgered by `refuse` with `where` (the refusing edge's
+        provider), then raised, as `AuthorizationError` by default.
         """
         pending = self._pending.get(cert.request_id)
         approved = pending.request.payload if pending is not None else {}
         span = approved.get("minutes")
         span = span if isinstance(span, (list, tuple)) and len(span) == 2 and all(type(m) is int for m in span) else None  # only [lo, hi] approves a fetch
+        error = AuthorizationError
         if cert.operation_class not in classes:
             wanted = " or ".join(c.name for c in OperationClass if c in classes)
             reason = f"certificate class {cert.operation_class.name} does not authorize {wanted}"
@@ -339,21 +344,23 @@ class Federation:
             reason = "certificate already used"
         elif minutes is not None and (span is None or not span[0] <= minutes[0] <= minutes[1] <= span[1]):
             reason = f"certificate approved minutes {span}, not {list(minutes)}"
+        elif cert.operation_class is not OperationClass.LOCK_UNLOCK and self.state is not SystemState.ALERT:
+            reason, error = "system is PASSIVE", LockedError
+        elif target is self.state:
+            reason, error = f"system already {target.name}", StateError
         else:
             return pending
         self.refuse(reason, operation_class=cert.operation_class.name, request_id=cert.request_id.hex(), **where)
-        raise AuthorizationError(reason)
+        raise error(reason)
 
     # -- state machine ------------------------------------------------------------
 
     def change_state(self, cert: QuorumCertificate, target: SystemState) -> SystemState:
         """Move to `target` on a certificate that `admit` binds to a request that asked for `target`, once.
 
-        A refused or failed use spends nothing.
+        A refused or failed use spends nothing; entering PASSIVE drops the engine keys and shreds the vault.
         """
         pending = self.admit(cert, {OperationClass.LOCK_UNLOCK}, target=target)
-        if target is self.state:
-            raise StateError(f"system already {target.name}")
         # Starting analysis rebuilds every provider key inside the engine before
         # the state moves or any rebuild is ledgered, so a key that cannot be
         # rebuilt leaves the system PASSIVE and the ledger with only its denial.
@@ -371,8 +378,11 @@ class Federation:
     # -- capabilities ---------------------------------------------------------------
 
     def authorize_mode(self, cert: QuorumCertificate, operation_class: OperationClass) -> Capability:
+        """Mint a capability for `operation_class` on a certificate `admit` judges; ALERT only."""
         if operation_class is OperationClass.LOCK_UNLOCK:
-            raise ValidationError("lock/unlock is not a data-access mode; use change_state")
+            reason = "lock/unlock is not a data-access mode; use change_state"
+            self.refuse(reason, operation_class=cert.operation_class.name, request_id=cert.request_id.hex())
+            raise ValidationError(reason)
         self.admit(cert, {operation_class})
         self.ledger.record("capability", self.now, mode=operation_class.name, request_id=cert.request_id.hex())
         return Capability(self, operation_class)

@@ -1,4 +1,6 @@
-"""Hash-chained audit ledger: every governed operation leaves exactly one entry.
+"""Hash-chained audit ledger: each certificate, denial, refusal, key rebuild, state change,
+capability, prune sweep, vault write and vault shred batch leaves one entry; a served
+edge fetch or vault read leaves none.
 
 Entries chain by SHA-256 over (sequence || previous hash || canonical content
 JSON); verification recomputes every hash from genesis, so any byte of

@@ -294,7 +294,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     privacy = {
         "plaintext_pii_hits": _plaintext_pii_hits(context),
         "vault_objects_final": context.vault.object_count,
-        "edges_locked": all(edge.locked_for_vpn for edge in context.edges.values()),
+        "edges_locked": federation.state is SystemState.PASSIVE,
         "engine_keys_final": federation.engine_keys_held,
     }
     counts["ledger_entries"] = len(federation.ledger.entries)
@@ -526,18 +526,13 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
 
     # 2. Locked fetch: valid certificate, but the system is passive.
     cert_probe = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "probe", "minutes": [0, 100]}, rng)
-    try:
-        _fetch(edge, cert_probe, (0, 100))
-        results.append(AttackResult("locked_fetch", safe=False, detail="fetch served while passive"))
-    except LockedError:
-        results.append(AttackResult("locked_fetch", safe=True, detail="locked cloud refused fetch"))
+    results.append(_refused_fetch("locked_fetch", federation, edge, cert_probe, LockedError))
 
     # Unlock for the rest of the drivers.
     cert_alert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
     federation.change_state(cert_alert, SystemState.ALERT)
 
-    # 3. Sub-quorum fetch: certificate carrying q-1 approvals. Safe only if the
-    # attempt ledgers exactly its refusal, naming the forged request and the edge.
+    # 3. Sub-quorum fetch: certificate carrying q-1 approvals.
     request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"purpose": "subquorum"}, rng)
     q = federation.quorum(OperationClass.BLIND_ANALYSIS)
     votes = [authority.approve(request) for authority in federation.authorities[: q - 1]]
@@ -547,14 +542,7 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
         operation_class=OperationClass.BLIND_ANALYSIS,
         approvals=tuple(sorted((v.authority_id, v.signature) for v in votes)),
     )
-    before = len(federation.ledger.entries)
-    try:
-        _fetch(edge, forged, (0, 100))
-        results.append(AttackResult("subquorum_fetch", safe=False, detail="sub-quorum certificate accepted"))
-    except AuthorizationError as exc:
-        added = [e.content for e in federation.ledger.entries[before:]]
-        logged = [(c.get("reason"), c.get("request_id"), c.get("provider")) for c in added] == [(str(exc), forged.request_id.hex(), edge.provider_id)]
-        results.append(AttackResult("subquorum_fetch", safe=logged, detail="refused and ledgered once" if logged else f"refused, ledger added {added}"))
+    results.append(_refused_fetch("subquorum_fetch", federation, edge, forged, AuthorizationError))
 
     # 4. Ledger tamper detection.
     entries = list(federation.ledger.entries)
@@ -611,3 +599,15 @@ def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
         AttackResult("expired_pdr_access", safe=not fetched, detail=f"{len(fetched)} expired sets served")
     )
     return results
+
+
+def _refused_fetch(name: str, federation: Federation, edge: EdgeCloud, cert: QuorumCertificate, error: type[EpitraceError]) -> AttackResult:
+    """Fetch minutes [0, 100] with `cert`: safe only if `error` is raised and the ledger adds exactly that refusal, naming the request and the edge."""
+    before = len(federation.ledger.entries)
+    try:
+        _fetch(edge, cert, (0, 100))
+    except error as exc:
+        added = [e.content for e in federation.ledger.entries[before:]]
+        logged = [(c.get("reason"), c.get("request_id"), c.get("provider")) for c in added] == [(str(exc), cert.request_id.hex(), edge.provider_id)]
+        return AttackResult(name, safe=logged, detail="refused and ledgered once" if logged else f"refused, ledger added {added}")
+    return AttackResult(name, safe=False, detail="fetch served")

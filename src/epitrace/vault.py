@@ -9,8 +9,8 @@ from enum import Enum
 from random import Random
 
 from . import crypto, erasure, framing
-from .errors import IntegrityError, LockedError, UnavailableError
-from .federation import Capability, Federation, OperationClass, SystemState
+from .errors import IntegrityError, UnavailableError
+from .federation import Capability, Federation, OperationClass
 from .shamir import Share, reconstruct_secret, split_secret
 
 
@@ -119,11 +119,6 @@ class VaultCoordinator:
         self._federation = federation
         self._rng = rng
 
-    @property
-    def locked(self) -> bool:
-        """Reads and writes are served only while the federation is ALERT."""
-        return self._federation.state is not SystemState.ALERT
-
     # -- operations -------------------------------------------------------------
 
     def write(self, capability: Capability, plaintext: bytes) -> bytes:
@@ -133,9 +128,7 @@ class VaultCoordinator:
         the ciphertext (k fragments) and its key (`key_threshold` shares);
         below that, every stored piece is shredded and nothing is recorded.
         """
-        if self.locked:
-            raise LockedError("vault is locked")
-        capability.require_write()
+        capability.require_write()  # a capability writes only while ALERT
         key = self._rng.randbytes(32)
         ciphertext = crypto.symmetric_encrypt(key, plaintext, self._rng)
         cipher_digest = crypto.digest(ciphertext)

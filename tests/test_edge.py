@@ -257,9 +257,10 @@ class TestVpnFetch:
         federation, edge = cloud
         edge.provider_port().push(make_set(1))
         cert = read_cert(federation)
-        assert edge.locked_for_vpn
         with pytest.raises(LockedError):
             _fetch(edge, cert, (0, 10))
+        unlock(federation)
+        assert len(_fetch(edge, cert, (0, 10))) == 1
 
     def test_subquorum_cert_rejected_and_logged(self, cloud):
         federation, edge = cloud

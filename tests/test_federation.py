@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from epitrace import framing
 from epitrace.edge import EdgeCloud
-from epitrace.errors import AuthorizationError, ConfigurationError, FramingError, StateError, ValidationError
+from epitrace.errors import AuthorizationError, ConfigurationError, EpitraceError, FramingError, LockedError, StateError, ValidationError
 from epitrace.federation import (
     Federation,
     OperationClass,
@@ -53,6 +53,23 @@ def self_signed_cert(federation: Federation, request: WorkflowRequest, signers: 
 def unsubmitted_cert(federation: Federation, operation_class: OperationClass, payload: dict, seed: int, signers: int | None = None) -> QuorumCertificate:
     """A self-signed certificate for a request never submitted to `federation`."""
     return self_signed_cert(federation, make_request(federation.authorities[0], operation_class, payload, Random(seed)), signers)
+
+
+def lock(federation, seed):
+    federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(seed)), SystemState.PASSIVE)
+
+
+def mint(federation, mode, seed):
+    return federation.authorize_mode(vet(federation, mode, {"minutes": [0, 10]}, Random(seed)), mode)
+
+
+def raised(call) -> type | None:
+    """The type of the error `call()` raises, or None if it is served."""
+    try:
+        call()
+    except EpitraceError as exc:
+        return type(exc)
+    return None
 
 
 def x25519_public(private_bytes: bytes) -> bytes:
@@ -350,15 +367,20 @@ class TestStateMachine:
         federation = small_federation()  # key threshold 2 of 3
         federation.escrow_keypair("provider:P1")
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(44))
+        same = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(45))
         with pytest.raises(StateError):
-            federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(45)), SystemState.PASSIVE)
+            federation.change_state(same, SystemState.PASSIVE)
+        [refusal] = self._refusals(federation, 0)
+        assert (refusal["request_id"], refusal["reason"]) == (same.request_id.hex(), "system already PASSIVE")
         removed = {a.id: a.key_shares.pop("provider:P1") for a in federation.authorities[:2]}
+        before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError, match="not enough shares"):
             federation.change_state(cert, SystemState.ALERT)
+        assert [e.content["kind"] for e in federation.ledger.entries[before:]] == ["denial"]
         for authority in federation.authorities[:2]:
             authority.key_shares["provider:P1"] = removed[authority.id]
         assert federation.change_state(cert, SystemState.ALERT) is SystemState.ALERT
-        assert not self._refusals(federation, 0)
+        assert len(self._refusals(federation, 0)) == 1
 
     @staticmethod
     def _stores(federation):
@@ -366,6 +388,14 @@ class TestStateMachine:
         vault = VaultCoordinator(federation, n_clouds=3, k=2, key_threshold=2, rng=Random(21))
         federation.attach_vault(vault)
         return edge, vault
+
+    @staticmethod
+    def _served(federation, edge, vault, capability, seed):
+        """Whether a fetch and a vault write with `capability` are served; where not, both are refused with `LockedError`."""
+        read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(seed))
+        outcomes = {raised(lambda: _fetch(edge, read, (0, 10))), raised(lambda: vault.write(capability, b"object"))}
+        assert outcomes in ({None}, {LockedError})
+        return outcomes == {None}
 
     def test_failed_unlock_leaves_the_system_passive(self):
         federation = small_federation()  # key threshold 2 of 3
@@ -376,14 +406,18 @@ class TestStateMachine:
             federation.change_state(cert, SystemState.ALERT)
         assert federation.state is SystemState.PASSIVE
         assert federation.engine_keys_held == 0
-        assert edge.locked_for_vpn and vault.locked
+        read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(24))
+        with pytest.raises(LockedError):
+            _fetch(edge, read, (0, 10))
+        with pytest.raises(LockedError):
+            mint(federation, OperationClass.BLIND_PROCESSING, 25)  # so no vault write can be authorized either
         assert not [e for e in federation.ledger.entries if e.content["kind"] == "state_change"]
         for authority in federation.authorities[:2]:
             authority.key_shares["provider:P1"] = removed[authority.id]
         retry = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(23))
         assert federation.change_state(retry, SystemState.ALERT) is SystemState.ALERT
         assert federation.engine_keys_held == 1
-        assert not edge.locked_for_vpn and not vault.locked
+        assert self._served(federation, edge, vault, mint(federation, OperationClass.BLIND_PROCESSING, 26), 27)
 
     def test_failed_unlock_ledgers_one_denial_and_no_rebuilt_key(self):
         federation = small_federation()  # key threshold 2 of 3
@@ -403,12 +437,16 @@ class TestStateMachine:
     def test_stores_follow_every_state_change(self):
         federation = small_federation()
         edge, vault = self._stores(federation)
-        assert edge.locked_for_vpn and vault.locked
+        with pytest.raises(LockedError):
+            _fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(28)), (0, 10))
+        with pytest.raises(LockedError):
+            mint(federation, OperationClass.BLIND_PROCESSING, 29)
         for i, target in enumerate([SystemState.ALERT, SystemState.PASSIVE, SystemState.ALERT]):
             cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": target.name}, Random(30 + i))
             federation.change_state(cert, target)
-            locked = target is SystemState.PASSIVE
-            assert edge.locked_for_vpn is locked and vault.locked is locked
+            if target is SystemState.ALERT:
+                capability = mint(federation, OperationClass.BLIND_PROCESSING, 40 + i)
+            assert self._served(federation, edge, vault, capability, 50 + i) is (target is SystemState.ALERT)
 
 
 class TestCapabilities:
@@ -496,10 +534,38 @@ def reused_lock(federation, edge):
     federation.change_state(lock, SystemState.PASSIVE)
 
 
+def locked_fetch(federation, edge):
+    read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(59))
+    lock(federation, 60)
+    _fetch(edge, read, (0, 10))
+
+
+def minted_while_passive(federation, edge):
+    cert = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(61))
+    lock(federation, 62)
+    federation.authorize_mode(cert, OperationClass.BLIND_ANALYSIS)
+
+
+def used_while_passive(federation, edge):
+    capability = mint(federation, OperationClass.BLIND_ANALYSIS, 63)
+    lock(federation, 64)
+    capability.require_read()
+
+
+def vault_write_while_passive(federation, edge):
+    vault = VaultCoordinator(federation, n_clouds=3, k=2, key_threshold=2, rng=Random(65))
+    federation.attach_vault(vault)
+    capability = mint(federation, OperationClass.BLIND_PROCESSING, 66)
+    lock(federation, 67)
+    vault.write(capability, b"object")
+
+
 CERT_FIELDS = {"operation_class", "request_id"}
 EDGE_FIELDS = {"provider"}
+CAPABILITY_FIELDS = {"operation_class"}
 
 # Every way to be refused: (attempt on an ALERT federation with P1's edge, the error it raises, the fields its record adds to kind, minute and reason).
+# A PASSIVE case locks first.
 REFUSALS = {
     "malformed frame": (lambda federation, edge: edge.handle_fetch_frame(b"junk"), FramingError, EDGE_FIELDS),
     "malformed certificate": (lambda federation, edge: edge.handle_fetch_frame(framing.encode_fetch_request(bytes(16), 0, 10)), FramingError, EDGE_FIELDS),
@@ -539,6 +605,21 @@ REFUSALS = {
         AuthorizationError,
         CERT_FIELDS | EDGE_FIELDS,
     ),
+    "locked fetch": (locked_fetch, LockedError, CERT_FIELDS | EDGE_FIELDS),
+    "same-state change": (
+        lambda federation, edge: federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(68)), SystemState.ALERT),
+        StateError,
+        CERT_FIELDS,
+    ),
+    "lock/unlock as a mode": (
+        lambda federation, edge: federation.authorize_mode(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(69)), OperationClass.LOCK_UNLOCK),
+        ValidationError,
+        CERT_FIELDS,
+    ),
+    "minting while PASSIVE": (minted_while_passive, LockedError, CERT_FIELDS),
+    "capability used while PASSIVE": (used_while_passive, LockedError, CAPABILITY_FIELDS),
+    "capability beyond its mode": (lambda federation, edge: mint(federation, OperationClass.STRICT_PUSH, 70).require_read(), AuthorizationError, CAPABILITY_FIELDS),
+    "vault write while PASSIVE": (vault_write_while_passive, LockedError, CAPABILITY_FIELDS),
 }
 
 

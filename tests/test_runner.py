@@ -501,12 +501,26 @@ class TestAttackSuite:
         }
 
 
-    @pytest.mark.parametrize("dropped", ["provider", "request_id"])
-    def test_a_subquorum_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, dropped):
+    @staticmethod
+    def _with_refusals_missing(monkeypatch, dropped) -> dict:
+        """The attack suite's results with `dropped` left out of every refusal record."""
         refuse = Federation.refuse
         monkeypatch.setattr(Federation, "refuse", lambda self, reason, **fields: refuse(self, reason, **{k: v for k, v in fields.items() if k != dropped}))
+        return {r.name: r for r in attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))}
+
+    @pytest.mark.parametrize("dropped", ["provider", "request_id"])
+    def test_a_subquorum_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, dropped):
+        assert not self._with_refusals_missing(monkeypatch, dropped)["subquorum_fetch"].safe
+
+    @pytest.mark.parametrize("dropped", ["provider", "request_id"])
+    def test_a_locked_fetch_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, dropped):
+        assert not self._with_refusals_missing(monkeypatch, dropped)["locked_fetch"].safe
+
+    def test_an_unledgered_locked_fetch_is_unsafe(self, monkeypatch):
+        refuse = Federation.refuse
+        monkeypatch.setattr(Federation, "refuse", lambda self, reason, **fields: None if reason == "system is PASSIVE" else refuse(self, reason, **fields))
         results = {r.name: r for r in attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))}
-        assert not results["subquorum_fetch"].safe
+        assert not results["locked_fetch"].safe and results["subquorum_fetch"].safe
 
 
 class TestCli:

@@ -14,6 +14,9 @@ caller: no OS entropy, no unseeded `Random`, no `rng` that may be left out.
 
 Every refusal is ledgered by `Federation.refuse`: the ledger kind
 `"authorization_failure"` is spelled nowhere else in the package.
+
+The federation is the one state gate: only `federation.py` raises
+`LockedError` or `StateError`.
 """
 
 import ast
@@ -287,3 +290,44 @@ class Edge:
         return f"authorization_failure {self}", "authorization_failure"
 '''
     assert _literal_scopes(ast.parse(text), "authorization_failure") == ["", "Federation.refuse", "Federation.admit.inner", "Edge.refuse"]
+
+
+STATE_ERRORS = {"LockedError", "StateError"}
+
+
+def _raises(tree: ast.AST, names: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of every `raise` in `tree` of an exception named in `names`, called or not, bare or as a module attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else exc.attr if isinstance(exc, ast.Attribute) else None
+        if name in names:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_only_the_federation_raises_a_state_error():
+    """The federation is the one state gate: no other module decides that the system is PASSIVE, or already in a state."""
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "federation.py"
+        for line, name in _raises(ast.parse(path.read_text(), filename=str(path)), STATE_ERRORS)
+    ]
+    assert found == []
+
+
+def test_state_error_guard_sees_each_form():
+    text = """
+raise LockedError("edge is locked")
+raise StateError
+raise errors.LockedError()
+raise ValueError("x")
+try:
+    pass
+except StateError:
+    raise
+"""
+    assert _raises(ast.parse(text), STATE_ERRORS) == [(2, "LockedError"), (3, "StateError"), (4, "LockedError")]

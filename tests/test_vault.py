@@ -20,13 +20,12 @@ from epitrace.vault import FaultMode, VaultCoordinator
 from util import held_object_ids, small_federation
 
 
-def make_vault(key_threshold=3, k=2, n_clouds=4, alerted=True, seed=0):
+def make_vault(key_threshold=3, k=2, n_clouds=4, seed=0):
     federation = small_federation(seed=seed)
     vault = VaultCoordinator(federation, n_clouds=n_clouds, k=k, key_threshold=key_threshold, rng=Random(seed))
     federation.attach_vault(vault)
-    if alerted:
-        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(seed + 1))
-        federation.change_state(cert, SystemState.ALERT)
+    cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(seed + 1))
+    federation.change_state(cert, SystemState.ALERT)
     return federation, vault
 
 
@@ -85,11 +84,13 @@ class TestWriteRead:
             assert vault.read(cap_full, object_id) == payload
 
     def test_write_in_passive_is_locked(self):
-        federation, vault = make_vault(alerted=False)
-        # capability minting requires alert, so check the lock directly
-        assert vault.locked
+        federation, vault = make_vault()
+        cap_write, _ = caps(federation)
+        vault.write(cap_write, b"data")
+        federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(8)), SystemState.PASSIVE)
         with pytest.raises(LockedError):
-            vault.write(_DummyCap(), b"data")
+            vault.write(cap_write, b"data")
+        assert vault.object_count == 0
 
     def test_write_requires_write_capability(self):
         federation, vault = make_vault()
@@ -257,7 +258,8 @@ class TestDelete:
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(30))
         federation.change_state(cert, SystemState.PASSIVE)
         assert vault.object_count == 0
-        assert vault.locked
+        with pytest.raises(LockedError):
+            vault.write(cap_write, b"object 3")
         batch_entries = [
             e for e in federation.ledger.entries if e.content["kind"] == "vault_delete" and len(e.content.get("objects", [])) == 3
         ]
@@ -276,8 +278,3 @@ class TestDelete:
         assert all(held_object_ids(cloud) == [] for cloud in vault.clouds)
         with pytest.raises(UnavailableError):
             vault.read(cap_write, object_id)
-
-
-class _DummyCap:
-    def require_write(self):
-        raise AssertionError("lock must trip before capability checks")
