@@ -63,3 +63,7 @@ class ResolutionError(EpitraceError):
 
 class FramingError(EpitraceError):
     """A wire message is malformed or truncated."""
+
+
+class HelperError(EpitraceError):
+    """A forked helper process failed or ended before delivering its work; the message names its exit status."""

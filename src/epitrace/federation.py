@@ -150,15 +150,22 @@ class _Pending:
 
 
 class Capability:
-    """Bearer right produced by authorize_mode; each use is checked live against system state, and a refused use is ledgered."""
+    """Bearer right produced by authorize_mode; each use is checked live against system state, and a refused use is ledgered.
+
+    It lives for the ALERT period it was minted in: a use after the next lock,
+    even once a later unlock opened a new period, is refused.
+    """
 
     def __init__(self, federation: "Federation", mode: OperationClass):
         self._federation = federation
         self.mode = mode
+        self._period = federation.alert_period
 
     def _require(self, modes: set[OperationClass], denial: str) -> None:
         if self._federation.state is not SystemState.ALERT:
             reason, error = "system is PASSIVE", LockedError
+        elif self._period != self._federation.alert_period:
+            reason, error = f"{self.mode.name} capability was minted in an earlier ALERT period", AuthorizationError
         elif self.mode not in modes:
             reason, error = f"{self.mode.name} {denial}", AuthorizationError
         else:
@@ -193,6 +200,7 @@ class Federation:
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
         self.ledger = AuditLedger()
         self.state = SystemState.PASSIVE  # the only record of PASSIVE/ALERT; only `admit` and `Capability` gate on it
+        self.alert_period: bytes | None = None  # request id of the state change that opened the current ALERT period
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
         self._pending: dict[bytes, _Pending] = {}
@@ -369,6 +377,7 @@ class Federation:
             self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.config.fed_key_threshold)
         self._engine_keys = keys
         self.state = target
+        self.alert_period = cert.request_id if target is SystemState.ALERT else None
         pending.spent = True
         if target is SystemState.PASSIVE and self._vault is not None:
             self._vault.delete_all()

@@ -6,15 +6,19 @@ Drives the whole pipeline on a simulated clock with no wall-clock reads, so a
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import heapq
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from . import cep, crypto, erasure, framing
 from .edge import EdgeCloud
@@ -23,6 +27,7 @@ from .errors import (
     ConfigurationError,
     DecryptionError,
     EpitraceError,
+    HelperError,
     LockedError,
     ReconstructionError,
     UnavailableError,
@@ -37,7 +42,9 @@ from .world import (
     MobilityTrace,
     NoiseModel,
     ProviderRegistry,
+    Run,
     ScenarioConfig,
+    block_noise,
     generate_world,
     infection_estimates,
     observe,
@@ -185,6 +192,74 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
 _SWEEP_BLOCK_MIN = 30
 
 
+class _NoiseHelper:
+    """The measurement noise of each block of one `ingest` call, drawn one block ahead in a forked child.
+
+    Stations measure apart from the edge clouds that seal their reports, so the
+    child draws each block's noise (`block_noise`, in block order) on another
+    core while the parent seals and pushes the block before it. It writes each
+    block as `n ‖ x ‖ y` in float64 to a pipe, whose capacity bounds how far it
+    runs ahead. The child reads only the registry, the positions and the
+    model, writes only the pipe, and leaves by `os._exit`: 0 after the last
+    block, 1 on any exception. Called with a block's runs, the helper reads
+    that block's offsets, so it is a noise source for `observe`. Leaving the
+    `with` block closes the pipe and reaps the child, whether or not the
+    parent raised; a short read, or a nonzero status after a clean ingest,
+    raises `HelperError`.
+    """
+
+    def __init__(self, registry: ProviderRegistry, positions: np.ndarray, blocks: range, noise: NoiseModel):
+        self._noise = noise
+        self._status: int | None = None
+        read_fd, write_fd = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self._pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    for block in blocks:
+                        offset = block - blocks.start
+                        _noisy, x, y = block_noise(registry, block, positions[offset : offset + blocks.step], noise)
+                        pipe.write(np.concatenate(([len(x)], x, y)).tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = int(np.frombuffer(self._read(8))[0])
+        xy = np.frombuffer(self._read(16 * n))
+        return self._noise.noisy(runs), xy[:n], xy[n:]
+
+    def _read(self, size: int) -> bytes:
+        data = self._pipe.read(size)
+        if len(data) != size:
+            self._pipe.close()
+            raise HelperError(f"noise helper sent {len(data)} of {size} bytes and exited with status {self._reap()}")
+        return data
+
+    def _reap(self) -> int:
+        if self._status is None:
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._status
+
+    def __enter__(self) -> "_NoiseHelper":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._pipe.close()  # a child still writing gets EPIPE and exits 1
+        status = self._reap()
+        if exc_type is None and status != 0:
+            raise HelperError(f"noise helper exited with status {status}")
+
+
 def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     """Feed minutes [start, stop) into the edge clouds; return the ingest counts.
 
@@ -194,30 +269,34 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     that minute's sets are pushed through their providers' ports in code
     order, and every `prune_every_min`-th minute ends with a prune of all
     edges. Pushes, seals and the ledger are those of a minute-at-a-time loop.
+    With noise on, a `_NoiseHelper` forked for this call draws the noise, and
+    no process outlives the call.
     """
     config = context.config
-    noise = NoiseModel.from_config(config) if config.noise_enabled else None
     positions = trace_positions(context.traces, start, stop)
+    blocks = range(start, stop, _SWEEP_BLOCK_MIN)
     provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
-    for block in range(start, stop, _SWEEP_BLOCK_MIN):
-        minutes = range(block, min(block + _SWEEP_BLOCK_MIN, stop))
-        sweep = observe(context.registry, context.traces, block, positions[block - start : minutes.stop - start], noise)
-        counts["pdrs_emitted"] += len(sweep)
-        # Once the sweep is gone, each minute's sets hold its readings until pushed.
-        pending = {minute: list(sets) for minute, sets in itertools.groupby(group_into_sets(sweep), attrgetter("minute"))}
-        del sweep
-        for minute in minutes:
-            context.federation.tick(minute)
-            for pdr_set in pending.pop(minute, ()):
-                if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
-                    counts["sets_pushed"] += 1
-                else:
-                    counts["push_failures"] += 1
-            if minute > 0 and minute % config.prune_every_min == 0:
-                for edge in context.edges.values():
-                    counts["sets_pruned"] += edge.prune(minute)
+    helper = _NoiseHelper(context.registry, positions, blocks, NoiseModel.from_config(config)) if config.noise_enabled else contextlib.nullcontext()
+    with helper as noise:
+        for block in blocks:
+            minutes = range(block, min(block + _SWEEP_BLOCK_MIN, stop))
+            sweep = observe(context.registry, context.traces, block, positions[block - start : minutes.stop - start], noise)
+            counts["pdrs_emitted"] += len(sweep)
+            # Once the sweep is gone, each minute's sets hold its readings until pushed.
+            pending = {minute: list(sets) for minute, sets in itertools.groupby(group_into_sets(sweep), attrgetter("minute"))}
+            del sweep
+            for minute in minutes:
+                context.federation.tick(minute)
+                for pdr_set in pending.pop(minute, ()):
+                    if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
+                        counts["sets_pushed"] += 1
+                    else:
+                        counts["push_failures"] += 1
+                if minute > 0 and minute % config.prune_every_min == 0:
+                    for edge in context.edges.values():
+                        counts["sets_pruned"] += edge.prune(minute)
     return counts
 
 

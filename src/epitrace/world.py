@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from random import Random
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -513,9 +513,27 @@ def _replay_epidemic(config: ScenarioConfig, traces: list[MobilityTrace], attemp
 # -- measurement -----------------------------------------------------------------
 
 
+Run = tuple[int, BsCode, int]  # (minute, station, readings): one station-minute that saw a phone
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Seeded measurement noise; sigma depends on the station precision class."""
+    """Seeded measurement noise; sigma depends on the station precision class.
+
+    Called with a block's runs, it returns the noisy-reading mask and the x and
+    y offsets of the noisy readings. A station-minute's stream is keyed by
+    (seed, minute, station), so adding a station never perturbs another's
+    readings, and it is seeded only when a phone is in the station's range.
+    Each reading draws one Box-Muller pair from it, the two
+    `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine term offsets
+    x, the sine term y. A stream of `count` readings is one
+    `getrandbits(128 * count)`, whose little-endian 32-bit words are the
+    generator's outputs in order; each pair of words (w0, w1) gives the uniform
+    `((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`, which is `Random.random()`'s
+    own formula. Transcendentals run through `math` (libm) and numpy does only
+    IEEE-exact arithmetic in the same operand order, so each offset equals
+    `0.0 + Random.gauss(0.0, sigma)` bit for bit.
+    """
 
     seed: int
     sigma_by_class: dict[PrecisionClass, float]
@@ -531,59 +549,86 @@ class NoiseModel:
             },
         )
 
+    def noisy(self, runs: list[Run]) -> np.ndarray:
+        """Per reading, in run order: whether its station's sigma is positive."""
+        sigmas = [self.sigma_by_class[bs.precision_class] > 0.0 for _m, bs, _count in runs]
+        return np.repeat(np.array(sigmas, dtype=bool), [count for _m, _bs, count in runs])
+
+    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        streams = [(m, bs, count) for m, bs, count in runs if self.sigma_by_class[bs.precision_class] > 0.0]
+        words = np.frombuffer(
+            b"".join(Random(f"{self.seed}/observe/{m}/{bs.code}").getrandbits(128 * count).to_bytes(16 * count, "little") for m, bs, count in streams),
+            dtype="<u4",
+        )
+        uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+        x2pi = (uniform[0::2] * TWO_PI).tolist()
+        g2rad = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - uniform[1::2]).tolist()))))
+        sigma = np.repeat([self.sigma_by_class[bs.precision_class] for _m, bs, _count in streams], [count for _m, _bs, count in streams])
+        dx = 0.0 + np.array(list(map(math.cos, x2pi))) * g2rad * sigma
+        dy = 0.0 + np.array(list(map(math.sin, x2pi))) * g2rad * sigma
+        return self.noisy(runs), dx, dy
+
+
+def _in_range(registry: ProviderRegistry, start: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Run]]:
+    """The range test of a block: the station centroids, the (minute, station, phone) in-range mask and its runs.
+
+    Stations are in code order. A phone inside a station's useful range gives
+    one reading per minute, so overlapping stations read it several times.
+    """
+    stations = registry.sorted_stations()
+    centroids = np.array([info.centroid for _, info in stations]).reshape(-1, 2)
+    ranges = np.array([info.useful_range for _, info in stations])
+    # (minutes, stations, phones); each offset is computed again for the readings only.
+    inside = np.hypot(positions[:, None, :, 0] - centroids[:, 0, None], positions[:, None, :, 1] - centroids[:, 1, None]) <= ranges[:, None]
+    per_run = np.count_nonzero(inside, axis=2)
+    run_minute, run_station = np.nonzero(per_run)
+    minutes = list(range(start, start + len(positions)))  # one int per minute, shared by the minute's sets as stored
+    run_count = per_run[run_minute, run_station].tolist()
+    runs = [(minutes[m], stations[s][0], count) for m, s, count in zip(run_minute.tolist(), run_station.tolist(), run_count)]
+    return centroids, inside, runs
+
+
+def block_noise(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`noise` of a block's runs: what `observe` draws for the same block, without the readings."""
+    return noise(_in_range(registry, start, positions)[2])
+
 
 def observe(
     registry: ProviderRegistry,
     traces: list[MobilityTrace],
     start: int,
     positions: np.ndarray,
-    noise: NoiseModel | None = None,
+    noise: Callable[[list[Run]], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> Sweep:
     """One sweep of every station over every phone, for each minute of a block.
 
     `positions` holds every phone's position at minutes start, start + 1, ...,
     shape (minutes, n, 2), as `trace_positions` gives them, with the traces in
-    ascending phone order; `noise=None` measures without noise. A phone inside
-    a station's useful range gives one reading per minute, so overlapping
-    stations read it several times. The range test runs once per block.
-    Noise draws are keyed by (seed, minute, station), so adding a station never
-    perturbs another's readings. A station-minute's stream is seeded only when
-    a phone is in its range, and each reading draws one Box-Muller pair from
-    it, the two `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine
-    term offsets x, the sine term y. Transcendentals run through `math` (libm),
-    numpy does only IEEE-exact arithmetic in the same operand order, and a
-    reading without noise gets no `0.0 +` (which would turn a -0.0 offset's
-    azimuth from pi to 0), so each float equals a per-reading sweep's.
+    ascending phone order. The range test runs once per block. `noise=None`
+    measures without noise. Otherwise `noise` is a noise source: called with
+    the block's runs, it returns the noisy-reading mask and the x and y
+    offsets of the noisy readings. A `NoiseModel` draws them in process;
+    `runner.ingest` passes a helper that reads the same model's draws from a
+    forked process. Each station-minute's stream is drawn as one
+    `Random(f"{seed}/observe/{minute}/{code}").getrandbits(128 * count)`,
+    whose 32-bit words give the uniforms by `Random.random()`'s own formula,
+    so every offset equals `0.0 + Random.gauss(0.0, sigma)` of a
+    reading-at-a-time sweep bit for bit (see `NoiseModel`). A mask or offset
+    count that disagrees with the readings raises `ValidationError`. A reading
+    without noise gets no `0.0 +` (which would turn a -0.0 offset's azimuth
+    from pi to 0), so each float equals a per-reading sweep's.
     """
-    stations = registry.sorted_stations()
-    cx, cy = np.array([info.centroid for _, info in stations]).reshape(-1, 2).T
-    ranges = np.array([info.useful_range for _, info in stations])
-    # (minutes, stations, phones); each offset is computed again below for the readings only.
-    inside = np.hypot(positions[:, None, :, 0] - cx[:, None], positions[:, None, :, 1] - cy[:, None]) <= ranges[:, None]
-    per_run = np.count_nonzero(inside, axis=2)
-    run_minute, run_station = np.nonzero(per_run)
-    minutes = list(range(start, start + len(positions)))  # one int per minute, shared by the minute's sets as stored
-    run_count = per_run[run_minute, run_station].tolist()
-    runs = [(minutes[m], stations[s][0], count) for m, s, count in zip(run_minute.tolist(), run_station.tolist(), run_count)]
+    centroids, inside, runs = _in_range(registry, start, positions)
     minute, station, phone = np.nonzero(inside)
     phones = [trace.phone for trace in traces]
-    dx = positions[minute, phone, 0] - cx[station]
-    dy = positions[minute, phone, 1] - cy[station]
+    dx = positions[minute, phone, 0] - centroids[station, 0]
+    dy = positions[minute, phone, 1] - centroids[station, 1]
     if noise is not None:
-        station_sigma = np.array([noise.sigma_by_class[bs.precision_class] for bs, _ in stations])
-        noisy = station_sigma[station] > 0.0
-        uniform = np.empty(2 * int(np.count_nonzero(noisy)))
-        end = 0
-        for (m, bs, count), sigma in zip(runs, station_sigma[run_station].tolist()):
-            if sigma > 0.0:
-                draw = Random(f"{noise.seed}/observe/{m}/{bs.code}").random
-                begin, end = end, end + 2 * count
-                uniform[begin:end] = [draw() for _ in range(2 * count)]
-        x2pi = uniform[0::2] * TWO_PI
-        g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, 1.0 - uniform[1::2]), float, len(x2pi)))
-        sigma = station_sigma[station[noisy]]
-        dx[noisy] += 0.0 + np.fromiter(map(math.cos, x2pi), float, len(x2pi)) * g2rad * sigma
-        dy[noisy] += 0.0 + np.fromiter(map(math.sin, x2pi), float, len(x2pi)) * g2rad * sigma
+        noisy, x, y = noise(runs)
+        if len(noisy) != len(dx) or not len(x) == len(y) == np.count_nonzero(noisy):
+            raise ValidationError(f"noise for {len(noisy)} of {len(dx)} readings holds {len(x)} x and {len(y)} y offsets for {np.count_nonzero(noisy)} noisy ones")
+        dx[noisy] += x
+        dy[noisy] += y
     dx, dy = dx.tolist(), dy.tolist()
     # A tiny negative angle rounds up to 2*pi under `%`; the second `%` maps
     # that one value to 0.0 and leaves every other azimuth as it is.

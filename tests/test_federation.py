@@ -552,6 +552,13 @@ def used_while_passive(federation, edge):
     capability.require_read()
 
 
+def used_in_a_later_period(federation, edge):
+    capability = mint(federation, OperationClass.BLIND_ANALYSIS, 71)
+    lock(federation, 72)
+    federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(73)), SystemState.ALERT)
+    capability.require_read()
+
+
 def vault_write_while_passive(federation, edge):
     vault = VaultCoordinator(federation, n_clouds=3, k=2, key_threshold=2, rng=Random(65))
     federation.attach_vault(vault)
@@ -620,6 +627,7 @@ REFUSALS = {
     "capability used while PASSIVE": (used_while_passive, LockedError, CAPABILITY_FIELDS),
     "capability beyond its mode": (lambda federation, edge: mint(federation, OperationClass.STRICT_PUSH, 70).require_read(), AuthorizationError, CAPABILITY_FIELDS),
     "vault write while PASSIVE": (vault_write_while_passive, LockedError, CAPABILITY_FIELDS),
+    "capability used in a later ALERT period": (used_in_a_later_period, AuthorizationError, CAPABILITY_FIELDS),
 }
 
 

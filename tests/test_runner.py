@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import re
 from operator import attrgetter
 from pathlib import Path
@@ -15,13 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 from epitrace import cep, crypto, framing, runner
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
-from epitrace.errors import ConfigurationError
+from epitrace.errors import ConfigurationError, HelperError, ValidationError
 from epitrace.federation import Federation, OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PdrSet, decode_pdr_set
 from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
 from epitrace.vault import FaultMode
-from epitrace.world import ScenarioConfig, generate_world
+from epitrace.world import NoiseModel, ScenarioConfig, generate_world
 from util import SMALL_JSON, ingested_for_analysis, reference_ingest, retention_config
 
 SPARSE_DIGESTS = {
@@ -431,6 +432,54 @@ class TestIngest:
         counts, ledger, stored = drive(ingest)
         assert counts["sets_pruned"] > 0 and counts["push_failures"] == 0
         assert (counts, ledger, stored) == drive(reference_ingest)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestNoiseHelper:
+    """`ingest` draws the noise in a forked helper; however the ingest ends, no process outlives it."""
+
+    def test_a_noise_error_in_the_helper_raises_the_named_error(self, monkeypatch):
+        def failing(model, runs):
+            raise RuntimeError("noise failed")
+
+        monkeypatch.setattr(NoiseModel, "__call__", failing)  # only the helper calls it
+        with pytest.raises(HelperError, match="exited with status 1"):
+            ingest(build_context(retention_config()), 0, 90)
+        assert_no_child_left()
+
+    def test_a_push_that_raises_mid_ingest_still_reaps_the_helper(self, monkeypatch):
+        pushes = itertools.count()
+        original = EdgeCloud.push
+
+        def failing_push(edge, pdr_set):
+            if next(pushes) == 200:
+                raise RuntimeError("push failed")
+            return original(edge, pdr_set)
+
+        monkeypatch.setattr(EdgeCloud, "push", failing_push)
+        with pytest.raises(RuntimeError, match="push failed"):
+            ingest(build_context(retention_config()), 0, 300)
+        assert_no_child_left()
+
+    def test_an_offset_count_that_disagrees_with_the_readings_is_refused(self, monkeypatch):
+        original = NoiseModel.__call__
+
+        def short(model, runs):
+            noisy, x, y = original(model, runs)
+            return noisy, x[:-1], y[:-1]
+
+        monkeypatch.setattr(NoiseModel, "__call__", short)
+        with pytest.raises(ValidationError, match="offsets"):
+            ingest(build_context(retention_config()), 0, 90)
+        assert_no_child_left()
+
+    def test_a_finished_run_leaves_no_process(self):
+        assert run(ScenarioConfig(**{**CFG, "noise_enabled": True})).ok
+        assert_no_child_left()
 
 
 class TestSealEpochs:

@@ -7,7 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from epitrace import world
 from epitrace.errors import ConfigurationError
@@ -380,6 +380,16 @@ def sweep_worlds(draw):
     return registry, traces, start, trace_positions(traces, start, start + length), noise
 
 
+def crowded_block():
+    """One pico station that reads 170 phones a minute under noise: each station-minute stream draws 680 words, past the generator's 624-word state."""
+    bs = station(1, PrecisionClass.PICO)
+    registry = ProviderRegistry(stations={bs: StationInfo((0.0, 0.0), 100.0)}, providers={"P1": [bs]})
+    rng = Random("crowded")
+    traces = [MobilityTrace(_phone(j), ((0, (rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0))), (100, (rng.uniform(-60.0, 60.0), 0.0)))) for j in range(170)]
+    noise = NoiseModel(seed=77, sigma_by_class={PrecisionClass.MACRO: 150.0, PrecisionClass.PICO: 10.0, PrecisionClass.FEMTO: 1.0})
+    return registry, traces, 40, trace_positions(traces, 40, 43), noise
+
+
 class TestObserve:
     def _single_station_registry(self, centroid=(50.0, 50.0), useful_range=8.0, cls=PrecisionClass.FEMTO):
         bs = station(1, cls)
@@ -463,6 +473,7 @@ class TestObserve:
 
     @settings(max_examples=150, deadline=None)
     @given(sweep_worlds())
+    @example(crowded_block())
     def test_a_block_sweep_equals_the_per_minute_reference_bit_for_bit(self, world_block):
         registry, traces, start, positions, noise = world_block
         sets = group_into_sets(observe(registry, traces, start, positions, noise))
