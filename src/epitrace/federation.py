@@ -162,9 +162,10 @@ class Capability:
         self._period = federation.alert_period
 
     def _require(self, modes: set[OperationClass], denial: str) -> None:
-        if self._federation.state is not SystemState.ALERT:
+        period = self._federation.alert_period
+        if period is None:
             reason, error = "system is PASSIVE", LockedError
-        elif self._period != self._federation.alert_period:
+        elif period != self._period:
             reason, error = f"{self.mode.name} capability was minted in an earlier ALERT period", AuthorizationError
         elif self.mode not in modes:
             reason, error = f"{self.mode.name} {denial}", AuthorizationError
@@ -199,13 +200,19 @@ class Federation:
         self.authorities = [Authority(id=i, keypair=crypto.SigningKeyPair.generate(rng)) for i in range(1, config.n_authorities + 1)]
         self.public_keys = {a.id: a.keypair.public_bytes for a in self.authorities}
         self.ledger = AuditLedger()
-        self.state = SystemState.PASSIVE  # the only record of PASSIVE/ALERT; only `admit` and `Capability` gate on it
-        self.alert_period: bytes | None = None  # request id of the state change that opened the current ALERT period
+        # The only record of PASSIVE/ALERT: the request id of the state change
+        # that opened the current ALERT period, None while PASSIVE.
+        self.alert_period: bytes | None = None
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
         self._pending: dict[bytes, _Pending] = {}
         self._engine_keys: dict[str, bytes] = {}  # reconstructed only while ALERT
         self._vault: Any | None = None
+
+    @property
+    def state(self) -> SystemState:
+        """PASSIVE or ALERT, read from `alert_period`; only `admit` and `Capability` gate on it."""
+        return SystemState.PASSIVE if self.alert_period is None else SystemState.ALERT
 
     def quorum(self, cls: OperationClass) -> int:
         return self.config.q_critical if cls in CRITICAL_CLASSES else self.config.q_read
@@ -376,7 +383,6 @@ class Federation:
         for key_id in keys:
             self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.config.fed_key_threshold)
         self._engine_keys = keys
-        self.state = target
         self.alert_period = cert.request_id if target is SystemState.ALERT else None
         pending.spent = True
         if target is SystemState.PASSIVE and self._vault is not None:

@@ -192,6 +192,16 @@ def build_context(config: ScenarioConfig, faults: dict[int, FaultMode] | None = 
 _SWEEP_BLOCK_MIN = 30
 
 
+def _spare_cpu() -> bool:
+    """Whether this process may run on more than one CPU, so a forked noise helper can draw beside it.
+
+    On one CPU the helper's fork and page copies cost more than its draws
+    save. `os.sched_getaffinity` exists on Linux only; elsewhere the noise is
+    drawn in process.
+    """
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
 class _NoiseHelper:
     """The measurement noise of each block of one `ingest` call, drawn one block ahead in a forked child.
 
@@ -202,14 +212,15 @@ class _NoiseHelper:
     runs ahead. The child reads only the registry, the positions and the
     model, writes only the pipe, and leaves by `os._exit`: 0 after the last
     block, 1 on any exception. Called with a block's runs, the helper reads
-    that block's offsets, so it is a noise source for `observe`. Leaving the
-    `with` block closes the pipe and reaps the child, whether or not the
-    parent raised; a short read, or a nonzero status after a clean ingest,
-    raises `HelperError`.
+    that block's offsets, so with the model's sigmas it is a noise source for
+    `observe`. Until it exits, the child holds copies of the parent's pages
+    that either side writes. Leaving the `with` block closes the pipe and
+    reaps the child, whether or not the parent raised; a short read, or a
+    nonzero status after a clean ingest, raises `HelperError`.
     """
 
     def __init__(self, registry: ProviderRegistry, positions: np.ndarray, blocks: range, noise: NoiseModel):
-        self._noise = noise
+        self.sigma_by_class = noise.sigma_by_class
         self._status: int | None = None
         read_fd, write_fd = os.pipe()
         try:
@@ -225,7 +236,7 @@ class _NoiseHelper:
                 with open(write_fd, "wb") as pipe:
                     for block in blocks:
                         offset = block - blocks.start
-                        _noisy, x, y = block_noise(registry, block, positions[offset : offset + blocks.step], noise)
+                        x, y = block_noise(registry, block, positions[offset : offset + blocks.step], noise)
                         pipe.write(np.concatenate(([len(x)], x, y)).tobytes())
                 status = 0
             finally:
@@ -233,10 +244,10 @@ class _NoiseHelper:
         os.close(write_fd)
         self._pipe = open(read_fd, "rb")
 
-    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray]:
         n = int(np.frombuffer(self._read(8))[0])
         xy = np.frombuffer(self._read(16 * n))
-        return self._noise.noisy(runs), xy[:n], xy[n:]
+        return xy[:n], xy[n:]
 
     def _read(self, size: int) -> bytes:
         data = self._pipe.read(size)
@@ -269,8 +280,10 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     that minute's sets are pushed through their providers' ports in code
     order, and every `prune_every_min`-th minute ends with a prune of all
     edges. Pushes, seals and the ledger are those of a minute-at-a-time loop.
-    With noise on, a `_NoiseHelper` forked for this call draws the noise, and
-    no process outlives the call.
+    With noise on, the noise is drawn by a `_NoiseHelper` forked for this
+    call when the process may use a second CPU (`_spare_cpu`), and by the
+    `NoiseModel` in process otherwise; the offsets are the same bit for bit,
+    and no process outlives the call.
     """
     config = context.config
     positions = trace_positions(context.traces, start, stop)
@@ -278,8 +291,9 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
-    helper = _NoiseHelper(context.registry, positions, blocks, NoiseModel.from_config(config)) if config.noise_enabled else contextlib.nullcontext()
-    with helper as noise:
+    noise = NoiseModel.from_config(config) if config.noise_enabled else None
+    source = _NoiseHelper(context.registry, positions, blocks, noise) if noise is not None and _spare_cpu() else contextlib.nullcontext(noise)
+    with source as noise:
         for block in blocks:
             minutes = range(block, min(block + _SWEEP_BLOCK_MIN, stop))
             sweep = observe(context.registry, context.traces, block, positions[block - start : minutes.stop - start], noise)

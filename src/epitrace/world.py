@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from random import Random
-from typing import Callable, Iterable
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -520,13 +520,13 @@ Run = tuple[int, BsCode, int]  # (minute, station, readings): one station-minute
 class NoiseModel:
     """Seeded measurement noise; sigma depends on the station precision class.
 
-    Called with a block's runs, it returns the noisy-reading mask and the x and
-    y offsets of the noisy readings. A station-minute's stream is keyed by
-    (seed, minute, station), so adding a station never perturbs another's
-    readings, and it is seeded only when a phone is in the station's range.
-    Each reading draws one Box-Muller pair from it, the two
-    `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine term offsets
-    x, the sine term y. A stream of `count` readings is one
+    Called with a block's runs, it returns the x and y offsets of the readings
+    whose station's sigma is positive, in run order. A station-minute's stream
+    is keyed by (seed, minute, station), so adding a station never perturbs
+    another's readings, and it is seeded only when a phone is in the station's
+    range. Each reading draws one Box-Muller pair from it, the two
+    `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine term
+    offsets x, the sine term y. A stream of `count` readings is one
     `getrandbits(128 * count)`, whose little-endian 32-bit words are the
     generator's outputs in order; each pair of words (w0, w1) gives the uniform
     `((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`, which is `Random.random()`'s
@@ -549,12 +549,7 @@ class NoiseModel:
             },
         )
 
-    def noisy(self, runs: list[Run]) -> np.ndarray:
-        """Per reading, in run order: whether its station's sigma is positive."""
-        sigmas = [self.sigma_by_class[bs.precision_class] > 0.0 for _m, bs, _count in runs]
-        return np.repeat(np.array(sigmas, dtype=bool), [count for _m, _bs, count in runs])
-
-    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray]:
         streams = [(m, bs, count) for m, bs, count in runs if self.sigma_by_class[bs.precision_class] > 0.0]
         words = np.frombuffer(
             b"".join(Random(f"{self.seed}/observe/{m}/{bs.code}").getrandbits(128 * count).to_bytes(16 * count, "little") for m, bs, count in streams),
@@ -566,7 +561,15 @@ class NoiseModel:
         sigma = np.repeat([self.sigma_by_class[bs.precision_class] for _m, bs, _count in streams], [count for _m, _bs, count in streams])
         dx = 0.0 + np.array(list(map(math.cos, x2pi))) * g2rad * sigma
         dy = 0.0 + np.array(list(map(math.sin, x2pi))) * g2rad * sigma
-        return self.noisy(runs), dx, dy
+        return dx, dy
+
+
+class NoiseSource(Protocol):
+    """What `observe` draws noise from: a `NoiseModel`, or anything with its sigmas and call shape."""
+
+    sigma_by_class: dict[PrecisionClass, float]
+
+    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 def _in_range(registry: ProviderRegistry, start: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Run]]:
@@ -588,7 +591,7 @@ def _in_range(registry: ProviderRegistry, start: int, positions: np.ndarray) -> 
     return centroids, inside, runs
 
 
-def block_noise(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_noise(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """`noise` of a block's runs: what `observe` draws for the same block, without the readings."""
     return noise(_in_range(registry, start, positions)[2])
 
@@ -598,23 +601,24 @@ def observe(
     traces: list[MobilityTrace],
     start: int,
     positions: np.ndarray,
-    noise: Callable[[list[Run]], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    noise: NoiseSource | None = None,
 ) -> Sweep:
     """One sweep of every station over every phone, for each minute of a block.
 
     `positions` holds every phone's position at minutes start, start + 1, ...,
     shape (minutes, n, 2), as `trace_positions` gives them, with the traces in
     ascending phone order. The range test runs once per block. `noise=None`
-    measures without noise. Otherwise `noise` is a noise source: called with
-    the block's runs, it returns the noisy-reading mask and the x and y
-    offsets of the noisy readings. A `NoiseModel` draws them in process;
-    `runner.ingest` passes a helper that reads the same model's draws from a
-    forked process. Each station-minute's stream is drawn as one
+    measures without noise. Otherwise a reading is noisy where its station's
+    `noise.sigma_by_class` is positive, and `noise` called with the block's
+    runs returns the x and y offsets of the noisy readings. A `NoiseModel`
+    draws them in process; `runner.ingest`, given a second CPU, passes a
+    helper that reads the same model's draws from a forked process. Each
+    station-minute's stream is drawn as one
     `Random(f"{seed}/observe/{minute}/{code}").getrandbits(128 * count)`,
     whose 32-bit words give the uniforms by `Random.random()`'s own formula,
     so every offset equals `0.0 + Random.gauss(0.0, sigma)` of a
-    reading-at-a-time sweep bit for bit (see `NoiseModel`). A mask or offset
-    count that disagrees with the readings raises `ValidationError`. A reading
+    reading-at-a-time sweep bit for bit (see `NoiseModel`). An offset count
+    that disagrees with the noisy readings raises `ValidationError`. A reading
     without noise gets no `0.0 +` (which would turn a -0.0 offset's azimuth
     from pi to 0), so each float equals a per-reading sweep's.
     """
@@ -624,9 +628,10 @@ def observe(
     dx = positions[minute, phone, 0] - centroids[station, 0]
     dy = positions[minute, phone, 1] - centroids[station, 1]
     if noise is not None:
-        noisy, x, y = noise(runs)
-        if len(noisy) != len(dx) or not len(x) == len(y) == np.count_nonzero(noisy):
-            raise ValidationError(f"noise for {len(noisy)} of {len(dx)} readings holds {len(x)} x and {len(y)} y offsets for {np.count_nonzero(noisy)} noisy ones")
+        x, y = noise(runs)
+        noisy = np.repeat(np.array([noise.sigma_by_class[bs.precision_class] > 0.0 for _m, bs, _count in runs], dtype=bool), [count for _m, _bs, count in runs])
+        if not len(x) == len(y) == np.count_nonzero(noisy):
+            raise ValidationError(f"noise holds {len(x)} x and {len(y)} y offsets for {np.count_nonzero(noisy)} noisy readings")
         dx[noisy] += x
         dy[noisy] += y
     dx, dy = dx.tolist(), dy.tolist()

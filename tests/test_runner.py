@@ -411,6 +411,13 @@ def sealed(monkeypatch):
     return blobs, provider_hours
 
 
+def allow_cpus(monkeypatch, cpus):
+    """Make `os.sched_getaffinity` allow `cpus` CPUs; on one CPU any fork fails the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    if cpus == 1:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"), raising=False)
+
+
 class TestIngest:
     def test_blocks_push_prune_and_ledger_as_a_minute_at_a_time_loop(self):
         # Neither end of the range, the prune period nor the alert minute falls on a sweep-block boundary.
@@ -433,14 +440,23 @@ class TestIngest:
         assert counts["sets_pruned"] > 0 and counts["push_failures"] == 0
         assert (counts, ledger, stored) == drive(reference_ingest)
 
+    def test_on_one_cpu_the_noise_is_drawn_in_process_as_the_loop_draws_it(self, monkeypatch):
+        allow_cpus(monkeypatch, 1)
+        self.test_blocks_push_prune_and_ledger_as_a_minute_at_a_time_loop()
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the noise helper needs os.fork")
 class TestNoiseHelper:
-    """`ingest` draws the noise in a forked helper; however the ingest ends, no process outlives it."""
+    """Given a second CPU, `ingest` draws the noise in a forked helper; however the ingest ends, no process outlives it."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
 
     def test_a_noise_error_in_the_helper_raises_the_named_error(self, monkeypatch):
         def failing(model, runs):
@@ -469,8 +485,8 @@ class TestNoiseHelper:
         original = NoiseModel.__call__
 
         def short(model, runs):
-            noisy, x, y = original(model, runs)
-            return noisy, x[:-1], y[:-1]
+            x, y = original(model, runs)
+            return x[:-1], y[:-1]
 
         monkeypatch.setattr(NoiseModel, "__call__", short)
         with pytest.raises(ValidationError, match="offsets"):
