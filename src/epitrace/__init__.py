@@ -13,7 +13,7 @@ from .records import (
     group_into_sets,
 )
 from .runner import RunReport, attack_suite, run
-from .world import GroundTruth, MobilityTrace, ProviderRegistry, ScenarioConfig, generate_world, observe
+from .world import GroundTruth, MobilityTrace, ProviderRegistry, ScenarioConfig, generate_world, measure, observe
 
 __all__ = [
     "BsCode",
@@ -29,6 +29,7 @@ __all__ = [
     "attack_suite",
     "generate_world",
     "group_into_sets",
+    "measure",
     "observe",
     "run",
 ]

@@ -146,7 +146,12 @@ class _Pending:
     votes: dict[int, Vote] = field(default_factory=dict)
     certificate: QuorumCertificate | None = None
     denied: bool = False
-    spent: bool = False  # a LOCK_UNLOCK certificate moves the state once
+    # What the certificate was spent on, each as the phrase its reuse is refused
+    # with: a state change, a capability mint, a fetch from each provider.
+    uses: set[str] = field(default_factory=set)
+
+
+_STATE_CHANGE = "used"  # the one use of a LOCK_UNLOCK certificate
 
 
 class Capability:
@@ -335,16 +340,22 @@ class Federation:
         In order: its class is in `classes`; it carries that class's quorum;
         this federation certified a request of its id and hash, so signatures
         gathered after a denial certify nothing; that request approved the
-        operation: its `target`, once, or a fetch inside its `minutes`; every
-        class but LOCK_UNLOCK acts only while ALERT (else `LockedError`), and
-        a state change only away from the current state (else `StateError`).
-        A refusal is ledgered by `refuse` with `where` (the refusing edge's
-        provider), then raised, as `AuthorizationError` by default.
+        operation: its `target`, or a fetch inside its `minutes`; the
+        certificate was not yet spent on this use: a state change (`target`),
+        a fetch from the provider `where` names (`minutes`), or else a
+        capability mint; every class but LOCK_UNLOCK acts only while ALERT
+        (else `LockedError`), and a state change only away from the current
+        state (else `StateError`). An admitted fetch or mint is spent here; a
+        state change is spent by `change_state` once the state has moved, so a
+        refused or failed use spends nothing. A refusal is ledgered by
+        `refuse` with `where` (the refusing edge's provider), then raised, as
+        `AuthorizationError` by default.
         """
         pending = self._pending.get(cert.request_id)
         approved = pending.request.payload if pending is not None else {}
         span = approved.get("minutes")
         span = span if isinstance(span, (list, tuple)) and len(span) == 2 and all(type(m) is int for m in span) else None  # only [lo, hi] approves a fetch
+        use = _STATE_CHANGE if target is not None else f"fetched from {where.get('provider')}" if minutes is not None else "minted a capability"
         error = AuthorizationError
         if cert.operation_class not in classes:
             wanted = " or ".join(c.name for c in OperationClass if c in classes)
@@ -355,15 +366,17 @@ class Federation:
             reason = "certificate matches no vetted request"
         elif target is not None and approved.get("target") != target.name:
             reason = f"certificate approved target {approved.get('target')}, not {target.name}"
-        elif target is not None and pending.spent:
-            reason = "certificate already used"
         elif minutes is not None and (span is None or not span[0] <= minutes[0] <= minutes[1] <= span[1]):
             reason = f"certificate approved minutes {span}, not {list(minutes)}"
+        elif use in pending.uses:
+            reason = f"certificate already {use}"
         elif cert.operation_class is not OperationClass.LOCK_UNLOCK and self.state is not SystemState.ALERT:
             reason, error = "system is PASSIVE", LockedError
         elif target is self.state:
             reason, error = f"system already {target.name}", StateError
         else:
+            if use != _STATE_CHANGE:
+                pending.uses.add(use)
             return pending
         self.refuse(reason, operation_class=cert.operation_class.name, request_id=cert.request_id.hex(), **where)
         raise error(reason)
@@ -384,7 +397,7 @@ class Federation:
             self.ledger.record("key_reconstruction", self.now, key_id=key_id, shares_used=self.config.fed_key_threshold)
         self._engine_keys = keys
         self.alert_period = cert.request_id if target is SystemState.ALERT else None
-        pending.spent = True
+        pending.uses.add(_STATE_CHANGE)
         if target is SystemState.PASSIVE and self._vault is not None:
             self._vault.delete_all()
         self.ledger.record("state_change", self.now, target=target.name, request_id=cert.request_id.hex())
@@ -393,7 +406,7 @@ class Federation:
     # -- capabilities ---------------------------------------------------------------
 
     def authorize_mode(self, cert: QuorumCertificate, operation_class: OperationClass) -> Capability:
-        """Mint a capability for `operation_class` on a certificate `admit` judges; ALERT only."""
+        """Mint a capability for `operation_class` on a certificate `admit` judges, once per certificate; ALERT only."""
         if operation_class is OperationClass.LOCK_UNLOCK:
             reason = "lock/unlock is not a data-access mode; use change_state"
             self.refuse(reason, operation_class=cert.operation_class.name, request_id=cert.request_id.hex())

@@ -11,14 +11,13 @@ import dataclasses
 import heapq
 import itertools
 import os
+import pickle
 import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from . import cep, crypto, erasure, framing
 from .edge import EdgeCloud
@@ -42,11 +41,10 @@ from .world import (
     MobilityTrace,
     NoiseModel,
     ProviderRegistry,
-    Run,
     ScenarioConfig,
-    block_noise,
     generate_world,
     infection_estimates,
+    measure,
     observe,
     trace_positions,
     traces_csv,
@@ -193,97 +191,77 @@ _SWEEP_BLOCK_MIN = 30
 
 
 def _spare_cpu() -> bool:
-    """Whether this process may run on more than one CPU, so a forked noise helper can draw beside it.
+    """Whether this process may run on more than one CPU, so a forked helper can measure beside it.
 
-    On one CPU the helper's fork and page copies cost more than its draws
-    save. `os.sched_getaffinity` exists on Linux only; elsewhere the noise is
-    drawn in process.
+    On one CPU the helper's fork and page copies cost more than its work
+    saves. `os.sched_getaffinity` exists on Linux only; elsewhere every block
+    is measured in process.
     """
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-class _NoiseHelper:
-    """The measurement noise of each block of one `ingest` call, drawn one block ahead in a forked child.
+def _forked(items: Iterator) -> Iterator:
+    """`items`, produced ahead of the reader in a forked child and read back in order through a pipe.
 
-    Stations measure apart from the edge clouds that seal their reports, so the
-    child draws each block's noise (`block_noise`, in block order) on another
-    core while the parent seals and pushes the block before it. It writes each
-    block as `n ‖ x ‖ y` in float64 to a pipe, whose capacity bounds how far it
-    runs ahead. The child reads only the registry, the positions and the
-    model, writes only the pipe, and leaves by `os._exit`: 0 after the last
-    block, 1 on any exception. Called with a block's runs, the helper reads
-    that block's offsets, so with the model's sigmas it is a noise source for
-    `observe`. Until it exits, the child holds copies of the parent's pages
-    that either side writes. Leaving the `with` block closes the pipe and
-    reaps the child, whether or not the parent raised; a short read, or a
-    nonzero status after a clean ingest, raises `HelperError`.
+    Stations measure apart from the edge clouds that seal their reports, so
+    `ingest` measures its blocks here on another core while it seals and
+    pushes the block before. The child forks at the first `next`. It runs
+    `items` to the end, pickling each item into the pipe, whose capacity
+    bounds how far it runs ahead; it writes nothing else and leaves by `os._exit`: 0 after the last item, 1
+    on any exception. The pipe carries only what the child pickled, so the
+    parent unpickles nothing from elsewhere. Until it exits, the child holds
+    copies of the parent's pages that either side writes. Closing the
+    generator closes the pipe and reaps the child (a child still writing gets
+    EPIPE and exits 1). Reading past the last item reaps it too, and a
+    nonzero exit status, or an item cut short, raises `HelperError`.
     """
-
-    def __init__(self, registry: ProviderRegistry, positions: np.ndarray, blocks: range, noise: NoiseModel):
-        self.sigma_by_class = noise.sigma_by_class
-        self._status: int | None = None
-        read_fd, write_fd = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self._pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as pipe:
-                    for block in blocks:
-                        offset = block - blocks.start
-                        x, y = block_noise(registry, block, positions[offset : offset + blocks.step], noise)
-                        pipe.write(np.concatenate(([len(x)], x, y)).tobytes())
-                status = 0
-            finally:
-                os._exit(status)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
         os.close(write_fd)
-        self._pipe = open(read_fd, "rb")
-
-    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray]:
-        n = int(np.frombuffer(self._read(8))[0])
-        xy = np.frombuffer(self._read(16 * n))
-        return xy[:n], xy[n:]
-
-    def _read(self, size: int) -> bytes:
-        data = self._pipe.read(size)
-        if len(data) != size:
-            self._pipe.close()
-            raise HelperError(f"noise helper sent {len(data)} of {size} bytes and exited with status {self._reap()}")
-        return data
-
-    def _reap(self) -> int:
-        if self._status is None:
-            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        return self._status
-
-    def __enter__(self) -> "_NoiseHelper":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._pipe.close()  # a child still writing gets EPIPE and exits 1
-        status = self._reap()
-        if exc_type is None and status != 0:
-            raise HelperError(f"noise helper exited with status {status}")
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for item in items:
+                    pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    whole = False
+    try:
+        with open(read_fd, "rb") as pipe:
+            while pipe.peek(1):
+                yield pickle.load(pipe)
+            whole = True
+    except (EOFError, pickle.UnpicklingError):
+        pass  # an item cut short; the exit status says why
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not whole:
+        raise HelperError(f"helper exited with status {status}{'' if whole else ' in the middle of an item'}")
 
 
 def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     """Feed minutes [start, stop) into the edge clouds; return the ingest counts.
 
     Phone positions are interpolated for these minutes only. Each block of
-    `_SWEEP_BLOCK_MIN` minutes is observed in one sweep and cut into its
-    per-station sets; then, minute by minute, the federation clock advances,
-    that minute's sets are pushed through their providers' ports in code
-    order, and every `prune_every_min`-th minute ends with a prune of all
-    edges. Pushes, seals and the ledger are those of a minute-at-a-time loop.
-    With noise on, the noise is drawn by a `_NoiseHelper` forked for this
-    call when the process may use a second CPU (`_spare_cpu`), and by the
-    `NoiseModel` in process otherwise; the offsets are the same bit for bit,
-    and no process outlives the call.
+    `_SWEEP_BLOCK_MIN` minutes is measured once (`measure`: its range test
+    and, with noise on, its noise draw), observed as one sweep and cut into
+    its per-station sets; then, minute by minute, the federation clock
+    advances, that minute's sets are pushed through their providers' ports in
+    code order, and every `prune_every_min`-th minute ends with a prune of
+    all edges. Pushes, seals and the ledger are those of a minute-at-a-time
+    loop. When the process may use a second CPU (`_spare_cpu`), the blocks
+    are measured one ahead in a child `_forked` for this call, so the parent
+    runs no range test; otherwise they are measured in process. The arrays
+    are the same bit for bit, and no process outlives the call.
     """
     config = context.config
     positions = trace_positions(context.traces, start, stop)
@@ -292,11 +270,12 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
     noise = NoiseModel.from_config(config) if config.noise_enabled else None
-    source = _NoiseHelper(context.registry, positions, blocks, noise) if noise is not None and _spare_cpu() else contextlib.nullcontext(noise)
-    with source as noise:
-        for block in blocks:
+    frames = (measure(context.registry, block, positions[block - start : block - start + _SWEEP_BLOCK_MIN], noise) for block in blocks)
+    with contextlib.closing(_forked(frames) if _spare_cpu() else frames) as frames:
+        # strict: after the last block, zip reads once more, which reaps the helper and checks its exit status
+        for block, measured in zip(blocks, frames, strict=True):
             minutes = range(block, min(block + _SWEEP_BLOCK_MIN, stop))
-            sweep = observe(context.registry, context.traces, block, positions[block - start : minutes.stop - start], noise)
+            sweep = observe(context.registry, context.traces, block, measured)
             counts["pdrs_emitted"] += len(sweep)
             # Once the sweep is gone, each minute's sets hold its readings until pushed.
             pending = {minute: list(sets) for minute, sets in itertools.groupby(group_into_sets(sweep), attrgetter("minute"))}

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from random import Random
-from typing import Iterable, Protocol
+from typing import Iterable
 
 import numpy as np
 
@@ -564,82 +564,79 @@ class NoiseModel:
         return dx, dy
 
 
-class NoiseSource(Protocol):
-    """What `observe` draws noise from: a `NoiseModel`, or anything with its sigmas and call shape."""
-
-    sigma_by_class: dict[PrecisionClass, float]
-
-    def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray]: ...
+# One measured block, as `measure` returns it and `observe` reads it: the runs
+# as int32 (minute offset, station index, count) rows, the int32 phone index of
+# each reading, and each reading's x and y offset from its station.
+Measured = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _in_range(registry: ProviderRegistry, start: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[Run]]:
-    """The range test of a block: the station centroids, the (minute, station, phone) in-range mask and its runs.
+def measure(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel | None = None) -> Measured:
+    """What the stations measure over a block of minutes, as plain arrays; `observe` turns them into a `Sweep`.
 
-    Stations are in code order. A phone inside a station's useful range gives
-    one reading per minute, so overlapping stations read it several times.
+    `positions` holds every phone's position at minutes start, start + 1, ...,
+    shape (minutes, n, 2), as `trace_positions` gives them, with the traces in
+    ascending phone order. The range test runs once per block, over the
+    stations in code order: a phone inside a station's useful range gives one
+    reading per minute, so overlapping stations read it several times. The
+    readings come in (minute, station, phone) order, one run per
+    station-minute that read a phone. `noise=None` measures without noise.
+    Otherwise a reading is noisy where its station's sigma is positive, and
+    the x and y offsets that `noise` draws for the block's (minute, station,
+    count) runs are added to the noisy readings' offsets; each
+    station-minute's stream is one
+    `Random(f"{seed}/observe/{minute}/{code}").getrandbits(128 * count)`, so
+    every offset equals `0.0 + Random.gauss(0.0, sigma)` of a
+    reading-at-a-time sweep bit for bit (see `NoiseModel`). An offset count
+    that disagrees with the noisy readings raises `ValidationError`. A reading
+    without noise gets no `0.0 +` (which would turn a -0.0 offset's azimuth
+    from pi to 0).
     """
     stations = registry.sorted_stations()
     centroids = np.array([info.centroid for _, info in stations]).reshape(-1, 2)
     ranges = np.array([info.useful_range for _, info in stations])
     # (minutes, stations, phones); each offset is computed again for the readings only.
     inside = np.hypot(positions[:, None, :, 0] - centroids[:, 0, None], positions[:, None, :, 1] - centroids[:, 1, None]) <= ranges[:, None]
-    per_run = np.count_nonzero(inside, axis=2)
-    run_minute, run_station = np.nonzero(per_run)
-    minutes = list(range(start, start + len(positions)))  # one int per minute, shared by the minute's sets as stored
-    run_count = per_run[run_minute, run_station].tolist()
-    runs = [(minutes[m], stations[s][0], count) for m, s, count in zip(run_minute.tolist(), run_station.tolist(), run_count)]
-    return centroids, inside, runs
-
-
-def block_noise(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """`noise` of a block's runs: what `observe` draws for the same block, without the readings."""
-    return noise(_in_range(registry, start, positions)[2])
-
-
-def observe(
-    registry: ProviderRegistry,
-    traces: list[MobilityTrace],
-    start: int,
-    positions: np.ndarray,
-    noise: NoiseSource | None = None,
-) -> Sweep:
-    """One sweep of every station over every phone, for each minute of a block.
-
-    `positions` holds every phone's position at minutes start, start + 1, ...,
-    shape (minutes, n, 2), as `trace_positions` gives them, with the traces in
-    ascending phone order. The range test runs once per block. `noise=None`
-    measures without noise. Otherwise a reading is noisy where its station's
-    `noise.sigma_by_class` is positive, and `noise` called with the block's
-    runs returns the x and y offsets of the noisy readings. A `NoiseModel`
-    draws them in process; `runner.ingest`, given a second CPU, passes a
-    helper that reads the same model's draws from a forked process. Each
-    station-minute's stream is drawn as one
-    `Random(f"{seed}/observe/{minute}/{code}").getrandbits(128 * count)`,
-    whose 32-bit words give the uniforms by `Random.random()`'s own formula,
-    so every offset equals `0.0 + Random.gauss(0.0, sigma)` of a
-    reading-at-a-time sweep bit for bit (see `NoiseModel`). An offset count
-    that disagrees with the noisy readings raises `ValidationError`. A reading
-    without noise gets no `0.0 +` (which would turn a -0.0 offset's azimuth
-    from pi to 0), so each float equals a per-reading sweep's.
-    """
-    centroids, inside, runs = _in_range(registry, start, positions)
     minute, station, phone = np.nonzero(inside)
-    phones = [trace.phone for trace in traces]
     dx = positions[minute, phone, 0] - centroids[station, 0]
     dy = positions[minute, phone, 1] - centroids[station, 1]
+    per_run = np.count_nonzero(inside, axis=2)
+    run_minute, run_station = np.nonzero(per_run)
+    run_count = per_run[run_minute, run_station]
     if noise is not None:
-        x, y = noise(runs)
-        noisy = np.repeat(np.array([noise.sigma_by_class[bs.precision_class] > 0.0 for _m, bs, _count in runs], dtype=bool), [count for _m, _bs, count in runs])
+        x, y = noise([(start + m, stations[s][0], count) for m, s, count in zip(run_minute.tolist(), run_station.tolist(), run_count.tolist())])
+        sigmas = np.array([noise.sigma_by_class[bs.precision_class] for bs, _ in stations], dtype=float)
+        noisy = np.repeat(sigmas[run_station] > 0.0, run_count)
         if not len(x) == len(y) == np.count_nonzero(noisy):
             raise ValidationError(f"noise holds {len(x)} x and {len(y)} y offsets for {np.count_nonzero(noisy)} noisy readings")
         dx[noisy] += x
         dy[noisy] += y
+    return np.stack((run_minute, run_station, run_count), axis=1).astype(np.int32), phone.astype(np.int32), dx, dy
+
+
+def observe(registry: ProviderRegistry, traces: list[MobilityTrace], start: int, measured: Measured) -> Sweep:
+    """A block that `measure` measured from minute `start`, as one `Sweep` of every station over every phone.
+
+    `traces` are the phones in the order of the positions measured, and the
+    registry's stations in code order are the ones it measured. Each reading's
+    radius and azimuth come from its offsets through `math` (libm); every run
+    of one minute holds the same int. A block whose run counts, phone indices
+    and offsets disagree in number raises `ValidationError`, so a block read
+    back from another process is checked as one measured here is.
+    """
+    runs, phone, dx, dy = measured
+    readings = int(runs[:, 2].sum())
+    if not readings == len(phone) == len(dx) == len(dy):
+        raise ValidationError(f"measured block holds {readings} readings in its runs, {len(phone)} phone indices and {len(dx)} x and {len(dy)} y offsets")
+    stations = [bs for bs, _ in registry.sorted_stations()]
+    phones = [trace.phone for trace in traces]
+    run_minute, run_station, run_count = runs.T.tolist()
+    minutes = list(range(start, start + max(run_minute, default=-1) + 1))  # one int per minute, shared by the minute's sets as stored
     dx, dy = dx.tolist(), dy.tolist()
     # A tiny negative angle rounds up to 2*pi under `%`; the second `%` maps
     # that one value to 0.0 and leaves every other azimuth as it is.
     two_pi = itertools.repeat(TWO_PI)
     return Sweep(
-        runs,
+        [(minutes[m], stations[s], count) for m, s, count in zip(run_minute, run_station, run_count)],
         tuple(map(phones.__getitem__, phone.tolist())),
         tuple(map(math.hypot, dx, dy)),
         tuple(map(operator.mod, map(operator.mod, map(math.atan2, dy, dx), two_pi), two_pi)),

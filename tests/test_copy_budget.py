@@ -132,15 +132,16 @@ def test_index_sweeps_the_fetch_as_a_stream():
     fields = json.loads(SMALL_JSON.read_text())
     fields.update(duration_min=240, alert_minute=200)
     config = ScenarioConfig.from_dict(fields)
-    context, cert = ingested_for_analysis(config)
+    context, read_cert = ingested_for_analysis(config)
     stored = sum(len(c) for cloud in context.edges.values() for c in cloud.stored_ciphertexts())
     minute_range = (0, config.duration_min)
+    certs = read_cert(), read_cert()
 
     def index(sets):
         return cep.PdrIndex(sets, config.prox_max_m)
 
-    streamed, peak = traced_peak(lambda: index(runner._fetch_and_decrypt(context, cert, minute_range)))
-    listed, peak_listed = traced_peak(lambda: index(list(runner._fetch_and_decrypt(context, cert, minute_range))))
+    streamed, peak = traced_peak(lambda: index(runner._fetch_and_decrypt(context, certs[0], minute_range)))
+    listed, peak_listed = traced_peak(lambda: index(list(runner._fetch_and_decrypt(context, certs[1], minute_range))))
     assert streamed.partners == listed.partners
     assert peak < 2.1 * stored
     assert peak < 0.9 * peak_listed

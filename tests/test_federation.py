@@ -502,6 +502,33 @@ class TestCapabilities:
         with pytest.raises(StateError):
             capability.require_read()
 
+    def test_a_read_certificate_fetches_once_from_each_edge_and_mints_once(self):
+        federation = small_federation()
+        p1 = p1_edge(federation)
+        federation.escrow_keypair("provider:P2")
+        p2 = EdgeCloud(provider_id="P2", key_id="provider:P2", federation=federation, pdr_ttl=60, rng=Random(21))
+        read = vet(federation, OperationClass.BLIND_PROCESSING, {"minutes": [0, 10]}, Random(76))
+        # Refused uses spend nothing: locked, then out of range.
+        with pytest.raises(LockedError):
+            _fetch(p1, read, (0, 10))
+        with pytest.raises(LockedError):
+            federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
+        federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(77)), SystemState.ALERT)
+        with pytest.raises(AuthorizationError, match="approved minutes"):
+            _fetch(p1, read, (0, 11))
+        assert _fetch(p1, read, (0, 10)) == _fetch(p2, read, (0, 10)) == []
+        federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
+        before = len(federation.ledger.entries)
+        with pytest.raises(AuthorizationError, match="already fetched from P1"):
+            _fetch(p1, read, (0, 10))
+        with pytest.raises(AuthorizationError, match="already minted a capability"):
+            federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
+        added = [e.content for e in federation.ledger.entries[before:]]
+        assert [(e["kind"], e["reason"], e["request_id"], e.get("provider")) for e in added] == [
+            ("authorization_failure", "certificate already fetched from P1", read.request_id.hex(), "P1"),
+            ("authorization_failure", "certificate already minted a capability", read.request_id.hex(), None),
+        ]
+
     def test_lock_unlock_is_not_a_data_mode(self):
         federation = alerted_federation()
         cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "PASSIVE"}, Random(11))
@@ -559,6 +586,18 @@ def used_in_a_later_period(federation, edge):
     capability.require_read()
 
 
+def replayed_fetch(federation, edge):
+    read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(74))
+    _fetch(edge, read, (0, 10))
+    _fetch(edge, read, (0, 10))
+
+
+def minted_twice(federation, edge):
+    cert = vet(federation, OperationClass.BLIND_PROCESSING, {"minutes": [0, 10]}, Random(75))
+    federation.authorize_mode(cert, OperationClass.BLIND_PROCESSING)
+    federation.authorize_mode(cert, OperationClass.BLIND_PROCESSING)
+
+
 def vault_write_while_passive(federation, edge):
     vault = VaultCoordinator(federation, n_clouds=3, k=2, key_threshold=2, rng=Random(65))
     federation.attach_vault(vault)
@@ -607,6 +646,8 @@ REFUSALS = {
         CERT_FIELDS,
     ),
     "certificate reused": (reused_lock, AuthorizationError, CERT_FIELDS),
+    "fetch replayed at an edge": (replayed_fetch, AuthorizationError, CERT_FIELDS | EDGE_FIELDS),
+    "capability minted twice": (minted_twice, AuthorizationError, CERT_FIELDS),
     "range overreach": (
         lambda federation, edge: _fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(58)), (0, 59)),
         AuthorizationError,

@@ -255,15 +255,16 @@ class TestAnalysisStream:
         return ingested_for_analysis(ScenarioConfig(**CFG))
 
     def test_fetch_merges_the_providers_by_minute_first_provider_first(self, fetchable, monkeypatch):
-        context, cert = fetchable
+        context, read_cert = fetchable
         minute_range = (0, CFG["duration_min"])
+        cert = read_cert()
         expected = [
             list(runner._open_entries(runner._fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), {}))
             for _provider_id, edge in sorted(context.edges.items())
         ]
         decoded = []
         monkeypatch.setattr(runner, "decode_pdr_set", lambda *args: decoded.append(1) or decode_pdr_set(*args))
-        stream = runner._fetch_and_decrypt(context, cert, minute_range)
+        stream = runner._fetch_and_decrypt(context, read_cert(), minute_range)
         assert decoded == []  # nothing is decoded before the stream is read
         sets = list(stream)
         assert sets == sorted(itertools.chain(*expected), key=attrgetter("minute"))
@@ -273,7 +274,8 @@ class TestAnalysisStream:
         assert shared  # minutes in which both providers' sets are merged
 
     def test_no_decoded_set_outlives_the_index(self, fetchable):
-        context, cert = fetchable
+        context, read_cert = fetchable
+        cert = read_cert()
         before = live_sets()
         index = cep.PdrIndex(runner._fetch_and_decrypt(context, cert, (0, CFG["duration_min"])), ScenarioConfig(**CFG).prox_max_m)
         assert index.sets_swept > 0 and index.partners
@@ -412,10 +414,31 @@ def sealed(monkeypatch):
 
 
 def allow_cpus(monkeypatch, cpus):
-    """Make `os.sched_getaffinity` allow `cpus` CPUs; on one CPU any fork fails the test."""
+    """Make `os.sched_getaffinity` allow `cpus` CPUs; on one CPU any fork fails the test, on more it is skipped where `os.fork` is missing."""
+    if cpus > 1 and not hasattr(os, "fork"):
+        pytest.skip("the helper needs os.fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     if cpus == 1:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"), raising=False)
+
+
+def open_fds():
+    """The number of descriptors this process holds open; the test is skipped where /proc/self/fd is missing."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def short_noise(monkeypatch):
+    """Make every noise draw return one x and one y offset fewer than there are noisy readings."""
+    original = NoiseModel.__call__
+
+    def short(model, runs):
+        x, y = original(model, runs)
+        return x[:-1], y[:-1]
+
+    monkeypatch.setattr(NoiseModel, "__call__", short)
+
 
 
 class TestIngest:
@@ -444,15 +467,34 @@ class TestIngest:
         allow_cpus(monkeypatch, 1)
         self.test_blocks_push_prune_and_ledger_as_a_minute_at_a_time_loop()
 
+    @pytest.mark.parametrize("cpus, parent_calls", [(1, 3), (2, 0)])
+    def test_the_parent_measures_each_block_only_on_one_cpu_and_keeps_no_descriptor(self, monkeypatch, cpus, parent_calls):
+        allow_cpus(monkeypatch, cpus)
+        calls = []
+        measure = runner.measure
+        monkeypatch.setattr(runner, "measure", lambda *args: calls.append(args[1]) or measure(*args))
+        context = build_context(retention_config())
+        before = open_fds()
+        assert ingest(context, 0, 90)["pdrs_emitted"] > 0
+        assert calls == [0, 30, 60][:parent_calls]
+        assert open_fds() == before
+
+    def test_on_one_cpu_an_offset_count_that_disagrees_with_the_readings_is_refused(self, monkeypatch):
+        allow_cpus(monkeypatch, 1)
+        short_noise(monkeypatch)
+        with pytest.raises(ValidationError, match="offsets"):
+            ingest(build_context(retention_config()), 0, 90)
+        assert_no_child_left()
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the noise helper needs os.fork")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs os.fork")
 class TestNoiseHelper:
-    """Given a second CPU, `ingest` draws the noise in a forked helper; however the ingest ends, no process outlives it."""
+    """Given a second CPU, `ingest` measures each block, noise included, in a forked helper; however the ingest ends, no process outlives it."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -477,19 +519,17 @@ class TestNoiseHelper:
             return original(edge, pdr_set)
 
         monkeypatch.setattr(EdgeCloud, "push", failing_push)
+        context = build_context(retention_config())
+        before = open_fds()
         with pytest.raises(RuntimeError, match="push failed"):
-            ingest(build_context(retention_config()), 0, 300)
+            ingest(context, 0, 300)
+        assert open_fds() == before
         assert_no_child_left()
 
     def test_an_offset_count_that_disagrees_with_the_readings_is_refused(self, monkeypatch):
-        original = NoiseModel.__call__
-
-        def short(model, runs):
-            x, y = original(model, runs)
-            return x[:-1], y[:-1]
-
-        monkeypatch.setattr(NoiseModel, "__call__", short)
-        with pytest.raises(ValidationError, match="offsets"):
+        # The helper's measure raises the ValidationError; the parent sees its exit status.
+        short_noise(monkeypatch)
+        with pytest.raises(HelperError, match="exited with status 1$"):
             ingest(build_context(retention_config()), 0, 90)
         assert_no_child_left()
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from epitrace import world
-from epitrace.errors import ConfigurationError
+from epitrace.errors import ConfigurationError, ValidationError
 from epitrace.records import PrecisionClass, group_into_sets
 from epitrace.world import (
     _MAX_ATTEMPTS,
@@ -26,6 +26,7 @@ from epitrace.world import (
     _replay_epidemic,
     generate_world,
     infection_estimates,
+    measure,
     observe,
     trace_positions,
     traces_csv,
@@ -339,7 +340,7 @@ def records_of(sweep):
 
 def observe_at(registry, traces, minute, noise):
     """One minute's sweep, as loose records."""
-    return records_of(observe(registry, traces, minute, trace_positions(traces, minute, minute + 1), noise))
+    return records_of(observe(registry, traces, minute, measure(registry, minute, trace_positions(traces, minute, minute + 1), noise)))
 
 
 def set_bits(sets):
@@ -411,7 +412,7 @@ class TestObserve:
         _, traces, _ = generate_world(cfg)
         x, y = reference_position_at(traces[0], 0)
         _, registry = self._single_station_registry(centroid=(x + 100.0, y), useful_range=8.0)
-        sweep = observe(registry, traces[:1], 0, trace_positions(traces[:1], 0, 1), noise=None)
+        sweep = observe(registry, traces[:1], 0, measure(registry, 0, trace_positions(traces[:1], 0, 1), None))
         assert len(sweep) == 0 and sweep.runs == []
 
     def test_overlapping_stations_yield_multiple_records(self):
@@ -465,7 +466,7 @@ class TestObserve:
         sets = []
         for start in range(0, cfg.duration_min, _SWEEP_BLOCK_MIN):
             block = positions[start : start + _SWEEP_BLOCK_MIN]
-            sweep = observe(registry, traces, start, block, noise)
+            sweep = observe(registry, traces, start, measure(registry, start, block, noise))
             assert len(sweep) == sum(count for _m, _bs, count in sweep.runs)
             sets += group_into_sets(sweep)
         assert set_bits(sets) == set_bits(reference_sets(registry, traces, 0, positions, noise))
@@ -476,7 +477,7 @@ class TestObserve:
     @example(crowded_block())
     def test_a_block_sweep_equals_the_per_minute_reference_bit_for_bit(self, world_block):
         registry, traces, start, positions, noise = world_block
-        sets = group_into_sets(observe(registry, traces, start, positions, noise))
+        sets = group_into_sets(observe(registry, traces, start, measure(registry, start, positions, noise)))
         assert set_bits(sets) == set_bits(reference_sets(registry, traces, start, positions, noise))
 
     def test_negative_zero_offset_keeps_its_sign(self):
@@ -494,9 +495,18 @@ class TestObserve:
         _, traces, _ = generate_world(cfg)
         empty = ProviderRegistry(stations={}, providers={})
         noise = NoiseModel.from_config(cfg)
-        sweep = observe(empty, traces, 10, trace_positions(traces, 10, 70), noise)
+        sweep = observe(empty, traces, 10, measure(empty, 10, trace_positions(traces, 10, 70), noise))
         assert len(sweep) == 0 and group_into_sets(sweep) == []
         assert reference_observe(empty, traces, 10, positions_at(traces, 10), noise) == []
+
+    def test_a_measured_block_whose_counts_disagree_is_refused(self):
+        cfg = small_config(noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        runs, phones, dx, dy = measure(registry, 10, trace_positions(traces, 10, 40), NoiseModel.from_config(cfg))
+        assert len(observe(registry, traces, 10, (runs, phones, dx, dy))) == len(phones) > 0
+        for block in ((runs[:-1], phones, dx, dy), (runs, phones[:-1], dx, dy), (runs, phones, dx[:-1], dy), (runs, phones, dx, dy[1:])):
+            with pytest.raises(ValidationError, match="measured block"):
+                observe(registry, traces, 10, block)
 
     def test_station_that_sees_no_phone_matches_reference(self):
         cfg = small_config(noise_enabled=True)
@@ -505,7 +515,7 @@ class TestObserve:
         blind = station(9, PrecisionClass.PICO)
         registry.stations[blind] = StationInfo(centroid=(-1e6, -1e6), useful_range=40.0)
         positions = trace_positions(traces, 10, 70)
-        sets = group_into_sets(observe(registry, traces, 10, positions, noise))
+        sets = group_into_sets(observe(registry, traces, 10, measure(registry, 10, positions, noise)))
         assert sets and blind not in {s.bs for s in sets}
         assert set_bits(sets) == set_bits(reference_sets(registry, traces, 10, positions, noise))
 
@@ -515,7 +525,7 @@ class TestObserve:
         traces = [MobilityTrace(_phone(0), ((0, (1300.0, math.nextafter(300.0, 0.0))),))]
         [record] = reference_observe(registry, traces, 0, positions_at(traces, 0), None)
         assert record.azimuth == 0.0
-        [pdr_set] = group_into_sets(observe(registry, traces, 0, trace_positions(traces, 0, 1), None))
+        [pdr_set] = group_into_sets(observe(registry, traces, 0, measure(registry, 0, trace_positions(traces, 0, 1), None)))
         assert pdr_set.azimuths == (0.0,)
 
     @pytest.mark.parametrize("sigma", [1.0, 10.0, 150.0, 1e-300, 0.1])

@@ -7,7 +7,7 @@ import math
 import operator
 from pathlib import Path
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from epitrace.world import (
     ProviderRegistry,
     ScenarioConfig,
     _index_phones,
+    measure,
     observe,
     trace_positions,
 )
@@ -71,14 +72,17 @@ def capability(mode: OperationClass, federation: Federation | None = None, seed:
     return federation.authorize_mode(cert, mode), federation
 
 
-def ingested_for_analysis(config: ScenarioConfig) -> tuple[SimContext, QuorumCertificate]:
-    """A context that ingested every minute of `config` and is ALERT, with a read certificate for fetches of minutes [0, duration]."""
+def ingested_for_analysis(config: ScenarioConfig) -> tuple[SimContext, Callable[[], QuorumCertificate]]:
+    """A context that ingested every minute of `config` and is ALERT, and a function that vets a fresh read certificate for minutes [0, duration].
+
+    A certificate fetches from each edge once, so each fetch of every edge takes a fresh one.
+    """
     context = build_context(config)
     ingest(context, 0, config.duration_min)
     rng = Random(f"test-analysis/{config.seed}")
     cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
     context.federation.change_state(cert, SystemState.ALERT)
-    return context, vet(context.federation, OperationClass.BLIND_PROCESSING, {"purpose": "test", "minutes": [0, config.duration_min]}, rng)
+    return context, lambda: vet(context.federation, OperationClass.BLIND_PROCESSING, {"purpose": "test", "minutes": [0, config.duration_min]}, rng)
 
 
 def oldest_age(edge: EdgeCloud, now: int) -> int | None:
@@ -163,7 +167,7 @@ def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list
     noise = NoiseModel.from_config(cfg) if cfg.noise_enabled else None
     sets = []
     for start in range(0, cfg.duration_min, _SWEEP_BLOCK_MIN):
-        sets += group_into_sets(observe(registry, traces, start, positions[start : start + _SWEEP_BLOCK_MIN], noise))
+        sets += group_into_sets(observe(registry, traces, start, measure(registry, start, positions[start : start + _SWEEP_BLOCK_MIN], noise)))
     return sets
 
 
