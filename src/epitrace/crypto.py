@@ -30,7 +30,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives import hashes, serialization
 
-from .errors import DecryptionError, EncryptionError
+from .errors import DecryptionError, EncryptionError, IntegrityError, UnavailableError
 
 _NONCE_LEN = 12
 _KEY_LEN = 32
@@ -42,6 +42,20 @@ _MAX_SEQ = 2 ** (8 * _NONCE_LEN) - 1
 
 def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: int, what: str) -> dict[int, bytes]:
+    """The (index, bytes) pieces whose bytes match the write-time digest of their index.
+
+    Fewer than `need` pieces is an outage; fewer than `need` that verify means
+    their holders returned corrupted or misplaced data.
+    """
+    if len(pieces) < need:
+        raise UnavailableError(f"only {len(pieces)} {what} present, need {need}")
+    matching = {index: data for index, data in pieces if digests.get(index) == digest(data)}
+    if len(matching) < need:
+        raise IntegrityError(f"only {len(matching)} {what} match their write-time digest, need {need}")
+    return matching
 
 
 @dataclass(frozen=True)

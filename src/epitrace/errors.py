@@ -66,4 +66,7 @@ class FramingError(EpitraceError):
 
 
 class HelperError(EpitraceError):
-    """A forked helper process failed or ended before delivering its work; the message names its exit status."""
+    """A forked helper process exited without reporting an error, or cut an item short; the message names its exit status.
+
+    An error the helper reports is raised as itself, not as this.
+    """

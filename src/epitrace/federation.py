@@ -15,7 +15,7 @@ from random import Random
 from typing import Any
 
 from . import crypto, framing
-from .errors import AuthorizationError, FramingError, LockedError, StateError, ValidationError
+from .errors import AuthorizationError, FramingError, IntegrityError, LockedError, StateError, UnavailableError, ValidationError
 from .ledger import AuditLedger
 from .shamir import Share, reconstruct_secret, split_secret
 from .world import ScenarioConfig
@@ -210,6 +210,7 @@ class Federation:
         self.alert_period: bytes | None = None
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
+        self._share_digests: dict[str, dict[int, bytes]] = {}  # key id -> share x -> digest of x || data, taken at escrow
         self._pending: dict[bytes, _Pending] = {}
         self._engine_keys: dict[str, bytes] = {}  # reconstructed only while ALERT
         self._vault: Any | None = None
@@ -246,7 +247,7 @@ class Federation:
     # -- key escrow --------------------------------------------------------------
 
     def escrow_keypair(self, key_id: str) -> bytes:
-        """Create a sealing keypair; threshold-share the private half, keep the public.
+        """Create a sealing keypair; threshold-share the private half, keep the public and a digest per share.
 
         Returns the public key. The plaintext private key is not retained; it
         exists again only inside the analysis engine while the system is ALERT.
@@ -255,17 +256,20 @@ class Federation:
         shares = split_secret(pair.private_bytes, self.config.fed_key_threshold, self.config.n_authorities, self.rng)
         for authority, share in zip(self.authorities, shares):
             authority.key_shares[key_id] = share
+        self._share_digests[key_id] = {share.x: crypto.digest(framing.u8(share.x) + share.data) for share in shares}
         self.key_registry[key_id] = pair.public_bytes
         return pair.public_bytes
 
     def _reconstruct_key(self, key_id: str) -> bytes:
-        """Rebuild one escrowed key; too few shares is a ledgered denial."""
-        shares = [a.key_shares[key_id] for a in self.authorities if key_id in a.key_shares]
+        """Rebuild one escrowed key from shares that match their escrow-time digests; too few is a ledgered denial."""
+        held = [(share.x, framing.u8(share.x) + share.data) for a in self.authorities if (share := a.key_shares.get(key_id)) is not None]
         threshold = self.config.fed_key_threshold
-        if len(shares) < threshold:
-            self.ledger.record("denial", self.now, key_id=key_id, shares_held=len(shares), key_threshold=threshold)
-            raise AuthorizationError(f"not enough shares to rebuild key {key_id}: {len(shares)} held, {threshold} needed")
-        return reconstruct_secret(shares[:threshold])
+        try:
+            blobs = crypto.verified(held, self._share_digests[key_id], threshold, "key shares")
+        except (UnavailableError, IntegrityError) as exc:
+            self.ledger.record("denial", self.now, key_id=key_id, shares_held=len(held), key_threshold=threshold)
+            raise AuthorizationError(f"not enough shares to rebuild key {key_id}: {exc}") from None
+        return reconstruct_secret([Share(x=x, data=blob[1:]) for x, blob in sorted(blobs.items())[:threshold]])
 
     @property
     def engine_keys_held(self) -> int:

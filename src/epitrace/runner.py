@@ -205,15 +205,16 @@ def _forked(items: Iterator) -> Iterator:
 
     Stations measure apart from the edge clouds that seal their reports, so
     `ingest` measures its blocks here on another core while it seals and
-    pushes the block before. The child forks at the first `next`. It runs
-    `items` to the end, pickling each item into the pipe, whose capacity
-    bounds how far it runs ahead; it writes nothing else and leaves by `os._exit`: 0 after the last item, 1
-    on any exception. The pipe carries only what the child pickled, so the
-    parent unpickles nothing from elsewhere. Until it exits, the child holds
-    copies of the parent's pages that either side writes. Closing the
-    generator closes the pipe and reaps the child (a child still writing gets
-    EPIPE and exits 1). Reading past the last item reaps it too, and a
-    nonzero exit status, or an item cut short, raises `HelperError`.
+    pushes the block before. The child forks at the first `next`. It pickles
+    each item into the pipe, whose capacity bounds how far it runs ahead, and
+    leaves by `os._exit`: 0 after the last item, 1 on any exception. An
+    `Exception` from `items` is pickled in place of the next item and raised
+    where the reader reads that item, as in process (its traceback stays in
+    the child). The parent unpickles only what the child pickled. Until it
+    exits, the child holds copies of the pages either side writes. Closing
+    the generator closes the pipe and reaps the child (a child still writing
+    gets EPIPE). Reading past the last item reaps it too; a child that exits
+    nonzero without reporting, or cuts an item short, raises `HelperError`.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -227,10 +228,13 @@ def _forked(items: Iterator) -> Iterator:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                for item in items:
-                    pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
-                    pipe.flush()
-            status = 0
+                try:
+                    for item in items:
+                        pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                        pipe.flush()
+                    status = 0
+                except Exception as exc:
+                    pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(status)
     os.close(write_fd)
@@ -238,10 +242,15 @@ def _forked(items: Iterator) -> Iterator:
     try:
         with open(read_fd, "rb") as pipe:
             while pipe.peek(1):
-                yield pickle.load(pipe)
-            whole = True
-    except (EOFError, pickle.UnpicklingError):
-        pass  # an item cut short; the exit status says why
+                try:
+                    item = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    break  # an item cut short; the exit status says why
+                if isinstance(item, Exception):
+                    raise item
+                yield item
+            else:
+                whole = True
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0 or not whole:
@@ -253,40 +262,34 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
 
     Phone positions are interpolated for these minutes only. Each block of
     `_SWEEP_BLOCK_MIN` minutes is measured once (`measure`: its range test
-    and, with noise on, its noise draw), observed as one sweep and cut into
-    its per-station sets; then, minute by minute, the federation clock
-    advances, that minute's sets are pushed through their providers' ports in
-    code order, and every `prune_every_min`-th minute ends with a prune of
-    all edges. Pushes, seals and the ledger are those of a minute-at-a-time
-    loop. When the process may use a second CPU (`_spare_cpu`), the blocks
-    are measured one ahead in a child `_forked` for this call, so the parent
-    runs no range test; otherwise they are measured in process. The arrays
-    are the same bit for bit, and no process outlives the call.
+    and noise draw) and observed as one sweep, whose sets are pushed as
+    `group_into_sets` cuts them, each through its station's provider port;
+    then the block's minutes tick the federation clock, and every
+    `prune_every_min`-th minute prunes all edges. A push reads no clock and
+    writes no ledger entry, and a prune keeps the later minutes' sets, so
+    pushes, seals, stores and the ledger are those of a minute-at-a-time
+    loop. With a second CPU (`_spare_cpu`) the blocks are measured one ahead
+    in a child `_forked` for this call; otherwise in process. Either way the
+    arrays are the same bit for bit, an error while measuring raises at its
+    block, and no process outlives the call.
     """
     config = context.config
     positions = trace_positions(context.traces, start, stop)
     blocks = range(start, stop, _SWEEP_BLOCK_MIN)
-    provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
-    ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
+    port_by_code = {bs.code: context.edges[pid].provider_port() for pid, codes in context.registry.providers.items() for bs in codes}
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
-    noise = NoiseModel.from_config(config) if config.noise_enabled else None
+    noise = NoiseModel.from_config(config)
     frames = (measure(context.registry, block, positions[block - start : block - start + _SWEEP_BLOCK_MIN], noise) for block in blocks)
     with contextlib.closing(_forked(frames) if _spare_cpu() else frames) as frames:
         # strict: after the last block, zip reads once more, which reaps the helper and checks its exit status
         for block, measured in zip(blocks, frames, strict=True):
-            minutes = range(block, min(block + _SWEEP_BLOCK_MIN, stop))
             sweep = observe(context.registry, context.traces, block, measured)
             counts["pdrs_emitted"] += len(sweep)
-            # Once the sweep is gone, each minute's sets hold its readings until pushed.
-            pending = {minute: list(sets) for minute, sets in itertools.groupby(group_into_sets(sweep), attrgetter("minute"))}
-            del sweep
-            for minute in minutes:
+            for pdr_set in group_into_sets(sweep):
+                counts["sets_pushed" if port_by_code[pdr_set.bs.code].push(pdr_set) else "push_failures"] += 1
+            del sweep  # before the next block is observed
+            for minute in range(block, min(block + _SWEEP_BLOCK_MIN, stop)):
                 context.federation.tick(minute)
-                for pdr_set in pending.pop(minute, ()):
-                    if ports[provider_by_code[pdr_set.bs.code]].push(pdr_set):
-                        counts["sets_pushed"] += 1
-                    else:
-                        counts["push_failures"] += 1
                 if minute > 0 and minute % config.prune_every_min == 0:
                     for edge in context.edges.values():
                         counts["sets_pruned"] += edge.prune(minute)

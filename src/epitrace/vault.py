@@ -88,20 +88,6 @@ class VaultObject:
     share_digests: dict[int, bytes]
 
 
-def _verified(pieces: list[tuple[int, bytes]], digests: dict[int, bytes], need: int, what: str) -> dict[int, bytes]:
-    """The (index, bytes) pieces whose bytes match the write-time digest of their index.
-
-    Fewer than `need` pieces is an outage; fewer than `need` that verify means
-    clouds returned corrupted or misplaced data.
-    """
-    if len(pieces) < need:
-        raise UnavailableError(f"only {len(pieces)} clouds responded, need {need}")
-    verified = {index: data for index, data in pieces if digests.get(index) == crypto.digest(data)}
-    if len(verified) < need:
-        raise IntegrityError(f"only {len(verified)} {what} match their write-time digest, need {need}")
-    return verified
-
-
 class VaultCoordinator:
     """Scatter/gather front to the cloud set; all access capability-gated.
 
@@ -174,13 +160,13 @@ class VaultCoordinator:
         if meta is None:
             raise UnavailableError("unknown or deleted object")
         responses = [got for cloud in self.clouds if (got := cloud.retrieve(object_id)) is not None]
-        fragments = _verified([(index, fragment) for index, fragment, _ in responses], meta.fragment_digests, self.k, "fragments")
+        fragments = crypto.verified([(index, fragment) for index, fragment, _ in responses], meta.fragment_digests, self.k, "fragments")
         ciphertext = erasure.decode([erasure.Fragment(index, data) for index, data in fragments.items()], self.k)
         if crypto.digest(ciphertext) != meta.cipher_digest:
             raise IntegrityError("ciphertext digest mismatch")
         if capability.mode is not OperationClass.FULL_PROCESSING:
             return ciphertext  # blind modes never see plaintext
-        blobs = _verified([(index, blob) for index, _, blob in responses], meta.share_digests, self.key_threshold, "key shares")
+        blobs = crypto.verified([(index, blob) for index, _, blob in responses], meta.share_digests, self.key_threshold, "key shares")
         shares = [Share(x=blob[0], data=blob[1:]) for _, blob in sorted(blobs.items())]
         key = reconstruct_secret(shares[: self.key_threshold])
         plaintext = crypto.symmetric_decrypt(key, ciphertext)

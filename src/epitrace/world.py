@@ -520,19 +520,20 @@ Run = tuple[int, BsCode, int]  # (minute, station, readings): one station-minute
 class NoiseModel:
     """Seeded measurement noise; sigma depends on the station precision class.
 
-    Called with a block's runs, it returns the x and y offsets of the readings
-    whose station's sigma is positive, in run order. A station-minute's stream
-    is keyed by (seed, minute, station), so adding a station never perturbs
-    another's readings, and it is seeded only when a phone is in the station's
-    range. Each reading draws one Box-Muller pair from it, the two
-    `Random.gauss(0.0, sigma)` calls it equals bitwise: the cosine term
-    offsets x, the sine term y. A stream of `count` readings is one
-    `getrandbits(128 * count)`, whose little-endian 32-bit words are the
-    generator's outputs in order; each pair of words (w0, w1) gives the uniform
-    `((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`, which is `Random.random()`'s
-    own formula. Transcendentals run through `math` (libm) and numpy does only
-    IEEE-exact arithmetic in the same operand order, so each offset equals
-    `0.0 + Random.gauss(0.0, sigma)` bit for bit.
+    With noise off every sigma is 0.0. Called with a block's noisy runs, whose
+    station's sigma is positive, it returns their readings' x and y offsets in
+    run order. A station-minute's stream is keyed by (seed, minute, station),
+    so adding a station never perturbs another's readings, and it is seeded
+    only when a phone is in the station's range. Each reading draws one
+    Box-Muller pair from it, the two `Random.gauss(0.0, sigma)` calls it
+    equals bitwise: the cosine term offsets x, the sine term y. A stream of
+    `count` readings is one `getrandbits(128 * count)`, whose little-endian
+    32-bit words are the generator's outputs in order; each pair of words
+    (w0, w1) gives the uniform `((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`,
+    which is `Random.random()`'s own formula. Transcendentals run through
+    `math` (libm) and numpy does only IEEE-exact arithmetic in the same
+    operand order, so each offset equals `0.0 + Random.gauss(0.0, sigma)` bit
+    for bit.
     """
 
     seed: int
@@ -540,25 +541,18 @@ class NoiseModel:
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "NoiseModel":
-        return cls(
-            seed=config.seed,
-            sigma_by_class={
-                PrecisionClass.MACRO: config.sigma_macro_m,
-                PrecisionClass.PICO: config.sigma_pico_m,
-                PrecisionClass.FEMTO: config.sigma_femto_m,
-            },
-        )
+        sigmas = (config.sigma_macro_m, config.sigma_pico_m, config.sigma_femto_m) if config.noise_enabled else (0.0, 0.0, 0.0)
+        return cls(seed=config.seed, sigma_by_class=dict(zip((PrecisionClass.MACRO, PrecisionClass.PICO, PrecisionClass.FEMTO), sigmas)))
 
     def __call__(self, runs: list[Run]) -> tuple[np.ndarray, np.ndarray]:
-        streams = [(m, bs, count) for m, bs, count in runs if self.sigma_by_class[bs.precision_class] > 0.0]
         words = np.frombuffer(
-            b"".join(Random(f"{self.seed}/observe/{m}/{bs.code}").getrandbits(128 * count).to_bytes(16 * count, "little") for m, bs, count in streams),
+            b"".join(Random(f"{self.seed}/observe/{m}/{bs.code}").getrandbits(128 * count).to_bytes(16 * count, "little") for m, bs, count in runs),
             dtype="<u4",
         )
         uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
         x2pi = (uniform[0::2] * TWO_PI).tolist()
         g2rad = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - uniform[1::2]).tolist()))))
-        sigma = np.repeat([self.sigma_by_class[bs.precision_class] for _m, bs, _count in streams], [count for _m, _bs, count in streams])
+        sigma = np.repeat([self.sigma_by_class[bs.precision_class] for _m, bs, _count in runs], [count for _m, _bs, count in runs])
         dx = 0.0 + np.array(list(map(math.cos, x2pi))) * g2rad * sigma
         dy = 0.0 + np.array(list(map(math.sin, x2pi))) * g2rad * sigma
         return dx, dy
@@ -570,7 +564,7 @@ class NoiseModel:
 Measured = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def measure(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel | None = None) -> Measured:
+def measure(registry: ProviderRegistry, start: int, positions: np.ndarray, noise: NoiseModel) -> Measured:
     """What the stations measure over a block of minutes, as plain arrays; `observe` turns them into a `Sweep`.
 
     `positions` holds every phone's position at minutes start, start + 1, ...,
@@ -579,11 +573,10 @@ def measure(registry: ProviderRegistry, start: int, positions: np.ndarray, noise
     stations in code order: a phone inside a station's useful range gives one
     reading per minute, so overlapping stations read it several times. The
     readings come in (minute, station, phone) order, one run per
-    station-minute that read a phone. `noise=None` measures without noise.
-    Otherwise a reading is noisy where its station's sigma is positive, and
-    the x and y offsets that `noise` draws for the block's (minute, station,
-    count) runs are added to the noisy readings' offsets; each
-    station-minute's stream is one
+    station-minute that read a phone. A run is noisy where its station's
+    sigma is positive (none with noise off); `noise` draws the x and y offsets
+    of exactly the noisy runs, and they are added to their readings' offsets.
+    Each station-minute's stream is one
     `Random(f"{seed}/observe/{minute}/{code}").getrandbits(128 * count)`, so
     every offset equals `0.0 + Random.gauss(0.0, sigma)` of a
     reading-at-a-time sweep bit for bit (see `NoiseModel`). An offset count
@@ -594,6 +587,7 @@ def measure(registry: ProviderRegistry, start: int, positions: np.ndarray, noise
     stations = registry.sorted_stations()
     centroids = np.array([info.centroid for _, info in stations]).reshape(-1, 2)
     ranges = np.array([info.useful_range for _, info in stations])
+    sigmas = np.array([noise.sigma_by_class[bs.precision_class] for bs, _ in stations], dtype=float)
     # (minutes, stations, phones); each offset is computed again for the readings only.
     inside = np.hypot(positions[:, None, :, 0] - centroids[:, 0, None], positions[:, None, :, 1] - centroids[:, 1, None]) <= ranges[:, None]
     minute, station, phone = np.nonzero(inside)
@@ -602,14 +596,13 @@ def measure(registry: ProviderRegistry, start: int, positions: np.ndarray, noise
     per_run = np.count_nonzero(inside, axis=2)
     run_minute, run_station = np.nonzero(per_run)
     run_count = per_run[run_minute, run_station]
-    if noise is not None:
-        x, y = noise([(start + m, stations[s][0], count) for m, s, count in zip(run_minute.tolist(), run_station.tolist(), run_count.tolist())])
-        sigmas = np.array([noise.sigma_by_class[bs.precision_class] for bs, _ in stations], dtype=float)
-        noisy = np.repeat(sigmas[run_station] > 0.0, run_count)
-        if not len(x) == len(y) == np.count_nonzero(noisy):
-            raise ValidationError(f"noise holds {len(x)} x and {len(y)} y offsets for {np.count_nonzero(noisy)} noisy readings")
-        dx[noisy] += x
-        dy[noisy] += y
+    noisy_run = sigmas[run_station] > 0.0
+    x, y = noise([(start + m, stations[s][0], count) for m, s, count in zip(run_minute[noisy_run].tolist(), run_station[noisy_run].tolist(), run_count[noisy_run].tolist())])
+    noisy = np.repeat(noisy_run, run_count)
+    if not len(x) == len(y) == np.count_nonzero(noisy):
+        raise ValidationError(f"noise holds {len(x)} x and {len(y)} y offsets for {np.count_nonzero(noisy)} noisy readings")
+    dx[noisy] += x
+    dy[noisy] += y
     return np.stack((run_minute, run_station, run_count), axis=1).astype(np.int32), phone.astype(np.int32), dx, dy
 
 

@@ -22,6 +22,7 @@ from epitrace.federation import (
     vote_signing_bytes,
 )
 from epitrace.runner import _fetch, vet
+from epitrace.shamir import Share
 from epitrace.vault import VaultCoordinator
 from epitrace.world import ScenarioConfig
 from util import alerted_federation, small_federation
@@ -433,6 +434,20 @@ class TestStateMachine:
         denial = federation.ledger.entries[-1].content
         assert (denial["key_id"], denial["shares_held"], denial["key_threshold"]) == ("b", 1, 2)
         assert federation.ledger.verify()
+
+    def test_replaced_escrow_shares_are_not_used_and_too_few_matching_is_a_denial(self):
+        federation = small_federation()  # key threshold 2 of 3
+        federation.escrow_keypair("b")
+        for authority in federation.authorities[:2]:
+            share = authority.key_shares["b"]
+            authority.key_shares["b"] = Share(x=share.x, data=bytes(byte ^ 0xFF for byte in share.data))
+        cert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(24))
+        with pytest.raises(AuthorizationError, match="not enough shares to rebuild key b: only 1 key shares match"):
+            federation.change_state(cert, SystemState.ALERT)
+        assert federation.state is SystemState.PASSIVE
+        assert [e.content["kind"] for e in federation.ledger.entries] == ["certificate", "denial"]
+        denial = federation.ledger.entries[-1].content
+        assert (denial["key_id"], denial["shares_held"], denial["key_threshold"]) == ("b", 3, 2)
 
     def test_stores_follow_every_state_change(self):
         federation = small_federation()

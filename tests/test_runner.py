@@ -21,6 +21,7 @@ from epitrace.federation import Federation, OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PdrSet, decode_pdr_set
 from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
+from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode
 from epitrace.world import NoiseModel, ScenarioConfig, generate_world
 from util import SMALL_JSON, ingested_for_analysis, reference_ingest, retention_config
@@ -235,6 +236,27 @@ class TestRun:
         monkeypatch.setattr(cep.PdrIndex, "presence", property(refuse))
         report = run(ScenarioConfig(**CFG), out_dir=tmp_path)
         assert report.ok and report.counts["suspicion_pairs"] > 0
+
+    def test_a_replaced_escrow_share_is_not_used_and_the_run_is_unchanged(self, completed_run, monkeypatch, tmp_path):
+        _, clean = completed_run
+        build = runner.build_context
+        p1_shares, rebuilds = [], []
+
+        def forging(config, faults=None):
+            context = build(config, faults)
+            authority = context.federation.authorities[0]
+            share = authority.key_shares["provider:P1"]
+            authority.key_shares["provider:P1"] = Share(x=share.x, data=Random("forged").randbytes(len(share.data)))
+            p1_shares.extend(a.key_shares["provider:P1"] for a in context.federation.authorities)
+            return context
+
+        monkeypatch.setattr(runner, "build_context", forging)
+        monkeypatch.setattr("epitrace.federation.reconstruct_secret", lambda shares: rebuilds.append(shares) or reconstruct_secret(shares))
+        config = ScenarioConfig(**CFG)
+        assert run(config, out_dir=tmp_path).ok
+        forged, *genuine = p1_shares
+        assert [shares for shares in rebuilds if set(shares) & set(p1_shares)] == [genuine[: config.fed_key_threshold]]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {p.name: p.read_bytes() for p in clean.iterdir()}
 
     def test_retention_run_bytes_are_pinned(self, tmp_path):
         report = run(retention_config(), tmp_path, "vault:1=byzantine")
@@ -479,11 +501,16 @@ class TestIngest:
         assert calls == [0, 30, 60][:parent_calls]
         assert open_fds() == before
 
-    def test_on_one_cpu_an_offset_count_that_disagrees_with_the_readings_is_refused(self, monkeypatch):
-        allow_cpus(monkeypatch, 1)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_offset_count_that_disagrees_with_the_readings_is_refused(self, monkeypatch, cpus):
+        # With a second CPU the helper's measure raises the ValidationError, and the parent raises it again.
+        allow_cpus(monkeypatch, cpus)
         short_noise(monkeypatch)
+        context = build_context(retention_config())
+        before = open_fds()
         with pytest.raises(ValidationError, match="offsets"):
-            ingest(build_context(retention_config()), 0, 90)
+            ingest(context, 0, 90)
+        assert open_fds() == before
         assert_no_child_left()
 
 
@@ -505,7 +532,20 @@ class TestNoiseHelper:
             raise RuntimeError("noise failed")
 
         monkeypatch.setattr(NoiseModel, "__call__", failing)  # only the helper calls it
-        with pytest.raises(HelperError, match="exited with status 1"):
+        with pytest.raises(RuntimeError, match="^noise failed$"):
+            ingest(build_context(retention_config()), 0, 90)
+        assert_no_child_left()
+
+    def test_a_helper_that_exits_without_reporting_raises_helper_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def leaving(model, runs):
+            if os.getpid() == parent:
+                pytest.fail("measured in the parent")
+            os._exit(3)
+
+        monkeypatch.setattr(NoiseModel, "__call__", leaving)
+        with pytest.raises(HelperError, match="exited with status 3$"):
             ingest(build_context(retention_config()), 0, 90)
         assert_no_child_left()
 
@@ -524,13 +564,6 @@ class TestNoiseHelper:
         with pytest.raises(RuntimeError, match="push failed"):
             ingest(context, 0, 300)
         assert open_fds() == before
-        assert_no_child_left()
-
-    def test_an_offset_count_that_disagrees_with_the_readings_is_refused(self, monkeypatch):
-        # The helper's measure raises the ValidationError; the parent sees its exit status.
-        short_noise(monkeypatch)
-        with pytest.raises(HelperError, match="exited with status 1$"):
-            ingest(build_context(retention_config()), 0, 90)
         assert_no_child_left()
 
     def test_a_finished_run_leaves_no_process(self):

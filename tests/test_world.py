@@ -1,7 +1,7 @@
 import math
 import struct
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from random import Random
 
@@ -46,6 +46,9 @@ def small_config(**overrides):
     defaults = dict(seed=11, n_phones=24, duration_min=480, alert_minute=400, noise_enabled=False)
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+NOISE_OFF = NoiseModel.from_config(small_config())  # noise off: every sigma 0.0
 
 
 class TestConfig:
@@ -373,7 +376,7 @@ def sweep_worlds(draw):
         traces.append(MobilityTrace(_phone(j), tuple((m, (draw(coordinate), draw(coordinate))) for m in minutes)))
     start = draw(st.integers(0, 2000))
     length = draw(st.sampled_from([1, 1, 7, 59, 60, 61, 97]))
-    noise = None
+    noise = NOISE_OFF
     if draw(st.booleans()):
         sigmas = [draw(st.sampled_from([0.1, 1.0, 10.0, 150.0])) for _ in classes]
         sigmas[draw(st.integers(0, len(classes) - 1))] = 0.0  # one class reads without noise
@@ -403,7 +406,7 @@ class TestObserve:
         cfg = small_config(n_phones=1)
         _, traces, _ = generate_world(cfg)
         bs, registry = self._single_station_registry(centroid=reference_position_at(traces[0], 0))
-        records = observe_at(registry, traces[:1], 0, noise=None)
+        records = observe_at(registry, traces[:1], 0, noise=NOISE_OFF)
         assert len(records) == 1
         assert records[0].radius == pytest.approx(0.0, abs=1e-9)
 
@@ -412,7 +415,7 @@ class TestObserve:
         _, traces, _ = generate_world(cfg)
         x, y = reference_position_at(traces[0], 0)
         _, registry = self._single_station_registry(centroid=(x + 100.0, y), useful_range=8.0)
-        sweep = observe(registry, traces[:1], 0, measure(registry, 0, trace_positions(traces[:1], 0, 1), None))
+        sweep = observe(registry, traces[:1], 0, measure(registry, 0, trace_positions(traces[:1], 0, 1), NOISE_OFF))
         assert len(sweep) == 0 and sweep.runs == []
 
     def test_overlapping_stations_yield_multiple_records(self):
@@ -424,7 +427,7 @@ class TestObserve:
         reg1.stations[bs2] = StationInfo(centroid=(pos[0] + 3, pos[1]), useful_range=40.0)
         bs3 = station(3, PrecisionClass.MACRO)
         reg1.stations[bs3] = StationInfo(centroid=(pos[0], pos[1] + 5), useful_range=1500.0)
-        records = observe_at(reg1, traces[:1], 0, noise=None)
+        records = observe_at(reg1, traces[:1], 0, noise=NOISE_OFF)
         assert len(records) == 3
         assert {r.bs for r in records} == {bs1, bs2, bs3}
 
@@ -441,10 +444,10 @@ class TestObserve:
     def test_adding_femto_only_adds_records(self):
         cfg = small_config()
         registry, traces, _ = generate_world(cfg)
-        base = observe_at(registry, traces, 10, noise=None)
+        base = observe_at(registry, traces, 10, noise=NOISE_OFF)
         bs = station(9, PrecisionClass.FEMTO)
         registry.stations[bs] = StationInfo(centroid=reference_position_at(traces[0], 10), useful_range=8.0)
-        extended = observe_at(registry, traces, 10, noise=None)
+        extended = observe_at(registry, traces, 10, noise=NOISE_OFF)
         assert set(base).issubset(set(extended))
         assert len(extended) > len(base)
 
@@ -455,7 +458,7 @@ class TestObserve:
         a = observe_at(registry, traces, 10, noise=noise)
         b = observe_at(registry, traces, 10, noise=noise)
         assert a == b  # same minute -> same draws
-        clean = observe_at(registry, traces, 10, noise=None)
+        clean = observe_at(registry, traces, 10, noise=NOISE_OFF)
         assert a != clean
 
     def test_sweep_matches_per_station_reference_every_minute(self):
@@ -485,7 +488,7 @@ class TestObserve:
         bs, registry = self._single_station_registry(centroid=(0.0, 0.0), useful_range=1.0, cls=PrecisionClass.FEMTO)
         traces = [MobilityTrace(_phone(0), ((0, (-0.0, 0.0)),))]
         quiet = NoiseModel(seed=5, sigma_by_class={PrecisionClass.MACRO: 1.0, PrecisionClass.PICO: 1.0, PrecisionClass.FEMTO: 0.0})
-        for noise in (None, quiet):
+        for noise in (NOISE_OFF, quiet):
             [record] = observe_at(registry, traces, 0, noise)
             assert record.azimuth == math.pi
             assert observe_at(registry, traces, 0, noise) == reference_observe(registry, traces, 0, positions_at(traces, 0), noise)
@@ -498,6 +501,20 @@ class TestObserve:
         sweep = observe(empty, traces, 10, measure(empty, 10, trace_positions(traces, 10, 70), noise))
         assert len(sweep) == 0 and group_into_sets(sweep) == []
         assert reference_observe(empty, traces, 10, positions_at(traces, 10), noise) == []
+
+    def test_noise_off_seeds_no_stream(self, monkeypatch):
+        cfg = small_config(noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        positions = trace_positions(traces, 10, 40)
+
+        def unseeded(seed):
+            raise AssertionError(f"seeded a stream: {seed}")
+
+        monkeypatch.setattr(world, "Random", unseeded)
+        _runs, phones, _dx, _dy = measure(registry, 10, positions, NoiseModel.from_config(replace(cfg, noise_enabled=False)))
+        assert len(phones) > 0
+        with pytest.raises(AssertionError, match="seeded a stream"):
+            measure(registry, 10, positions, NoiseModel.from_config(cfg))
 
     def test_a_measured_block_whose_counts_disagree_is_refused(self):
         cfg = small_config(noise_enabled=True)
@@ -523,9 +540,9 @@ class TestObserve:
         # atan2 gives -5.7e-17 here, which `% 2*pi` rounds up to exactly 2*pi.
         bs, registry = self._single_station_registry(centroid=(300.0, 300.0), useful_range=1500.0, cls=PrecisionClass.MACRO)
         traces = [MobilityTrace(_phone(0), ((0, (1300.0, math.nextafter(300.0, 0.0))),))]
-        [record] = reference_observe(registry, traces, 0, positions_at(traces, 0), None)
+        [record] = reference_observe(registry, traces, 0, positions_at(traces, 0), NOISE_OFF)
         assert record.azimuth == 0.0
-        [pdr_set] = group_into_sets(observe(registry, traces, 0, measure(registry, 0, trace_positions(traces, 0, 1), None)))
+        [pdr_set] = group_into_sets(observe(registry, traces, 0, measure(registry, 0, trace_positions(traces, 0, 1), NOISE_OFF)))
         assert pdr_set.azimuths == (0.0,)
 
     @pytest.mark.parametrize("sigma", [1.0, 10.0, 150.0, 1e-300, 0.1])

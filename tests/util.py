@@ -164,7 +164,7 @@ def reference_position_at(trace: MobilityTrace, minute: float) -> Point:
 def plaintext_sets(cfg: ScenarioConfig, registry: ProviderRegistry, traces: list[MobilityTrace]) -> list[PdrSet]:
     """Every record set of the scenario, swept a block at a time and cut into sets in the clear, as providers push them."""
     positions = trace_positions(traces, 0, cfg.duration_min)
-    noise = NoiseModel.from_config(cfg) if cfg.noise_enabled else None
+    noise = NoiseModel.from_config(cfg)
     sets = []
     for start in range(0, cfg.duration_min, _SWEEP_BLOCK_MIN):
         sets += group_into_sets(observe(registry, traces, start, measure(registry, start, positions[start : start + _SWEEP_BLOCK_MIN], noise)))
@@ -176,7 +176,7 @@ def reference_observe(
     traces: list[MobilityTrace],
     minute: int,
     positions: np.ndarray,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel,
 ) -> list[Record]:
     """One minute of `world.observe`, one station and one record at a time, drawing noise with `Random.gauss`.
 
@@ -186,7 +186,7 @@ def reference_observe(
     for bs, info in registry.sorted_stations():
         rel = positions - np.array(info.centroid)
         in_range = np.nonzero(np.hypot(rel[:, 0], rel[:, 1]) <= info.useful_range)[0]
-        sigma = 0.0 if noise is None else noise.sigma_by_class[bs.precision_class]
+        sigma = noise.sigma_by_class[bs.precision_class]
         rng = Random(f"{noise.seed}/observe/{minute}/{bs.code}") if sigma > 0.0 else None
         for j, (dx, dy) in zip(in_range.tolist(), rel[in_range].tolist()):
             if rng is not None:
@@ -203,7 +203,7 @@ def reference_ingest(context: SimContext, start: int, stop: int) -> dict[str, in
     The reference for the block-wise ingest's pushes, seals, prunes and ledger.
     """
     config = context.config
-    noise = NoiseModel.from_config(config) if config.noise_enabled else None
+    noise = NoiseModel.from_config(config)
     positions = trace_positions(context.traces, start, stop)
     provider_by_code = {bs.code: pid for pid, codes in context.registry.providers.items() for bs in codes}
     ports = {pid: edge.provider_port() for pid, edge in context.edges.items()}
