@@ -9,9 +9,9 @@ from pathlib import Path
 
 import click
 
+from .attacks import attack_suite as run_attack_suite
 from .errors import ConfigurationError, EpitraceError, ValidationError
 from .ledger import load_jsonl, verify_ledger
-from .runner import attack_suite as run_attack_suite
 from .runner import run as run_scenario
 from .world import ScenarioConfig
 

@@ -210,7 +210,7 @@ class Federation:
         self.alert_period: bytes | None = None
         self.now = 0
         self.key_registry: dict[str, bytes] = {}  # key id -> public half
-        self._share_digests: dict[str, dict[int, bytes]] = {}  # key id -> share x -> digest of x || data, taken at escrow
+        self._share_digests: dict[str, dict[int, bytes]] = {}  # key id -> share x -> digest of the share's bytes, taken at escrow
         self._pending: dict[bytes, _Pending] = {}
         self._engine_keys: dict[str, bytes] = {}  # reconstructed only while ALERT
         self._vault: Any | None = None
@@ -256,20 +256,20 @@ class Federation:
         shares = split_secret(pair.private_bytes, self.config.fed_key_threshold, self.config.n_authorities, self.rng)
         for authority, share in zip(self.authorities, shares):
             authority.key_shares[key_id] = share
-        self._share_digests[key_id] = {share.x: crypto.digest(framing.u8(share.x) + share.data) for share in shares}
+        self._share_digests[key_id] = {share.x: crypto.digest(share.to_bytes()) for share in shares}
         self.key_registry[key_id] = pair.public_bytes
         return pair.public_bytes
 
     def _reconstruct_key(self, key_id: str) -> bytes:
         """Rebuild one escrowed key from shares that match their escrow-time digests; too few is a ledgered denial."""
-        held = [(share.x, framing.u8(share.x) + share.data) for a in self.authorities if (share := a.key_shares.get(key_id)) is not None]
+        held = [(share.x, share.to_bytes()) for a in self.authorities if (share := a.key_shares.get(key_id)) is not None]
         threshold = self.config.fed_key_threshold
         try:
             blobs = crypto.verified(held, self._share_digests[key_id], threshold, "key shares")
         except (UnavailableError, IntegrityError) as exc:
             self.ledger.record("denial", self.now, key_id=key_id, shares_held=len(held), key_threshold=threshold)
             raise AuthorizationError(f"not enough shares to rebuild key {key_id}: {exc}") from None
-        return reconstruct_secret([Share(x=x, data=blob[1:]) for x, blob in sorted(blobs.items())[:threshold]])
+        return reconstruct_secret([Share.from_bytes(blob) for _x, blob in sorted(blobs.items())[:threshold]])
 
     @property
     def engine_keys_held(self) -> int:

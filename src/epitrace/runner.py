@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import heapq
-import itertools
 import os
 import pickle
 import re
@@ -19,22 +18,11 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator
 
-from . import cep, crypto, erasure, framing
+from . import cep, crypto, framing
 from .edge import EdgeCloud
-from .errors import (
-    AuthorizationError,
-    ConfigurationError,
-    DecryptionError,
-    EpitraceError,
-    HelperError,
-    LockedError,
-    ReconstructionError,
-    UnavailableError,
-)
+from .errors import AuthorizationError, ConfigurationError, HelperError
 from .federation import Federation, OperationClass, QuorumCertificate, SystemState, make_request
-from .ledger import verify_ledger
 from .records import PdrSet, decode_pdr_set, group_into_sets
-from .shamir import Share, reconstruct_secret
 from .vault import FaultMode, VaultCoordinator
 from .world import (
     GroundTruth,
@@ -406,7 +394,7 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
     phones: dict = {}  # one PhoneId per phone across the whole fetch, so index lookups hit on identity
     for provider_id in sorted(context.edges):
         edge = context.edges[provider_id]
-        streams.append(_open_entries(_fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), phones))
+        streams.append(_open_entries(fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), phones))
     return heapq.merge(*streams, key=attrgetter("minute"))
 
 
@@ -420,7 +408,7 @@ def _open_entries(entries: list[tuple[int, memoryview]], key: bytes, phones: dic
         yield decode_pdr_set(plaintext, class_byte, phones)
 
 
-def _fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, memoryview]]:
+def fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, memoryview]]:
     """One fetch as the analysis network makes it: a request frame to the edge, its response frame decoded."""
     frame = framing.encode_fetch_request(cert.encode(), minute_range[0], minute_range[1])
     return framing.decode_fetch_response(edge.handle_fetch_frame(frame))
@@ -568,121 +556,3 @@ def _write_artifacts(
     (out_dir / "hotspots.csv").write_text(cep.hotspot_csv(hotspots))
     (out_dir / "traces.csv").write_text(traces_csv(context.traces))
 
-
-# -- adversarial drivers ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    name: str
-    safe: bool
-    detail: str
-
-
-def attack_suite(config: ScenarioConfig) -> list[AttackResult]:
-    """Run every adversarial driver against a fresh small deployment.
-
-    Each attack must fail safely; `safe=True` means the system refused or
-    survived it.
-    """
-    results = []
-    context = build_context(config)
-    federation = context.federation
-    rng = Random(f"{config.seed}/attack")
-
-    # Feed a little data while passive.
-    ingest(context, 0, 30)
-    edge = next(iter(context.edges.values()))
-
-    # 1. Provider tries to read its own edge cloud: the port has no read surface.
-    port = edge.provider_port()
-    readable = [a for a in dir(port) if not a.startswith("_") and a != "push"]
-    results.append(AttackResult("provider_read", safe=not readable, detail=f"provider surface: {['push'] + readable}"))
-
-    # 2. Locked fetch: valid certificate, but the system is passive.
-    cert_probe = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "probe", "minutes": [0, 100]}, rng)
-    results.append(_refused_fetch("locked_fetch", federation, edge, cert_probe, LockedError))
-
-    # Unlock for the rest of the drivers.
-    cert_alert = vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, rng)
-    federation.change_state(cert_alert, SystemState.ALERT)
-
-    # 3. Sub-quorum fetch: certificate carrying q-1 approvals.
-    request = make_request(federation.authorities[0], OperationClass.BLIND_ANALYSIS, {"purpose": "subquorum"}, rng)
-    q = federation.quorum(OperationClass.BLIND_ANALYSIS)
-    votes = [authority.approve(request) for authority in federation.authorities[: q - 1]]
-    forged = QuorumCertificate(
-        request_id=request.request_id,
-        request_hash=request.request_hash(),
-        operation_class=OperationClass.BLIND_ANALYSIS,
-        approvals=tuple(sorted((v.authority_id, v.signature) for v in votes)),
-    )
-    results.append(_refused_fetch("subquorum_fetch", federation, edge, forged, AuthorizationError))
-
-    # 4. Ledger tamper detection.
-    entries = list(federation.ledger.entries)
-    victim = entries[len(entries) // 2]
-    tampered = dict(victim.content)
-    tampered["minute"] = int(tampered.get("minute", 0)) + 1
-    entries[len(entries) // 2] = dataclasses.replace(victim, content=tampered)
-    tamper_detected = not verify_ledger(entries)
-    results.append(AttackResult("ledger_tamper", safe=tamper_detected, detail="tamper detected" if tamper_detected else "tamper missed"))
-
-    # 5. Cloud coalition below the key threshold tries to decrypt a vault object.
-    cert_write = vet(federation, OperationClass.BLIND_PROCESSING, {"purpose": "store"}, rng)
-    cap_write = federation.authorize_mode(cert_write, OperationClass.BLIND_PROCESSING)
-    secret_payload = b"post-processed results " + rng.randbytes(64)
-    object_id = context.vault.write(cap_write, secret_payload)
-    coalition_safe = True
-    detail = "all coalitions failed to decrypt"
-    x = context.vault.key_threshold - 1
-    for coalition in itertools.combinations(context.vault.clouds, x):
-        responses = [r for r in (cloud.retrieve(object_id) for cloud in coalition) if r is not None]
-        fragments = [erasure.Fragment(idx, frag) for idx, frag, _share in responses]
-        shares = [Share(x=blob[0], data=blob[1:]) for _idx, _frag, blob in responses]
-        try:
-            ciphertext = erasure.decode(fragments, context.vault.k)
-        except UnavailableError:
-            continue  # too few fragments to even rebuild the ciphertext
-        try:
-            crypto.symmetric_decrypt(reconstruct_secret(shares), ciphertext)
-            coalition_safe = False
-            detail = f"coalition {[c.id for c in coalition]} decrypted the object"
-        except (DecryptionError, ReconstructionError):
-            continue
-    results.append(AttackResult("cloud_coalition", safe=coalition_safe, detail=detail))
-
-    # 6. Byzantine fragment during read.
-    context.vault.clouds[0].fault_mode = FaultMode.BYZANTINE
-    cert_full = vet(federation, OperationClass.FULL_PROCESSING, {"purpose": "read"}, rng)
-    cap_full = federation.authorize_mode(cert_full, OperationClass.FULL_PROCESSING)
-    try:
-        recovered = context.vault.read(cap_full, object_id)
-        results.append(AttackResult("byzantine_fragment", safe=recovered == secret_payload, detail="read survived corruption"))
-    except EpitraceError as exc:
-        results.append(AttackResult("byzantine_fragment", safe=False, detail=f"read failed: {exc}"))
-    finally:
-        context.vault.clouds[0].fault_mode = FaultMode.HONEST
-
-    # 7. Access to expired records: prune, then fetch the expired range.
-    far_future = config.pdr_ttl + 31
-    federation.tick(far_future)
-    for edge in context.edges.values():
-        edge.prune(far_future)
-    fetched = [entry for edge in context.edges.values() for entry in _fetch(edge, cert_probe, (0, 30))]
-    results.append(
-        AttackResult("expired_pdr_access", safe=not fetched, detail=f"{len(fetched)} expired sets served")
-    )
-    return results
-
-
-def _refused_fetch(name: str, federation: Federation, edge: EdgeCloud, cert: QuorumCertificate, error: type[EpitraceError]) -> AttackResult:
-    """Fetch minutes [0, 100] with `cert`: safe only if `error` is raised and the ledger adds exactly that refusal, naming the request and the edge."""
-    before = len(federation.ledger.entries)
-    try:
-        _fetch(edge, cert, (0, 100))
-    except error as exc:
-        added = [e.content for e in federation.ledger.entries[before:]]
-        logged = [(c.get("reason"), c.get("request_id"), c.get("provider")) for c in added] == [(str(exc), cert.request_id.hex(), edge.provider_id)]
-        return AttackResult(name, safe=logged, detail="refused and ledgered once" if logged else f"refused, ledger added {added}")
-    return AttackResult(name, safe=False, detail="fetch served")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from . import gf256
+from . import framing, gf256
 from .errors import ParameterError, ReconstructionError
 
 
@@ -19,6 +19,15 @@ class Share:
 
     x: int
     data: bytes
+
+    def to_bytes(self) -> bytes:
+        """The share as stored and digested: x as one byte, then the data."""
+        return framing.u8(self.x) + self.data
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "Share":
+        """The share `to_bytes` wrote into `blob`."""
+        return cls(x=blob[0], data=blob[1:])
 
 
 def split_secret(secret: bytes, threshold: int, n: int, rng: Random) -> list[Share]:

@@ -79,7 +79,7 @@ class VaultObject:
     """Coordinator-held metadata for one stored object.
 
     `fragment_digests` and `share_digests` map a fragment index to the digest
-    of the fragment and of the key-share blob (x || data) stored with it.
+    of the fragment and of the key share's bytes (`Share.to_bytes`) stored with it.
     """
 
     plain_digest: bytes
@@ -127,7 +127,7 @@ class VaultCoordinator:
         fragment_digests, share_digests = {}, {}
         for cloud, share in zip(self.clouds, shares):
             fragment = fragments.pop(0)  # dropped once its message is built, so only the clouds' copies pile up
-            share_blob = framing.u8(share.x) + share.data
+            share_blob = share.to_bytes()
             fragment_digests[fragment.index] = crypto.digest(fragment.data)
             share_digests[fragment.index] = crypto.digest(share_blob)
             message = framing.encode_fragment_message(object_id, fragment.index, fragment.data, share_blob)
@@ -167,7 +167,7 @@ class VaultCoordinator:
         if capability.mode is not OperationClass.FULL_PROCESSING:
             return ciphertext  # blind modes never see plaintext
         blobs = crypto.verified([(index, blob) for index, _, blob in responses], meta.share_digests, self.key_threshold, "key shares")
-        shares = [Share(x=blob[0], data=blob[1:]) for _, blob in sorted(blobs.items())]
+        shares = [Share.from_bytes(blob) for _, blob in sorted(blobs.items())]
         key = reconstruct_secret(shares[: self.key_threshold])
         plaintext = crypto.symmetric_decrypt(key, ciphertext)
         if crypto.digest(plaintext) != meta.plain_digest:

@@ -15,11 +15,12 @@ from random import Random
 import pytest
 
 from epitrace import cep, crypto, erasure
+from epitrace.attacks import attack_suite
 from epitrace.errors import DecryptionError, ReconstructionError, UnavailableError
 from epitrace.federation import Federation, OperationClass, SystemState, make_request
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PrecisionClass
-from epitrace.runner import attack_suite, build_context, ingest, run, vet
+from epitrace.runner import build_context, ingest, run, vet
 from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode, VaultCoordinator
 from epitrace.world import ScenarioConfig, generate_world, infection_estimates, trace_positions

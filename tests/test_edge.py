@@ -8,7 +8,7 @@ from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import AuthorizationError, DecryptionError, FramingError, LockedError, ValidationError
 from epitrace.federation import OperationClass, QuorumCertificate, SystemState, make_request
 from epitrace.records import PdrSet, PrecisionClass, decode_pdr_set, encode_pdr_set
-from epitrace.runner import _fetch, _open_entries, build_context, ingest, vet
+from epitrace.runner import _open_entries, build_context, fetch, ingest, vet
 from epitrace.world import ScenarioConfig
 from util import SMALL_JSON, oldest_age, phone, small_federation, station
 
@@ -63,7 +63,7 @@ class TestPush:
         s = make_set(9, n_phones=4)
         edge.push(s)
         unlock(federation)
-        [(_class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
+        [(_class, ciphertext)] = fetch(edge, read_cert(federation), (0, 100))
         # Reconstruct the provider key from the escrowed shares, as the engine does.
         private = federation.engine_key("provider:P1")
         plaintext = crypto.unseal(private, ciphertext, {}, FEMTO_AAD)
@@ -75,7 +75,7 @@ class TestPush:
         s = make_set(42, bs=station(1, PrecisionClass.PICO))
         edge.push(s)
         unlock(federation)
-        [(class_byte, _ciphertext)] = _fetch(edge, read_cert(federation), (0, 100))
+        [(class_byte, _ciphertext)] = fetch(edge, read_cert(federation), (0, 100))
         assert class_byte == s.bs.precision_class == PrecisionClass.PICO == 1
 
     @pytest.mark.parametrize("cls", list(PrecisionClass), ids=lambda cls: cls.name)
@@ -84,7 +84,7 @@ class TestPush:
         s = make_set(42, bs=station(1, cls))
         edge.push(s)
         unlock(federation)
-        entries = _fetch(edge, read_cert(federation), (0, 100))
+        entries = fetch(edge, read_cert(federation), (0, 100))
         assert [class_byte for class_byte, _ciphertext in entries] == [cls.value]
         [decoded] = _open_entries(entries, federation.engine_key("provider:P1"), {})
         assert decoded == s and decoded.bs.precision_class is cls
@@ -175,7 +175,7 @@ class TestSealEpochs:
         private = federation.engine_key("provider:P1")
         aeads = {}
         opened = []
-        for _class, ciphertext in _fetch(edge, read_cert(federation), (0, 10)):
+        for _class, ciphertext in fetch(edge, read_cert(federation), (0, 10)):
             try:
                 opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads, FEMTO_AAD), PrecisionClass.FEMTO, {}))
             except DecryptionError:
@@ -238,7 +238,7 @@ class TestPrune:
         federation, edge = cloud
         edge.provider_port().push(make_set(0))
         unlock(federation)
-        [(_class, ciphertext)] = _fetch(edge, read_cert(federation), (0, 10))
+        [(_class, ciphertext)] = fetch(edge, read_cert(federation), (0, 10))
         edge.prune(now=50000)
         assert crypto.unseal(federation.engine_key("provider:P1"), ciphertext, {}, FEMTO_AAD) == encode_pdr_set(make_set(0), {})
 
@@ -258,9 +258,9 @@ class TestVpnFetch:
         edge.provider_port().push(make_set(1))
         cert = read_cert(federation)
         with pytest.raises(LockedError):
-            _fetch(edge, cert, (0, 10))
+            fetch(edge, cert, (0, 10))
         unlock(federation)
-        assert len(_fetch(edge, cert, (0, 10))) == 1
+        assert len(fetch(edge, cert, (0, 10))) == 1
 
     def test_subquorum_cert_rejected_and_logged(self, cloud):
         federation, edge = cloud
@@ -276,7 +276,7 @@ class TestVpnFetch:
         )
         before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError):
-            _fetch(edge, forged, (0, 10))
+            fetch(edge, forged, (0, 10))
         logged = [e for e in federation.ledger.entries[before:] if e.content["kind"] == "authorization_failure"]
         assert logged
 
@@ -289,10 +289,10 @@ class TestVpnFetch:
         cert = read_cert(federation, minutes=(0, 10))
         before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError, match=r"approved minutes \[0, 10\], not \[0, 59\]"):
-            _fetch(edge, cert, (0, 59))
+            fetch(edge, cert, (0, 59))
         [refusal] = [e.content for e in federation.ledger.entries[before:]]
         assert (refusal["kind"], refusal["provider"], refusal["request_id"]) == ("authorization_failure", "P1", cert.request_id.hex())
-        assert len(_fetch(edge, cert, (0, 10))) == 11
+        assert len(fetch(edge, cert, (0, 10))) == 11
 
     @pytest.mark.parametrize(
         "minute_range, served",
@@ -304,10 +304,10 @@ class TestVpnFetch:
         unlock(federation)
         cert = read_cert(federation, minutes=(5, 10))
         if served:
-            assert _fetch(edge, cert, minute_range) == []
+            assert fetch(edge, cert, minute_range) == []
         else:
             with pytest.raises(AuthorizationError, match="approved minutes"):
-                _fetch(edge, cert, minute_range)
+                fetch(edge, cert, minute_range)
 
     @pytest.mark.parametrize(
         "payload",
@@ -321,7 +321,7 @@ class TestVpnFetch:
         cert = vet(federation, OperationClass.BLIND_ANALYSIS, payload, Random(2))
         before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError, match=r"approved minutes None, not \[5, 10\]"):
-            _fetch(edge, cert, (5, 10))
+            fetch(edge, cert, (5, 10))
         assert [e.content["kind"] for e in federation.ledger.entries[before:]] == ["authorization_failure"]
 
     def test_full_range_returns_everything_in_order(self, cloud):
@@ -330,7 +330,7 @@ class TestVpnFetch:
         for minute in range(6):
             port.push(make_set(minute))
         unlock(federation)
-        sets = _open_entries(_fetch(edge, read_cert(federation), (0, 5)), federation.engine_key("provider:P1"), {})
+        sets = _open_entries(fetch(edge, read_cert(federation), (0, 5)), federation.engine_key("provider:P1"), {})
         assert [s.minute for s in sets] == list(range(6))
 
     def test_range_is_inclusive_filter(self, cloud):
@@ -339,7 +339,7 @@ class TestVpnFetch:
         for minute in (1, 5, 9):
             port.push(make_set(minute))
         unlock(federation)
-        sets = _open_entries(_fetch(edge, read_cert(federation), (5, 9)), federation.engine_key("provider:P1"), {})
+        sets = _open_entries(fetch(edge, read_cert(federation), (5, 9)), federation.engine_key("provider:P1"), {})
         assert [s.minute for s in sets] == [5, 9]
 
     def test_wire_framing_round_trip(self, cloud):
@@ -382,7 +382,7 @@ class TestVpnFetch:
         cert = vet(federation, OperationClass.STRICT_PUSH, {}, Random(9))
         before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError):
-            _fetch(edge, cert, (0, 10))
+            fetch(edge, cert, (0, 10))
         assert [e.content["kind"] for e in federation.ledger.entries[before:]] == ["authorization_failure"]
 
     @pytest.mark.parametrize(

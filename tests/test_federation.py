@@ -21,7 +21,7 @@ from epitrace.federation import (
     verify_certificate,
     vote_signing_bytes,
 )
-from epitrace.runner import _fetch, vet
+from epitrace.runner import fetch, vet
 from epitrace.shamir import Share
 from epitrace.vault import VaultCoordinator
 from epitrace.world import ScenarioConfig
@@ -269,7 +269,7 @@ class TestQuorumAssembly:
         with pytest.raises(AuthorizationError, match="no vetted request"):
             federation.authorize_mode(late[1], OperationClass.BLIND_ANALYSIS)
         with pytest.raises(AuthorizationError, match="no vetted request"):
-            _fetch(edge, late[1], (0, 10))
+            fetch(edge, late[1], (0, 10))
         kinds = [e.content["kind"] for e in federation.ledger.entries]
         assert kinds.count("authorization_failure") == 3 and "capability" not in kinds
 
@@ -352,7 +352,7 @@ class TestStateMachine:
         federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(46)), SystemState.ALERT)
         read = unsubmitted_cert(federation, OperationClass.BLIND_PROCESSING, {"minutes": [0, 10]}, 47)
         with pytest.raises(AuthorizationError, match="no vetted request"):
-            _fetch(edge, read, (0, 10))
+            fetch(edge, read, (0, 10))
         with pytest.raises(AuthorizationError, match="no vetted request"):
             federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
         refusals = self._refusals(federation, 0)
@@ -394,7 +394,7 @@ class TestStateMachine:
     def _served(federation, edge, vault, capability, seed):
         """Whether a fetch and a vault write with `capability` are served; where not, both are refused with `LockedError`."""
         read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(seed))
-        outcomes = {raised(lambda: _fetch(edge, read, (0, 10))), raised(lambda: vault.write(capability, b"object"))}
+        outcomes = {raised(lambda: fetch(edge, read, (0, 10))), raised(lambda: vault.write(capability, b"object"))}
         assert outcomes in ({None}, {LockedError})
         return outcomes == {None}
 
@@ -409,7 +409,7 @@ class TestStateMachine:
         assert federation.engine_keys_held == 0
         read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(24))
         with pytest.raises(LockedError):
-            _fetch(edge, read, (0, 10))
+            fetch(edge, read, (0, 10))
         with pytest.raises(LockedError):
             mint(federation, OperationClass.BLIND_PROCESSING, 25)  # so no vault write can be authorized either
         assert not [e for e in federation.ledger.entries if e.content["kind"] == "state_change"]
@@ -453,7 +453,7 @@ class TestStateMachine:
         federation = small_federation()
         edge, vault = self._stores(federation)
         with pytest.raises(LockedError):
-            _fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(28)), (0, 10))
+            fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(28)), (0, 10))
         with pytest.raises(LockedError):
             mint(federation, OperationClass.BLIND_PROCESSING, 29)
         for i, target in enumerate([SystemState.ALERT, SystemState.PASSIVE, SystemState.ALERT]):
@@ -525,17 +525,17 @@ class TestCapabilities:
         read = vet(federation, OperationClass.BLIND_PROCESSING, {"minutes": [0, 10]}, Random(76))
         # Refused uses spend nothing: locked, then out of range.
         with pytest.raises(LockedError):
-            _fetch(p1, read, (0, 10))
+            fetch(p1, read, (0, 10))
         with pytest.raises(LockedError):
             federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
         federation.change_state(vet(federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random(77)), SystemState.ALERT)
         with pytest.raises(AuthorizationError, match="approved minutes"):
-            _fetch(p1, read, (0, 11))
-        assert _fetch(p1, read, (0, 10)) == _fetch(p2, read, (0, 10)) == []
+            fetch(p1, read, (0, 11))
+        assert fetch(p1, read, (0, 10)) == fetch(p2, read, (0, 10)) == []
         federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
         before = len(federation.ledger.entries)
         with pytest.raises(AuthorizationError, match="already fetched from P1"):
-            _fetch(p1, read, (0, 10))
+            fetch(p1, read, (0, 10))
         with pytest.raises(AuthorizationError, match="already minted a capability"):
             federation.authorize_mode(read, OperationClass.BLIND_PROCESSING)
         added = [e.content for e in federation.ledger.entries[before:]]
@@ -579,7 +579,7 @@ def reused_lock(federation, edge):
 def locked_fetch(federation, edge):
     read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(59))
     lock(federation, 60)
-    _fetch(edge, read, (0, 10))
+    fetch(edge, read, (0, 10))
 
 
 def minted_while_passive(federation, edge):
@@ -603,8 +603,8 @@ def used_in_a_later_period(federation, edge):
 
 def replayed_fetch(federation, edge):
     read = vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(74))
-    _fetch(edge, read, (0, 10))
-    _fetch(edge, read, (0, 10))
+    fetch(edge, read, (0, 10))
+    fetch(edge, read, (0, 10))
 
 
 def minted_twice(federation, edge):
@@ -631,12 +631,12 @@ REFUSALS = {
     "malformed frame": (lambda federation, edge: edge.handle_fetch_frame(b"junk"), FramingError, EDGE_FIELDS),
     "malformed certificate": (lambda federation, edge: edge.handle_fetch_frame(framing.encode_fetch_request(bytes(16), 0, 10)), FramingError, EDGE_FIELDS),
     "strict push at an edge": (
-        lambda federation, edge: _fetch(edge, vet(federation, OperationClass.STRICT_PUSH, {"minutes": [0, 10]}, Random(50)), (0, 10)),
+        lambda federation, edge: fetch(edge, vet(federation, OperationClass.STRICT_PUSH, {"minutes": [0, 10]}, Random(50)), (0, 10)),
         AuthorizationError,
         CERT_FIELDS | EDGE_FIELDS,
     ),
     "sub-quorum at an edge": (
-        lambda federation, edge: _fetch(edge, unsubmitted_cert(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, 51, signers=1), (0, 10)),
+        lambda federation, edge: fetch(edge, unsubmitted_cert(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, 51, signers=1), (0, 10)),
         AuthorizationError,
         CERT_FIELDS | EDGE_FIELDS,
     ),
@@ -664,7 +664,7 @@ REFUSALS = {
     "fetch replayed at an edge": (replayed_fetch, AuthorizationError, CERT_FIELDS | EDGE_FIELDS),
     "capability minted twice": (minted_twice, AuthorizationError, CERT_FIELDS),
     "range overreach": (
-        lambda federation, edge: _fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(58)), (0, 59)),
+        lambda federation, edge: fetch(edge, vet(federation, OperationClass.BLIND_ANALYSIS, {"minutes": [0, 10]}, Random(58)), (0, 59)),
         AuthorizationError,
         CERT_FIELDS | EDGE_FIELDS,
     ),

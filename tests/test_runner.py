@@ -14,13 +14,14 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from epitrace import cep, crypto, framing, runner
+from epitrace.attacks import attack_suite
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
-from epitrace.errors import ConfigurationError, HelperError, ValidationError
+from epitrace.errors import ConfigurationError, FramingError, HelperError, ValidationError
 from epitrace.federation import Federation, OperationClass, SystemState
 from epitrace.ledger import load_jsonl, verify_ledger
 from epitrace.records import PdrSet, decode_pdr_set
-from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, attack_suite, build_context, ingest, parse_faults, run, vet
+from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, build_context, ingest, parse_faults, run, vet
 from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode
 from epitrace.world import NoiseModel, ScenarioConfig, generate_world
@@ -281,7 +282,7 @@ class TestAnalysisStream:
         minute_range = (0, CFG["duration_min"])
         cert = read_cert()
         expected = [
-            list(runner._open_entries(runner._fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), {}))
+            list(runner._open_entries(runner.fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), {}))
             for _provider_id, edge in sorted(context.edges.items())
         ]
         decoded = []
@@ -621,23 +622,27 @@ class TestFaultSpec:
                 run(ScenarioConfig(**CFG), None, spec)
 
 
+ATTACKS = {
+    "provider_read",
+    "locked_fetch",
+    "subquorum_fetch",
+    "certificate_replay",
+    "target_swap",
+    "ledger_tamper",
+    "cloud_coalition",
+    "byzantine_fragment",
+    "expired_pdr_access",
+}
+
+
 class TestAttackSuite:
     def test_all_attacks_fail_safely(self):
         results = attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))
-        assert len(results) == 7
+        assert len(results) == 9
         for result in results:
             assert result.safe, f"{result.name}: {result.detail}"
         names = {r.name for r in results}
-        assert names == {
-            "provider_read",
-            "locked_fetch",
-            "subquorum_fetch",
-            "ledger_tamper",
-            "cloud_coalition",
-            "byzantine_fragment",
-            "expired_pdr_access",
-        }
-
+        assert names == ATTACKS
 
     @staticmethod
     def _with_refusals_missing(monkeypatch, dropped) -> dict:
@@ -646,19 +651,47 @@ class TestAttackSuite:
         monkeypatch.setattr(Federation, "refuse", lambda self, reason, **fields: refuse(self, reason, **{k: v for k, v in fields.items() if k != dropped}))
         return {r.name: r for r in attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))}
 
-    @pytest.mark.parametrize("dropped", ["provider", "request_id"])
-    def test_a_subquorum_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, dropped):
-        assert not self._with_refusals_missing(monkeypatch, dropped)["subquorum_fetch"].safe
+    @pytest.mark.parametrize(
+        "name, dropped",
+        [
+            ("subquorum_fetch", "provider"),
+            ("subquorum_fetch", "request_id"),
+            ("certificate_replay", "provider"),
+            ("certificate_replay", "request_id"),
+            ("target_swap", "request_id"),
+        ],
+    )
+    def test_a_subquorum_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, name, dropped):
+        assert not self._with_refusals_missing(monkeypatch, dropped)[name].safe
 
     @pytest.mark.parametrize("dropped", ["provider", "request_id"])
     def test_a_locked_fetch_refusal_that_misses_the_request_or_the_edge_is_unsafe(self, monkeypatch, dropped):
         assert not self._with_refusals_missing(monkeypatch, dropped)["locked_fetch"].safe
 
-    def test_an_unledgered_locked_fetch_is_unsafe(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, unledgered",
+        [
+            ("locked_fetch", "system is PASSIVE"),
+            ("certificate_replay", "certificate already fetched from P1"),
+            ("target_swap", "certificate approved target PASSIVE, not ALERT"),
+        ],
+        ids=["locked_fetch", "certificate_replay", "target_swap"],
+    )
+    def test_an_unledgered_locked_fetch_is_unsafe(self, monkeypatch, name, unledgered):
         refuse = Federation.refuse
-        monkeypatch.setattr(Federation, "refuse", lambda self, reason, **fields: None if reason == "system is PASSIVE" else refuse(self, reason, **fields))
+        monkeypatch.setattr(Federation, "refuse", lambda self, reason, **fields: None if reason == unledgered else refuse(self, reason, **fields))
         results = {r.name: r for r in attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))}
-        assert not results["locked_fetch"].safe and results["subquorum_fetch"].safe
+        assert [r.name for r in results.values() if not r.safe] == [name]
+
+    def test_an_unexpected_error_is_a_breach_and_the_suite_goes_on(self, monkeypatch):
+        def handle_fetch_frame(cloud, frame):
+            raise FramingError("fetch frame lost")
+
+        monkeypatch.setattr(EdgeCloud, "handle_fetch_frame", handle_fetch_frame)
+        results = attack_suite(ScenarioConfig(seed=8, n_phones=12, duration_min=120, alert_minute=60))
+        assert sorted(r.name for r in results) == sorted(ATTACKS)
+        locked_fetch = next(r for r in results if r.name == "locked_fetch")
+        assert not locked_fetch.safe and locked_fetch.detail == "raised FramingError: fetch frame lost"
 
 
 class TestCli:
