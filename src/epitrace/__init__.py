@@ -4,6 +4,7 @@ minutes at a time at simulated cell stations and cut into per-station sets,
 push-only encrypted edge storage, a threshold-crypto data vault, and a
 contact-analysis pipeline ending in a who-infected-whom DAG."""
 
+from .artifacts import RunReport
 from .attacks import attack_suite
 from .records import (
     BsCode,
@@ -13,7 +14,7 @@ from .records import (
     Sweep,
     group_into_sets,
 )
-from .runner import RunReport, run
+from .runner import run
 from .world import GroundTruth, MobilityTrace, ProviderRegistry, ScenarioConfig, generate_world, measure, observe
 
 __all__ = [

@@ -136,7 +136,7 @@ class DagEdge:
 @dataclass(frozen=True)
 class InfectionDag:
     nodes: frozenset[PhoneId]
-    edges: tuple[DagEdge, ...]
+    edges: tuple[DagEdge, ...]  # sorted by (src, dst), as `build_dag` builds them
 
     def topological_order(self) -> list[PhoneId]:
         """Kahn's algorithm; raises if a cycle sneaks in."""
@@ -158,15 +158,6 @@ class InfectionDag:
         if len(order) != len(self.nodes):
             raise ValidationError("graph contains a cycle")
         return order
-
-    def to_dot(self) -> str:
-        lines = ["digraph contamination {"]
-        for node in sorted(self.nodes):
-            lines.append(f'  "{node.nr}";')
-        for e in sorted(self.edges, key=lambda e: (e.src, e.dst)):
-            lines.append(f'  "{e.src.nr}" -> "{e.dst.nr}" [label="{e.weight:.2f}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # -- parameters -----------------------------------------------------------------
@@ -550,9 +541,3 @@ def hotspot_map(records: Sequence[ContaminationRecord], cell_size: float) -> lis
         cell = (math.floor(cx / cell_size), math.floor(cy / cell_size))
         counts[cell] = counts.get(cell, 0) + 1
     return sorted(((x, y, c) for (x, y), c in counts.items()), key=lambda t: (-t[2], t[0], t[1]))
-
-
-def hotspot_csv(grid: Sequence[tuple[int, int, int]]) -> str:
-    lines = ["cell_x,cell_y,count"]
-    lines.extend(f"{x},{y},{c}" for x, y, c in grid)
-    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import click
 
+from .artifacts import DAG_DOT
 from .attacks import attack_suite as run_attack_suite
 from .errors import ConfigurationError, EpitraceError, ValidationError
 from .ledger import load_jsonl, verify_ledger
@@ -87,18 +88,18 @@ def verify_ledger_cmd(ledger_path: str) -> None:
 @click.option("--run-dir", "run_dir", required=True, type=click.Path(exists=True, file_okay=False), help="Directory of a completed run.")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False), help="Output DOT file (default: stdout).")
 def export_dag(run_dir: str, out_path: str | None) -> None:
-    """Export a run's contamination DAG (its dag.dot) as DOT graph text."""
+    """Export a run's contamination DAG as DOT graph text: its DOT file, byte for byte."""
     try:
-        text = (Path(run_dir) / "dag.dot").read_text()
+        data = (Path(run_dir) / DAG_DOT).read_bytes()
         if out_path:
-            Path(out_path).write_text(text)
-    except OSError as exc:  # no dag.dot in the run directory, or no directory for --out
+            Path(out_path).write_bytes(data)
+    except OSError as exc:  # no DOT file in the run directory, or no directory for --out
         click.echo(f"export aborted: {exc}", err=True)
         sys.exit(1)
     if out_path:
         click.echo(f"wrote {out_path}")
     else:
-        click.echo(text, nl=False)
+        click.echo(data, nl=False)
 
 
 if __name__ == "__main__":

@@ -93,7 +93,9 @@ def load_jsonl(text: str) -> list[LedgerEntry]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"line {number} is not a ledger entry: {type(exc).__name__}: {exc}") from exc
-        if not isinstance(entry.sequence, int):
+        if type(entry.sequence) is not int:  # a bool is an int, and packs as one
             raise ValidationError(f"line {number} is not a ledger entry: sequence {entry.sequence!r} is not an integer")
+        if not isinstance(entry.content, dict):
+            raise ValidationError(f"line {number} is not a ledger entry: content {entry.content!r} is not an object")
         entries.append(entry)
     return entries

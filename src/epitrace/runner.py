@@ -7,7 +7,6 @@ Drives the whole pipeline on a simulated clock with no wall-clock reads, so a
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import heapq
 import os
 import pickle
@@ -16,9 +15,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from . import cep, crypto, framing
+from .artifacts import RunReport, artifact_payloads, write_run
 from .edge import EdgeCloud
 from .errors import AuthorizationError, ConfigurationError, HelperError
 from .federation import Federation, OperationClass, QuorumCertificate, SystemState, make_request
@@ -35,53 +35,7 @@ from .world import (
     measure,
     observe,
     trace_positions,
-    traces_csv,
 )
-
-
-@dataclass
-class RunReport:
-    """Everything a reviewer needs to judge one scenario run."""
-
-    scenario_digest: str
-    seed: int
-    counts: dict[str, int]
-    scores_by_class: dict[str, int]
-    recall: float
-    precision: float
-    ledger_ok: bool
-    vault_roundtrip_ok: bool
-    privacy: dict[str, int | bool]
-    timing: dict[str, int]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.ledger_ok
-            and self.vault_roundtrip_ok
-            and self.privacy["plaintext_pii_hits"] == 0
-            and self.privacy["vault_objects_final"] == 0
-            and bool(self.privacy["edges_locked"])
-            and 0.0 <= self.recall <= 1.0
-            and 0.0 <= self.precision <= 1.0
-        )
-
-    def to_json_bytes(self) -> bytes:
-        return framing.canonical_json({**dataclasses.asdict(self), "ok": self.ok}) + b"\n"
-
-    def summary_text(self) -> str:
-        lines = [
-            f"scenario {self.scenario_digest[:12]} seed {self.seed}: {'OK' if self.ok else 'FAILED'}",
-            f"  pdrs emitted      {self.counts['pdrs_emitted']}",
-            f"  sets pushed       {self.counts['sets_pushed']} (pruned {self.counts['sets_pruned']})",
-            f"  suspicion pairs   {self.counts['suspicion_pairs']} (flagged {self.counts['flagged_pairs']})",
-            f"  scores by class   {self.scores_by_class}",
-            f"  contamination     {self.counts['pccont_records']} records; dag {self.counts['dag_nodes']} nodes / {self.counts['dag_edges']} edges",
-            f"  recall {self.recall:.3f}  precision {self.precision:.3f}",
-            f"  ledger ok {self.ledger_ok}  vault roundtrip {self.vault_roundtrip_ok}",
-            f"  privacy: {self.privacy}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -256,10 +210,10 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     `prune_every_min`-th minute prunes all edges. A push reads no clock and
     writes no ledger entry, and a prune keeps the later minutes' sets, so
     pushes, seals, stores and the ledger are those of a minute-at-a-time
-    loop. With a second CPU (`_spare_cpu`) the blocks are measured one ahead
-    in a child `_forked` for this call; otherwise in process. Either way the
-    arrays are the same bit for bit, an error while measuring raises at its
-    block, and no process outlives the call.
+    loop. Given blocks and a second CPU (`_spare_cpu`), they are measured one
+    ahead in a child `_forked` for this call; otherwise in process. Either way
+    the arrays are the same bit for bit, an error while measuring raises at
+    its block, and no process outlives the call.
     """
     config = context.config
     positions = trace_positions(context.traces, start, stop)
@@ -268,7 +222,7 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
     counts = {"pdrs_emitted": 0, "sets_pushed": 0, "push_failures": 0, "sets_pruned": 0}
     noise = NoiseModel.from_config(config)
     frames = (measure(context.registry, block, positions[block - start : block - start + _SWEEP_BLOCK_MIN], noise) for block in blocks)
-    with contextlib.closing(_forked(frames) if _spare_cpu() else frames) as frames:
+    with contextlib.closing(_forked(frames) if blocks and _spare_cpu() else frames) as frames:
         # strict: after the last block, zip reads once more, which reaps the helper and checks its exit status
         for block, measured in zip(blocks, frames, strict=True):
             sweep = observe(context.registry, context.traces, block, measured)
@@ -335,7 +289,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
     counts["dag_edges"] = len(dag.edges)
     counts["hotspot_cells"] = len(hotspots)
 
-    artifacts = _artifact_payloads(by_pair, scores, pccont, dag)
+    artifacts = artifact_payloads(by_pair, scores, pccont, dag)
     vault_roundtrip_ok = True
     counts["vault_objects_written"] = 0
     for name, payload in artifacts.items():
@@ -378,7 +332,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
         },
     )
     if out_dir is not None:
-        _write_artifacts(Path(out_dir), context, report, artifacts, dag, hotspots)
+        write_run(Path(out_dir), report, artifacts, federation.ledger, dag, hotspots, context.traces)
     return report
 
 
@@ -458,101 +412,3 @@ def _digit_probe_hits(probes: list[str], buffers: list[bytes]) -> int:
             hits += len(pattern.findall(buffer, start, end))
             start = mask.find(long_run, end)
     return hits
-
-
-def _artifact_payloads(
-    by_pair: dict[cep.PairKey, cep.ContactSuspicion],
-    scores: list[cep.ContactScore],
-    pccont: list[cep.ContaminationRecord],
-    dag: cep.InfectionDag,
-) -> dict[str, bytes]:
-    def suspicion_obj(s: cep.ContactSuspicion) -> dict:
-        return {
-            "pair": [s.pair[0].nr, s.pair[1].nr],
-            "pc_susp": s.pc_susp,
-            "windows": [
-                {
-                    "minutes": list(w.minutes),
-                    "prox_m": [round(p, 6) for p in w.prox],
-                    "classes": [c.name for c in w.classes],
-                    "stations": sorted(w.stations),
-                    "set_sizes": list(w.set_sizes),
-                }
-                for w in s.windows
-            ],
-        }
-
-    def score_obj(s: cep.ContactScore) -> dict:
-        return {
-            "pair": [s.pair[0].nr, s.pair[1].nr],
-            "region": {"start": s.region.start, "end": s.region.end, "stations": sorted(s.region.stations)},
-            "raw": round(s.raw, 6),
-            "risk_class": s.risk_class,
-            "terms": {
-                "prox_avg_m": round(s.prox_avg, 6),
-                "dur_tot_min": s.dur_tot,
-                "precision_prox": round(s.precision_prox, 6),
-                "precision_dur": cep.PRECISION_DUR,
-                "density": round(s.density, 6),
-                "severity": cep.SEVERITY,
-            },
-        }
-
-    def pccont_obj(r: cep.ContaminationRecord) -> dict:
-        return {
-            "v": r.v.nr,
-            "u": r.u.nr,
-            "region": {"start": r.region.start, "end": r.region.end, "stations": sorted(r.region.stations)},
-            "coord_box": [round(c, 3) for c in r.coord_box],
-            "median_contact": r.median_contact,
-            "t_inf_min_v": r.t_inf_min_v,
-            "t_inf_min_u": r.t_inf_min_u,
-        }
-
-    dag_obj = {
-        "nodes": sorted(n.nr for n in dag.nodes),
-        "edges": [
-            {"src": e.src.nr, "dst": e.dst.nr, "weight": round(e.weight, 6), "median_contact": e.record.median_contact}
-            for e in dag.edges
-        ],
-    }
-
-    def by_pair_nr(item) -> tuple[str, str]:
-        return item.pair[0].nr, item.pair[1].nr
-
-    return {
-        "suspicions.json": _json_list(by_pair.values(), suspicion_obj, by_pair_nr),
-        "scores.json": _json_list(scores, score_obj, by_pair_nr),
-        "pccont.json": _json_list(pccont, pccont_obj, lambda r: (r.v.nr, r.u.nr)),
-        "dag.json": framing.canonical_json(dag_obj) + b"\n",
-    }
-
-
-def _json_list(items: Iterable, obj: Callable[..., dict], key: Callable[..., tuple]) -> bytes:
-    """`canonical_json` of the list of `obj(item)`, items sorted by `key`, and a newline.
-
-    Each object is encoded as soon as it is built and dropped, so the whole
-    list of dicts never exists at once. The sort is stable, so items of equal
-    key keep their order.
-    """
-    return b"".join((b"[", b",".join(framing.canonical_json(obj(item)) for item in sorted(items, key=key)), b"]\n"))
-
-
-def _write_artifacts(
-    out_dir: Path,
-    context: SimContext,
-    report: RunReport,
-    artifacts: dict[str, bytes],
-    dag: cep.InfectionDag,
-    hotspots: list[tuple[int, int, int]],
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_bytes(report.to_json_bytes())
-    (out_dir / "report.txt").write_text(report.summary_text())
-    (out_dir / "ledger.jsonl").write_text(context.federation.ledger.export_jsonl())
-    for name, payload in artifacts.items():
-        (out_dir / name).write_bytes(payload)
-    (out_dir / "dag.dot").write_text(dag.to_dot())
-    (out_dir / "hotspots.csv").write_text(cep.hotspot_csv(hotspots))
-    (out_dir / "traces.csv").write_text(traces_csv(context.traces))
-

@@ -17,7 +17,6 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from random import Random
-from typing import Iterable
 
 import numpy as np
 
@@ -650,11 +649,3 @@ def infection_estimates(config: ScenarioConfig, ground_truth: GroundTruth) -> di
             eps = Random(f"{config.seed}/onset/{phone.nr}").uniform(0, config.t_incub_min / 2)
             out[phone] = max(0, rec.t_infected - int(eps))
     return out
-
-
-def traces_csv(traces: Iterable[MobilityTrace]) -> str:
-    lines = ["minute,phone_nr,x,y"]
-    for trace in traces:
-        for minute, (x, y) in trace.waypoints:
-            lines.append(f"{minute},{trace.phone.nr},{x:.3f},{y:.3f}")
-    return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epitrace import cep
+from epitrace.artifacts import artifact_payloads, dag_dot, hotspot_csv
 from epitrace.cep import (
     AnalysisParams,
     ContactSuspicion,
@@ -20,7 +21,6 @@ from epitrace.cep import (
     build_pccont,
     complete_findings,
     find_suspicions,
-    hotspot_csv,
     hotspot_map,
     median_contact_minute,
     pair_key,
@@ -29,7 +29,7 @@ from epitrace.cep import (
 from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError, ResolutionError, StateError, ValidationError
 from epitrace.federation import OperationClass, SystemState
 from epitrace.records import PrecisionClass
-from epitrace.runner import _artifact_payloads, vet
+from epitrace.runner import vet
 from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world, infection_estimates
 from cep_oracle import brute_force_pairs
 from util import SMALL_JSON, capability, group_records, pair_distance, pdr, phone, plaintext_sets, station
@@ -342,7 +342,7 @@ class TestScoring:
         assert score.precision_prox == pytest.approx(1.0)
         assert score.density == pytest.approx(4.0)
         assert score.region.stations == frozenset({"0000000000000001"})
-        scores_json = _artifact_payloads({}, [score], [], InfectionDag(nodes=frozenset(), edges=()))["scores.json"]
+        scores_json = artifact_payloads({}, [score], [], InfectionDag(nodes=frozenset(), edges=()))["scores.json"]
         [written] = json.loads(scores_json)
         assert (written["terms"]["precision_dur"], written["terms"]["severity"]) == (0.5, 0.5)
 
@@ -688,7 +688,7 @@ class TestDag:
 
     def test_dot_export(self):
         dag = build_dag([record_for(1, 2, 0, 100, 100)], t_incub_min=50, t_incub_max=1000)
-        dot = dag.to_dot()
+        dot = dag_dot(dag)
         assert dot.startswith("digraph contamination {")
         assert '"600000001" -> "600000002"' in dot
 

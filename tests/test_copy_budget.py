@@ -101,8 +101,8 @@ def test_vault_write_and_read_copy_once_per_hop():
 def test_artifact_payloads_encode_each_object_as_it_is_built(monkeypatch):
     # 12.6x -> 3.06x of the four payloads: no list of every object's dict, no second copy of the whole JSON.
     captured = []
-    real = runner._artifact_payloads
-    monkeypatch.setattr(runner, "_artifact_payloads", lambda *args: captured.append(args) or real(*args))
+    real = runner.artifact_payloads
+    monkeypatch.setattr(runner, "artifact_payloads", lambda *args: captured.append(args) or real(*args))
     runner.run(ScenarioConfig(seed=31, n_phones=20, duration_min=360, alert_minute=300, noise_enabled=False, exact_onset_estimates=True))
     payloads, peak = traced_peak(real, *captured[0])
     assert payloads["suspicions.json"] != b"[]\n"

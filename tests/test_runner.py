@@ -13,13 +13,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from epitrace import cep, crypto, framing, runner
+from epitrace import artifacts, cep, crypto, framing, runner
 from epitrace.attacks import attack_suite
 from epitrace.cli import main
 from epitrace.edge import SEAL_EPOCH_MIN, EdgeCloud
 from epitrace.errors import ConfigurationError, FramingError, HelperError, ValidationError
 from epitrace.federation import Federation, OperationClass, SystemState
-from epitrace.ledger import load_jsonl, verify_ledger
+from epitrace.ledger import GENESIS_HASH, entry_hash, load_jsonl, verify_ledger
 from epitrace.records import PdrSet, decode_pdr_set
 from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_hits, build_context, ingest, parse_faults, run, vet
 from epitrace.shamir import Share, reconstruct_secret
@@ -217,7 +217,7 @@ class TestRun:
             assert edge["src"] in nodes and edge["dst"] in nodes
             assert 0.0 <= edge["weight"] <= 1.0
 
-    def test_completion_adds_pairs_in_a_sparse_world(self, tmp_path):
+    def test_completion_adds_pairs_in_a_sparse_world(self, monkeypatch, tmp_path):
         # With under 60 % of the phones infected, the cascade from high-risk
         # contacts scans phones that the infected-phone scan never started from.
         # small.json never reaches the cascade, so its bytes are pinned here.
@@ -226,6 +226,7 @@ class TestRun:
         config = ScenarioConfig.from_dict(fields)
         _registry, _traces, ground_truth = generate_world(config)
         assert len(ground_truth.infections) < 0.6 * config.n_phones
+        monkeypatch.setattr(Path, "write_text", lambda *args, **kwargs: pytest.fail("a file was written as text"))  # every file is written as bytes
         assert run(config, out_dir=tmp_path).counts["completion_pairs"] == 31
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == SPARSE_DIGESTS
@@ -571,6 +572,16 @@ class TestNoiseHelper:
         assert run(ScenarioConfig(**{**CFG, "noise_enabled": True})).ok
         assert_no_child_left()
 
+    @pytest.mark.parametrize("start, stop, forks", [(60, 60, 0), (0, 60, 1)])
+    def test_a_helper_is_forked_only_for_a_range_with_a_block(self, monkeypatch, start, stop, forks):
+        monkeypatch.setattr(runner, "_spare_cpu", lambda: True)
+        forked = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        ingest(build_context(retention_config()), start, stop)
+        assert len(forked) == forks
+        assert_no_child_left()
+
 
 class TestSealEpochs:
     def test_one_key_exchange_per_provider_hour(self, sealed):
@@ -694,6 +705,12 @@ class TestAttackSuite:
         assert not locked_fetch.safe and locked_fetch.detail == "raised FramingError: fetch frame lost"
 
 
+def ledger_line(sequence: int, previous_hash: bytes, content) -> bytes:
+    """One exported ledger line whose hash chains `content` as the ledger would."""
+    hashed = entry_hash(sequence, previous_hash, content)
+    return framing.canonical_json({"sequence": sequence, "previous_hash": previous_hash.hex(), "hash": hashed.hex(), "content": content}) + b"\n"
+
+
 class TestCli:
     def _write_config(self, tmp_path) -> Path:
         path = tmp_path / "scenario.json"
@@ -772,6 +789,8 @@ class TestCli:
             (lambda data: data.replace(b'"previous_hash":', b'"previous":', 1), "missing previous_hash"),
             (lambda data: data.replace(b'"hash":"', b'"hash":"zz', 1), "non-hex hash"),
             (lambda data: data.replace(b'"sequence":1}', b'"sequence":1.0}', 1), "non-integer sequence"),
+            (lambda data: data.replace(b'"sequence":1}', b'"sequence":true}', 1), "bool sequence"),
+            (lambda data: ledger_line(0, GENESIS_HASH, [1, 2]), "non-object content"),
         ],
     )
     def test_verify_ledger_unreadable_file(self, completed_run, tmp_path, mangle, why):
@@ -849,8 +868,8 @@ class TestStreamedArtifacts:
     @example([(("1", "2"), "second"), (("1", "2"), "first"), (("1", "10"), 1.5), (("1", "2"), None)])
     def test_json_list_equals_the_sorted_list_dumped_whole(self, items):
         whole = framing.canonical_json(sorted(map(keyed_obj, items), key=lambda o: o["pair"])) + b"\n"
-        assert runner._json_list(items, keyed_obj, lambda item: item[0]) == whole
+        assert artifacts._json_list(items, keyed_obj, lambda item: item[0]) == whole
 
     def test_json_list_keeps_the_order_of_equal_keys(self):
         items = [(("1", "2"), value) for value in ("c", "a", "b")]
-        assert [o["value"] for o in json.loads(runner._json_list(items, keyed_obj, lambda item: item[0]))] == ["c", "a", "b"]
+        assert [o["value"] for o in json.loads(artifacts._json_list(items, keyed_obj, lambda item: item[0]))] == ["c", "a", "b"]

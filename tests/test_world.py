@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from epitrace import world
+from epitrace.artifacts import traces_csv
 from epitrace.errors import ConfigurationError, ValidationError
 from epitrace.records import PrecisionClass, group_into_sets
 from epitrace.world import (
@@ -29,7 +30,6 @@ from epitrace.world import (
     measure,
     observe,
     trace_positions,
-    traces_csv,
 )
 from epitrace.runner import _SWEEP_BLOCK_MIN
 from util import Record, group_records, reference_observe, reference_position_at, reference_replay_epidemic, station
