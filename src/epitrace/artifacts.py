@@ -5,15 +5,18 @@ the bytes built here (UTF-8 text with `\n` line ends, whatever the platform or l
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import cep
 from .framing import canonical_json
 from .ledger import AuditLedger
+from .records import PrecisionClass
 from .world import MobilityTrace
 
 DAG_DOT = "dag.dot"
+_CLASS_NAMES = tuple(c.name for c in PrecisionClass)  # a class value -> the name `suspicions.json` writes
 
 
 @dataclass
@@ -78,11 +81,11 @@ def artifact_payloads(
             "pc_susp": s.pc_susp,
             "windows": [
                 {
-                    "minutes": list(w.minutes),
-                    "prox_m": [round(p, 6) for p in w.prox],
-                    "classes": [c.name for c in w.classes],
+                    "minutes": w.minutes,
+                    "prox_m": list(map(round, w.prox, repeat(6))),
+                    "classes": list(map(_CLASS_NAMES.__getitem__, w.classes)),
                     "stations": sorted(w.stations),
-                    "set_sizes": list(w.set_sizes),
+                    "set_sizes": w.set_sizes,
                 }
                 for w in s.windows
             ],

@@ -2,13 +2,16 @@
 completion, the potential-contamination DAG, and hotspot mapping over decrypted
 record streams.
 
-The pair table measures each phone pair once, in one radius-band sweep per
-set, and keeps its in-range samples in minute order; a scan of a phone reads
-its partners' samples from its lower bound on. A suspicion exists when two
-phones stayed within the proximity threshold for at least the duration
-threshold (short gaps tolerated); scores grade suspicions on proximity,
-accumulated duration, measurement precision, crowd density and venue severity,
-with fixed weights and one severity for every venue (module constants).
+The pair table sweeps the decrypted stream a block of minutes at a time, in
+numpy: one band search finds every candidate pair of the block's sets, one
+sort keeps each pair's best in-range sample per minute, and the samples are
+held as columns sorted by (pair, minute). A scan of a phone gathers its pairs'
+slices from its lower bound on and cuts them into windows. A suspicion exists
+when two phones stayed within the proximity threshold for at least the
+duration threshold (short gaps tolerated); scores grade suspicions on
+proximity, accumulated duration, measurement precision, crowd density and
+venue severity, with fixed weights and one severity for every venue (module
+constants).
 Confirmed-infected pairs become contamination records, whose time-like
 separation (bounded by the incubation window) orders them into a directed
 acyclic graph of plausible transmission.
@@ -17,14 +20,16 @@ acyclic graph of plausible transmission.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import groupby
+from itertools import chain
 from operator import attrgetter
 from statistics import median_low
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import NoEvidenceError, ParameterError, ResolutionError, ValidationError
 from .federation import Capability
@@ -63,8 +68,7 @@ class SpaceTimeRegion:
             raise ValidationError("region needs at least one station")
 
 
-@dataclass(frozen=True)
-class ContactWindow:
+class ContactWindow(NamedTuple):
     """One maximal run of qualifying minutes for a phone pair."""
 
     minutes: tuple[int, ...]
@@ -193,94 +197,250 @@ def classify(raw: float) -> int:
 
 # -- pair table ----------------------------------------------------------------------
 
-Sample = tuple[int, float, PrecisionClass, str, int]  # (minute, distance, class, station code, set size)
+# Minutes of sets the pair table sweeps at once, in blocks that start at its multiples: each block costs
+# a fixed number of numpy calls, and its sets and candidate pairs are all the sweep holds at once.
+# On small.json's first four hours 30 ran as fast as 60 and 120, at a traced peak of 1.8x the stored
+# ciphertext bytes against 2.2x and 2.7x.
+_SWEEP_BLOCK_MIN = 30
+_MAX_MINUTE = 2**31 - 1  # the table's minute columns are int32
+_MAX_CANDIDATES = 1 << 18  # candidate pairs measured at once, about 15 MB; small.json's and dense150's blocks hold at most 3,400 and 13,100
+_CLASSES = tuple(PrecisionClass)  # a class value -> its class
 
 
 _SetView = NamedTuple("_SetView", [("phones", tuple), ("size", int)])  # a set, as the presence probe lists it
 
 
 class PdrIndex:
-    """Pair table over decrypted sets: `partners[a][b] is partners[b][a]`, the pair's minute-ordered samples.
+    """Pair table over decrypted sets: each phone pair's in-range samples as columns, sorted by (pair, minute).
 
-    Per pair and minute, the best in-range candidate of `_best_in_range` is
-    kept (most precise class, then smallest distance, then station code),
-    and dropped when a more precise set of that minute holds both phones: that
+    Per pair and minute, the best in-range candidate is kept: most precise
+    class, then smallest distance, then station code, then set size. It is
+    dropped when a more precise set of that minute holds both phones: that
     station decides, and it put them out of range.
 
     `sets` is read once, as a stream in minute order (a minute that comes back
-    after a later one raises ValidationError). Each minute's sets are swept as
-    soon as the stream moves past that minute and are not kept: the table
-    holds only the samples, `sets_swept` and, for the `presence` probe, each
-    set's minute and phones.
+    after a later one raises ValidationError, and so does a minute past the
+    int32 columns). The stream is swept in blocks of `_SWEEP_BLOCK_MIN`
+    minutes, each as soon as the stream leaves it, by one pass of numpy calls
+    (`_sweep_block`); no set is kept. The table holds the samples (minute,
+    distance, class, station, set size), each pair's slice of them, each
+    phone's pairs in partner order, `sets_swept` and, for the `presence`
+    probe, each set's minute and phones as ranks.
     """
 
     def __init__(self, sets: Iterable[PdrSet], prox_max: float):
         self.prox_max = prox_max
-        self._sets: list[tuple[int, tuple[PhoneId, ...]]] = []  # for the `presence` probe only
-        self.partners: dict[PhoneId, dict[PhoneId, list[Sample]]] = {}
-        pairs: dict[PairKey, list[Sample]] = {}
-        last = -1
-        for minute, group in groupby(sets, key=attrgetter("minute")):
-            if minute <= last:
-                raise ValidationError(f"sets must arrive in minute order: minute {minute} after minute {last}")
-            last = minute
-            minute_sets = list(group)
-            self._sets += [(minute, pdr_set.phones) for pdr_set in minute_sets]
-            classes = [pdr_set.bs.precision_class for pdr_set in minute_sets]
-            top = max(classes)
-            held = [(c, frozenset(pdr_set.phones)) for c, pdr_set in zip(classes, minute_sets) if c > PrecisionClass.MACRO]
-            for key, (cls, dist, code, size) in _best_in_range(minute_sets, prox_max).items():
-                if cls < top and any(c > cls and key[0] in members and key[1] in members for c, members in held):
-                    continue
-                samples = pairs.get(key)
-                if samples is None:
-                    a, b = key
-                    samples = pairs[key] = self.partners.setdefault(a, {})[b] = self.partners.setdefault(b, {})[a] = []
-                samples.append((minute, dist, cls, code, size))
-        self.sets_swept = len(self._sets)
+        ids: dict[PhoneId, int] = {}  # phone -> id, in order of first appearance
+        codes: dict[str, int] = {}  # station code -> id, in order of first appearance
+        swept: list[tuple[np.ndarray, ...]] = []  # per block, `_sweep_block`'s set and sample columns
+        block: list[PdrSet] = []
+        block_end = last = -1
+        for pdr_set in sets:
+            minute = pdr_set.minute
+            if minute != last:
+                if minute < last:
+                    raise ValidationError(f"sets must arrive in minute order: minute {minute} after minute {last}")
+                if minute > _MAX_MINUTE:
+                    raise ValidationError(f"minute {minute} is past the pair table's last minute {_MAX_MINUTE}")
+                if minute >= block_end:
+                    if block:
+                        swept.append(_sweep_block(block, ids, codes, prox_max))
+                        block = []
+                    block_end = minute - minute % _SWEEP_BLOCK_MIN + _SWEEP_BLOCK_MIN
+                last = minute
+            block.append(pdr_set)
+        swept.append(_sweep_block(block, ids, codes, prox_max))  # the last block, or an empty stream's empty one
+        del block  # its sets, before the columns are joined
+        self.sets_swept = sum(len(columns[0]) for columns in swept)
+        self._codes = list(codes)  # station code id -> code
+        self._phones = sorted(ids)  # phone rank -> phone
+        self._rank = {phone: rank for rank, phone in enumerate(self._phones)}
+        rank_of_id = np.empty(len(ids), np.int32)
+        rank_of_id[[ids[phone] for phone in self._phones]] = np.arange(len(ids), dtype=np.int32)
+        set_minutes, set_sizes, set_phones, pairs, *samples = map(np.concatenate, zip(*swept))
+        self._sets = (set_minutes, set_sizes, rank_of_id[set_phones])  # for the `presence` probe only
+        # Blocks come in minute order and each is sorted by (pair, minute), so a stable sort by pair sorts by both.
+        lo, hi = rank_of_id[pairs >> 32], rank_of_id[pairs & 0xFFFFFFFF]
+        order = np.argsort(lo.astype(np.int64) * len(ids) + hi, kind="stable")
+        lo, hi = lo[order], hi[order]
+        self._minute, self._prox, self._class, self._code, self._size = (column[order] for column in samples)
+        change = np.ones(len(lo), bool)
+        change[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        first = np.flatnonzero(change)
+        self._bounds = np.append(first, len(lo))  # pair k's samples are [bounds[k], bounds[k + 1])
+        self._lo, self._hi = lo[first], hi[first]  # each pair's phone ranks, the lower first
+        # Each phone's pairs in partner order, phone after phone: the pairs of the phone of rank r are
+        # `_partner_pairs[_partner_bounds[r]:_partner_bounds[r + 1]]`.
+        ends, partners = np.concatenate((self._lo, self._hi)), np.concatenate((self._hi, self._lo))
+        by_phone = np.lexsort((partners, ends))
+        self._partner_pairs = np.tile(np.arange(len(first), dtype=np.int32), 2)[by_phone]
+        self._partner_bounds = np.searchsorted(ends[by_phone], np.arange(len(ids) + 1))
+
+    def _pairs_of(self, phone: PhoneId) -> np.ndarray:
+        """The indices of `phone`'s pairs, in partner order."""
+        rank = self._rank.get(phone)
+        if rank is None:
+            return self._partner_pairs[:0]
+        return self._partner_pairs[self._partner_bounds[rank] : self._partner_bounds[rank + 1]]
 
     @cached_property
     def presence(self) -> dict[PhoneId, dict[int, list[tuple[_SetView, int]]]]:
         """phone -> minute -> (set view, position): a read-only view for tests and tracing; no scan uses it."""
         presence: dict[PhoneId, dict[int, list[tuple[_SetView, int]]]] = {}
-        for minute, phones in self._sets:
-            view = _SetView(phones, len(phones))
-            for pos, p in enumerate(phones):
+        minutes, sizes, ranks = self._sets  # each set's minute and size in stream order, and its phones' ranks, set after set
+        phones = list(map(self._phones.__getitem__, ranks.tolist()))
+        end = 0
+        for minute, size in zip(minutes.tolist(), sizes.tolist()):
+            begin, end = end, end + size
+            view = _SetView(tuple(phones[begin:end]), size)
+            for pos, p in enumerate(view.phones):
                 presence.setdefault(p, {}).setdefault(minute, []).append((view, pos))
         return presence
 
 
-def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tuple[PrecisionClass, float, str, int]]:
-    """Per pair, the best in-range candidate (class, dist, code, size) among one minute's sets: the most precise class, then the least tuple.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of `arange(start, start + length)` over the pairs."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
-    Each set is swept once in radius order, measuring a phone only against the
-    phones above it within `prox_max` plus a slack: two phones at radii rv and
-    r are at least |rv - r| apart, and the slack covers the rounding of the
-    distance, below 1e-7 * (rv + r). The distance is symmetric bit for bit.
+
+def _runs(counts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The sorted readings cut into runs [begin, end) of at most `_MAX_CANDIDATES` candidates, or of one reading.
+
+    A crowd of phones at one radius then costs the sweep time, not memory. An
+    empty block is one empty run.
     """
-    best: dict[PairKey, tuple[PrecisionClass, float, str, int]] = {}
-    for pdr_set in sets:
-        phones, radii, azimuths = pdr_set.phones, pdr_set.radii, pdr_set.azimuths
-        if len(phones) < 2:
-            continue
-        order = sorted(range(len(phones)), key=radii.__getitem__)
-        sorted_radii = [radii[i] for i in order]
-        band = prox_max + 2e-6 * sorted_radii[-1]
-        cls, code, size = pdr_set.bs.precision_class, pdr_set.bs.code, len(phones)
-        for k, i in enumerate(order):
-            rv, av = radii[i], azimuths[i]
-            for j in order[k + 1 : bisect_right(sorted_radii, rv + band, k + 1)]:
-                r = radii[j]
-                dr = rv - r
-                half = math.sin(0.5 * abs(av - azimuths[j]))
-                dist = math.sqrt(dr * dr + 4.0 * (rv * r) * (half * half))
-                if dist <= prox_max:
-                    key = (phones[i], phones[j]) if i < j else (phones[j], phones[i])  # sets are phone-sorted
-                    candidate = (cls, dist, code, size)
-                    prev = best.get(key)
-                    if prev is None or cls > prev[0] or (cls is prev[0] and candidate < prev):
-                        best[key] = candidate
-    return best
+    upto = np.cumsum(counts)
+    begin = 0
+    while True:
+        before = upto[begin - 1] if begin else 0
+        end = min(len(counts), max(begin + 1, int(np.searchsorted(upto, before + _MAX_CANDIDATES, "right"))))
+        yield begin, end
+        if end >= len(counts):
+            return
+        begin = end
+
+
+def _in_range(order: np.ndarray, r: np.ndarray, a: np.ndarray, begin: int, counts: np.ndarray, prox_max: float) -> tuple[np.ndarray, ...]:
+    """The candidates of the sorted readings from `begin` on, each against the next `counts` readings, that lie within `prox_max`: (i, j, distance).
+
+    The distance takes the scalar law's operations in its order, numpy's
+    being IEEE-exact and `math.sin` mapped over the list, so it is the same
+    bit for bit, and symmetric.
+    """
+    left = np.repeat(np.arange(begin, begin + len(counts)), counts)
+    right = _ranges(np.arange(begin + 1, begin + len(counts) + 1), counts)
+    i, j = order[left], order[right]
+    del left, right
+    # dist = sqrt(dr * dr + 4.0 * (rv * r) * (half * half)), in place; each step's operands commute exactly.
+    half = np.fromiter(map(math.sin, (0.5 * np.abs(a[i] - a[j])).tolist()), np.float64, len(i))
+    half *= half
+    product = r[i] * r[j]
+    product *= 4.0
+    product *= half
+    del half
+    dist = r[i] - r[j]
+    dist *= dist
+    dist += product
+    del product
+    np.sqrt(dist, out=dist)
+    near = np.flatnonzero(dist <= prox_max)
+    return i[near], j[near], dist[near]
+
+
+def _sweep_block(sets: list[PdrSet], ids: dict[PhoneId, int], codes: dict[str, int], prox_max: float) -> tuple[np.ndarray, ...]:
+    """One block of minute-ordered sets, swept into the table's columns.
+
+    `ids` and `codes` give new phones and stations the next id. Returns the
+    block's set columns (minutes, sizes, phone ids) and its samples (pair,
+    minute, distance, class, code id, set size), sorted by (pair, minute),
+    where a pair is the lower phone's id times 2**32 plus the higher's.
+
+    Each set is measured in radius order, a phone only against the phones
+    above it within `prox_max` plus a slack: two phones at radii rv and r are
+    at least |rv - r| apart, and the slack covers the rounding of the
+    distance, below 1e-7 * (rv + r). One `searchsorted` finds every band at
+    once, and the candidates are measured a run of readings at a time
+    (`_runs`, `_in_range`).
+    """
+    set_phones = list(map(attrgetter("phones"), sets))
+    stations = list(map(attrgetter("bs"), sets))
+    phones = list(chain.from_iterable(set_phones))
+    n = len(phones)
+    phone_ids = list(map(ids.get, phones))
+    if None in phone_ids:
+        phone_ids = [ids.setdefault(phone, len(ids)) for phone in phones]
+    code_col = np.array([codes.setdefault(bs.code, len(codes)) for bs in stations], np.int32)
+    code_rank = np.empty(len(codes), np.int32)  # code id -> the code's rank among every code met so far
+    code_rank[[codes[code] for code in sorted(codes)]] = np.arange(len(codes), dtype=np.int32)
+    pid = np.array(phone_ids, np.int64)
+    sizes = np.fromiter(map(len, set_phones), np.int32, len(sets))
+    minutes = np.fromiter(map(attrgetter("minute"), sets), np.int32, len(sets))
+    classes = np.fromiter(map(attrgetter("precision_class"), stations), np.int8, len(sets))
+    r = np.fromiter(chain.from_iterable(map(attrgetter("radii"), sets)), np.float64, n)
+    a = np.fromiter(chain.from_iterable(map(attrgetter("azimuths"), sets)), np.float64, n)
+    set_of = np.repeat(np.arange(len(sets)), sizes)  # each reading's set; readings are set after set, in phone order
+
+    # Candidates: each reading, in (set, radius) order, against the readings after it up to its band. One
+    # int key sorts by (set, radius) and bounds every band in one `searchsorted`: the set's index in the
+    # high bits, then the radius's IEEE bits (of +0.0 for -0.0), which order as the radius does, cut to
+    # the low ones. The cut ties only radii within 2**-32 of each other, which may then sort either way:
+    # a band may take in a reading a hair past its bound, out of range and measured for nothing, and the
+    # set's last radius, which sets the slack, may fall short of its largest by as little, far inside the
+    # slack's margin. No reading within a band is left out.
+    spare = max(20, len(sets).bit_length())
+    base = set_of << (63 - spare)
+    keys = base | ((r + 0.0).view(np.int64) >> spare)
+    order = np.argsort(keys, kind="stable")
+    keys, sorted_r = keys[order], r[order]
+    last = np.cumsum(sizes, dtype=np.int64)[set_of] - 1  # the end of each reading's set's run
+    bound = sorted_r + (prox_max + 2e-6 * sorted_r[last])
+    stop = np.searchsorted(keys, base | ((bound + 0.0).view(np.int64) >> spare), "right")
+    counts = np.maximum(stop - np.arange(n) - 1, 0)
+    i, j, dist = map(np.concatenate, zip(*(_in_range(order, r, a, begin, counts[begin:end], prox_max) for begin, end in _runs(counts))))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)  # a set's readings are in phone order
+    s = set_of[i]
+    pair = (pid[lo] << 32) | pid[hi]
+    cand_minute, cand_class, cand_code, cand_size = minutes[s], classes[s], code_col[s], sizes[s]
+
+    # The best candidate per (pair, minute): class descending, then distance, code and size ascending.
+    best = np.lexsort((cand_size, code_rank[cand_code], dist, -cand_class, cand_minute, pair))
+    pair, cand_minute = pair[best], cand_minute[best]
+    head = np.ones(len(best), bool)
+    head[1:] = (pair[1:] != pair[:-1]) | (cand_minute[1:] != cand_minute[:-1])
+    best = best[head]
+    pair, cand_minute = pair[head], cand_minute[head]
+
+    # The more-precise-set rule: drop a sample when a set of a higher class in its minute holds both phones.
+    in_held = classes[set_of] > 0  # the readings of pico and femto sets, the only sets that outrank a sample
+    below = np.flatnonzero(cand_class[best] < classes.max(initial=0))
+    if in_held.any() and len(below):
+        held = np.flatnonzero(classes > 0)
+        width = len(ids)
+        members = np.sort(set_of[in_held] * width + pid[in_held])  # (set, phone) of every reading in a held set
+        first = np.searchsorted(minutes[held], cand_minute[below], "left")
+        count = np.searchsorted(minutes[held], cand_minute[below], "right") - first
+        owner = np.repeat(np.arange(len(below)), count)
+        outranking = held[_ranges(first, count)]
+        sample = below[owner]
+        a_key, b_key = outranking * width + pid[lo[best[sample]]], outranking * width + pid[hi[best[sample]]]
+        a_in = members[np.minimum(np.searchsorted(members, a_key), len(members) - 1)] == a_key
+        b_in = members[np.minimum(np.searchsorted(members, b_key), len(members) - 1)] == b_key
+        dropped = sample[(classes[outranking] > cand_class[best[sample]]) & a_in & b_in]
+        keep = np.ones(len(best), bool)
+        keep[dropped] = False
+        best, pair, cand_minute = best[keep], pair[keep], cand_minute[keep]
+    return (
+        minutes,
+        sizes,
+        pid,
+        pair,
+        cand_minute,
+        dist[best],
+        cand_class[best],
+        cand_code[best],
+        cand_size[best],
+    )
 
 
 # -- suspicion finding ----------------------------------------------------------------
@@ -289,7 +449,7 @@ def _best_in_range(sets: Sequence[PdrSet], prox_max: float) -> dict[PairKey, tup
 def find_suspicions(
     capability: Capability, index: PdrIndex, poi: PhoneOfInterest, params: AnalysisParams
 ) -> list[ContactSuspicion]:
-    """Read from the pair table the phones that stayed close to the phone of interest.
+    """Read from the pair table the phones that stayed close to the phone of interest, in partner order.
 
     Only minutes at or after the phone's earliest-infection estimate (less
     the search margin) are considered; the table holds, per minute, the
@@ -297,34 +457,48 @@ def find_suspicions(
     Qualifying minutes accumulate into windows, tolerating gaps up to the
     configured number of minutes. A pair is flagged once any single window
     reaches the duration threshold. The index must be built for `params.prox_max`.
+
+    The phone's pairs' slices are read in one gather; each slice is minute
+    ordered, so the minutes before the lower bound are its head, and windows
+    are cut where the pair changes or the gap is too long. Only the windows'
+    tuples are built per sample.
     """
     capability.require_read()
     if params.prox_max != index.prox_max:
         raise ParameterError(f"index built for prox_max {index.prox_max}, scan asks for {params.prox_max}")
-    lower = (max(0, poi.t_inf_min - params.search_margin),)  # sorts before every sample of that minute
-    partners = index.partners.get(poi.phone, {})
-    suspicions = []
-    for u in sorted(partners):
-        samples = partners[u]
-        start = bisect_left(samples, lower)
-        if start == len(samples):
-            continue
-        windows = _windows_from_samples(samples[start:], params.gap_tolerance)
-        pc_susp = any(w.duration >= params.dur_min for w in windows)
-        suspicions.append(ContactSuspicion(pair=pair_key(poi.phone, u), pc_susp=pc_susp, windows=windows))
+    lower = max(0, poi.t_inf_min - params.search_margin)
+    pairs = index._pairs_of(poi.phone)
+    starts = index._bounds[pairs]
+    lengths = index._bounds[pairs + 1] - starts
+    owner = np.repeat(np.arange(len(pairs)), lengths)
+    at = _ranges(starts, lengths)
+    minutes = index._minute[at]
+    since = np.flatnonzero(minutes >= lower)
+    if not len(since):
+        return []
+    at, owner, minutes = at[since], owner[since], minutes[since]
+    cut = np.ones(len(at), bool)
+    cut[1:] = (owner[1:] != owner[:-1]) | (minutes[1:] - minutes[:-1] - 1 > params.gap_tolerance)
+    begins = np.flatnonzero(cut)
+    ends = np.append(begins[1:], len(at))
+    firsts = np.flatnonzero(np.diff(owner[begins], prepend=-1))  # each pair's first window
+    flagged = np.logical_or.reduceat(ends - begins >= params.dur_min, firsts).tolist()
+    minutes, prox, sizes = tuple(minutes.tolist()), tuple(index._prox[at].tolist()), tuple(index._size[at].tolist())
+    classes = tuple(map(_CLASSES.__getitem__, index._class[at].tolist()))
+    stations = tuple(map(index._codes.__getitem__, index._code[at].tolist()))
+    windows = [
+        ContactWindow(minutes[a:b], prox[a:b], classes[a:b], frozenset(stations[a:b]), sizes[a:b])
+        for a, b in zip(begins.tolist(), ends.tolist())
+    ]
+    found = pairs[owner[begins[firsts]]]
+    phones = index._phones
+    suspicions = [
+        ContactSuspicion(pair=(phones[lo], phones[hi]), pc_susp=pc_susp, windows=tuple(windows[w0:w1]))
+        for lo, hi, pc_susp, w0, w1 in zip(
+            index._lo[found].tolist(), index._hi[found].tolist(), flagged, firsts.tolist(), [*firsts[1:].tolist(), len(windows)]
+        )
+    ]
     return suspicions
-
-
-def _windows_from_samples(samples: Sequence[Sample], gap_tolerance: int) -> tuple[ContactWindow, ...]:
-    """Split minute-ordered samples into windows wherever more than `gap_tolerance` minutes are missing."""
-    minutes = [sample[0] for sample in samples]
-    cuts = [k for k, (prev, minute) in enumerate(zip(minutes, minutes[1:]), 1) if minute - prev - 1 > gap_tolerance]
-    return tuple(_close_window(samples[a:b]) for a, b in zip([0, *cuts], [*cuts, len(samples)]))
-
-
-def _close_window(run: Sequence[Sample]) -> ContactWindow:
-    minutes, prox, classes, stations, set_sizes = zip(*run)
-    return ContactWindow(minutes=minutes, prox=prox, classes=classes, stations=frozenset(stations), set_sizes=set_sizes)
 
 
 # -- scoring ------------------------------------------------------------------------------

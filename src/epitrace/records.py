@@ -9,6 +9,7 @@ the provider registry.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -80,10 +81,12 @@ class BsCode:
 class PdrSet:
     """All records of one station for one minute, as columns in strictly ascending phone order.
 
-    This is the only check of a set, whether `group_into_sets` cut it from a
-    sweep or `decode_pdr_set` built it: equal column lengths, then the range rule
-    (radius finite and >= 0, azimuth in [0, 2*pi), minute >= 0), then phone
-    order.
+    This is the only check of a set's contents, whether `group_into_sets` cut
+    it from a sweep or `decode_pdr_set` built it: equal column lengths, then
+    the range rule (radius finite and >= 0, azimuth in [0, 2*pi), minute >= 0),
+    then phone order. The decoder checks only what the wire adds: the
+    payload's length and text, one station and one minute per set, and the
+    class byte.
     """
 
     minute: int
@@ -179,63 +182,87 @@ def encode_pdr_set(pdr_set: PdrSet, phones: dict[PhoneId, bytes]) -> bytes:
     return b"".join(parts)
 
 
-def decode_pdr_set(data: bytes, class_byte: int, phones: dict[bytes, PhoneId]) -> PdrSet:
+_RECORD_FIXED = STATION_CODE_LEN + 4 + IMEI_LEN + _TAIL.size  # a record's bytes besides its nr
+
+
+@functools.lru_cache(maxsize=256)
+def _records_layout(nr_len: int, count: int) -> struct.Struct:
+    """`count` records whose nr is `nr_len` bytes, as five fields each: station code and nr length, phone bytes (nr, then IMEI), radius, azimuth, minute."""
+    return struct.Struct(">" + f"{STATION_CODE_LEN + 4}s{nr_len + IMEI_LEN}sddQ" * count)
+
+
+def _walk_records(data: bytes, count: int) -> tuple:
+    """The fields of the `count` records after the count prefix, each record read by the layout of its own nr length; nothing may follow them."""
+    fields: list = []
+    off = 4
+    for _ in range(count):
+        (nr_len,) = _U32.unpack_from(data, off + STATION_CODE_LEN)
+        layout = _records_layout(nr_len, 1)
+        fields += layout.unpack_from(data, off)
+        off += layout.size
+    if off != len(data):
+        raise ValidationError("trailing bytes after set payload")
+    return tuple(fields)
+
+
+def decode_pdr_set(data: bytes, class_byte: int, phones: dict[bytes, PhoneId], stations: dict[tuple[bytes, int], BsCode]) -> PdrSet:
     """Decode one set; every record must carry the first record's station and minute.
 
-    A payload that is cut short, runs on past its records or holds text that
-    does not decode raises ValidationError; the set itself is checked by
-    `PdrSet`. The precision class is not part of the set layout (it is
-    registry metadata): the caller passes the class byte its fetch entry
-    carried, and an unknown byte raises ValidationError. This is the one
-    place a byte becomes a `PrecisionClass`.
+    A set whose length is exactly its count of records of the first record's
+    nr length is read in one `unpack_from` of that many such records, as a flat
+    tuple of fields whose columns are its slices. If any record's station code
+    and nr length differ from the first's, or the length does not fit, the
+    records are walked one by one, since the layout allows any nr length. The
+    columns then take the same checks either way. A payload that is cut short,
+    runs on past its records or holds text that does not decode raises
+    ValidationError; the set itself is checked by `PdrSet`. The precision class
+    is not part of the set layout (it is registry metadata): the caller passes
+    the class byte its fetch entry carried, and an unknown byte raises
+    ValidationError. This is the one place a byte becomes a `PrecisionClass`.
 
-    `phones` is the caller's cache of decoded phones, keyed by a record's
-    exact phone bytes (u32 length prefix, nr, IMEI): a phone is parsed and
-    checked once, and every set decoded with the same dict shares one
-    `PhoneId` per phone. Only a phone that `PhoneId` accepted is cached, and a
-    phone field cut short fails its record's tail read before any lookup.
+    `phones` and `stations` are the caller's caches, so that every set decoded
+    with the same dicts shares one `PhoneId` per phone and one `BsCode` per
+    (station, class byte). `phones` is keyed by a record's exact phone bytes
+    (nr, then IMEI): a phone is parsed and checked once. Only a phone that
+    `PhoneId` accepted, and a station that `BsCode` accepted, is cached.
     """
-    try:
-        precision_class = PrecisionClass(class_byte)
-    except ValueError:
-        raise ValidationError(f"unknown precision class byte {class_byte}") from None
     try:
         (count,) = _U32.unpack_from(data, 0)
         if not count:
             raise ValidationError("cannot decode an empty set without station metadata")
-        code = data[4 : 4 + STATION_CODE_LEN]
-        minute = None
-        set_phones, radii, azimuths = [], [], []
-        off = 4
-        for _ in range(count):
-            if data[off : off + STATION_CODE_LEN] != code:
+        (nr_len,) = _U32.unpack_from(data, 4 + STATION_CODE_LEN)
+        fields = None
+        if len(data) == 4 + count * (_RECORD_FIXED + nr_len):
+            fields = _records_layout(nr_len, count).unpack_from(data, 4)
+        if fields is None or fields[0::5].count(fields[0]) != count:
+            fields = _walk_records(data, count)
+            if len({head[:STATION_CODE_LEN] for head in fields[0::5]}) != 1:
                 raise ValidationError("every record in a set must share the set's station")
-            off += STATION_CODE_LEN
-            (nr_len,) = _U32.unpack_from(data, off)
-            end = off + 4 + nr_len + IMEI_LEN
-            key = data[off:end]
-            radius, azimuth, t_pdr = _TAIL.unpack_from(data, end)
-            off = end + _TAIL.size
-            if minute is None:
-                minute = t_pdr
-            elif t_pdr != minute:
-                raise ValidationError("every record in a set must share the set's minute")
-            phone = phones.get(key)
-            if phone is None:
-                nr = key[4 : 4 + nr_len].decode("utf-8")
-                phone = phones[key] = PhoneId(nr=nr, imei=key[4 + nr_len :].decode("ascii"))
-            set_phones.append(phone)
-            radii.append(radius)
-            azimuths.append(azimuth)
-        station = code.decode("ascii")
+        minutes = fields[4::5]
+        minute = minutes[0]
+        if minutes.count(minute) != count:
+            raise ValidationError("every record in a set must share the set's minute")
+        keys = fields[1::5]
+        try:
+            set_phones = tuple(map(phones.__getitem__, keys))
+        except KeyError:
+            set_phones = tuple([phones.get(key) or _decode_phone(key, phones) for key in keys])
+        code = fields[0][:STATION_CODE_LEN]
+        bs = stations.get((code, class_byte)) or _decode_station(code, class_byte, stations)
     except (struct.error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed set payload: {exc}") from exc
-    if off != len(data):
-        raise ValidationError("trailing bytes after set payload")
-    return PdrSet(
-        minute=minute,
-        bs=BsCode(code=station, precision_class=precision_class),
-        phones=tuple(set_phones),
-        radii=tuple(radii),
-        azimuths=tuple(azimuths),
-    )
+    return PdrSet(minute, bs, set_phones, fields[2::5], fields[3::5])
+
+
+def _decode_phone(key: bytes, phones: dict[bytes, PhoneId]) -> PhoneId:
+    phone = phones[key] = PhoneId(nr=key[:-IMEI_LEN].decode("utf-8"), imei=key[-IMEI_LEN:].decode("ascii"))
+    return phone
+
+
+def _decode_station(code: bytes, class_byte: int, stations: dict[tuple[bytes, int], BsCode]) -> BsCode:
+    try:
+        precision_class = PrecisionClass(class_byte)
+    except ValueError:
+        raise ValidationError(f"unknown precision class byte {class_byte}") from None
+    bs = stations[(code, class_byte)] = BsCode(code=code.decode("ascii"), precision_class=precision_class)
+    return bs

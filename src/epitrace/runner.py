@@ -345,21 +345,23 @@ def _fetch_and_decrypt(context: SimContext, cert: QuorumCertificate, minute_rang
     provider comes before the next provider's, each in its store order.
     """
     streams = []
-    phones: dict = {}  # one PhoneId per phone across the whole fetch, so index lookups hit on identity
+    # One PhoneId per phone and one BsCode per (station, class) across the whole fetch, so index lookups hit on identity.
+    phones: dict = {}
+    stations: dict = {}
     for provider_id in sorted(context.edges):
         edge = context.edges[provider_id]
-        streams.append(_open_entries(fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), phones))
+        streams.append(_open_entries(fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), phones, stations))
     return heapq.merge(*streams, key=attrgetter("minute"))
 
 
-def _open_entries(entries: list[tuple[int, memoryview]], key: bytes, phones: dict) -> Iterator[PdrSet]:
+def _open_entries(entries: list[tuple[int, memoryview]], key: bytes, phones: dict, stations: dict) -> Iterator[PdrSet]:
     """Unseal and decode one provider's fetched entries, one set per step; each entry is dropped as its set is decoded."""
     aeads: dict = {}  # one AEAD per sender context, for this provider's sets only
     entries.reverse()
     while entries:
         class_byte, ciphertext = entries.pop()
         plaintext = crypto.unseal(key, ciphertext, aeads, framing.u8(class_byte))  # the class byte is the set's associated data
-        yield decode_pdr_set(plaintext, class_byte, phones)
+        yield decode_pdr_set(plaintext, class_byte, phones, stations)
 
 
 def fetch(edge: EdgeCloud, cert: QuorumCertificate, minute_range: tuple[int, int]) -> list[tuple[int, memoryview]]:

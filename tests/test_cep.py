@@ -28,11 +28,11 @@ from epitrace.cep import (
 )
 from epitrace.errors import AuthorizationError, NoEvidenceError, ParameterError, ResolutionError, StateError, ValidationError
 from epitrace.federation import OperationClass, SystemState
-from epitrace.records import PrecisionClass
+from epitrace.records import PdrSet, PrecisionClass
 from epitrace.runner import vet
 from epitrace.world import ProviderRegistry, ScenarioConfig, StationInfo, generate_world, infection_estimates
 from cep_oracle import brute_force_pairs
-from util import SMALL_JSON, capability, group_records, pair_distance, pdr, phone, plaintext_sets, station
+from util import SMALL_JSON, capability, group_records, pair_distance, pair_rows, pair_slice, pair_table, pdr, phone, plaintext_sets, station
 
 PARAMS = AnalysisParams(prox_max=2.0, dur_min=15, gap_tolerance=2, search_margin=0)
 
@@ -210,8 +210,9 @@ class TestFindSuspicions:
 
     def test_each_pair_reaches_one_sample_list_from_both_phones(self):
         index = PdrIndex(co_located_sets(range(3), prox_a=1.0, prox_b=1.5, extra_phones=2), PARAMS.prox_max)
-        samples = index.partners[phone(1)][phone(2)]
-        assert samples is index.partners[phone(2)][phone(1)]
+        bounds = pair_slice(index, phone(1), phone(2))
+        assert bounds == pair_slice(index, phone(2), phone(1))
+        samples = pair_rows(index, *bounds)
         assert [(m, d, c, size) for m, d, c, _code, size in samples] == [(m, 0.5, PrecisionClass.FEMTO, 4) for m in range(3)]
 
     def test_presence_probe_lists_each_phone_by_minute(self):
@@ -231,7 +232,7 @@ class TestStreamedIndex:
         sets = plaintext_sets(cfg, registry, traces)
         listed = PdrIndex(sets, PARAMS.prox_max)
         streamed = PdrIndex((pdr_set for pdr_set in sets), PARAMS.prox_max)
-        assert listed.partners and streamed.partners == listed.partners
+        assert pair_table(listed) and pair_table(streamed) == pair_table(listed)
         assert streamed.sets_swept == listed.sets_swept == len(sets)
         assert streamed.presence == listed.presence
 
@@ -244,9 +245,31 @@ class TestStreamedIndex:
             PdrIndex(iter([second, first]), PARAMS.prox_max)
         assert PdrIndex(iter([first, late, second]), PARAMS.prox_max).sets_swept == 3
 
+    @pytest.mark.parametrize("cap", [1, 7])
+    def test_candidates_measured_in_runs_build_the_same_table(self, monkeypatch, cap):
+        cfg = ScenarioConfig(seed=17, n_phones=14, duration_min=240, alert_minute=200, noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        sets = plaintext_sets(cfg, registry, traces)
+        whole = pair_table(PdrIndex(sets, PARAMS.prox_max))
+        monkeypatch.setattr(cep, "_MAX_CANDIDATES", cap)
+        assert pair_table(PdrIndex(sets, PARAMS.prox_max)) == whole
+
+    def test_a_minute_past_the_int32_columns_is_refused(self):
+        (last,) = co_located_sets([2**31 - 1])
+        assert PdrIndex([last], PARAMS.prox_max).sets_swept == 1
+        (beyond,) = co_located_sets([2**31])
+        with pytest.raises(ValidationError, match="past the pair table's last minute"):
+            PdrIndex(iter([last, beyond]), PARAMS.prox_max)
+
+    def test_an_empty_set_outranks_no_sample(self):
+        macro = co_located_sets(range(2), bs=station(1, PrecisionClass.MACRO))
+        empty = [PdrSet(minute, station(2), (), (), ()) for minute in range(2)]
+        sets = [macro[0], empty[0], macro[1], empty[1]]
+        assert pair_table(PdrIndex(sets, PARAMS.prox_max)) == pair_table(PdrIndex(macro, PARAMS.prox_max))
+
     def test_an_empty_stream_builds_an_empty_table(self):
         index = PdrIndex(iter([]), PARAMS.prox_max)
-        assert index.partners == {} and index.sets_swept == 0 and index.presence == {}
+        assert pair_table(index) == {} and index.sets_swept == 0 and index.presence == {}
 
 
 class TestOracleEquivalence:
@@ -545,9 +568,15 @@ class TestPairOnce:
     @settings(max_examples=80, deadline=None)
     @given(
         records=st.dictionaries(
-            st.tuples(st.integers(0, 2), st.integers(1, 5), st.integers(0, 12)),  # (station, phone, minute)
+            # (station, phone, minute): minutes either side of the sweep's first block boundary too, and up
+            # to five stations of three classes in one minute
             st.tuples(
-                st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 4.0)),
+                st.integers(0, 4),
+                st.integers(1, 5),
+                st.one_of(st.integers(0, 12), st.integers(cep._SWEEP_BLOCK_MIN - 3, cep._SWEEP_BLOCK_MIN + 2)),
+            ),
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 4.0)),
                 st.one_of(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.0, 2 * math.pi, exclude_max=True)),
             ),
             min_size=10,
@@ -560,7 +589,7 @@ class TestPairOnce:
         class_threshold=st.integers(1, 4),
     )
     def test_matches_oracle_on_any_sets(self, cap_read, records, seeds, dur_min, gap, margin, class_threshold):
-        precision = (PrecisionClass.FEMTO, PrecisionClass.PICO, PrecisionClass.MACRO)
+        precision = (PrecisionClass.FEMTO, PrecisionClass.PICO, PrecisionClass.MACRO, PrecisionClass.PICO, PrecisionClass.FEMTO)
         sets = group_records(
             pdr(station(s, precision[s]), phone(p), radius, azimuth, minute)
             for (s, p, minute), (radius, azimuth) in records.items()

@@ -12,6 +12,7 @@ allocated inside the measured window.
 """
 
 import json
+import math
 import tracemalloc
 from random import Random
 
@@ -22,7 +23,7 @@ from epitrace.edge import EdgeCloud
 from epitrace.records import PdrSet, encode_pdr_set
 from epitrace.world import ScenarioConfig
 from test_vault import caps, make_vault
-from util import SMALL_JSON, alerted_federation, ingested_for_analysis, phone, station
+from util import SMALL_JSON, alerted_federation, ingested_for_analysis, pair_table, phone, station
 
 PAYLOAD = Random(1).randbytes(1 << 20)
 
@@ -125,14 +126,21 @@ def test_push_seals_into_the_stored_buffer(monkeypatch):
     assert peak < 1.5 * len(plaintext)
 
 
-def test_index_sweeps_the_fetch_as_a_stream():
-    # Of the stored ciphertext bytes of small.json's first four hours: 2.23x for the whole fetch decoded
-    # into a list and indexed by a table that kept every set, 2.26x for that list into the streaming
-    # table, 1.95x streamed. (On the whole day: 2.44x, 2.31x, 1.86x.)
+@pytest.fixture(scope="module")
+def four_hours():
+    """small.json's first four hours, ingested and ALERT: its config, context and read-certificate source."""
     fields = json.loads(SMALL_JSON.read_text())
     fields.update(duration_min=240, alert_minute=200)
     config = ScenarioConfig.from_dict(fields)
-    context, read_cert = ingested_for_analysis(config)
+    return (config, *ingested_for_analysis(config))
+
+
+def test_index_sweeps_the_fetch_as_a_stream(four_hours):
+    # Of the stored ciphertext bytes of small.json's first four hours: 2.23x for the whole fetch decoded
+    # into a list and indexed by a table that kept every set, 2.26x for that list into the streaming
+    # table, 1.95x streamed; with the table in columns, 2.15x listed and 1.84x streamed. (On the whole
+    # day: 2.44x, 2.31x, 1.86x; in columns 2.16x and 1.43x.)
+    config, context, read_cert = four_hours
     stored = sum(len(c) for cloud in context.edges.values() for c in cloud.stored_ciphertexts())
     minute_range = (0, config.duration_min)
     certs = read_cert(), read_cert()
@@ -142,6 +150,35 @@ def test_index_sweeps_the_fetch_as_a_stream():
 
     streamed, peak = traced_peak(lambda: index(runner._fetch_and_decrypt(context, certs[0], minute_range)))
     listed, peak_listed = traced_peak(lambda: index(list(runner._fetch_and_decrypt(context, certs[1], minute_range))))
-    assert streamed.partners == listed.partners
+    assert pair_table(streamed) == pair_table(listed)
     assert peak < 2.1 * stored
     assert peak < 0.9 * peak_listed
+
+
+def test_pair_table_holds_at_most_40_bytes_per_sample(four_hours):
+    # The heap the table keeps once built, per sample, small.json's first four hours: 127 bytes for
+    # 5-tuples in a dict of dicts, 35 for columns (21 bytes of samples, the rest each set's phone ranks
+    # for the `presence` probe).
+    config, context, read_cert = four_hours
+    sets = list(runner._fetch_and_decrypt(context, read_cert(), (0, config.duration_min)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = cep.PdrIndex(sets, config.prox_max_m)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    samples = sum(len(rows) for rows in pair_table(index).values())
+    assert samples > 5000
+    assert held <= 40 * samples
+
+
+def test_a_crowd_at_one_radius_is_measured_in_bounded_runs(monkeypatch):
+    # 600 phones on a ring 100 m out: 179,700 candidate pairs, 600 in range. Measured all at once the sweep
+    # peaks at 10.2 MB; in runs of at most 16,384 candidates, at 1.0 MB.
+    monkeypatch.setattr(cep, "_MAX_CANDIDATES", 1 << 14)
+    n = 600
+    ring = PdrSet(0, station(1), tuple(sorted(map(phone, range(n)))), (100.0,) * n, tuple(2 * math.pi * k / n for k in range(n)))
+    index, peak = traced_peak(cep.PdrIndex, [ring], 2.0)
+    assert len(pair_table(index)) == n
+    assert peak < 2.5e6

@@ -68,7 +68,7 @@ class TestPush:
         private = federation.engine_key("provider:P1")
         plaintext = crypto.unseal(private, ciphertext, {}, FEMTO_AAD)
         assert plaintext == encode_pdr_set(s, {})
-        assert decode_pdr_set(plaintext, PrecisionClass.FEMTO, {}) == s
+        assert decode_pdr_set(plaintext, PrecisionClass.FEMTO, {}, {}) == s
 
     def test_metadata_matches_enclosed_set(self, cloud):
         federation, edge = cloud
@@ -86,7 +86,7 @@ class TestPush:
         unlock(federation)
         entries = fetch(edge, read_cert(federation), (0, 100))
         assert [class_byte for class_byte, _ciphertext in entries] == [cls.value]
-        [decoded] = _open_entries(entries, federation.engine_key("provider:P1"), {})
+        [decoded] = _open_entries(entries, federation.engine_key("provider:P1"), {}, {})
         assert decoded == s and decoded.bs.precision_class is cls
 
     def test_an_unknown_class_byte_sealed_under_the_provider_key_is_a_validation_error(self, cloud):
@@ -96,7 +96,7 @@ class TestPush:
         ciphertext = crypto.seal(context, encode_pdr_set(make_set(3), {}), framing.u8(3))
         unlock(federation)
         with pytest.raises(ValidationError, match="unknown precision class byte 3"):
-            next(_open_entries([(3, memoryview(ciphertext))], federation.engine_key("provider:P1"), {}))
+            next(_open_entries([(3, memoryview(ciphertext))], federation.engine_key("provider:P1"), {}, {}))
 
     def test_provider_port_exposes_only_push(self, cloud):
         _, edge = cloud
@@ -177,7 +177,7 @@ class TestSealEpochs:
         opened = []
         for _class, ciphertext in fetch(edge, read_cert(federation), (0, 10)):
             try:
-                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads, FEMTO_AAD), PrecisionClass.FEMTO, {}))
+                opened.append(decode_pdr_set(crypto.unseal(private, ciphertext, aeads, FEMTO_AAD), PrecisionClass.FEMTO, {}, {}))
             except DecryptionError:
                 opened.append(None)
         assert opened == [None, sets[1], None, sets[3], sets[4]]
@@ -330,7 +330,7 @@ class TestVpnFetch:
         for minute in range(6):
             port.push(make_set(minute))
         unlock(federation)
-        sets = _open_entries(fetch(edge, read_cert(federation), (0, 5)), federation.engine_key("provider:P1"), {})
+        sets = _open_entries(fetch(edge, read_cert(federation), (0, 5)), federation.engine_key("provider:P1"), {}, {})
         assert [s.minute for s in sets] == list(range(6))
 
     def test_range_is_inclusive_filter(self, cloud):
@@ -339,7 +339,7 @@ class TestVpnFetch:
         for minute in (1, 5, 9):
             port.push(make_set(minute))
         unlock(federation)
-        sets = _open_entries(fetch(edge, read_cert(federation), (5, 9)), federation.engine_key("provider:P1"), {})
+        sets = _open_entries(fetch(edge, read_cert(federation), (5, 9)), federation.engine_key("provider:P1"), {}, {})
         assert [s.minute for s in sets] == [5, 9]
 
     def test_wire_framing_round_trip(self, cloud):
@@ -354,7 +354,7 @@ class TestVpnFetch:
         class_byte, ciphertext = response[0]
         assert class_byte == PrecisionClass.FEMTO
         private = federation.engine_key("provider:P1")
-        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}, FEMTO_AAD), PrecisionClass.FEMTO, {}) == make_set(3)
+        assert decode_pdr_set(crypto.unseal(private, ciphertext, {}, FEMTO_AAD), PrecisionClass.FEMTO, {}, {}) == make_set(3)
 
     def test_relabelled_class_byte_fails_to_open(self, cloud):
         federation, edge = cloud
@@ -364,7 +364,7 @@ class TestVpnFetch:
         assert frame[4] == PrecisionClass.FEMTO == 2  # after the u32 entry count
         frame[4] = PrecisionClass.MACRO
         with pytest.raises(DecryptionError):
-            next(_open_entries(framing.decode_fetch_response(bytes(frame)), federation.engine_key("provider:P1"), {}))
+            next(_open_entries(framing.decode_fetch_response(bytes(frame)), federation.engine_key("provider:P1"), {}, {}))
 
     def test_no_station_code_crosses_in_the_clear(self):
         context = build_context(ScenarioConfig.from_dict(json.loads(SMALL_JSON.read_text())))

@@ -2,11 +2,13 @@ import copy
 import math
 import pickle
 import struct
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from epitrace.errors import DuplicateRecordError, ValidationError
+from epitrace.errors import DuplicateRecordError, EpitraceError, ValidationError
 from epitrace.federation import OperationClass
 from epitrace.records import (
     IMEI_LEN,
@@ -20,7 +22,7 @@ from epitrace.records import (
     encode_pdr_set,
     group_into_sets,
 )
-from util import group_records, pair_distance, pdr, phone, station
+from util import group_records, pair_distance, pdr, phone, reference_decode, station
 
 
 def raw(code: bytes, nr: bytes, imei: bytes, radius: float = 1.0, azimuth: float = 0.5, minute: int = 5) -> bytes:
@@ -81,7 +83,7 @@ class TestMakePdr:
                 group_records([pdr(station(1), phone(1), 1.0, 0.5, 5), pdr(station(1), phone(2), radius, azimuth, 5)])
             for who in (phone(2), phone(1)):
                 with pytest.raises(ValidationError) as err:
-                    decode_pdr_set(two_records(wire(CODE, who, radius, azimuth, 5)), PrecisionClass.FEMTO, {})
+                    decode_pdr_set(two_records(wire(CODE, who, radius, azimuth, 5)), PrecisionClass.FEMTO, {}, {})
                 assert not isinstance(err.value, DuplicateRecordError)
         with pytest.raises(ValidationError):
             PdrSet(minute=-1, bs=station(1), phones=(phone(1),), radii=(1.0,), azimuths=(0.0,))
@@ -131,7 +133,7 @@ class TestMakePdr:
         assert str(err.value) == message
         payload = struct.pack(">I", 3) + b"".join(wire(CODE, who, r, a, 5) for who, r, a in zip(phones, radii, azimuths))
         with pytest.raises(ValidationError) as err:
-            decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+            decode_pdr_set(payload, PrecisionClass.FEMTO, {}, {})
         assert str(err.value) == message
 
     def test_range_edges_are_valid(self):
@@ -164,7 +166,7 @@ class TestWireBytes:
         # A fetched set's class arrives as one wire byte, which decode alone turns into a class.
         payload = encode_pdr_set(PdrSet(5, station(1), (phone(0),), (1.0,), (0.5,)), {})
         with pytest.raises(ValidationError, match=f"unknown precision class byte {class_byte}$"):
-            decode_pdr_set(payload, class_byte, {})
+            decode_pdr_set(payload, class_byte, {}, {})
 
 
 class TestPhoneId:
@@ -235,7 +237,7 @@ class TestPhoneId:
         if len(imei.encode("utf-8")) == IMEI_LEN and imei.isascii():
             payload = struct.pack(">I", 1) + raw(CODE.encode("ascii"), nr.encode("utf-8"), imei.encode("ascii"))
             with pytest.raises(ValidationError) as err:
-                decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+                decode_pdr_set(payload, PrecisionClass.FEMTO, {}, {})
             assert str(err.value) == message
 
 
@@ -350,7 +352,7 @@ class TestSerialization:
     def test_set_round_trip(self):
         bs = station(4, PrecisionClass.MACRO)
         (original,) = group_records(pdr(bs, phone(i), float(i), 0.25 * i, 11) for i in (3, 0, 2, 1))
-        decoded = decode_pdr_set(encode_pdr_set(original, {}), PrecisionClass.MACRO, {})
+        decoded = decode_pdr_set(encode_pdr_set(original, {}), PrecisionClass.MACRO, {}, {})
         assert decoded == original
 
     def test_serialized_bytes_reveal_no_coordinates(self):
@@ -366,17 +368,17 @@ class TestSerialization:
     def test_set_rejects_foreign_records(self):
         for foreign in (wire(f"{2:016x}", phone(2), 1.0, 0.5, 5), wire(CODE, phone(2), 1.0, 0.5, 6)):
             with pytest.raises(ValidationError):
-                decode_pdr_set(two_records(foreign), PrecisionClass.FEMTO, {})
+                decode_pdr_set(two_records(foreign), PrecisionClass.FEMTO, {}, {})
 
     def test_set_rejects_duplicate_phone(self):
         with pytest.raises(DuplicateRecordError):
-            decode_pdr_set(two_records(wire(CODE, phone(1), 2.0, 0.1, 5)), PrecisionClass.FEMTO, {})
+            decode_pdr_set(two_records(wire(CODE, phone(1), 2.0, 0.1, 5)), PrecisionClass.FEMTO, {}, {})
         with pytest.raises(DuplicateRecordError):
             PdrSet(minute=5, bs=station(1), phones=(phone(1), phone(1)), radii=(1.0, 2.0), azimuths=(0.0, 0.1))
 
     def test_set_rejects_phones_out_of_order(self):
         with pytest.raises(ValidationError):
-            decode_pdr_set(two_records(wire(CODE, phone(0), 1.0, 0.5, 5)), PrecisionClass.FEMTO, {})
+            decode_pdr_set(two_records(wire(CODE, phone(0), 1.0, 0.5, 5)), PrecisionClass.FEMTO, {}, {})
         with pytest.raises(ValidationError):
             PdrSet(minute=5, bs=station(1), phones=(phone(2), phone(1)), radii=(1.0, 2.0), azimuths=(0.0, 0.1))
 
@@ -398,7 +400,7 @@ class TestSerialization:
         )
         for payload in malformed:
             with pytest.raises(ValidationError):
-                decode_pdr_set(payload, PrecisionClass.FEMTO, {})
+                decode_pdr_set(payload, PrecisionClass.FEMTO, {}, {})
 
 
 class TestEncodePhoneCache:
@@ -418,24 +420,108 @@ class TestEncodePhoneCache:
 class TestDecodePhoneCache:
     def test_sets_decoded_with_one_dict_share_phones(self):
         phones = {}
-        a = decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones)
-        b = decode_pdr_set(encode_pdr_set(PdrSet(7, station(2), (phone(2), phone(3)), (1.0, 2.0), (0.0, 0.1)), {}), PrecisionClass.FEMTO, phones)
+        a = decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones, {})
+        b = decode_pdr_set(encode_pdr_set(PdrSet(7, station(2), (phone(2), phone(3)), (1.0, 2.0), (0.0, 0.1)), {}), PrecisionClass.FEMTO, phones, {})
         assert a.phones == (phone(1), phone(2)) and b.phones == (phone(2), phone(3))
         assert b.phones[0] is a.phones[1]
         assert set(phones.values()) == {phone(1), phone(2), phone(3)}
 
     def test_cut_short_inside_a_cached_phone_still_raises(self):
         phones = {}
-        decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones)
+        decode_pdr_set(two_records(wire(CODE, phone(2), 3.0, 0.5, 5)), PrecisionClass.FEMTO, phones, {})
         second = wire(CODE, phone(2), 3.0, 0.5, 5)
         for cut in range(STATION_CODE_LEN + 1, STATION_CODE_LEN + 4 + len(phone(2).nr) + IMEI_LEN):
             with pytest.raises(ValidationError):
-                decode_pdr_set(two_records(second[:cut]), PrecisionClass.FEMTO, phones)
+                decode_pdr_set(two_records(second[:cut]), PrecisionClass.FEMTO, phones, {})
         assert len(phones) == 2
 
     def test_bad_nr_text_still_raises_and_is_not_cached(self):
         phones = {}
         for nr in (b"6000000x1", b"", b"6000 0001", b"-60000001", "6²".encode("utf-8")):
             with pytest.raises(ValidationError):
-                decode_pdr_set(struct.pack(">I", 1) + raw(CODE.encode("ascii"), nr, phone(1).imei.encode("ascii")), PrecisionClass.FEMTO, phones)
+                decode_pdr_set(struct.pack(">I", 1) + raw(CODE.encode("ascii"), nr, phone(1).imei.encode("ascii")), PrecisionClass.FEMTO, phones, {})
         assert phones == {}
+
+
+def mixed_phone(i: int, nr_len: int) -> PhoneId:
+    """A phone whose nr is `nr_len` digits."""
+    return PhoneId(nr=f"{6 * 10 ** (nr_len - 1) + i:d}", imei=f"{350000000000000 + i:015d}")
+
+
+class TestBulkDecode:
+    """The bulk decoder against `reference_decode`, the per-record loop it replaced."""
+
+    def test_mixed_nr_lengths_decode_record_by_record(self):
+        # Lengths 9, 8, 10 sum to three records of the first's stride, so the bulk read fits the payload
+        # and only the records' own lengths show that it misreads them.
+        for lengths in ((9, 8, 10), (9, 12), (3, 9, 9, 9)):
+            phones = tuple(sorted(mixed_phone(i, n) for i, n in enumerate(lengths)))
+            original = PdrSet(5, station(1), phones, tuple(float(i) for i in range(len(phones))), (0.5,) * len(phones))
+            payload = encode_pdr_set(original, {})
+            assert decode_pdr_set(payload, PrecisionClass.FEMTO, {}, {}) == reference_decode(payload, PrecisionClass.FEMTO) == original
+
+    def test_a_count_far_beyond_the_payload_is_a_validation_error(self):
+        one = encode_pdr_set(PdrSet(5, station(1), (phone(1),), (1.0,), (0.5,)), {})
+        for count in (2, 1000, 2**32 - 1):
+            payload = struct.pack(">I", count) + one[4:]
+            for decode in (lambda: decode_pdr_set(payload, PrecisionClass.FEMTO, {}, {}), lambda: reference_decode(payload, PrecisionClass.FEMTO)):
+                with pytest.raises(ValidationError):
+                    decode()
+
+    def test_a_set_check_raises_its_own_type_from_both(self):
+        first = wire(CODE, phone(2), 1.0, 0.5, 5)
+        cases = (
+            (wire(CODE, phone(2), 2.0, 0.1, 5), DuplicateRecordError),
+            (wire(CODE, phone(1), 2.0, 0.1, 5), ValidationError),  # out of phone order
+            (wire(CODE, phone(3), -2.0, 0.1, 5), ValidationError),  # out of range
+        )
+        for second, error in cases:
+            payload = struct.pack(">I", 2) + first + second
+            for decode in (lambda: decode_pdr_set(payload, PrecisionClass.FEMTO, {}, {}), lambda: reference_decode(payload, PrecisionClass.FEMTO)):
+                with pytest.raises(error) as err:
+                    decode()
+                assert type(err.value) is error
+
+    def test_a_stations_cache_shares_one_code_per_station_and_class(self):
+        stations = {}
+        sets = [PdrSet(m, station(1), (phone(1), phone(2)), (1.0, 2.0), (0.0, 0.1)) for m in range(3)]
+        decoded = [decode_pdr_set(encode_pdr_set(s, {}), PrecisionClass.FEMTO, {}, stations) for s in sets]
+        assert decoded == sets and len({id(s.bs) for s in decoded}) == 1
+        macro = decode_pdr_set(encode_pdr_set(sets[0], {}), PrecisionClass.MACRO, {}, stations)
+        assert macro.bs == BsCode(station(1).code, PrecisionClass.MACRO) and len(stations) == 2
+
+    def test_mutated_plaintexts_decode_as_the_reference_does(self):
+        # Seeded: 3,000 plaintexts, each with 1-4 byte flips, deletions or insertions and sometimes another class
+        # byte. Each decodes to the reference's set or raises the reference's EpitraceError type, and nothing else.
+        rng = Random(9)
+        bases = []
+        for k in range(12):
+            n = rng.randint(1, 20)
+            who = sorted({mixed_phone(rng.randrange(500), rng.choice((8, 9, 9, 9, 11))) for _ in range(n)})
+            readings = [(rng.uniform(0.0, 60.0), rng.uniform(0.0, 6.28)) for _ in who]
+            bases.append(encode_pdr_set(PdrSet(rng.randrange(2000), station(k % 4), tuple(who), *map(tuple, zip(*readings))), {}))
+        phones, stations = {}, {}  # shared across the fuzz, as across one fetch
+        outcomes = Counter()
+        for _ in range(3000):
+            data = bytearray(rng.choice(bases))
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randrange(len(data))
+                kind = rng.randrange(3)
+                if kind == 0:
+                    data[at] ^= 1 << rng.randrange(8)
+                elif kind == 1:
+                    del data[at]
+                else:
+                    data.insert(at, rng.randrange(256))
+            class_byte = rng.choice((0, 1, 2, 2, 2, 3, 255))
+            try:
+                expected = reference_decode(bytes(data), class_byte)
+            except EpitraceError as exc:
+                expected = type(exc)
+            try:
+                decoded = decode_pdr_set(bytes(data), class_byte, phones, stations)
+            except EpitraceError as exc:
+                decoded = type(exc)
+            assert decoded == expected
+            outcomes[expected if isinstance(expected, type) else PdrSet] += 1
+        assert outcomes[PdrSet] > 50 and outcomes[ValidationError] > 2000

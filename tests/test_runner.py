@@ -25,7 +25,7 @@ from epitrace.runner import _SWEEP_BLOCK_MIN, _digit_probe_hits, _plaintext_pii_
 from epitrace.shamir import Share, reconstruct_secret
 from epitrace.vault import FaultMode
 from epitrace.world import NoiseModel, ScenarioConfig, generate_world
-from util import SMALL_JSON, ingested_for_analysis, reference_ingest, retention_config
+from util import SMALL_JSON, ingested_for_analysis, pair_table, reference_ingest, retention_config
 
 SPARSE_DIGESTS = {
     "dag.dot": "275e6c7090ca820ba96fa2440ce615cce7c46fda5555a5169713ab4661cbc32b",
@@ -283,7 +283,7 @@ class TestAnalysisStream:
         minute_range = (0, CFG["duration_min"])
         cert = read_cert()
         expected = [
-            list(runner._open_entries(runner.fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), {}))
+            list(runner._open_entries(runner.fetch(edge, cert, minute_range), context.federation.engine_key(edge.key_id), {}, {}))
             for _provider_id, edge in sorted(context.edges.items())
         ]
         decoded = []
@@ -302,7 +302,7 @@ class TestAnalysisStream:
         cert = read_cert()
         before = live_sets()
         index = cep.PdrIndex(runner._fetch_and_decrypt(context, cert, (0, CFG["duration_min"])), ScenarioConfig(**CFG).prox_max_m)
-        assert index.sets_swept > 0 and index.partners
+        assert index.sets_swept > 0 and pair_table(index)
         assert live_sets() == before
 
     def test_run_holds_no_decoded_set_during_analysis(self, monkeypatch):

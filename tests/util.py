@@ -5,15 +5,18 @@ from __future__ import annotations
 import json
 import math
 import operator
+import struct
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from epitrace.cep import PdrIndex
 from epitrace.edge import EdgeCloud
 from epitrace.federation import Federation, OperationClass, QuorumCertificate, SystemState
-from epitrace.records import BsCode, PdrSet, PhoneId, PrecisionClass, group_into_sets
+from epitrace.errors import ValidationError
+from epitrace.records import IMEI_LEN, STATION_CODE_LEN, BsCode, PdrSet, PhoneId, PrecisionClass, group_into_sets
 from epitrace.runner import _SWEEP_BLOCK_MIN, SimContext, build_context, ingest, vet
 from epitrace.vault import CloudNode
 from epitrace.world import (
@@ -93,6 +96,32 @@ def oldest_age(edge: EdgeCloud, now: int) -> int | None:
 def held_object_ids(cloud: CloudNode) -> list[bytes]:
     """The ids of the objects a vault cloud holds a fragment of, sorted."""
     return sorted(cloud._fragments)
+
+
+def pair_slice(index: PdrIndex, a: PhoneId, b: PhoneId) -> tuple[int, int]:
+    """The bounds of the pair (a, b)'s samples in the pair table's columns, found among `a`'s pairs."""
+    for pair in index._pairs_of(a).tolist():
+        if b in (index._phones[index._lo[pair]], index._phones[index._hi[pair]]):
+            return int(index._bounds[pair]), int(index._bounds[pair + 1])
+    raise KeyError((a, b))
+
+
+def pair_rows(index: PdrIndex, start: int, stop: int) -> list[tuple[int, float, PrecisionClass, str, int]]:
+    """The pair table's samples [start, stop) as (minute, distance, class, station code, set size) rows."""
+    columns = (index._minute, index._prox, index._class, index._code, index._size)
+    return [
+        (minute, dist, PrecisionClass(cls), index._codes[code], size)
+        for minute, dist, cls, code, size in zip(*(column[start:stop].tolist() for column in columns))
+    ]
+
+
+def pair_table(index: PdrIndex) -> dict[tuple[PhoneId, PhoneId], list[tuple[int, float, PrecisionClass, str, int]]]:
+    """Every pair of the pair table, lower phone first, with its rows in minute order."""
+    bounds = index._bounds.tolist()
+    return {
+        (index._phones[lo], index._phones[hi]): pair_rows(index, bounds[k], bounds[k + 1])
+        for k, (lo, hi) in enumerate(zip(index._lo.tolist(), index._hi.tolist()))
+    }
 
 
 def phone(i: int) -> PhoneId:
@@ -195,6 +224,51 @@ def reference_observe(
             azimuth = math.atan2(dy, dx) % TWO_PI
             records.append(Record(bs, traces[j].phone, math.hypot(dx, dy), 0.0 if azimuth == TWO_PI else azimuth, minute))
     return records
+
+
+def reference_decode(data: bytes, class_byte: int) -> PdrSet:
+    """`records.decode_pdr_set` one record at a time, each record parsed by its own nr length: the reference for the bulk decoder.
+
+    Every check raises the error type the decoder must raise: ValidationError
+    for a payload cut short, trailing bytes, text that does not decode, a
+    record of another station or minute and an unknown class byte, and the
+    set's own check (`PdrSet`) for the rest.
+    """
+    try:
+        precision_class = PrecisionClass(class_byte)
+    except ValueError:
+        raise ValidationError(f"unknown precision class byte {class_byte}") from None
+    u32, tail = struct.Struct(">I"), struct.Struct(">ddQ")
+    try:
+        (count,) = u32.unpack_from(data, 0)
+        if not count:
+            raise ValidationError("cannot decode an empty set without station metadata")
+        code = data[4 : 4 + STATION_CODE_LEN]
+        minute = None
+        phones, radii, azimuths = [], [], []
+        off = 4
+        for _ in range(count):
+            if data[off : off + STATION_CODE_LEN] != code:
+                raise ValidationError("every record in a set must share the set's station")
+            off += STATION_CODE_LEN
+            (nr_len,) = u32.unpack_from(data, off)
+            end = off + 4 + nr_len + IMEI_LEN
+            key = data[off:end]
+            radius, azimuth, t_pdr = tail.unpack_from(data, end)
+            off = end + tail.size
+            if minute is None:
+                minute = t_pdr
+            elif t_pdr != minute:
+                raise ValidationError("every record in a set must share the set's minute")
+            phones.append(PhoneId(nr=key[4 : 4 + nr_len].decode("utf-8"), imei=key[4 + nr_len :].decode("ascii")))
+            radii.append(radius)
+            azimuths.append(azimuth)
+        station = code.decode("ascii")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"malformed set payload: {exc}") from exc
+    if off != len(data):
+        raise ValidationError("trailing bytes after set payload")
+    return PdrSet(minute, BsCode(station, precision_class), tuple(phones), tuple(radii), tuple(azimuths))
 
 
 def reference_ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
