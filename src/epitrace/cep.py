@@ -23,6 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from heapq import heappop, heappush
 from itertools import chain
 from operator import attrgetter
@@ -96,9 +97,6 @@ class ContactSuspicion:
     pc_susp: bool
     windows: tuple[ContactWindow, ...]
 
-    def qualifying_windows(self, dur_min: int) -> tuple[ContactWindow, ...]:
-        return tuple(w for w in self.windows if w.duration >= dur_min)
-
     def region(self) -> SpaceTimeRegion:
         stations = frozenset().union(*(w.stations for w in self.windows))
         return SpaceTimeRegion(start=self.windows[0].start, end=self.windows[-1].end, stations=stations)
@@ -143,25 +141,14 @@ class InfectionDag:
     edges: tuple[DagEdge, ...]  # sorted by (src, dst), as `build_dag` builds them
 
     def topological_order(self) -> list[PhoneId]:
-        """Kahn's algorithm; raises if a cycle sneaks in."""
-        indegree: dict[PhoneId, int] = {n: 0 for n in self.nodes}
-        adjacency: dict[PhoneId, list[PhoneId]] = {n: [] for n in self.nodes}
+        """Every node, each edge's source before its destination; raises if a cycle sneaks in."""
+        sorter = TopologicalSorter({node: () for node in sorted(self.nodes)})
         for e in self.edges:
-            indegree[e.dst] += 1
-            adjacency[e.src].append(e.dst)
-        frontier = sorted(n for n, d in indegree.items() if d == 0)
-        order: list[PhoneId] = []
-        while frontier:
-            node = frontier.pop(0)
-            order.append(node)
-            for nxt in sorted(adjacency[node]):
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    frontier.append(nxt)
-            frontier.sort()
-        if len(order) != len(self.nodes):
-            raise ValidationError("graph contains a cycle")
-        return order
+            sorter.add(e.dst, e.src)
+        try:
+            return list(sorter.static_order())
+        except CycleError:
+            raise ValidationError("graph contains a cycle") from None
 
 
 # -- parameters -----------------------------------------------------------------
@@ -223,9 +210,10 @@ class PdrIndex:
     int32 columns). The stream is swept in blocks of `_SWEEP_BLOCK_MIN`
     minutes, each as soon as the stream leaves it, by one pass of numpy calls
     (`_sweep_block`); no set is kept. The table holds the samples (minute,
-    distance, class, station, set size), each pair's slice of them, each
-    phone's pairs in partner order, `sets_swept` and, for the `presence`
-    probe, each set's minute and phones as ranks.
+    distance, class, station, set size), each pair's slice of them and its
+    two phones' ranks, `sets_swept` and, for the `presence` probe, each set's
+    minute and phones as ranks. The pairs are sorted by (lower, higher) rank,
+    so one scan of the rank columns lists a phone's pairs in partner order.
     """
 
     def __init__(self, sets: Iterable[PdrSet], prox_max: float):
@@ -269,19 +257,11 @@ class PdrIndex:
         first = np.flatnonzero(change)
         self._bounds = np.append(first, len(lo))  # pair k's samples are [bounds[k], bounds[k + 1])
         self._lo, self._hi = lo[first], hi[first]  # each pair's phone ranks, the lower first
-        # Each phone's pairs in partner order, phone after phone: the pairs of the phone of rank r are
-        # `_partner_pairs[_partner_bounds[r]:_partner_bounds[r + 1]]`.
-        ends, partners = np.concatenate((self._lo, self._hi)), np.concatenate((self._hi, self._lo))
-        by_phone = np.lexsort((partners, ends))
-        self._partner_pairs = np.tile(np.arange(len(first), dtype=np.int32), 2)[by_phone]
-        self._partner_bounds = np.searchsorted(ends[by_phone], np.arange(len(ids) + 1))
 
     def _pairs_of(self, phone: PhoneId) -> np.ndarray:
-        """The indices of `phone`'s pairs, in partner order."""
-        rank = self._rank.get(phone)
-        if rank is None:
-            return self._partner_pairs[:0]
-        return self._partner_pairs[self._partner_bounds[rank] : self._partner_bounds[rank + 1]]
+        """The indices of `phone`'s pairs, in partner order: its lower partners, then its higher ones, as the pairs are sorted."""
+        rank = self._rank.get(phone, -1)
+        return np.flatnonzero((self._lo == rank) | (self._hi == rank))
 
     @cached_property
     def presence(self) -> dict[PhoneId, dict[int, list[tuple[_SetView, int]]]]:
@@ -449,7 +429,7 @@ def _sweep_block(sets: list[PdrSet], ids: dict[PhoneId, int], codes: dict[str, i
 def find_suspicions(
     capability: Capability, index: PdrIndex, poi: PhoneOfInterest, params: AnalysisParams
 ) -> list[ContactSuspicion]:
-    """Read from the pair table the phones that stayed close to the phone of interest, in partner order.
+    """Read from the pair table the phones that stayed close to the phone of interest, in partner order (the pair sort's order).
 
     Only minutes at or after the phone's earliest-infection estimate (less
     the search margin) are considered; the table holds, per minute, the
@@ -551,8 +531,7 @@ def score_suspicions(
 
 def median_contact_minute(suspicion: ContactSuspicion, dur_min: int) -> int:
     """Median qualifying minute across the windows that met the duration bar."""
-    qualifying = suspicion.qualifying_windows(dur_min)
-    minutes = [m for w in qualifying for m in w.minutes]
+    minutes = [m for w in suspicion.windows if w.duration >= dur_min for m in w.minutes]
     if not minutes:
         raise NoEvidenceError("suspicion has no qualifying window")
     return median_low(minutes)

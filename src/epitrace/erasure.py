@@ -57,21 +57,15 @@ def decode(fragments: list[Fragment], k: int) -> bytes:
     The payload is joined once from views of the stripes, past the header and
     short of the padding.
     """
-    frags = {f.index: f for f in fragments}
-    if len(frags) < k:
-        raise UnavailableError(f"need {k} distinct fragments, got {len(frags)}")
-    chosen = [frags[i] for i in sorted(frags)][:k]
-    chosen_map = {f.index: f for f in chosen}
-    stripe_len = len(chosen[0].data)
-    if any(len(f.data) != stripe_len for f in chosen):
+    data = {f.index: f.data for f in fragments}
+    if len(data) < k:
+        raise UnavailableError(f"need {k} distinct fragments, got {len(data)}")
+    xs = sorted(data)[:k]  # every present index below k is among them
+    rows = [data[x] for x in xs]
+    stripe_len = len(rows[0])
+    if any(len(row) != stripe_len for row in rows):
         raise UnavailableError("fragments have mismatched lengths")
-    xs = [f.index for f in chosen]
-    stripes: list[bytes] = []
-    for target in range(k):
-        if target in chosen_map:
-            stripes.append(chosen_map[target].data)
-            continue
-        stripes.append(gf256.combine([f.data for f in chosen], gf256.lagrange_weights(xs, target)))
+    stripes = [data[t] if t in data else gf256.combine(rows, gf256.lagrange_weights(xs, t)) for t in range(k)]
     head = b"".join(stripe[: _LEN_HDR.size] for stripe in stripes)  # starts with the header, whatever the stripe length
     (length,) = _LEN_HDR.unpack_from(head, 0)
     if length > k * stripe_len - _LEN_HDR.size:

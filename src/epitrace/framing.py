@@ -1,7 +1,9 @@
 """Canonical length-prefixed binary framing for all inter-node messages.
 
-Primitives: unsigned big-endian integers (u8/u32/u64) and u32-length-prefixed
-byte strings. Every wire message in the repo (analysis-network fetch,
+Primitives: unsigned big-endian integers (u8/u32), u32-length-prefixed byte
+strings, and the fixed-width heads of the fetch messages, each one
+`struct.Struct` that the encoder packs and the decoder reads with one
+`Reader.unpack`. Every wire message in the repo (analysis-network fetch,
 certificates, vault fragments) is a fixed concatenation of these, so any two
 encoders produce identical bytes. JSON that is hashed, signed or written as an
 artifact goes through `canonical_json`, for the same reason.
@@ -26,6 +28,10 @@ def canonical_json(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+_U8 = struct.Struct(">B")
+_U32 = struct.Struct(">I")
+
+
 class Reader:
     """Sequential decoder over one message buffer; over a `memoryview`, `raw` slices are views too."""
 
@@ -34,13 +40,18 @@ class Reader:
         self._off = 0
 
     def u8(self) -> int:
-        return self._unpack(">B", 1)
+        return self.unpack(_U8)[0]
 
     def u32(self) -> int:
-        return self._unpack(">I", 4)
+        return self.unpack(_U32)[0]
 
-    def u64(self) -> int:
-        return self._unpack(">Q", 8)
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """The fields of one fixed-width `layout` at the read position."""
+        if self._off + layout.size > len(self._data):
+            raise FramingError("message truncated")
+        out = layout.unpack_from(self._data, self._off)
+        self._off += layout.size
+        return out
 
     def raw(self, n: int) -> bytes | memoryview:
         if self._off + n > len(self._data):
@@ -56,28 +67,17 @@ class Reader:
         if self._off != len(self._data):
             raise FramingError(f"{len(self._data) - self._off} trailing bytes")
 
-    def _unpack(self, fmt: str, size: int):
-        if self._off + size > len(self._data):
-            raise FramingError("message truncated")
-        (val,) = struct.unpack_from(fmt, self._data, self._off)
-        self._off += size
-        return val
-
 
 def u8(v: int) -> bytes:
-    return struct.pack(">B", v)
+    return _U8.pack(v)
 
 
 def u32(v: int) -> bytes:
-    return struct.pack(">I", v)
-
-
-def u64(v: int) -> bytes:
-    return struct.pack(">Q", v)
+    return _U32.pack(v)
 
 
 def lp_bytes(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
+    return _U32.pack(len(b)) + b
 
 
 # -- vault fragment wire message ---------------------------------------------
@@ -107,18 +107,18 @@ def decode_fragment_message(data: bytes) -> tuple[bytes, int, memoryview, memory
 #           a set's minute and station code travel only inside its ciphertext,
 #           which authenticates the class byte as associated data
 
+_MINUTES = struct.Struct(">QQ")  # a request's minute range: start, end
 _ENTRY_HEAD = struct.Struct(">BI")  # an entry up to its ciphertext: class, length
 
 
 def encode_fetch_request(cert_blob: bytes, minute_start: int, minute_end: int) -> bytes:
-    return lp_bytes(cert_blob) + u64(minute_start) + u64(minute_end)
+    return lp_bytes(cert_blob) + _MINUTES.pack(minute_start, minute_end)
 
 
 def decode_fetch_request(data: bytes) -> tuple[bytes, int, int]:
     r = Reader(data)
     cert_blob = r.lp_bytes()
-    start = r.u64()
-    end = r.u64()
+    start, end = r.unpack(_MINUTES)
     r.done()
     return cert_blob, start, end
 
@@ -134,7 +134,9 @@ def encode_fetch_response(entries: list[tuple[int, bytes]]) -> bytes:
 def decode_fetch_response(data: bytes) -> list[tuple[int, memoryview]]:
     """The (class, ciphertext) entries of a response frame, each ciphertext a view of `data`."""
     r = Reader(memoryview(data))
-    count = r.u32()
-    out = [(r.u8(), r.lp_bytes()) for _ in range(count)]
+    out = []
+    for _ in range(r.u32()):
+        class_value, length = r.unpack(_ENTRY_HEAD)
+        out.append((class_value, r.raw(length)))
     r.done()
     return out

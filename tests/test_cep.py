@@ -1,6 +1,7 @@
 import enum
 import json
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ from epitrace.cep import (
     ContactSuspicion,
     ContactWindow,
     ContaminationRecord,
+    DagEdge,
     InfectionDag,
     PdrIndex,
     PhoneOfInterest,
@@ -235,6 +237,26 @@ class TestStreamedIndex:
         assert pair_table(listed) and pair_table(streamed) == pair_table(listed)
         assert streamed.sets_swept == listed.sets_swept == len(sets)
         assert streamed.presence == listed.presence
+
+    def test_each_phone_reads_its_pairs_once_in_partner_order(self, cap_read):
+        cfg = ScenarioConfig(seed=17, n_phones=14, duration_min=240, alert_minute=200, noise_enabled=True)
+        registry, traces, _ = generate_world(cfg)
+        index = PdrIndex(plaintext_sets(cfg, registry, traces), PARAMS.prox_max)
+        ends = list(zip(index._lo.tolist(), index._hi.tolist()))
+        reached = Counter()
+        found = 0
+        for rank, p in enumerate(index._phones):
+            pairs = index._pairs_of(p).tolist()
+            assert sorted(pairs) == [k for k, pair in enumerate(ends) if rank in pair]  # each of its pairs, once
+            partners = [hi if lo == rank else lo for lo, hi in map(ends.__getitem__, pairs)]
+            assert partners == sorted(partners)
+            reached.update(pairs)
+            suspicions = find_suspicions(cap_read, index, PhoneOfInterest(phone=p, t_inf_min=0), PARAMS)
+            others = [b if a == p else a for a, b in (s.pair for s in suspicions)]
+            assert others == sorted(others)
+            found += len(suspicions)
+        assert ends and reached == {k: 2 for k in range(len(ends))}  # every pair, from both of its phones
+        assert found
 
     def test_a_minute_that_comes_back_is_refused(self):
         first, second = co_located_sets(range(1, 3))
@@ -708,7 +730,26 @@ class TestDag:
             if a != b
         ]
         dag = build_dag(records, t_incub_min=0, t_incub_max=400)
-        dag.topological_order()  # must never raise
+        order = dag.topological_order()  # must never raise
+        assert sorted(order) == sorted(dag.nodes)
+        assert all(order.index(e.src) < order.index(e.dst) for e in dag.edges)
+
+    @pytest.mark.parametrize("cycle", [(1, 2), (1, 2, 3)], ids=["2-cycle", "3-cycle"])
+    def test_a_cycle_is_refused(self, cycle):
+        edges = [
+            DagEdge(src=phone(a), dst=phone(b), record=record_for(a, b, 0, 100, 100), weight=1.0)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        ]
+        dag = InfectionDag(nodes=frozenset(map(phone, cycle)), edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))))
+        with pytest.raises(ValidationError, match="graph contains a cycle"):
+            dag.topological_order()
+
+    def test_a_node_with_no_edge_is_ordered(self):
+        one_edge = build_dag([record_for(1, 2, 0, 100, 100)], t_incub_min=50, t_incub_max=1000)
+        dag = InfectionDag(nodes=one_edge.nodes | {phone(3)}, edges=one_edge.edges)
+        order = dag.topological_order()
+        assert sorted(order) == [phone(1), phone(2), phone(3)]
+        assert order.index(phone(1)) < order.index(phone(2))
 
     def test_inconsistent_estimates_rejected(self):
         records = [record_for(1, 2, 0, 100, 100), record_for(2, 1, 100, 50, 200)]

@@ -1,11 +1,17 @@
 import struct
+from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from epitrace import framing
+from epitrace.edge import EdgeCloud
 from epitrace.errors import FramingError
-from epitrace.federation import QuorumCertificate
+from epitrace.federation import OperationClass, QuorumCertificate
+from epitrace.records import PdrSet, PrecisionClass
+from epitrace.runner import vet
+from util import alerted_federation, phone, reference_fetch_request, reference_fetch_response, station
 
 
 class TestFragmentMessage:
@@ -62,14 +68,14 @@ class TestCertificateMessage:
 # as the layout comments in `framing` describe it.
 
 
-def reference_fetch_response(entries) -> bytes:
+def concatenated_fetch_response(entries) -> bytes:
     out = struct.pack(">I", len(entries))
     for class_value, ciphertext in entries:
         out += struct.pack(">B", class_value) + struct.pack(">I", len(ciphertext)) + bytes(ciphertext)
     return out
 
 
-def reference_fragment_message(object_id, index, fragment, key_share) -> bytes:
+def concatenated_fragment_message(object_id, index, fragment, key_share) -> bytes:
     return object_id + struct.pack(">B", index) + struct.pack(">I", len(fragment)) + fragment + struct.pack(">I", len(key_share)) + key_share
 
 
@@ -85,14 +91,14 @@ class TestInPlaceWirePath:
     @example([(0, bytearray())])
     def test_fetch_response_equals_the_concatenation(self, entries):
         frame = framing.encode_fetch_response(entries)
-        assert frame == reference_fetch_response(entries)
+        assert frame == concatenated_fetch_response(entries)
         assert framing.decode_fetch_response(frame) == entries
 
     @given(st.binary(min_size=16, max_size=16), st.integers(0, 255), st.binary(max_size=64), st.binary(max_size=40))
     @example(bytes(16), 0, b"", b"")
     def test_fragment_message_equals_the_concatenation(self, object_id, index, fragment, key_share):
         message = framing.encode_fragment_message(object_id, index, fragment, key_share)
-        assert message == reference_fragment_message(object_id, index, fragment, key_share)
+        assert message == concatenated_fragment_message(object_id, index, fragment, key_share)
         assert framing.decode_fragment_message(message) == (object_id, index, fragment, key_share)
 
     def test_fetch_response_entries_are_views_of_the_frame(self):
@@ -124,3 +130,79 @@ class TestInPlaceWirePath:
                 framing.decode_fragment_message(wrap(message[:cut]))
         with pytest.raises(FramingError):
             framing.decode_fragment_message(wrap(message + b"\x00"))
+
+
+# -- mutated fetch frames ---------------------------------------------------------------
+# Real frames, an edge's answer to a real read request, mutated by byte flips, deletions,
+# insertions and forged u32 counts and lengths. Each mutant decodes to what the `Reader`-call
+# reference gives or raises FramingError, as the reference does; any other exception fails.
+
+
+@pytest.fixture(scope="module")
+def fetch_frames() -> tuple[bytes, bytes]:
+    federation = alerted_federation()
+    federation.escrow_keypair("provider:P1")
+    edge = EdgeCloud(provider_id="P1", key_id="provider:P1", federation=federation, pdr_ttl=40320, rng=Random(0))
+    for minute, cls in enumerate((PrecisionClass.FEMTO, PrecisionClass.MACRO, PrecisionClass.PICO, PrecisionClass.FEMTO)):
+        phones = tuple(phone(i) for i in range(minute + 1))
+        edge.push(PdrSet(minute, station(minute, cls), phones, tuple(1.0 + i for i in range(len(phones))), (0.5,) * len(phones)))
+    cert = vet(federation, OperationClass.BLIND_ANALYSIS, {"purpose": "test", "minutes": [0, 10]}, Random(1))
+    request = framing.encode_fetch_request(cert.encode(), 0, 10)
+    return request, edge.handle_fetch_frame(request)
+
+
+def mutants(rng: Random, frame: bytes, u32_fields: list[int], count: int):
+    """`count` mutants of `frame`: half forge one of its u32 fields (at the given offsets), and each takes up to three byte flips, deletions or insertions, at least one if it forged nothing."""
+    for _ in range(count):
+        data = bytearray(frame)
+        forge = rng.random() < 0.5
+        if forge:
+            at = rng.choice(u32_fields)
+            (true,) = struct.unpack_from(">I", data, at)
+            forged = rng.choice((0, max(true - 1, 0), true + 1, true + rng.randint(2, 64), len(frame), 2**32 - 1, rng.randrange(2**32)))
+            struct.pack_into(">I", data, at, forged)
+        for _ in range(rng.randint(0 if forge else 1, 3)):
+            at = rng.randrange(len(data) + 1)
+            kind = rng.randrange(3) if at < len(data) else 2
+            if kind == 0:
+                data[at] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                del data[at]
+            else:
+                data.insert(at, rng.randrange(256))
+        yield bytes(data)
+
+
+def outcome(decode, data: bytes):
+    """What `decode` makes of `data`, or FramingError; a response's ciphertext views compare by their bytes."""
+    try:
+        return decode(data)
+    except FramingError:
+        return FramingError
+
+
+class TestMutatedFetchFrames:
+    def test_a_mutated_request_decodes_as_the_reference_does(self, fetch_frames):
+        request, _response = fetch_frames
+        assert outcome(framing.decode_fetch_request, request) == outcome(reference_fetch_request, request) != FramingError
+        outcomes = Counter()
+        for data in mutants(Random(31), request, [0], 3000):  # the certificate's length prefix
+            expected = outcome(reference_fetch_request, data)
+            assert outcome(framing.decode_fetch_request, data) == expected
+            outcomes[expected is FramingError] += 1
+        assert outcomes[False] > 250 and outcomes[True] > 2000
+
+    def test_a_mutated_response_decodes_as_the_reference_does(self, fetch_frames):
+        _request, response = fetch_frames
+        entries = reference_fetch_response(response)
+        assert len(entries) == 4 and outcome(framing.decode_fetch_response, response) == outcome(reference_fetch_response, response)
+        lengths, at = [], 4  # each entry's length field, after its class byte
+        for _class_value, ciphertext in entries:
+            lengths.append(at + 1)
+            at += 5 + len(ciphertext)
+        outcomes = Counter()
+        for data in mutants(Random(32), response, [0, *lengths], 3000):  # the entry count and each entry's length
+            expected = outcome(reference_fetch_response, data)
+            assert outcome(framing.decode_fetch_response, data) == expected
+            outcomes[expected is FramingError] += 1
+        assert outcomes[False] > 250 and outcomes[True] > 2000

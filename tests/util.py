@@ -16,6 +16,7 @@ from epitrace.cep import PdrIndex
 from epitrace.edge import EdgeCloud
 from epitrace.federation import Federation, OperationClass, QuorumCertificate, SystemState
 from epitrace.errors import ValidationError
+from epitrace.framing import Reader
 from epitrace.records import IMEI_LEN, STATION_CODE_LEN, BsCode, PdrSet, PhoneId, PrecisionClass, group_into_sets
 from epitrace.runner import _SWEEP_BLOCK_MIN, SimContext, build_context, ingest, vet
 from epitrace.vault import CloudNode
@@ -269,6 +270,30 @@ def reference_decode(data: bytes, class_byte: int) -> PdrSet:
     if off != len(data):
         raise ValidationError("trailing bytes after set payload")
     return PdrSet(minute, BsCode(station, precision_class), tuple(phones), tuple(radii), tuple(azimuths))
+
+
+def reference_fetch_request(data: bytes) -> tuple[bytes | memoryview, int, int]:
+    """`framing.decode_fetch_request` one field at a time, each minute read as 8 raw big-endian bytes: the reference for the minute-range struct.
+
+    A malformed frame raises FramingError.
+    """
+    r = Reader(data)
+    cert_blob = r.lp_bytes()
+    start, end = int.from_bytes(r.raw(8), "big"), int.from_bytes(r.raw(8), "big")
+    r.done()
+    return cert_blob, start, end
+
+
+def reference_fetch_response(data: bytes) -> list[tuple[int, memoryview]]:
+    """`framing.decode_fetch_response` with one `Reader` call per field (count, then class and length-prefixed ciphertext per entry): the reference for the entry-head struct.
+
+    A malformed frame raises FramingError.
+    """
+    r = Reader(memoryview(data))
+    count = r.u32()
+    out = [(r.u8(), r.lp_bytes()) for _ in range(count)]
+    r.done()
+    return out
 
 
 def reference_ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
