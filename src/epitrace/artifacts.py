@@ -119,9 +119,9 @@ def artifact_payloads(
         }
 
     dag_obj = {
-        "nodes": sorted(n.nr for n in dag.nodes),
+        "nodes": [n.nr for n in dag.nodes],
         "edges": [
-            {"src": e.src.nr, "dst": e.dst.nr, "weight": round(e.weight, 6), "median_contact": e.record.median_contact}
+            {"src": e.src.nr, "dst": e.dst.nr, "weight": round(e.weight, 6), "median_contact": e.median_contact}
             for e in dag.edges
         ],
     }
@@ -144,9 +144,9 @@ def _json_list(items: Iterable, obj: Callable[..., dict], key: Callable) -> byte
 
 
 def dag_dot(dag: cep.InfectionDag) -> str:
-    """DOT text of the DAG; its edges are in `build_dag`'s (src, dst) order."""
+    """DOT text of the DAG; its nodes and edges are in `build_dag`'s order."""
     lines = ["digraph contamination {"]
-    lines.extend(f'  "{node.nr}";' for node in sorted(dag.nodes))
+    lines.extend(f'  "{node.nr}";' for node in dag.nodes)
     lines.extend(f'  "{e.src.nr}" -> "{e.dst.nr}" [label="{e.weight:.2f}"];' for e in dag.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NoEvidenceError, ParameterError, ResolutionError, ValidationError
+from .errors import NoEvidenceError, ParameterError, ValidationError
 from .federation import Capability
 from .records import PdrSet, PhoneId, PrecisionClass
 from .world import ProviderRegistry
@@ -97,13 +97,11 @@ class ContactSuspicion:
     pc_susp: bool
     windows: tuple[ContactWindow, ...]
 
-    def region(self) -> SpaceTimeRegion:
-        stations = frozenset().union(*(w.stations for w in self.windows))
-        return SpaceTimeRegion(start=self.windows[0].start, end=self.windows[-1].end, stations=stations)
-
 
 @dataclass(frozen=True)
 class ContactScore:
+    """A flagged suspicion's grade, its terms, its region and its median contact minute, which the cascade and the records read."""
+
     pair: PairKey
     region: SpaceTimeRegion
     raw: float
@@ -112,6 +110,7 @@ class ContactScore:
     dur_tot: int
     precision_prox: float
     density: float
+    median_contact: int  # `median_contact_minute` of the suspicion
 
 
 @dataclass(frozen=True)
@@ -129,20 +128,24 @@ class ContaminationRecord:
 
 @dataclass(frozen=True)
 class DagEdge:
+    """A plausible transmission src -> dst, at its contamination record's median contact minute."""
+
     src: PhoneId
     dst: PhoneId
-    record: ContaminationRecord
+    median_contact: int
     weight: float
 
 
 @dataclass(frozen=True)
 class InfectionDag:
-    nodes: frozenset[PhoneId]
-    edges: tuple[DagEdge, ...]  # sorted by (src, dst), as `build_dag` builds them
+    """The phones of the contamination records and the edges between them, each in the order `build_dag` sorts them."""
+
+    nodes: tuple[PhoneId, ...]  # sorted
+    edges: tuple[DagEdge, ...]  # sorted by (src, dst)
 
     def topological_order(self) -> list[PhoneId]:
         """Every node, each edge's source before its destination; raises if a cycle sneaks in."""
-        sorter = TopologicalSorter({node: () for node in sorted(self.nodes)})
+        sorter = TopologicalSorter({node: () for node in self.nodes})
         for e in self.edges:
             sorter.add(e.dst, e.src)
         try:
@@ -489,7 +492,7 @@ def score_suspicions(
     suspicions: Iterable[ContactSuspicion],
     params: AnalysisParams,
 ) -> list[ContactScore]:
-    """Grade flagged suspicions into risk classes 1..4, keeping every term."""
+    """Grade flagged suspicions into risk classes 1..4, keeping every term, the region and the median contact minute."""
     capability.require_read()
     scores = []
     for suspicion in suspicions:
@@ -505,7 +508,6 @@ def score_suspicions(
         dur_tot = sum(w.duration for w in windows)
         precision_prox = sum(class_factors) / len(class_factors)
         density = sum(sizes) / len(sizes)
-        region = suspicion.region()
         raw = (
             W_PROX * (1.0 - prox_avg / params.prox_max)
             + W_DUR * min(1.0, dur_tot / (DUR_SATURATION_FACTOR * params.dur_min))
@@ -517,13 +519,14 @@ def score_suspicions(
         scores.append(
             ContactScore(
                 pair=suspicion.pair,
-                region=region,
+                region=SpaceTimeRegion(start=windows[0].start, end=windows[-1].end, stations=frozenset().union(*(w.stations for w in windows))),
                 raw=raw,
                 risk_class=classify(raw),
                 prox_avg=prox_avg,
                 dur_tot=dur_tot,
                 precision_prox=precision_prox,
                 density=density,
+                median_contact=median_contact_minute(suspicion, params.dur_min),
             )
         )
     return scores
@@ -571,11 +574,10 @@ def complete_findings(
             scores.append(score)
             if score.risk_class < class_threshold:
                 continue
-            median = median_contact_minute(by_pair[score.pair], params.dur_min)
             for phone in score.pair:
                 if phone not in onset:
                     heappush(queue, phone)
-                onset[phone] = min(median, onset.get(phone, median))
+                onset[phone] = min(score.median_contact, onset.get(phone, score.median_contact))
 
     for poi in seeds:
         scan(poi)
@@ -592,13 +594,12 @@ def complete_findings(
 def build_pccont(
     capability: Capability,
     scores: Sequence[ContactScore],
-    suspicions_by_pair: dict[PairKey, ContactSuspicion],
     infected: dict[PhoneId, int],
     registry: ProviderRegistry,
-    dur_min: int,
 ) -> list[ContaminationRecord]:
     """Keep only both-infected pairs and resolve their regions to coordinates.
 
+    Each record takes its region and median contact minute from its score.
     This is the step that turns relative positions into absolute ones, so it
     demands the full-processing capability.
     """
@@ -608,15 +609,13 @@ def build_pccont(
         v, u = score.pair
         if v not in infected or u not in infected:
             continue
-        suspicion = suspicions_by_pair[score.pair]
-        box = resolve_region_box(registry, score.region)
         records.append(
             ContaminationRecord(
                 v=v,
                 u=u,
                 region=score.region,
-                coord_box=box,
-                median_contact=median_contact_minute(suspicion, dur_min),
+                coord_box=resolve_region_box(registry, score.region),
+                median_contact=score.median_contact,
                 t_inf_min_v=infected[v],
                 t_inf_min_u=infected[u],
             )
@@ -628,10 +627,7 @@ def resolve_region_box(registry: ProviderRegistry, region: SpaceTimeRegion) -> t
     """Bounding box of the region's stations: each centroid padded by its range."""
     boxes = []
     for code in sorted(region.stations):
-        try:
-            info = registry.resolve(code)
-        except ValidationError as exc:
-            raise ResolutionError(f"station {code} is not in the provider registry") from exc
+        info = registry.resolve(code)
         cx, cy = info.centroid
         boxes.append((cx - info.useful_range, cy - info.useful_range, cx + info.useful_range, cy + info.useful_range))
     return (
@@ -676,8 +672,8 @@ def build_dag(records: Sequence[ContaminationRecord], t_incub_min: int, t_incub_
             if abs(record.median_contact - t_b) > t_incub_max:
                 continue
             weight = 1.0 - abs(record.median_contact - t_b) / t_incub_max if t_incub_max > 0 else 1.0
-            edges.append(DagEdge(src=a, dst=b, record=record, weight=weight))
-    return InfectionDag(nodes=frozenset(nodes), edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))))
+            edges.append(DagEdge(src=a, dst=b, median_contact=record.median_contact, weight=weight))
+    return InfectionDag(nodes=tuple(sorted(nodes)), edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))))
 
 
 # -- hotspots ------------------------------------------------------------------------------------

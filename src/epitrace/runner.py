@@ -12,6 +12,7 @@ import os
 import pickle
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from random import Random
@@ -204,16 +205,15 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
 
     Phone positions are interpolated for these minutes only. Each block of
     `_SWEEP_BLOCK_MIN` minutes is measured once (`measure`: its range test
-    and noise draw) and observed as one sweep, whose sets are pushed as
-    `group_into_sets` cuts them, each through its station's provider port;
-    then the block's minutes tick the federation clock, and every
-    `prune_every_min`-th minute prunes all edges. A push reads no clock and
-    writes no ledger entry, and a prune keeps the later minutes' sets, so
-    pushes, seals, stores and the ledger are those of a minute-at-a-time
-    loop. Given blocks and a second CPU (`_spare_cpu`), they are measured one
-    ahead in a child `_forked` for this call; otherwise in process. Either way
-    the arrays are the same bit for bit, an error while measuring raises at
-    its block, and no process outlives the call.
+    and noise draw) and observed as one sweep, which `group_into_sets` cuts
+    into sets. Then each minute of the block, in order, ticks the federation
+    clock, pushes its sets, each through its station's provider port, and,
+    every `prune_every_min`-th minute, prunes all edges: the order of a
+    minute-at-a-time loop, so at every prune each store holds what that
+    loop's holds. Given blocks and a second CPU (`_spare_cpu`), they are
+    measured one ahead in a child `_forked` for this call; otherwise in
+    process. Either way the arrays are the same bit for bit, an error while
+    measuring raises at its block, and no process outlives the call.
     """
     config = context.config
     positions = trace_positions(context.traces, start, stop)
@@ -227,11 +227,12 @@ def ingest(context: SimContext, start: int, stop: int) -> dict[str, int]:
         for block, measured in zip(blocks, frames, strict=True):
             sweep = observe(context.registry, context.traces, block, measured)
             counts["pdrs_emitted"] += len(sweep)
-            for pdr_set in group_into_sets(sweep):
-                counts["sets_pushed" if port_by_code[pdr_set.bs.code].push(pdr_set) else "push_failures"] += 1
+            by_minute = {minute: list(sets) for minute, sets in groupby(group_into_sets(sweep), attrgetter("minute"))}
             del sweep  # before the next block is observed
             for minute in range(block, min(block + _SWEEP_BLOCK_MIN, stop)):
                 context.federation.tick(minute)
+                for pdr_set in by_minute.pop(minute, ()):
+                    counts["sets_pushed" if port_by_code[pdr_set.bs.code].push(pdr_set) else "push_failures"] += 1
                 if minute > 0 and minute % config.prune_every_min == 0:
                     for edge in context.edges.values():
                         counts["sets_pruned"] += edge.prune(minute)
@@ -280,7 +281,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None, faults: str |
 
     cert_full = vet(federation, OperationClass.FULL_PROCESSING, {"purpose": "chain reconstruction"}, rng_cer)
     cap_full = federation.authorize_mode(cert_full, OperationClass.FULL_PROCESSING)
-    pccont = cep.build_pccont(cap_full, scores, by_pair, estimates, context.registry, config.dur_min)
+    pccont = cep.build_pccont(cap_full, scores, estimates, context.registry)
     dag = cep.build_dag(pccont, config.t_incub_min, config.t_incub_max)
     dag.topological_order()  # invariant: must be acyclic
     hotspots = cep.hotspot_map(pccont, config.hotspot_cell_m)

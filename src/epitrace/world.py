@@ -20,7 +20,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ResolutionError, ValidationError
 from .framing import canonical_json
 from .records import TWO_PI, BsCode, PhoneId, PrecisionClass, Sweep
 
@@ -228,7 +228,7 @@ class ProviderRegistry:
         for bs, info in self.stations.items():
             if bs.code == code:
                 return info
-        raise ValidationError(f"unknown station code {code}")
+        raise ResolutionError(f"station {code} is not in the provider registry")
 
     def sorted_stations(self) -> list[tuple[BsCode, StationInfo]]:
         return sorted(self.stations.items(), key=lambda kv: kv[0].code)

@@ -387,7 +387,8 @@ class TestScoring:
         assert score.precision_prox == pytest.approx(1.0)
         assert score.density == pytest.approx(4.0)
         assert score.region.stations == frozenset({"0000000000000001"})
-        scores_json = artifact_payloads({}, [score], [], InfectionDag(nodes=frozenset(), edges=()))["scores.json"]
+        assert score.median_contact == median_contact_minute(suspicion, PARAMS.dur_min)
+        scores_json = artifact_payloads({}, [score], [], InfectionDag(nodes=(), edges=()))["scores.json"]
         [written] = json.loads(scores_json)
         assert (written["terms"]["precision_dur"], written["terms"]["severity"]) == (0.5, 0.5)
 
@@ -410,6 +411,12 @@ class TestScoring:
         bad = ContactSuspicion(pair=(phone(1), phone(2)), pc_susp=True, windows=())
         with pytest.raises(NoEvidenceError):
             score_suspicions(cap_read, [bad], PARAMS)
+
+    def test_a_flagged_suspicion_with_no_qualifying_window_is_no_evidence(self, cap_read):
+        # Flagged by hand: a scan flags a pair only for a window of at least dur_min minutes.
+        short = self._suspicion(prox=1.0, dur=PARAMS.dur_min - 1, cls=PrecisionClass.FEMTO, sizes=3)
+        with pytest.raises(NoEvidenceError):
+            score_suspicions(cap_read, [short], PARAMS)
 
     @given(st.floats(0.0, 1.0))
     def test_classification_total_on_unit_interval(self, raw):
@@ -638,37 +645,36 @@ class TestPccont:
             r for m in minutes for r in (pdr(bs, phone(a), 0.1, 0.0, m), pdr(bs, phone(b), 0.2, 0.0, m))
         )
         suspicions = find_suspicions(cap, PdrIndex(sets, PARAMS.prox_max), PhoneOfInterest(phone(a), 0), PARAMS)
-        scores = score_suspicions(cap, suspicions, PARAMS)
-        return {s.pair: s for s in suspicions}, scores
+        return score_suspicions(cap, suspicions, PARAMS)
 
     def test_uninfected_partner_excluded(self, cap_read, cap_full):
-        by_pair, scores = self._scored_pair(cap_read)
+        scores = self._scored_pair(cap_read)
         registry = registry_with({station(1): StationInfo((50.0, 60.0), 8.0)})
-        records = build_pccont(cap_full, scores, by_pair, {phone(1): 0}, registry, PARAMS.dur_min)
+        records = build_pccont(cap_full, scores, {phone(1): 0}, registry)
         assert records == []
 
     def test_both_infected_resolved(self, cap_read, cap_full):
-        by_pair, scores = self._scored_pair(cap_read)
+        scores = self._scored_pair(cap_read)
         registry = registry_with({station(1): StationInfo((50.0, 60.0), 8.0)})
-        records = build_pccont(cap_full, scores, by_pair, {phone(1): 0, phone(2): 90}, registry, PARAMS.dur_min)
+        records = build_pccont(cap_full, scores, {phone(1): 0, phone(2): 90}, registry)
         assert len(records) == 1
         record = records[0]
-        assert record.median_contact == 109  # lower median of 100..119
+        assert record.median_contact == scores[0].median_contact == 109  # lower median of 100..119
         assert record.t_inf_min_v == 0 and record.t_inf_min_u == 90
         # coordinate box recomputed from the registry: centroid +- useful range
         assert record.coord_box == (42.0, 52.0, 58.0, 68.0)
 
     def test_unresolvable_station_raises(self, cap_read, cap_full):
-        by_pair, scores = self._scored_pair(cap_read)
+        scores = self._scored_pair(cap_read)
         registry = registry_with({station(99): StationInfo((0.0, 0.0), 8.0)})
         with pytest.raises(ResolutionError):
-            build_pccont(cap_full, scores, by_pair, {phone(1): 0, phone(2): 90}, registry, PARAMS.dur_min)
+            build_pccont(cap_full, scores, {phone(1): 0, phone(2): 90}, registry)
 
     def test_requires_full_processing(self, cap_read):
-        by_pair, scores = self._scored_pair(cap_read)
+        scores = self._scored_pair(cap_read)
         registry = registry_with({station(1): StationInfo((0.0, 0.0), 8.0)})
         with pytest.raises(AuthorizationError):
-            build_pccont(cap_read, scores, by_pair, {phone(1): 0, phone(2): 0}, registry, PARAMS.dur_min)
+            build_pccont(cap_read, scores, {phone(1): 0, phone(2): 0}, registry)
 
 
 def record_for(a, b, t_a, t_b, median, box=(0.0, 0.0, 10.0, 10.0)):
@@ -690,13 +696,16 @@ class TestDag:
         assert {(e.src, e.dst) for e in dag.edges} == {(phone(1), phone(2)), (phone(2), phone(3))}
         order = dag.topological_order()
         assert order.index(phone(1)) < order.index(phone(2)) < order.index(phone(3))
+        record_of = {(r.v, r.u): r for r in records}
         for edge in dag.edges:
-            assert edge.weight == pytest.approx(1.0 - abs(edge.record.median_contact - edge.record.t_inf_min_u) / 1000)
+            record = record_of[edge.src, edge.dst]
+            assert edge.median_contact == record.median_contact
+            assert edge.weight == pytest.approx(1.0 - abs(record.median_contact - record.t_inf_min_u) / 1000)
 
     def test_equal_estimates_give_no_edge(self):
         dag = build_dag([record_for(1, 2, 100, 100, 120)], t_incub_min=50, t_incub_max=1000)
         assert dag.edges == ()
-        assert dag.nodes == frozenset({phone(1), phone(2)})
+        assert dag.nodes == (phone(1), phone(2))
 
     def test_contact_before_infection_estimate_gives_no_edge(self):
         # median below both estimates: condition (a) fails in both directions
@@ -731,22 +740,23 @@ class TestDag:
         ]
         dag = build_dag(records, t_incub_min=0, t_incub_max=400)
         order = dag.topological_order()  # must never raise
-        assert sorted(order) == sorted(dag.nodes)
+        assert list(dag.nodes) == sorted({p for r in records for p in (r.v, r.u)})
+        assert sorted(order) == list(dag.nodes)
         assert all(order.index(e.src) < order.index(e.dst) for e in dag.edges)
 
     @pytest.mark.parametrize("cycle", [(1, 2), (1, 2, 3)], ids=["2-cycle", "3-cycle"])
     def test_a_cycle_is_refused(self, cycle):
         edges = [
-            DagEdge(src=phone(a), dst=phone(b), record=record_for(a, b, 0, 100, 100), weight=1.0)
+            DagEdge(src=phone(a), dst=phone(b), median_contact=100, weight=1.0)
             for a, b in zip(cycle, cycle[1:] + cycle[:1])
         ]
-        dag = InfectionDag(nodes=frozenset(map(phone, cycle)), edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))))
+        dag = InfectionDag(nodes=tuple(map(phone, cycle)), edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))))
         with pytest.raises(ValidationError, match="graph contains a cycle"):
             dag.topological_order()
 
     def test_a_node_with_no_edge_is_ordered(self):
         one_edge = build_dag([record_for(1, 2, 0, 100, 100)], t_incub_min=50, t_incub_max=1000)
-        dag = InfectionDag(nodes=one_edge.nodes | {phone(3)}, edges=one_edge.edges)
+        dag = InfectionDag(nodes=(*one_edge.nodes, phone(3)), edges=one_edge.edges)
         order = dag.topological_order()
         assert sorted(order) == [phone(1), phone(2), phone(3)]
         assert order.index(phone(1)) < order.index(phone(2))

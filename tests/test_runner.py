@@ -473,19 +473,29 @@ class TestIngest:
         assert all(value % _SWEEP_BLOCK_MIN for value in (start, stop, config.prune_every_min, config.alert_minute))
 
         def drive(feed):
-            context = build_context(config)
-            counts = feed(context, start, config.alert_minute)
-            context.federation.tick(config.alert_minute)
-            cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random("test-ingest"))
-            context.federation.change_state(cert, SystemState.ALERT)
-            for name, value in feed(context, config.alert_minute, stop).items():
-                counts[name] += value
-            stored = {pid: [bytes(c) for c in edge.stored_ciphertexts()] for pid, edge in context.edges.items()}
-            return counts, context.federation.ledger.export_jsonl(), stored
+            # Each prune's (edge, minute, entries stored before it): the stores at every prune, not only at the end.
+            prunes = []
+            prune = EdgeCloud.prune
 
-        counts, ledger, stored = drive(ingest)
+            def counting_prune(edge, now):
+                prunes.append((edge.provider_id, now, len(edge.stored_ciphertexts())))
+                return prune(edge, now)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(EdgeCloud, "prune", counting_prune)
+                context = build_context(config)
+                counts = feed(context, start, config.alert_minute)
+                context.federation.tick(config.alert_minute)
+                cert = vet(context.federation, OperationClass.LOCK_UNLOCK, {"target": "ALERT"}, Random("test-ingest"))
+                context.federation.change_state(cert, SystemState.ALERT)
+                for name, value in feed(context, config.alert_minute, stop).items():
+                    counts[name] += value
+            stored = {pid: [bytes(c) for c in edge.stored_ciphertexts()] for pid, edge in context.edges.items()}
+            return counts, context.federation.ledger.export_jsonl(), stored, prunes
+
+        counts, ledger, stored, prunes = drive(ingest)
         assert counts["sets_pruned"] > 0 and counts["push_failures"] == 0
-        assert (counts, ledger, stored) == drive(reference_ingest)
+        assert (counts, ledger, stored, prunes) == drive(reference_ingest)
 
     def test_on_one_cpu_the_noise_is_drawn_in_process_as_the_loop_draws_it(self, monkeypatch):
         allow_cpus(monkeypatch, 1)
